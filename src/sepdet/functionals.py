@@ -22,16 +22,17 @@ from .errors import (
     DescriptorError,
     EmptyRegion,
     IsolatedPoint,
-    LipschitzViolation,
     NoCoordinates,
     UnknownPoint,
 )
-from .extreal import FLOAT_TOL, Num, close, fmt, is_exact, is_finite, parse, pos_part, sub
+from .extreal import Num, close, fmt, is_exact, is_finite, parse, pos_part, sub
 from .scheme import (
     Region,
     WitnessProblem,
+    lipschitz_second_witness,
     positive_scalar_params,
     shell_params,
+    spot_check_lipschitz_second,
 )
 from .spaces import (
     MetricSpace,
@@ -427,31 +428,6 @@ def slope_at(f: FunctionOracle, space: MetricSpace, x: Point,
 # Products: Lipschitz bound in the second variable, partial slopes
 
 
-def lipschitz_second_witness(f2: Callable[[Point, Point], Num],
-                             space1: MetricSpace, space2: MetricSpace, k: Num,
-                             budget: Optional[int] = None) -> Optional[tuple]:
-    """First triple (x, y1, y2) violating |f(x,y1) - f(x,y2)| <= k d2(y1,y2).
-
-    Scans points in enumeration order, at most budget triples; None when no
-    violation is found.  Exact values compare exactly; float chains get the
-    1e-12 slack.
-    """
-    count = 0
-    for x in space1.iter_points(budget):
-        pts2 = list(space2.iter_points(budget))
-        for i, y1 in enumerate(pts2):
-            for y2 in pts2[i + 1:]:
-                count += 1
-                if budget is not None and count > budget:
-                    return None
-                gap = abs(f2(x, y1) - f2(x, y2))
-                bound = k * space2.distance(y1, y2)
-                slack = 0 if is_exact(gap) and is_exact(bound) else FLOAT_TOL
-                if gap > bound + slack:
-                    return (x, y1, y2)
-    return None
-
-
 def verify_lipschitz_second(f2: Callable[[Point, Point], Num],
                             space1: MetricSpace, space2: MetricSpace, k: Num,
                             budget: Optional[int] = None) -> bool:
@@ -472,12 +448,7 @@ def partial_slope(f2: Callable[[Point, Point], Num], space1: MetricSpace,
     if k is not None:
         if space2 is None:
             raise ValueError("spot-check needs space2 together with k")
-        witness = lipschitz_second_witness(f2, space1, space2, k,
-                                           budget=budget or 128)
-        if witness is not None:
-            wx, wy1, wy2 = witness
-            raise LipschitzViolation(
-                f"bound k={fmt(k)} fails at x={wx.id}, y1={wy1.id}, y2={wy2.id}")
+        spot_check_lipschitz_second(f2, space1, space2, k, budget or 128)
     slice_f = FunctionOracle(f"slice@{y.id}", lambda u: f2(u, y))
     return slope_at(slice_f, space1, x, grid, Y1)
 

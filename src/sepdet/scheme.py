@@ -34,6 +34,7 @@ from .extreal import (
     Num,
     close,
     fmt,
+    is_exact,
     is_finite,
     is_neg_inf,
     is_pos_inf,
@@ -497,36 +498,59 @@ def product_closure(make_problem: Callable[[Point], WitnessProblem],
 
     Returns (Y1, Y2) with Y2 the sorted second seed and Y1 closed under the
     witness operator of the score slice at every y in Y2.  When lipschitz_k
-    is given together with product_fn and second_space, a sampled spot-check
-    of the k-Lipschitz bound in the second variable runs first and raises
-    LipschitzViolation naming a witness triple on failure.
+    is given together with product_fn and second_space, the k-Lipschitz bound
+    in the second variable is spot-checked first by lipschitz_second_witness
+    over the first problem's space and second_space, at most spot_budget
+    triples, raising LipschitzViolation naming the witness triple on failure.
     """
     Y2 = sort_points(seed2)
     if not Y2:
         raise ValueError("second seed must be nonempty")
-    if lipschitz_k is not None:
-        if product_fn is None or second_space is None:
-            raise ValueError("lipschitz spot-check needs product_fn and second_space")
-        firsts = sort_points(seed1)
-        count = 0
-        for x in firsts:
-            for y1 in Y2:
-                for y2 in Y2:
-                    if y1.id >= y2.id:
-                        continue
-                    count += 1
-                    if count > spot_budget:
-                        break
-                    gap = abs(product_fn(x, y1) - product_fn(x, y2))
-                    bound = lipschitz_k * second_space.distance(y1, y2)
-                    if gap > bound + FLOAT_TOL:
-                        raise LipschitzViolation(
-                            f"|f({x.id},{y1.id}) - f({x.id},{y2.id})| = {fmt(gap)} "
-                            f"exceeds k*d2 = {fmt(bound)}")
+    if lipschitz_k is not None and (product_fn is None or second_space is None):
+        raise ValueError("lipschitz spot-check needs product_fn and second_space")
     problems = [make_problem(y) for y in Y2]
+    if lipschitz_k is not None:
+        spot_check_lipschitz_second(product_fn, problems[0].space, second_space,
+                                    lipschitz_k, spot_budget)
     result = _closure(problems, seed1, eps=eps, cap=cap, max_depth=max_depth,
                       strict_empty=strict_empty)
     return result, Y2
+
+
+def lipschitz_second_witness(f2: Callable[[Point, Point], Num],
+                             space1: MetricSpace, space2: MetricSpace, k: Num,
+                             budget: Optional[int] = None) -> Optional[tuple]:
+    """First triple (x, y1, y2) violating |f(x,y1) - f(x,y2)| <= k d2(y1,y2).
+
+    Scans points in enumeration order, at most budget triples; None when no
+    violation is found.  Exact values compare exactly; float chains get the
+    1e-12 slack.
+    """
+    count = 0
+    for x in space1.iter_points(budget):
+        pts2 = list(space2.iter_points(budget))
+        for i, y1 in enumerate(pts2):
+            for y2 in pts2[i + 1:]:
+                count += 1
+                if budget is not None and count > budget:
+                    return None
+                gap = abs(f2(x, y1) - f2(x, y2))
+                bound = k * space2.distance(y1, y2)
+                slack = 0 if is_exact(gap) and is_exact(bound) else FLOAT_TOL
+                if gap > bound + slack:
+                    return (x, y1, y2)
+    return None
+
+
+def spot_check_lipschitz_second(f2: Callable[[Point, Point], Num],
+                                space1: MetricSpace, space2: MetricSpace, k: Num,
+                                budget: int) -> None:
+    """Raise LipschitzViolation naming the first witness triple within budget."""
+    witness = lipschitz_second_witness(f2, space1, space2, k, budget)
+    if witness is not None:
+        wx, wy1, wy2 = witness
+        raise LipschitzViolation(
+            f"bound k={fmt(k)} fails at x={wx.id}, y1={wy1.id}, y2={wy2.id}")
 
 
 DEFAULT_COEFFS = (Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1))

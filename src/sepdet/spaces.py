@@ -14,8 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .errors import (
     BadShell,
@@ -24,7 +27,7 @@ from .errors import (
     NoCoordinates,
     UnknownPoint,
 )
-from .extreal import FLOAT_TOL, Num, fmt, is_exact, parse
+from .extreal import FLOAT_TOL, Num, fmt, parse
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,6 +79,40 @@ class MetricSpace:
         return tuple(self.iter_points(budget))
 
 
+# Exact entries scaled to integers below this stay int64 through one sum.
+_INT64_SAFE = 1 << 61
+
+
+def _metric_array(matrix: Sequence[Sequence[Num]], types: frozenset, tol: Num) -> tuple:
+    """The n x n matrix as one array for the axiom checks, plus the tolerance.
+
+    types is the set of entry types.  Exact matrices are scaled by the lcm of
+    their denominators to integers and get no tolerance (None): int64 when
+    every scaled entry stays below 2**61, Python ints otherwise.  A matrix
+    holding floats keeps its original values as objects under the caller's
+    tol, so each operation is the Python one.
+    """
+    n = len(matrix)
+    if not _all_exact(types):
+        return np.array(matrix, dtype=object).reshape(n, n), tol
+    rows = matrix
+    if types != {int}:
+        scale = math.lcm(*{v.denominator for row in matrix for v in row})
+        rows = [[v.numerator * (scale // v.denominator) for v in row] for row in matrix]
+    try:
+        a = np.array(rows, dtype=np.int64).reshape(n, n)
+        if n and (a.max() >= _INT64_SAFE or a.min() <= -_INT64_SAFE):
+            raise OverflowError
+    except OverflowError:
+        a = np.array(rows, dtype=object).reshape(n, n)
+    return a, None
+
+
+def _all_exact(types: frozenset) -> bool:
+    """is_exact over values, decided once per type: int or Fraction, not bool."""
+    return all(issubclass(t, (int, Fraction)) and not issubclass(t, bool) for t in types)
+
+
 class FiniteMetricSpace(MetricSpace):
     kind = "finite"
 
@@ -103,6 +140,11 @@ class FiniteMetricSpace(MetricSpace):
     @classmethod
     def from_matrix(cls, points: Sequence[Point], matrix: Sequence[Sequence[Num]],
                     tol: float = FLOAT_TOL) -> "FiniteMetricSpace":
+        """Space over an explicit distance matrix, validated by validate(tol).
+
+        tol only loosens the triangle inequality of matrices holding floats;
+        an all-int/Fraction matrix is checked with tolerance 0.
+        """
         space = cls(points, matrix, metric_name="matrix")
         space.validate(tol)
         return space
@@ -134,38 +176,62 @@ class FiniteMetricSpace(MetricSpace):
         return iter(pts)
 
     @cached_property
+    def _types(self) -> frozenset:
+        return frozenset(type(v) for row in self.matrix for v in row)
+
+    @cached_property
     def exact(self) -> bool:
         """True when every distance is an int or Fraction (tolerance 0 applies)."""
-        return all(is_exact(v) for row in self.matrix for v in row)
+        return _all_exact(self._types)
 
     def validate(self, tol: float = FLOAT_TOL) -> None:
-        """Check the metric axioms; raise DescriptorError naming the violation."""
+        """Check the metric axioms; raise DescriptorError naming the first violation.
+
+        The checks run in this order: row length and diagonal (row by row),
+        finiteness, then symmetry and positivity (pair by pair), then the
+        triangle inequality (in i, j, k order).  Exact matrices (every entry an
+        int or Fraction) are checked with tolerance 0 whatever tol is; tol only
+        loosens the triangle inequality of matrices that hold floats.
+        """
         n = len(self.points)
         m = self.matrix
-        for i in range(n):
-            if len(m[i]) != n:
-                raise DescriptorError(f"matrix row {i} has length {len(m[i])}, expected {n}")
-            if m[i][i] != 0:
-                raise DescriptorError(f"matrix[{i}][{i}] = {m[i][i]!r}, diagonal must be 0")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if m[i][j] != m[j][i]:
-                    raise DescriptorError(
-                        f"matrix[{i}][{j}] != matrix[{j}][{i}] "
-                        f"({fmt(m[i][j])} vs {fmt(m[j][i])}) for pair "
-                        f"({self.points[i].id!r}, {self.points[j].id!r})")
-                if m[i][j] <= 0:
-                    raise DescriptorError(
-                        f"matrix[{i}][{j}] = {fmt(m[i][j])}: distinct points "
-                        f"{self.points[i].id!r}, {self.points[j].id!r} need positive distance")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if m[i][j] > m[i][k] + m[k][j] + tol:
+        for i, row in enumerate(m):
+            if len(row) != n:
+                raise DescriptorError(f"matrix row {i} has length {len(row)}, expected {n}")
+            if row[i] != 0:
+                raise DescriptorError(f"matrix[{i}][{i}] = {row[i]!r}, diagonal must be 0")
+        if not self.exact:
+            for i, row in enumerate(m):
+                for j, v in enumerate(row):
+                    if isinstance(v, float) and not math.isfinite(v):
                         raise DescriptorError(
-                            f"triangle inequality fails at points "
-                            f"({self.points[i].id!r}, {self.points[j].id!r}, "
-                            f"{self.points[k].id!r})")
+                            f"matrix[{i}][{j}] = {fmt(v)}: distances must be finite")
+        a, tol = _metric_array(m, self._types, tol)
+        pair_bad = np.triu((a != a.T) | (a <= 0), 1)
+        if pair_bad.any():
+            i, j = divmod(int(pair_bad.argmax()), n)
+            if m[i][j] != m[j][i]:
+                raise DescriptorError(
+                    f"matrix[{i}][{j}] != matrix[{j}][{i}] "
+                    f"({fmt(m[i][j])} vs {fmt(m[j][i])}) for pair "
+                    f"({self.points[i].id!r}, {self.points[j].id!r})")
+            raise DescriptorError(
+                f"matrix[{i}][{j}] = {fmt(m[i][j])}: distinct points "
+                f"{self.points[i].id!r}, {self.points[j].id!r} need positive distance")
+        # One row i at a time keeps the extra memory O(n^2):
+        # bad[j, k] = a[i, j] > (a[i, k] + a[k, j]) + tol.
+        at = a.T
+        for i in range(n):
+            bound = a[i] + at
+            if tol is not None:
+                bound += tol
+            bad = a[i][:, None] > bound
+            if bad.any():
+                j, k = divmod(int(bad.argmax()), n)
+                raise DescriptorError(
+                    f"triangle inequality fails at points "
+                    f"({self.points[i].id!r}, {self.points[j].id!r}, "
+                    f"{self.points[k].id!r})")
 
     def realized_distances(self, center: Optional[Point] = None) -> tuple[Num, ...]:
         """Sorted distinct positive distances, globally or from one center."""
@@ -341,7 +407,9 @@ def _parse_point(obj, i: int) -> Point:
 def space_from_descriptor(obj: dict, tol: float = FLOAT_TOL) -> FiniteMetricSpace:
     """Build and validate a finite space from its JSON form.
 
-    Raises DescriptorError naming the offending field on any violation.
+    Raises DescriptorError naming the offending field on any violation.  tol
+    applies only to spaces with float distances (2-D Euclidean, float matrix
+    entries); exact spaces are validated with tolerance 0.
     """
     if not isinstance(obj, dict):
         raise DescriptorError("space descriptor must be an object")

@@ -49,6 +49,25 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "matrix[0][1]" in err and "'a'" in err and "'b'" in err
 
+    def test_tiny_exact_triangle_violation_exits_two(self, tmp_path, capsys):
+        near = "2000000000000001/1000000000000000"  # 2 + 10^-15 against 1 + 1
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps({
+            "kind": "finite", "metric": "matrix", "points": ["a", "b", "c"],
+            "matrix": [[0, near, 1], [near, 0, 1], [1, 1, 0]]}))
+        assert run_cli(["validate", "--space", str(path)]) == 2
+        assert "triangle inequality fails at points ('a', 'b', 'c')" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["inf", float("nan")])
+    def test_non_finite_distance_names_the_field(self, bad, tmp_path, capsys):
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps({
+            "kind": "finite", "metric": "matrix", "points": ["a", "b", "c"],
+            "matrix": [[0, 1, 2], [1, 0, bad], [2, bad, 0]]}))
+        assert run_cli(["validate", "--space", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "matrix[1][2] = " in err and "distances must be finite" in err
+
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
