@@ -27,7 +27,7 @@ from .functionals import (
     problem_from_descriptor,
     slope_at,
 )
-from .scheme import check_reduction, closure_iterate, sort_points
+from .scheme import check_reduction, check_sweep, closure_iterate, sort_points
 from .spaces import space_from_descriptor
 
 PROG = "sepdet"
@@ -144,13 +144,13 @@ def _cmd_check(args) -> int:
     Y = gen.union
     tol = None if args.tolerance is None else parse(args.tolerance)
     if args.x and args.param:
-        targets = [(space.point(args.x), _parse_param(args.param))]
+        z = (space.point(args.x), _parse_param(args.param))
+        checks = [check_reduction(problem, Y, z, tol=tol)]
     else:
-        targets = [(x, p) for x in Y for p in problem.params.truncation]
+        checks = check_sweep(problem, Y, tol)
     results = []
     failed = skipped = 0
-    for x, p in targets:
-        chk = check_reduction(problem, Y, (x, p), tol=tol)
+    for chk in checks:
         if chk.verdict == "fail":
             failed += 1
         elif chk.verdict != "pass":

@@ -8,15 +8,20 @@ when given, the regions are intersected with Y, which is all the restriction
 identities need.
 
 The module also ships the three registered witness-problem families
-(punctured-ball, ball-pairs, torus-slope) and the deterministic parameter
-truncations derived from a space's realized distances.
+(punctured-ball, ball-pairs, torus-slope), each with a per-center optimum
+table on finite spaces, and the deterministic parameter truncations derived
+from a space's realized distances.
 """
 
 from __future__ import annotations
 
+import functools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .errors import (
     DescriptorError,
@@ -27,14 +32,17 @@ from .errors import (
 )
 from .extreal import Num, close, fmt, is_exact, is_finite, parse, pos_part, sub
 from .scheme import (
+    Optima,
     Region,
     WitnessProblem,
     lipschitz_second_witness,
     positive_scalar_params,
+    rank_scores,
     shell_params,
     spot_check_lipschitz_second,
 )
 from .spaces import (
+    FiniteMetricSpace,
     MetricSpace,
     Point,
     ball_pairs,
@@ -232,15 +240,6 @@ def level_grid(f: FunctionOracle, space, mode: str = "sample",
     if mode == "sample":
         return tuple(dict.fromkeys([vals[0] - 1, vals[len(vals) // 2], vals[-1] + 1]))
     raise ValueError(f"unknown level mode {mode!r}")
-
-
-def scale_grid_for(space, f: Optional[FunctionOracle] = None,
-                   center: Optional[Point] = None, t_mode: str = "sample") -> ScaleGrid:
-    return ScaleGrid(
-        radii=default_radius_grid(space, center),
-        shells=default_shell_grid(space, center),
-        levels=level_grid(f, space, t_mode) if f is not None else (),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -480,21 +479,94 @@ def shell_truncation(space, t_values: Sequence[Num],
     return tuple((t, r, s) for t in t_values for (r, s) in shells)
 
 
+# Optimum tables: each family ranks the scores its regions can meet, once,
+# and reads every region's optimum off the center's sorted distance row.
+
+
+def _valid_params(params: Sequence, ok: Callable) -> bool:
+    """True when the region builders accept every parameter (the scan raises otherwise)."""
+    try:
+        return bool(params) and all(ok(p) for p in params)
+    except (TypeError, ValueError):
+        return False
+
+
+def _optimum_tables(space: MetricSpace, budget: Optional[int], params_ok: bool,
+                    build: Callable[[int], Optional[Optima]]):
+    """Memoized per-center optimum tables, or None where only the scan applies.
+
+    Lazy spaces, budgeted regions and truncations holding a parameter the
+    region builders reject are left to the scan, and so is a center whose
+    build returns None.
+    """
+    if budget is not None or not isinstance(space, FiniteMetricSpace) or not params_ok:
+        return None
+    cache: dict = {}
+
+    def optima(x: Point) -> Optional[Optima]:
+        if x not in space:
+            return None
+        i = space.index_of(x)
+        if i not in cache:
+            cache[i] = build(i)
+        return cache[i]
+
+    return optima
+
+
+def _rank_or_none(score_all: Callable[[], list], mode: str) -> Optional[tuple]:
+    """(scores, codes, values) of score_all(), or None to leave them to the scan.
+
+    None when rank_scores rejects the scores, or when computing or comparing
+    them raises: the scan then raises that error at the (x, p) that meets it.
+    """
+    try:
+        scores = score_all()
+        ranked = rank_scores(scores, mode)
+    except Exception:  # re-raised by the scan where it belongs
+        return None
+    return None if ranked is None else (scores, *ranked)
+
+
+def _is_float(v: Num) -> bool:
+    return type(v) is float and is_finite(v)
+
+
+def _punctured_row(space: FiniteMetricSpace, i: int) -> tuple[np.ndarray, list]:
+    """Point indices and distances of the sorted row of point i, point i removed."""
+    order, dists = space.sorted_row(i)
+    keep = [k for k, j in enumerate(order) if j != i]
+    return np.array([order[k] for k in keep], dtype=np.int64), [dists[k] for k in keep]
+
+
+def _arity1_keys(codes: Sequence[int], ranks: np.ndarray, width: int) -> np.ndarray:
+    """Keys of single points: score code first, then the least id rank."""
+    return np.array(codes, dtype=np.int64) * width + (width - 1 - ranks)
+
+
+def _masked(keys: np.ndarray, points: np.ndarray):
+    return lambda mask: keys if mask is None else np.where(mask[points], keys, -1)
+
+
+def _id_rank(space: FiniteMetricSpace) -> np.ndarray:
+    rank = np.empty(len(space), dtype=np.int64)
+    rank[list(space.id_order)] = np.arange(len(space))
+    return rank
+
+
 def punctured_ball_problem(space: MetricSpace, f: FunctionOracle,
                            mode: str = "sup",
                            truncation: Optional[Sequence[Num]] = None,
                            budget: Optional[int] = None) -> WitnessProblem:
-    """Arity-1 problem: region B(x, r) \\ {x}, score f(u)."""
+    """Arity-1 problem: region B(x, r) \\ {x}, score f(u).
+
+    Scores do not depend on x, so f is ranked once over the space; at x a
+    ball is a prefix of the sorted row.
+    """
     trunc = radius_truncation(space) if truncation is None else tuple(truncation)
-    regions: dict = {}
 
     def region(x: Point, r: Num) -> Region:
-        key = (x.id, _fast_key(r))
-        got = regions.get(key)
-        if got is None:
-            got = Region(1, tuple((u,) for u in punctured_ball_points(space, x, r, budget)))
-            regions[key] = got
-        return got
+        return Region(1, tuple((u,) for u in punctured_ball_points(space, x, r, budget)))
 
     def member(x: Point, r: Num, u: tuple) -> bool:
         return u[0] != x and space.distance(x, u[0]) < r
@@ -502,17 +574,44 @@ def punctured_ball_problem(space: MetricSpace, f: FunctionOracle,
     def score(z: tuple, u: tuple) -> Num:
         return f.value(u[0])
 
+    @functools.cache
+    def ranked():
+        got = _rank_or_none(lambda: [f.value(u) for u in space.points], mode)
+        if got is None:
+            return None
+        scores, codes, values = got
+        keys = _arity1_keys(codes, _id_rank(space), len(space))
+        return keys, np.array([_is_float(v) for v in scores]), values
+
+    def build(i: int) -> Optional[Optima]:
+        got = ranked()
+        if got is None:
+            return None
+        keys, floats, values = got
+        points, dists = _punctured_row(space, i)
+        zeros = np.zeros(len(trunc), dtype=np.int64)
+        hi = np.array([bisect_left(dists, r) for r in trunc], dtype=np.int64)
+        return Optima(points, _masked(keys[points][None, :], points), zeros, zeros, hi,
+                      [values], len(space), 1, lambda k: (space.points[space.id_order[k]],),
+                      floats[points][None, :])
+
     return WitnessProblem(
         name=f"punctured-ball[{mode}]", space=space,
         params=positive_scalar_params(trunc), arity=1, mode=mode,
-        region=region, member=member, score=score)
+        region=region, member=member, score=score,
+        optima=_optimum_tables(space, budget, _valid_params(trunc, lambda r: r > 0), build))
 
 
 def ball_pairs_problem(space: MetricSpace, f: FunctionOracle,
                        mode: str = "sup",
                        truncation: Optional[Sequence[Num]] = None,
                        budget: Optional[int] = None) -> WitnessProblem:
-    """Arity-2 problem: distinct pairs of B(x, r), score |f(u1)-f(u2)|/d."""
+    """Arity-2 problem: distinct pairs of B(x, r), score |f(u1)-f(u2)|/d.
+
+    Pair scores are ranked once over the space.  At x a ball is a prefix of
+    the sorted row, and each point joining it brings the pairs it forms with
+    the points before it, so one running maximum serves every radius.
+    """
     trunc = radius_truncation(space) if truncation is None else tuple(truncation)
     cache: dict = {}
 
@@ -534,17 +633,62 @@ def ball_pairs_problem(space: MetricSpace, f: FunctionOracle,
     def score(z: tuple, u: tuple) -> Num:
         return pair_score(u[0], u[1])
 
+    @functools.cache
+    def ranked():
+        n = len(space)
+        a, b = np.triu_indices(n, 1)
+
+        def score_all() -> list:
+            fv = [f.value(u) for u in space.points]
+            return [_exact_div(abs(sub(fv[i], fv[j])), space.matrix[i][j])
+                    for i, j in zip(a.tolist(), b.tolist())]
+
+        got = _rank_or_none(score_all, mode)
+        if got is None:
+            return None
+        scores, codes, values = got
+        rank = _id_rank(space)
+        first, second = np.minimum(rank[a], rank[b]), np.maximum(rank[a], rank[b])
+        width = n * n
+        keys = np.full((n, n), -1, dtype=np.int64)
+        keys[a, b] = keys[b, a] = (np.array(codes, dtype=np.int64) * width
+                                   + (width - 1 - (first * n + second)))
+        floats = np.zeros((n, n), dtype=bool)
+        floats[a, b] = floats[b, a] = [_is_float(v) for v in scores]
+        return keys, floats, values
+
+    def witness_of(k: int) -> tuple:
+        n = len(space)
+        ids = space.id_order
+        return (space.points[ids[k // n]], space.points[ids[k % n]])
+
+    def build(i: int) -> Optional[Optima]:
+        got = ranked()
+        if got is None:
+            return None
+        pair_keys, pair_floats, values = got
+        order, dists = space.sorted_row(i)
+        points = np.array(order, dtype=np.int64)
+        block = np.ix_(points, points)
+
+        def keys_for(mask):
+            keys = pair_keys[block]
+            if mask is not None:
+                inside = mask[points]
+                keys = np.where(inside[:, None] & inside[None, :], keys, -1)
+            return (np.tril(keys + 1, -1).max(axis=1) - 1)[None, :]
+
+        zeros = np.zeros(len(trunc), dtype=np.int64)
+        hi = np.array([bisect_left(dists, r) for r in trunc], dtype=np.int64)
+        floats = np.tril(pair_floats[block], -1).any(axis=1)[None, :]
+        return Optima(points, keys_for, zeros, zeros, hi, [values], len(space) ** 2, 2,
+                      witness_of, floats)
+
     return WitnessProblem(
         name=f"ball-pairs[{mode}]", space=space,
         params=positive_scalar_params(trunc), arity=2, mode=mode,
-        region=region, member=member, score=score)
-
-
-def _fast_key(v: Num):
-    """Hashable stand-in avoiding the slow Fraction.__hash__."""
-    if isinstance(v, (int, Fraction)):
-        return (v.numerator, v.denominator)
-    return v
+        region=region, member=member, score=score,
+        optima=_optimum_tables(space, budget, _valid_params(trunc, lambda r: r > 0), build))
 
 
 def torus_slope_problem(space: MetricSpace, f: FunctionOracle,
@@ -552,38 +696,83 @@ def torus_slope_problem(space: MetricSpace, f: FunctionOracle,
                         truncation: Optional[Sequence[tuple]] = None,
                         t_mode: str = "sample",
                         budget: Optional[int] = None) -> WitnessProblem:
-    """Arity-1 problem: shells r < d(x,u) < s, score (t - f(u))^+ / d(x,u)."""
+    """Arity-1 problem: shells r < d(x,u) < s, score (t - f(u))^+ / d(x,u).
+
+    At x each level t gives one score row over the sorted distance row,
+    ranked once; a shell is a slice of it, so its optimum is a range maximum.
+    """
     if truncation is None:
         truncation = shell_truncation(space, level_grid(f, space, t_mode))
-    cache: dict = {}
-    shells: dict = {}  # shells ignore t, so one Region serves every level
+    trunc = tuple(truncation)
 
     def region(x: Point, p: tuple) -> Region:
         _, r, s = p
-        key = (x.id, _fast_key(r), _fast_key(s))
-        got = shells.get(key)
-        if got is None:
-            got = Region(1, tuple((u,) for u in torus_points(space, x, r, s, budget)))
-            shells[key] = got
-        return got
+        return Region(1, tuple((u,) for u in torus_points(space, x, r, s, budget)))
 
     def member(x: Point, p: tuple, u: tuple) -> bool:
         _, r, s = p
         return r < space.distance(x, u[0]) < s
 
+    memo: dict = {}  # the region scan meets each (t, x, u) once per shell around u
+
     def score(z: tuple, u: tuple) -> Num:
         x, p = z
-        key = (_fast_key(p[0]), x.id, u[0].id)
-        v = cache.get(key)
+        key = (type(p[0]), p[0], x.id, u[0].id)
+        v = memo.get(key)
         if v is None:
-            v = _descent_quotient(p[0], f, space, x, u[0])
-            cache[key] = v
+            v = memo[key] = _descent_quotient(p[0], f, space, x, u[0])
         return v
+
+    @functools.cache
+    def layout():
+        """Levels and radii of the truncation, each parameter as indices into them."""
+        levels: dict = {}
+        radii: dict = {}
+        index = [(levels.setdefault((type(t), t), len(levels)),
+                  radii.setdefault((type(r), r), len(radii)),
+                  radii.setdefault((type(s), s), len(radii))) for t, r, s in trunc]
+        rows, inner, outer = (np.array(col, dtype=np.int64) for col in zip(*index))
+        return ([t for _, t in levels], [r for _, r in radii], rows, inner, outer,
+                _id_rank(space))
+
+    @functools.cache
+    def f_values() -> list:
+        return [f.value(u) for u in space.points]
+
+    def build(i: int) -> Optional[Optima]:
+        levels, radii, rows, inner, outer, rank = layout()
+        points, dists = _punctured_row(space, i)
+        lo = np.array([bisect_right(dists, r) for r in radii], dtype=np.int64)[inner]
+        hi = np.array([bisect_left(dists, r) for r in radii], dtype=np.int64)[outer]
+        a, b = int(lo.min()), int(hi.max())  # every shell lies in a:b
+        n, m = len(space), len(points)
+        keys = np.full((len(levels), m), -1, dtype=np.int64)
+        floats = np.zeros((len(levels), m), dtype=bool)
+        values = []
+        span = points[a:b].tolist()
+        for row, t in enumerate(levels):
+            def score_all(t=t) -> list:
+                fv = f_values()
+                return [_exact_div(pos_part(sub(t, fv[j])), dists[k])
+                        for k, j in enumerate(span, a)]
+
+            got = _rank_or_none(score_all, mode)
+            if got is None:
+                return None
+            scores, codes, vals = got
+            keys[row, a:b] = _arity1_keys(codes, rank[points[a:b]], n)
+            floats[row, a:b] = [_is_float(v) for v in scores]
+            values.append(vals)
+        return Optima(points, _masked(keys, points), rows, lo, hi, values, n, 1,
+                      lambda k: (space.points[space.id_order[k]],), floats)
 
     return WitnessProblem(
         name=f"torus-slope[{mode}]", space=space,
-        params=shell_params(tuple(truncation)), arity=1, mode=mode,
-        region=region, member=member, score=score)
+        params=shell_params(trunc), arity=1, mode=mode,
+        region=region, member=member, score=score,
+        optima=_optimum_tables(space, budget,
+                               _valid_params(trunc, lambda p: len(p) == 3 and 0 < p[1] < p[2]),
+                               build))
 
 
 PROBLEM_FAMILIES = {

@@ -45,6 +45,7 @@ from .scheme import (
     DeterminacyCheck,
     WitnessProblem,
     check_reduction,
+    check_sweep,
     closure_iterate,
     fmt_param,
     intersect_problems,
@@ -376,13 +377,18 @@ def replay_check(dump: dict) -> DeterminacyCheck:
 
 
 def _check_all(problem: WitnessProblem, Y: Sequence[Point], report: SuiteReport,
-               space: FiniteMetricSpace, f: FunctionOracle,
-               tol: Optional[Num]) -> None:
-    """Run the full-vs-restricted check at every (center, parameter)."""
-    for x in Y:
-        for p in problem.params.truncation:
-            chk = check_reduction(problem, Y, (x, p), tol=tol)
-            report.tally(chk, lambda c=chk: witness_dump(space, f, problem, Y, c))
+               space: FiniteMetricSpace, f: FunctionOracle, tol: Optional[Num],
+               sample: Optional[tuple] = None) -> Optional[DeterminacyCheck]:
+    """Run the full-vs-restricted check at every (center, parameter).
+
+    Returns the check made at sample = (x, p), if one is given.
+    """
+    picked = None
+    for chk in check_sweep(problem, Y, tol):
+        report.tally(chk, lambda c=chk: witness_dump(space, f, problem, Y, c))
+        if sample is not None and chk.x is sample[0] and chk.param is sample[1]:
+            picked = chk
+    return picked
 
 
 _SMALL = (5, 6, 8, 9, 10, 12, 14, 16, 18, 20)
@@ -422,12 +428,11 @@ def _closure_suite(name: str, config: SuiteConfig, mode: str) -> SuiteReport:
                              "space": space_to_descriptor(space)})
                 continue
             Y = gen.union
-            _check_all(problem, Y, report, space, f, config.tolerance)
             # dual-route spot check: the scan-all-tuples oracle must agree
-            # with the exhaustive region sup on a sampled parameter
+            # with the sweep's optimum on a sampled parameter
             x = rng.choice(Y)
             p = rng.choice(problem.params.truncation)
-            chk = check_reduction(problem, Y, (x, p), tol=config.tolerance)
+            chk = _check_all(problem, Y, report, space, f, config.tolerance, sample=(x, p))
             if chk.verdict != "skipped-empty-region":
                 oracle = brute_force_optimum(problem, (x, p))
                 if not close(oracle, chk.lhs, chk.tolerance):

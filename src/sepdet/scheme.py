@@ -8,7 +8,11 @@ parameter) pair, until nothing new appears.  `check_sup_reduction` /
 `check_inf_reduction` then compare the optimum over the full region against
 the optimum over tuples drawn from the generated set; the restricted optimum
 can never beat the full one, and on a generated fixed point the two agree
-exactly.
+exactly.  `check_sweep` runs that comparison at every (center, parameter).
+
+Exact argmax closures and check sweeps read a problem's per-center optimum
+table (`Optima`) where the family supplies one; eps-slack or multi-witness
+selection, lazy spaces and single checks scan the materialized regions.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .errors import (
     EmptyRegion,
@@ -36,8 +42,6 @@ from .extreal import (
     fmt,
     is_exact,
     is_finite,
-    is_neg_inf,
-    is_pos_inf,
 )
 from .spaces import FiniteMetricSpace, MetricSpace, Point, Region
 
@@ -46,15 +50,13 @@ Param = object  # scalar radius or (t, r, s) triple; opaque to the engine
 
 @dataclass(frozen=True)
 class ParamSpace:
-    """A separable parameter space: metric, dense enumerator, finite truncation.
+    """A separable parameter space, given by its finite truncation.
 
-    The truncation is the finite, duplicate-free sample of the dense subset
+    The truncation is the finite, duplicate-free sample of a dense subset
     actually swept by closures and checks.
     """
 
     description: str
-    rho: Callable[[Param, Param], Num]
-    dense: Callable[[], Iterator[Param]]
     truncation: tuple
 
     def __post_init__(self):
@@ -65,50 +67,13 @@ class ParamSpace:
             seen.add(p)
 
 
-def _dyadic_scalars() -> Iterator[Fraction]:
-    # 1, 1/2, 3/2, 1/4, 3/4, ... every positive dyadic appears once
-    seen = set()
-    level = 0
-    while True:
-        den = 2 ** level
-        for num in range(1, (level + 2) * den):
-            q = Fraction(num, den)
-            if q not in seen:
-                seen.add(q)
-                yield q
-        level += 1
-
-
-def _dyadic_shells() -> Iterator[tuple]:
-    scalars: list[Fraction] = []
-    gen = _dyadic_scalars()
-    seen = set()
-    while True:
-        scalars.append(next(gen))
-        for t in scalars:
-            for r in scalars:
-                for s in scalars:
-                    if r < s and (t, r, s) not in seen:
-                        seen.add((t, r, s))
-                        yield (t, r, s)
-
-
 def positive_scalar_params(truncation: Sequence[Num]) -> ParamSpace:
-    return ParamSpace(
-        description="positive scalar radii",
-        rho=lambda a, b: abs(a - b),
-        dense=_dyadic_scalars,
-        truncation=tuple(truncation),
-    )
+    return ParamSpace(description="positive scalar radii", truncation=tuple(truncation))
 
 
 def shell_params(truncation: Sequence[tuple]) -> ParamSpace:
-    return ParamSpace(
-        description="(level, inner, outer) shell triples",
-        rho=lambda a, b: max(abs(a[i] - b[i]) for i in range(3)),
-        dense=_dyadic_shells,
-        truncation=tuple(truncation),
-    )
+    return ParamSpace(description="(level, inner, outer) shell triples",
+                      truncation=tuple(truncation))
 
 
 @dataclass(frozen=True)
@@ -118,7 +83,9 @@ class WitnessProblem:
     region(x, p) materializes G(x, p); member(x, p, u) decides membership of
     a candidate tuple independently, which is what the brute-force oracle
     scans with.  In sup mode scores live in R ∪ {+inf}, in inf mode in
-    R ∪ {-inf}; a score outside the range is an error.
+    R ∪ {-inf}; a score outside the range is an error.  optima(x), when the
+    family supplies it, returns the exact optima of every G(x, p) at once, or
+    None for a center left to the region scan.
     """
 
     name: str
@@ -129,12 +96,119 @@ class WitnessProblem:
     region: Callable[[Point, Param], Region]
     member: Callable[[Point, Param, tuple], bool]
     score: Callable[[tuple, tuple], Num]
+    optima: Optional[Callable[[Point], Optional["Optima"]]] = None
 
     def __post_init__(self):
         if self.mode not in ("sup", "inf"):
             raise ValueError(f"mode must be 'sup' or 'inf', got {self.mode!r}")
         if self.arity < 1:
             raise ValueError("arity must be at least 1")
+
+
+def rank_scores(scores: Sequence[Num], mode: str) -> Optional[tuple[list[int], list]]:
+    """Integer codes of scores, larger for better in mode, and the score of each code.
+
+    None when a score lies outside the mode's range, or when two equal scores
+    differ in type (int 2 and Fraction(2)) or in the sign of a float zero:
+    the scan reports the first optimal member, so such rows are left to it.
+    """
+    order = sorted(range(len(scores)), key=scores.__getitem__, reverse=mode == "inf")
+    codes = [0] * len(scores)
+    values: list = []
+    for j in order:
+        v = scores[j]
+        if values and v == values[-1]:
+            w = values[-1]
+            if type(v) is not type(w) or (type(v) is float and str(v) != str(w)):
+                return None
+        else:
+            values.append(v)
+        codes[j] = len(values) - 1
+    bad = NEG_INF if mode == "sup" else POS_INF
+    if values and type(values[0]) is float and values[0] == bad:
+        return None
+    return codes, values
+
+
+def _range_max(keys: np.ndarray, rows: np.ndarray, lo: np.ndarray,
+               hi: np.ndarray) -> np.ndarray:
+    """max(keys[rows[i], lo[i]:hi[i]]) for every i, -1 where the slice is empty.
+
+    A sparse table of maxima over power-of-two windows answers each query
+    with two lookups (Bender & Farach-Colton, The LCA Problem Revisited).
+    """
+    out = np.full(len(rows), -1, dtype=np.int64)
+    ok = hi > lo
+    if not ok.any():
+        return out
+    m = keys.shape[1]
+    table = [keys]
+    step = 1
+    while 2 * step <= m:
+        prev = table[-1]
+        level = np.full_like(keys, -1)
+        level[:, :m - step] = np.maximum(prev[:, :m - step], prev[:, step:])
+        table.append(level)
+        step *= 2
+    stack = np.stack(table)
+    r, a, b = rows[ok], lo[ok], hi[ok]
+    k = np.frexp(b - a)[1] - 1  # floor(log2(b - a))
+    out[ok] = np.maximum(stack[k, r, a], stack[k, r, b - np.left_shift(1, k)])
+    return out
+
+
+class Optima:
+    """Exact optima of every region G(x, p) of one center, in truncation order.
+
+    A family lays x's regions out along x's sorted distance row: position j
+    holds point index points[j] and brings in the tuples whose last point in
+    row order is that point.  Region i is the slice lo[i]:hi[i] of score row
+    rows[i] (one row per distinct score function of x, such as a level t).
+    keys_for(mask) gives, per row and position, the best key among the tuples
+    brought in there whose points all lie in mask (all of them for None), or
+    -1.  A key is code * width + (width - 1 - rank): code ranks the score as
+    rank_scores does (values[row][code] is the score) and rank orders the
+    tuple's point ids, decoded by witness_of.  A region's optimum is then a
+    range maximum whose code names the value and whose rest names the optimal
+    tuple with the least ids.  floats marks positions bringing in a finite
+    float score.
+    """
+
+    def __init__(self, points: np.ndarray, keys_for: Callable, rows: np.ndarray,
+                 lo: np.ndarray, hi: np.ndarray, values: list, width: int, arity: int,
+                 witness_of: Callable[[int], tuple], floats: np.ndarray):
+        self.points = points
+        self._keys_for = keys_for
+        self._slices = (rows, lo, hi)
+        self._values = values
+        self._rows = rows.tolist()
+        self._width = width
+        self._arity = arity
+        self._witness_of = witness_of
+        self.best = _range_max(keys_for(None), rows, lo, hi).tolist()
+        self.size = self._sizes(hi - lo)
+        counts = np.zeros((floats.shape[0], floats.shape[1] + 1), dtype=np.int64)
+        np.cumsum(floats, axis=1, out=counts[:, 1:])
+        self.floaty = (counts[rows, hi] > counts[rows, lo]).tolist()
+
+    def _sizes(self, count: np.ndarray) -> list:
+        # a slice of k points holds k tuples of arity 1, k(k - 1) ordered pairs
+        return (count if self._arity == 1 else count * (count - 1)).tolist()
+
+    def value(self, i: int, key: int) -> Num:
+        return self._values[self._rows[i]][key // self._width]
+
+    def witness(self, i: int) -> tuple:
+        """The optimal tuple of region i with the least ids (region nonempty)."""
+        return self._witness_of(self._width - 1 - self.best[i] % self._width)
+
+    def restrict(self, mask: np.ndarray) -> tuple[list, list]:
+        """Best key and size of every region cut down to tuples of points in mask."""
+        rows, lo, hi = self._slices
+        inside = np.zeros(len(self.points) + 1, dtype=np.int64)
+        np.cumsum(mask[self.points], out=inside[1:])
+        best = _range_max(self._keys_for(mask), rows, lo, hi)
+        return best.tolist(), self._sizes(inside[hi] - inside[lo])
 
 
 @dataclass(frozen=True)
@@ -235,16 +309,6 @@ def _id_key(u: tuple) -> tuple:
     return tuple(c.id for c in u)
 
 
-def _checked_score(problem: WitnessProblem, z: tuple, u: tuple) -> Num:
-    sc = problem.score(z, u)
-    if problem.mode == "sup":
-        if is_neg_inf(sc):
-            raise ScoreRangeError(f"{problem.name}: -inf score in sup mode at {_id_key(u)}")
-    elif is_pos_inf(sc):
-        raise ScoreRangeError(f"{problem.name}: +inf score in inf mode at {_id_key(u)}")
-    return sc
-
-
 def _score_region(problem: WitnessProblem, z: tuple, region: Region) -> list:
     """(score, tuple) for every member, with the range guard inlined.
 
@@ -318,24 +382,34 @@ def closure_round(problems: Sequence[WitnessProblem], current: Iterable[Point],
 
     Returns (new points with provenance, skipped empty-region count).  New
     means: not already in `current`.  Region maps do not depend on the
-    growing set, so sweeping only the frontier is exact.
+    growing set, so sweeping only the frontier is exact.  With eps = 0 and
+    cap = 1 the witness is the exact argmax (argmin), read from the
+    problem's optimum table where it has one; otherwise regions are scanned.
     """
     space = _common_space(problems)
     known = set(current)
     todo = sort_points(frontier if frontier is not None else known)
+    argmax = eps == 0 and cap == 1
     new: dict[Point, Provenance] = {}
     skipped = 0
     for x in todo:
         for prob in problems:
-            for p in prob.params.truncation:
-                region = prob.region(x, p)
-                if region.is_empty:
+            table = prob.optima(x) if argmax and prob.optima is not None else None
+            for i, p in enumerate(prob.params.truncation):
+                if table is None:
+                    region = prob.region(x, p)
+                    empty = region.is_empty
+                else:
+                    empty = table.best[i] < 0
+                if empty:
                     if strict_empty:
                         raise EmptyRegion(
                             f"{prob.name}: empty region at x={x.id}, p={fmt_param(p)}")
                     skipped += 1
                     continue
-                for u in _select(prob, x, p, region, eps, cap):
+                picked = (_select(prob, x, p, region, eps, cap) if table is None
+                          else (table.witness(i),))
+                for u in picked:
                     for k, pt in enumerate(u):
                         if pt not in known and pt not in new:
                             new[pt] = Provenance(prob.name, x, p, u, k)
@@ -415,47 +489,95 @@ def intersect_problems(problems: Sequence[WitnessProblem], seed: Iterable[Point]
                     strict_empty=strict_empty)
 
 
-def _check(problem: WitnessProblem, Y: Iterable[Point], z: tuple,
+def _skipped(problem: WitnessProblem, x: Point, p: Param,
+             tol: Optional[Num]) -> DeterminacyCheck:
+    return DeterminacyCheck(
+        problem=problem.name, x=x, param=p, mode=problem.mode,
+        lhs=None, rhs=None, region_hit=False,
+        verdict="skipped-empty-region",
+        tolerance=0 if tol is None else tol)
+
+
+def _compare(problem: WitnessProblem, x: Point, p: Param, tol: Optional[Num],
+             lhs: Num, rhs: Num, region_size: int, restricted_size: int,
+             floaty: bool) -> DeterminacyCheck:
+    """Verdict on the full optimum lhs against the restricted optimum rhs.
+
+    floaty: the region holds a finite float score, which resolves tol=None
+    to the float tolerance (infinities compare exactly, so they do not).
+    """
+    if tol is None:
+        tol = FLOAT_TOL if floaty else 0
+    if restricted_size:
+        if problem.mode == "sup" and rhs > lhs:
+            raise InvariantViolation(
+                f"restricted sup {fmt(rhs)} exceeds full sup {fmt(lhs)}")
+        if problem.mode == "inf" and rhs < lhs:
+            raise InvariantViolation(
+                f"restricted inf {fmt(rhs)} undercuts full inf {fmt(lhs)}")
+    region_hit = restricted_size > 0
+    verdict = "pass" if region_hit and close(lhs, rhs, tol) else "fail"
+    return DeterminacyCheck(
+        problem=problem.name, x=x, param=p, mode=problem.mode,
+        lhs=lhs, rhs=rhs, region_hit=region_hit, verdict=verdict,
+        tolerance=tol, region_size=region_size, restricted_size=restricted_size)
+
+
+def _check(problem: WitnessProblem, Yset: set, z: tuple,
            tol: Optional[Num]) -> DeterminacyCheck:
     x, p = z
-    Yset = set(Y)
     if x not in Yset:
         raise UnknownPoint(f"check center {x.id!r} must lie in Y")
     region = problem.region(x, p)
     if region.is_empty:
-        return DeterminacyCheck(
-            problem=problem.name, x=x, param=p, mode=problem.mode,
-            lhs=None, rhs=None, region_hit=False,
-            verdict="skipped-empty-region",
-            tolerance=0 if tol is None else tol)
+        return _skipped(problem, x, p, tol)
     scored = _score_region(problem, z, region)
     if problem.arity == 1:
         restricted = [sc for sc, u in scored if u[0] in Yset]
     else:
         restricted = [sc for sc, u in scored if all(c in Yset for c in u)]
-    if tol is None:
-        # infinities compare exactly regardless of tolerance, so they do not
-        # force the float branch; only floats can be inexact
-        tol = (FLOAT_TOL if any(type(sc) is float and is_finite(sc) for sc, _ in scored)
-               else 0)
+    floaty = tol is None and any(type(sc) is float and is_finite(sc) for sc, _ in scored)
     if problem.mode == "sup":
         lhs = max(sc for sc, _ in scored)
         rhs = max(restricted) if restricted else NEG_INF
-        if restricted and rhs > lhs:
-            raise InvariantViolation(
-                f"restricted sup {fmt(rhs)} exceeds full sup {fmt(lhs)}")
     else:
         lhs = min(sc for sc, _ in scored)
         rhs = min(restricted) if restricted else POS_INF
-        if restricted and rhs < lhs:
-            raise InvariantViolation(
-                f"restricted inf {fmt(rhs)} undercuts full inf {fmt(lhs)}")
-    region_hit = bool(restricted)
-    verdict = "pass" if region_hit and close(lhs, rhs, tol) else "fail"
-    return DeterminacyCheck(
-        problem=problem.name, x=x, param=p, mode=problem.mode,
-        lhs=lhs, rhs=rhs, region_hit=region_hit, verdict=verdict,
-        tolerance=tol, region_size=len(region), restricted_size=len(restricted))
+    return _compare(problem, x, p, tol, lhs, rhs, len(region), len(restricted), floaty)
+
+
+def check_sweep(problem: WitnessProblem, Y: Iterable[Point],
+                tol: Optional[Num] = None) -> Iterator[DeterminacyCheck]:
+    """check_reduction at every (x in Y, p in the truncation), x-major.
+
+    Y's membership is built once.  Centers with an optimum table read their
+    full and restricted optima from it; the others scan their regions.
+    """
+    Y = tuple(Y)
+    Yset = set(Y)
+    mask = None
+    unhit = NEG_INF if problem.mode == "sup" else POS_INF  # rhs when no tuple lies in Y
+    trunc = problem.params.truncation
+    for x in Y:
+        table = problem.optima(x) if problem.optima is not None else None
+        if table is None:
+            for p in trunc:
+                yield _check(problem, Yset, (x, p), tol)
+            continue
+        if mask is None:
+            mask = np.zeros(len(problem.space), dtype=bool)
+            for y in Yset:
+                if y in problem.space:
+                    mask[problem.space.index_of(y)] = True
+        rbest, rsize = table.restrict(mask)
+        for i, p in enumerate(trunc):
+            key = table.best[i]
+            if key < 0:
+                yield _skipped(problem, x, p, tol)
+                continue
+            rhs = table.value(i, rbest[i]) if rbest[i] >= 0 else unhit
+            yield _compare(problem, x, p, tol, table.value(i, key), rhs,
+                           table.size[i], rsize[i], table.floaty[i])
 
 
 def check_sup_reduction(problem: WitnessProblem, Y: Iterable[Point], z: tuple,
@@ -469,7 +591,7 @@ def check_sup_reduction(problem: WitnessProblem, Y: Iterable[Point], z: tuple,
     """
     if problem.mode != "sup":
         raise ValueError(f"problem {problem.name!r} is not in sup mode")
-    return _check(problem, Y, z, tol)
+    return _check(problem, set(Y), z, tol)
 
 
 def check_inf_reduction(problem: WitnessProblem, Y: Iterable[Point], z: tuple,
@@ -477,13 +599,13 @@ def check_inf_reduction(problem: WitnessProblem, Y: Iterable[Point], z: tuple,
     """Mirror of check_sup_reduction for inf-mode problems."""
     if problem.mode != "inf":
         raise ValueError(f"problem {problem.name!r} is not in inf mode")
-    return _check(problem, Y, z, tol)
+    return _check(problem, set(Y), z, tol)
 
 
 def check_reduction(problem: WitnessProblem, Y: Iterable[Point], z: tuple,
                     tol: Optional[Num] = None) -> DeterminacyCheck:
     """Dispatch on the problem's mode."""
-    return _check(problem, Y, z, tol)
+    return _check(problem, set(Y), z, tol)
 
 
 def product_closure(make_problem: Callable[[Point], WitnessProblem],

@@ -13,6 +13,7 @@ deterministic order, with O(1) membership.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -48,9 +49,6 @@ class Point:
         if not isinstance(other, Point):
             return NotImplemented
         return self.id == other.id and self.coords == other.coords
-
-    def sort_key(self) -> str:
-        return self.id
 
 
 def _euclidean(a: Point, b: Point) -> Num:
@@ -121,6 +119,7 @@ class FiniteMetricSpace(MetricSpace):
         self.points: tuple[Point, ...] = tuple(points)
         self.matrix: tuple[tuple[Num, ...], ...] = tuple(tuple(row) for row in matrix)
         self.metric_name = metric_name
+        self._rows: dict[int, tuple] = {}
         self._index: dict[str, int] = {}
         for i, p in enumerate(self.points):
             if p.id in self._index:
@@ -174,6 +173,30 @@ class FiniteMetricSpace(MetricSpace):
     def iter_points(self, budget: Optional[int] = None) -> Iterator[Point]:
         pts = self.points if budget is None else self.points[:budget]
         return iter(pts)
+
+    def sorted_row(self, i: int) -> tuple[tuple[int, ...], tuple[Num, ...]]:
+        """Point indices in (distance from point i, index) order, and those distances.
+
+        Sorted once per center; a ball is then a prefix and a shell a slice.
+        """
+        got = self._rows.get(i)
+        if got is None:
+            row = self.matrix[i]
+            order = tuple(sorted(range(len(row)), key=row.__getitem__))
+            got = self._rows[i] = (order, tuple(row[j] for j in order))
+        return got
+
+    def _members(self, picked: Sequence[int], budget: Optional[int]) -> tuple[Point, ...]:
+        """Points at the given indices in enumeration order, within the budget."""
+        idx = sorted(picked)
+        if budget is not None:
+            idx = [j for j in idx if j < budget]
+        return tuple(self.points[j] for j in idx)
+
+    @cached_property
+    def id_order(self) -> tuple[int, ...]:
+        """Point indices in id order: entry k is the index of the k-th smallest id."""
+        return tuple(sorted(range(len(self.points)), key=lambda j: self.points[j].id))
 
     @cached_property
     def _types(self) -> frozenset:
@@ -325,6 +348,9 @@ def ball_points(space: MetricSpace, x: Point, r: Num,
                 budget: Optional[int] = None) -> tuple[Point, ...]:
     """Open ball B(x, r), center included, in enumeration order."""
     _check_radius(r)
+    if isinstance(space, FiniteMetricSpace):
+        order, dists = space.sorted_row(space.index_of(x))
+        return space._members(order[:bisect_left(dists, r)], budget)
     return tuple(u for u in space.iter_points(budget) if space.distance(x, u) < r)
 
 
@@ -332,6 +358,10 @@ def punctured_ball_points(space: MetricSpace, x: Point, r: Num,
                           budget: Optional[int] = None) -> tuple[Point, ...]:
     """B(x, r) with the center removed; may be empty for small r."""
     _check_radius(r)
+    if isinstance(space, FiniteMetricSpace):
+        i = space.index_of(x)
+        order, dists = space.sorted_row(i)
+        return space._members([j for j in order[:bisect_left(dists, r)] if j != i], budget)
     return tuple(u for u in space.iter_points(budget)
                  if u != x and space.distance(x, u) < r)
 
@@ -340,6 +370,9 @@ def torus_points(space: MetricSpace, x: Point, r: Num, s: Num,
                  budget: Optional[int] = None) -> tuple[Point, ...]:
     """Open shell {u : r < d(x, u) < s}; never contains the center."""
     _check_shell(r, s)
+    if isinstance(space, FiniteMetricSpace):
+        order, dists = space.sorted_row(space.index_of(x))
+        return space._members(order[bisect_right(dists, r):bisect_left(dists, s)], budget)
     out = []
     for u in space.iter_points(budget):
         d = space.distance(x, u)
@@ -439,8 +472,8 @@ def space_from_descriptor(obj: dict, tol: float = FLOAT_TOL) -> FiniteMetricSpac
         for i, row in enumerate(raw):
             if not isinstance(row, list) or len(row) != len(points):
                 raise DescriptorError(f"matrix[{i}] must have length {len(points)}")
-            try:
-                matrix.append([parse(v) for v in row])
+            try:  # plain JSON numbers are already distances; parse the rest
+                matrix.append([v if type(v) in (int, float) else parse(v) for v in row])
             except ValueError as exc:
                 raise DescriptorError(f"matrix[{i}]: {exc}") from exc
         return FiniteMetricSpace.from_matrix(points, matrix, tol)

@@ -68,6 +68,15 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "matrix[1][2] = " in err and "distances must be finite" in err
 
+    @pytest.mark.parametrize("bad, shown", [(True, "True"), ("x", "'x'"), ("1/0", "'1/0'")])
+    def test_non_number_entry_names_the_row(self, bad, shown, tmp_path, capsys):
+        path = tmp_path / "nonnumber.json"
+        path.write_text(json.dumps({
+            "kind": "finite", "metric": "matrix", "points": ["a", "b"],
+            "matrix": [[0, 1], [bad, 0]]}))
+        assert run_cli(["validate", "--space", str(path)]) == 2
+        assert f"matrix[1]: not a number: {shown}" in capsys.readouterr().err
+
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -1,5 +1,6 @@
 """Instance generators, the brute-force oracle, dumps/replay, suite runs."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -299,3 +300,45 @@ class TestRunSuite:
         report = run_suite("thm-2.1", SuiteConfig(instances=1, sizes=(5,), seed=1))
         assert report.runtime_seconds > 0
         assert "OK" in report.summary()
+
+
+# sha256 of the sorted-key JSON report of every suite at a small config, under
+# exact argmax selection and under eps = 1/2, cap = 3.  Any change to what a
+# suite computes or reports moves one of these.
+GOLDEN_SIZES = {"prop-1.1": (3, (5, 7, 9)), "thm-2.3": (3, (4, 6, 8)),
+                "thm-4.2": (3, (5, 7, 9)), "prop-4.1": (3, (5, 7, 9)),
+                "thm-4.3": (2, (6, 9))}
+GOLDEN = {
+    "prop-1.1 0/1": "7cb92123001cf7d90c2ca75e2fac51e5439ef3494f9c64381e19dc00950b6b58",
+    "prop-3.2 0/1": "c06528b656402e93772388eeb203e699caf85813e04a1ffbd6197b611735a0d1",
+    "prop-4.1 0/1": "833019bc2409a2ac32ad6e84482e1e4cec2aaa7e38e43a3acdf23764814c87bc",
+    "thm-2.1 0/1": "d33cc216d341a03f142707b8a5b0190cb46e15c83689fec8139611bad2981f09",
+    "thm-2.2 0/1": "e715f91d3671a6e658681443d9ad315320f584ba09435522bd25d12946db10f1",
+    "thm-2.3 0/1": "1b113579808b7df8da8da32324c41d959777f5ae078d21799c29edbc04776583",
+    "thm-3.1 0/1": "80fa48a84e8e0197b9426b9dd25e3a180307ec2b3788c935015028e7017bcaf1",
+    "thm-3.3 0/1": "a0de42348b4778f95e7e8f8093875d6aaf53670d244a840bea819cd7f65710a4",
+    "thm-4.2 0/1": "605bfba02e25be76bf7e55d88e13638691bb21221d105e959d3ef53fb852cdc2",
+    "thm-4.3 0/1": "e144f8440ed5485c245775fa5a644876241c36d10598fae468f4c1b82d950c31",
+    "prop-1.1 1/2/3": "7cb92123001cf7d90c2ca75e2fac51e5439ef3494f9c64381e19dc00950b6b58",
+    "prop-3.2 1/2/3": "c06528b656402e93772388eeb203e699caf85813e04a1ffbd6197b611735a0d1",
+    "prop-4.1 1/2/3": "833019bc2409a2ac32ad6e84482e1e4cec2aaa7e38e43a3acdf23764814c87bc",
+    "thm-2.1 1/2/3": "eece81ff6ff4f504de4a45241d76131c8158749f1b1940d5a662fbee69de2013",
+    "thm-2.2 1/2/3": "83192b3f39cd7c1fe4c0966801f68b8ade31ee4640fd14072c6a5e39d6d3bbb9",
+    "thm-2.3 1/2/3": "1b113579808b7df8da8da32324c41d959777f5ae078d21799c29edbc04776583",
+    "thm-3.1 1/2/3": "39bb76af7fc092ebf766693a6f277a4bbf1b9f0b505f75508ca3d52a3629b546",
+    "thm-3.3 1/2/3": "ce7b132ca6958b24a352a67c1c62357e2eeea7ed60e3f9d9ae25e1fd994a59fa",
+    "thm-4.2 1/2/3": "605bfba02e25be76bf7e55d88e13638691bb21221d105e959d3ef53fb852cdc2",
+    "thm-4.3 1/2/3": "e144f8440ed5485c245775fa5a644876241c36d10598fae468f4c1b82d950c31",
+}
+
+
+def test_small_suite_reports_are_pinned():
+    got = {}
+    for eps, cap in ((0, 1), (Fraction(1, 2), 3)):
+        for name in sorted(SUITES):
+            instances, sizes = GOLDEN_SIZES.get(name, (4, (5, 7, 9, 11)))
+            report = run_suite(name, SuiteConfig(instances=instances, sizes=sizes,
+                                                 eps=eps, cap=cap))
+            text = json.dumps(report.to_json(), sort_keys=True).encode()
+            got[f"{name} {eps}/{cap}"] = hashlib.sha256(text).hexdigest()
+    assert got == GOLDEN

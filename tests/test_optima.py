@@ -1,0 +1,175 @@
+"""Optimum tables and sorted-row regions against the scan and the oracle.
+
+Every problem family reads exact optima from per-center tables when eps = 0
+and cap = 1 and in check sweeps; removing the table (optima=None) leaves the
+region scan.  Both routes, and the brute-force oracle, must agree on
+witnesses, reported values, verdicts, sizes, tolerances and raised errors.
+"""
+
+import dataclasses
+from fractions import Fraction
+from random import Random
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from sepdet import (
+    FiniteMetricSpace,
+    FunctionOracle,
+    Point,
+    SepdetError,
+    ball_pairs_problem,
+    ball_points,
+    brute_force_optimum,
+    check_reduction,
+    check_sweep,
+    closure_iterate,
+    level_grid,
+    punctured_ball_points,
+    punctured_ball_problem,
+    random_finite_metric,
+    shell_truncation,
+    torus_points,
+    torus_slope_problem,
+    witness_select,
+)
+from sepdet.extreal import NEG_INF, POS_INF
+
+# Function values; "mixed" holds equal scores of different types (2, 2.0,
+# Fraction(2)), which the tables must leave to the scan.  Finite "fraction"
+# values give every center a table.
+PALETTES = {
+    "fraction": (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-3, 2), Fraction(7, 4)),
+    "exact": (0, 1, 3, Fraction(1, 2), Fraction(-3, 2), Fraction(7, 4)),
+    "mixed": (0, 2, Fraction(2), 2.0, Fraction(1, 2), 0.5, -1),
+    "float": (0.0, 0.25, 1.5, -2.0, 3.0),
+}
+SPACES = ("int", "fraction", "float-2d")
+
+
+def make_space(kind: str, n: int, seed: int, shuffle_ids: bool) -> FiniteMetricSpace:
+    method, dim = {"int": ("shortest-path", 1), "fraction": ("euclidean", 1),
+                   "float-2d": ("euclidean", 2)}[kind]
+    space = random_finite_metric(n, seed, method, dim=dim)
+    if not shuffle_ids:
+        return space
+    ids = [p.id for p in space.points]
+    Random(seed).shuffle(ids)  # ids no longer follow the enumeration order
+    points = [Point(pid, p.coords) for pid, p in zip(ids, space.points)]
+    return FiniteMetricSpace(points, space.matrix, metric_name=space.metric_name)
+
+
+def make_function(space, seed: int, palette: str, inf: float) -> FunctionOracle:
+    rng = Random(seed)
+    values = {p.id: rng.choice(PALETTES[palette]) for p in space.points}
+    for p in space.points[1:]:
+        if rng.random() < inf:
+            values[p.id] = rng.choice((POS_INF, NEG_INF))
+    return FunctionOracle.from_table(values)
+
+
+def outcome(run):
+    """A result, or the type and message of the package error it raised."""
+    try:
+        return "ok", run()
+    except SepdetError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def problems(space, f, mode):
+    shells = shell_truncation(space, level_grid(f, space, "full"))
+    return [punctured_ball_problem(space, f, mode), ball_pairs_problem(space, f, mode),
+            torus_slope_problem(space, f, mode, truncation=shells)]
+
+
+instances = st.fixed_dictionaries({
+    "kind": st.sampled_from(SPACES),
+    "n": st.integers(2, 6),
+    "seed": st.integers(0, 10**6),
+    "shuffle_ids": st.booleans(),
+    "palette": st.sampled_from(sorted(PALETTES)),
+    "inf": st.sampled_from((0.0, 0.0, 0.3)),
+    "mode": st.sampled_from(("sup", "inf")),
+})
+
+
+@given(instances)
+def test_tables_agree_with_the_scan_and_the_oracle(case):
+    space = make_space(case["kind"], case["n"], case["seed"], case["shuffle_ids"])
+    f = make_function(space, case["seed"], case["palette"], case["inf"])
+    if not any(f.is_finite_at(p) for p in space.points):
+        return
+    rng = Random(case["seed"])
+    for prob in problems(space, f, case["mode"]):
+        if case["palette"] == "fraction" and not case["inf"]:
+            assert all(prob.optima(x) is not None for x in space.points)
+        scan = dataclasses.replace(prob, optima=None)
+        seed = [rng.choice(space.points)]
+        for eps in (0, Fraction(1, 2)):
+            for cap in (1, 3):
+                for strict in (False, True):
+                    def closure(problem):
+                        return closure_iterate(problem, seed, eps=eps, cap=cap,
+                                               strict_empty=strict).to_json()
+                    assert outcome(lambda: closure(prob)) == outcome(lambda: closure(scan))
+        got = outcome(lambda: closure_iterate(prob, seed).union)
+        some = tuple(rng.sample(space.points, rng.randint(1, len(space))))
+        for Y in ((got[1],) if got[0] == "ok" else ()) + (some,):
+            check_both_routes(prob, scan, Y, space)
+
+
+def check_both_routes(prob, scan, Y, space):
+    for tol in (None, 0, Fraction(1, 2)):
+        fast = outcome(lambda: [c.to_json() for c in check_sweep(prob, Y, tol)])
+        slow = outcome(lambda: [check_reduction(scan, Y, (x, p), tol).to_json()
+                                for x in Y for p in prob.params.truncation])
+        assert fast == slow
+    for x in Y:
+        table = prob.optima(x)
+        if table is None:
+            continue
+        rbest, _ = table.restrict(np.array([p in Y for p in space.points]))
+        for i, p in enumerate(prob.params.truncation):
+            z = (x, p)
+            if table.best[i] < 0:
+                assert outcome(lambda: brute_force_optimum(prob, z))[0] == "EmptyRegion"
+                continue
+            witness = table.witness(i)
+            assert (witness,) == witness_select(scan, z)
+            best = brute_force_optimum(prob, z)
+            assert prob.score(z, witness) == best == table.value(i, table.best[i])
+            if rbest[i] >= 0:
+                assert table.value(i, rbest[i]) == brute_force_optimum(prob, z, restrict=Y)
+
+
+def reference_shell(space, x, r, s, budget=None):
+    return tuple(u for u in space.iter_points(budget) if r < space.distance(x, u) < s)
+
+
+@given(st.sampled_from(SPACES), st.integers(1, 7), st.integers(0, 10**6), st.booleans(),
+       st.sampled_from((None, 0, 2, 5)))
+def test_sorted_row_regions_match_a_filter(kind, n, seed, shuffle_ids, budget):
+    space = make_space(kind, n, seed, shuffle_ids)
+    grid = sorted(set(space.realized_distances()) | {Fraction(1, 3), 100})
+    for x in space.points:
+        for r in grid:
+            pts = space.iter_points(budget)
+            assert ball_points(space, x, r, budget) == tuple(
+                u for u in pts if space.distance(x, u) < r)
+            pts = space.iter_points(budget)
+            assert punctured_ball_points(space, x, r, budget) == tuple(
+                u for u in pts if u != x and space.distance(x, u) < r)
+            for s in grid:
+                if r < s:
+                    assert torus_points(space, x, r, s, budget) == \
+                        reference_shell(space, x, r, s, budget)
+
+
+def test_duplicate_points_stay_in_the_punctured_ball():
+    # an unvalidated space where two distinct points sit at distance 0
+    a, b, c = Point("a", (0,)), Point("b", (0,)), Point("c", (1,))
+    space = FiniteMetricSpace.from_coords([a, b, c])
+    assert space.distance(a, b) == 0
+    assert punctured_ball_points(space, b, Fraction(1, 2)) == (a,)
+    assert torus_points(space, a, Fraction(1, 2), 2) == (c,)

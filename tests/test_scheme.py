@@ -1,6 +1,5 @@
 """Witness selection, closures, and full-vs-restricted optimum checks."""
 
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -49,15 +48,6 @@ class TestParamSpace:
         with pytest.raises(ValueError, match="duplicate"):
             positive_scalar_params([1, Fraction(2), 1])
 
-    def test_dense_enumerator_is_duplicate_free(self):
-        params = positive_scalar_params([1])
-        prefix = list(itertools.islice(params.dense(), 64))
-        assert len(prefix) == len(set(prefix))
-        assert all(q > 0 for q in prefix)
-
-    def test_rho_is_a_distance(self):
-        params = positive_scalar_params([1])
-        assert params.rho(Fraction(1, 2), Fraction(5, 2)) == 2
 
 
 class TestWitnessSelect:
