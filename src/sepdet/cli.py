@@ -77,13 +77,17 @@ def _problem_descriptor(name: Optional[str], q_density: Optional[int]) -> dict:
     return desc
 
 
-def _parse_param(raw: str):
+def _parse_param(raw: str, shell: bool = False):
+    """A t,r,s triple for shell families, else a single radius."""
     try:
-        if "," in raw:
-            return tuple(parse(tok) for tok in raw.split(","))
-        return parse(raw)
+        value = tuple(parse(tok) for tok in raw.split(",")) if "," in raw else parse(raw)
     except ValueError as exc:
         raise SepdetError(f"--param: {exc}") from exc
+    if shell and (not isinstance(value, tuple) or len(value) != 3):
+        raise SepdetError(f"--param must be a t,r,s triple, got {raw!r}")
+    if not shell and isinstance(value, tuple):
+        raise SepdetError(f"--param must be a single radius, got {raw!r}")
+    return value
 
 
 def _emit(obj: dict, out: Optional[str]) -> None:
@@ -136,15 +140,15 @@ def _cmd_reduce(args) -> int:
 def _cmd_check(args) -> int:
     space = _load_space(args.space)
     f = _load_function(args.fn)
-    problem = problem_from_descriptor(
-        space, f, _problem_descriptor(args.name, args.q_density))
+    desc = _problem_descriptor(args.name, args.q_density)
+    problem = problem_from_descriptor(space, f, desc)
     seed = _seed_points(space, args.x)
     gen = closure_iterate(problem, seed, eps=_parse_eps(args.eps), cap=args.cap,
                           max_depth=args.depth)
     Y = gen.union
     tol = None if args.tolerance is None else parse(args.tolerance)
     if args.x and args.param:
-        z = (space.point(args.x), _parse_param(args.param))
+        z = (space.point(args.x), _parse_param(args.param, desc["family"] == "torus-slope"))
         checks = [check_reduction(problem, Y, z, tol=tol)]
     else:
         checks = check_sweep(problem, Y, tol)
@@ -187,8 +191,6 @@ def _cmd_lip(args) -> int:
     x = space.point(args.x)
     if args.param:
         r = _parse_param(args.param)
-        if isinstance(r, tuple):
-            raise SepdetError("--param for lip must be a single radius")
         got = lip_local_sup(f, space, x, r)
         out = {"verb": "lip", "x": x.id, "radius": fmt(r),
                "value": fmt(got.value), "pairs": got.pairs}
@@ -206,7 +208,7 @@ def _cmd_suite(args) -> int:
 
     config = SuiteConfig(
         instances=args.instances,
-        sizes=(args.n,) if args.n else None,
+        sizes=None if args.n is None else (args.n,),
         seed=args.seed if args.seed is not None else 0,
         eps=_parse_eps(args.eps),
         cap=args.cap,

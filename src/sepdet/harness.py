@@ -1,28 +1,33 @@
 """Randomized verification suites with replayable failure witnesses.
 
-Ten named suites generate random finite spaces and functions, build witness
-closures, and verify the full-vs-restricted identities exhaustively over
-every center and truncation parameter.  Instance generation is keyed by
-(suite name, seed, index) through string-seeded RNGs, so reports are
-deterministic; every failing check is dumped with enough detail (space,
-function table, truncation, Y, z) to replay it verbatim.
+Ten named suites generate random finite spaces and functions, close a seed
+under optimal witnesses, and check that each formula over the whole space
+equals the same formula over the closed set at every center and truncation
+parameter.  A suite is a declarative Spec: a size plan and an instance
+builder keyed by (suite name, seed, index) through string-seeded RNGs, which
+returns the instance's closures and named comparisons.  One runner executes
+every spec, so reports are deterministic, and dumps every failure in one
+schema that `replay_check` reruns.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from random import Random
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from . import families
 from .errors import EmptyRegion, UnknownSuite
 from .extreal import POS_INF, Num, close, fmt, is_finite, parse
 from .functionals import (
+    PROBLEM_FAMILIES,
     FunctionOracle,
     ScaleGrid,
     ball_pairs_problem,
@@ -43,6 +48,7 @@ from .functionals import (
 )
 from .scheme import (
     DeterminacyCheck,
+    GeneratedSubspace,
     WitnessProblem,
     check_reduction,
     check_sweep,
@@ -51,6 +57,8 @@ from .scheme import (
     intersect_problems,
     product_closure,
     sort_points,
+    validate_selection,
+    validate_tolerance,
 )
 from .spaces import (
     FiniteMetricSpace,
@@ -205,20 +213,21 @@ class SuiteConfig:
     eps: Num = 0
     cap: int = 1
     max_depth: Optional[int] = None
-    tolerance: Optional[Num] = None  # None: 0 for exact scores, 1e-12 otherwise
+    # None: closure checks compare at 0 for exact scores and 1e-12 for float
+    # ones; formula comparisons compare at 0
+    tolerance: Optional[Num] = None
     q_density: Optional[int] = None
     shells_override: Optional[tuple] = None
-    inf_share: float = 0.3
 
     def __post_init__(self):
         if self.instances is not None and self.instances < 1:
             raise ValueError("instances must be at least 1")
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
-        if self.cap < 1:
-            raise ValueError("cap must be at least 1")
-        if self.tolerance is not None and self.tolerance < 0:
-            raise ValueError("tolerance must be nonnegative")
+        if self.sizes is not None and any(n < 1 for n in self.sizes):
+            raise ValueError("sizes must be at least 1")
+        validate_selection(self.eps, self.cap)
+        validate_tolerance(self.tolerance)
+        if self.q_density is not None and self.q_density < 2:
+            raise ValueError("q_density must be an integer >= 2")
 
 
 @dataclass
@@ -271,15 +280,6 @@ class SuiteReport:
         if len(self.failures) < self.MAX_DUMPS:
             self.failures.append(dump)
 
-    def tally(self, check: DeterminacyCheck, dump: Optional[Callable[[], dict]] = None) -> None:
-        if check.verdict == "pass":
-            self.checks_passed += 1
-        elif check.verdict == "fail":
-            self.fail(dump() if dump is not None else {"kind": "check-failed"})
-        else:
-            self.checks_skipped += 1
-            self.note("skipped_empty_region")
-
     def note(self, key: str, delta: int = 1) -> None:
         self.notes[key] = self.notes.get(key, 0) + delta
 
@@ -304,30 +304,6 @@ class SuiteReport:
         return (f"{self.name}: {verdict} | instances {self.passes}/{self.instances} pass"
                 f" | checks {self.checks_passed} pass, {self.checks_failed} fail,"
                 f" {self.checks_skipped} skipped | {self.runtime_seconds:.1f}s")
-
-
-def _plan_sizes(config: SuiteConfig, default_count: int, pool: Sequence[int],
-                big: Sequence[int] = ()) -> list[int]:
-    count = config.instances if config.instances is not None else default_count
-    if config.sizes:
-        pool, big = config.sizes, ()
-    sizes = list(big)[:count]
-    i = 0
-    while len(sizes) < count:
-        sizes.append(pool[i % len(pool)])
-        i += 1
-    return sizes
-
-
-def _method_for(i: int, n: int) -> tuple[str, int]:
-    if n > 20:
-        return "shortest-path", 1
-    pick = i % 3
-    if pick == 0:
-        return "euclidean", 1
-    if pick == 1:
-        return "shortest-path", 1
-    return ("euclidean", 2) if n <= 12 else ("euclidean", 1)
 
 
 def _family_of(problem: WitnessProblem) -> str:
@@ -355,523 +331,498 @@ def witness_dump(space: FiniteMetricSpace, f: FunctionOracle,
     }
 
 
-def _decode_param(raw):
-    if isinstance(raw, list):
-        return tuple(parse(v) for v in raw)
-    return parse(raw)
+# ---------------------------------------------------------------------------
+# Suite specs and the one runner
 
 
-def replay_check(dump: dict) -> DeterminacyCheck:
-    """Rebuild the instance from a failure dump and rerun the exact check."""
-    from .functionals import PROBLEM_FAMILIES
+class Comparison(NamedTuple):
+    """A formula over the whole space against the same formula over Y.
 
-    space = space_from_descriptor(dump["space"])
-    f = FunctionOracle.from_descriptor(dump["function"])
-    prob = dump["problem"]
-    truncation = tuple(_decode_param(p) for p in prob["truncation"])
-    problem = PROBLEM_FAMILIES[prob["family"]](
-        space, f, mode=prob["mode"], truncation=truncation)
-    Y = [space.point(pid) for pid in dump["Y"]]
-    z = (space.point(dump["z"]["x"]), _decode_param(dump["z"]["param"]))
-    return check_reduction(problem, Y, z, tol=parse(dump["tolerance"]))
-
-
-def _check_all(problem: WitnessProblem, Y: Sequence[Point], report: SuiteReport,
-               space: FiniteMetricSpace, f: FunctionOracle, tol: Optional[Num],
-               sample: Optional[tuple] = None) -> Optional[DeterminacyCheck]:
-    """Run the full-vs-restricted check at every (center, parameter).
-
-    Returns the check made at sample = (x, p), if one is given.
+    At each tuple from `points(Y)`, whose entries `keys` names, `at(Y, point)`
+    returns (full, restricted), or a note naming why the point is skipped.
     """
-    picked = None
-    for chk in check_sweep(problem, Y, tol):
-        report.tally(chk, lambda c=chk: witness_dump(space, f, problem, Y, c))
-        if sample is not None and chk.x is sample[0] and chk.param is sample[1]:
+
+    name: str
+    keys: tuple
+    points: Callable
+    at: Callable
+    counted: bool = True  # a pass adds to checks_passed
+    note: Optional[str] = None  # noted on every pass
+
+
+class Stage(NamedTuple):
+    """A closure and what must hold over it: the comparisons, then each
+    (function, problem) from `problems()` checked at every (x in Y, parameter)
+    and, with `oracle`, by brute force at one drawn (x, p).  A stage without
+    a closure gates the instance: its failure ends it."""
+
+    label: str
+    close: Optional[Callable[[], GeneratedSubspace]]
+    comparisons: tuple = ()
+    problems: Callable = tuple
+    oracle: bool = False
+
+
+class Spec(NamedTuple):
+    """A suite: its size plan and the builder of an instance's stages."""
+
+    count: int
+    pool: tuple
+    big: tuple
+    build: Callable  # Instance -> list[Stage]
+    extra: Callable = lambda cfg: 0  # instances after the plan, built with n = None
+
+
+class Instance:
+    """One instance of a run: RNG keys, spaces, notes and the suite tolerance."""
+
+    def __init__(self, name: str, cfg: SuiteConfig, index: int, sizes: Sequence[int]):
+        self.name, self.cfg, self.index = name, cfg, index
+        self.n = sizes[index] if index < len(sizes) else None
+        self.local = index if self.n is not None else index - len(sizes)
+        self.rng = Random(f"pick:{name}:{cfg.seed}:{index}")
+        # formulas compare at 0 when unset; sweeps pass cfg.tolerance on, and
+        # check_sweep resolves None by score type
+        self.tol = 0 if cfg.tolerance is None else cfg.tolerance
+        self.opts = {"eps": cfg.eps, "cap": cfg.cap, "max_depth": cfg.max_depth}
+        self.notes: list[str] = []
+        self.space = self.second = None
+
+    def key(self, tag: str = "") -> str:
+        return f"{self.name}:{tag}{self.cfg.seed}:{self.local}"
+
+    def table(self, inf_share: float = 0.0) -> tuple:
+        """A random space, its kind picked by index and size, and a table function."""
+        kinds = (("euclidean", 1), ("shortest-path", 1), ("euclidean", 2 if self.n <= 12 else 1))
+        method, dim = ("shortest-path", 1) if self.n > 20 else kinds[self.index % 3]
+        self.space = random_finite_metric(self.n, self.key(), method, dim=dim)
+        return self.space, random_table_function(self.space, self.key(), inf_share=inf_share)
+
+    def shells(self, f: FunctionOracle, t_mode: str) -> tuple:
+        if self.cfg.shells_override is not None:
+            return self.cfg.shells_override
+        return shell_truncation(self.space, level_grid(f, self.space, t_mode),
+                                self.cfg.q_density)
+
+    def closing(self, close: Callable, problems) -> Callable[[], GeneratedSubspace]:
+        """Draw the seed point now; close it under the problems when called."""
+        seed = [self.rng.choice(self.space.points)]
+        return lambda: close(problems, seed, **self.opts)
+
+
+def _plan_sizes(config: SuiteConfig, spec: Spec) -> list[int]:
+    count = config.instances if config.instances is not None else spec.count
+    pool, big = (config.sizes, ()) if config.sizes else (spec.pool, spec.big)
+    sizes = list(big)[:count]
+    return sizes + [pool[i % len(pool)] for i in range(count - len(sizes))]
+
+
+def _agree(a, b, tol: Num) -> bool:
+    if type(a) is tuple:
+        return all(_agree(u, v, tol) for u, v in zip(a, b))
+    return a == b if a is None or b is None or type(a) is bool else close(a, b, tol)
+
+
+def _enc(v):
+    if isinstance(v, (tuple, list)):
+        return [_enc(u) for u in v]
+    return v.id if isinstance(v, Point) else fmt(v)
+
+
+def _dec(v):
+    return tuple(map(_dec, v)) if isinstance(v, list) else v if v is None else parse(v)
+
+
+def _dump(inst: Instance, comparison: str, at: dict, Y, full, restricted, tol) -> dict:
+    return {"suite": inst.name, "seed": inst.cfg.seed, "instance": inst.index,
+            "config": {k: _enc(v) for k, v in vars(inst.cfg).items()},
+            "comparison": comparison, "at": at,
+            "Y": None if Y is None else [p.id for p in sort_points(Y)],
+            "full": _enc(full), "restricted": _enc(restricted), "tolerance": fmt(tol),
+            "verdict": "fail"}
+
+
+def _sweep(report: SuiteReport, inst: Instance, stage: Stage, f: FunctionOracle,
+           problem: WitnessProblem, Y: Sequence[Point]) -> None:
+    """Check the problem at every (x in Y, parameter), then the drawn oracle point."""
+
+    def dump(comparison: str, chk: DeterminacyCheck, restricted) -> dict:
+        at = {"x": chk.x.id, "param": fmt_param(chk.param)}
+        return (witness_dump(problem.space, f, problem, Y, chk)
+                | _dump(inst, comparison, at, Y, chk.lhs, restricted, chk.tolerance))
+
+    drawn = picked = None
+    if stage.oracle:
+        drawn = (inst.rng.choice(Y), inst.rng.choice(problem.params.truncation))
+    for chk in check_sweep(problem, Y, inst.cfg.tolerance):
+        if chk.verdict == "pass":
+            report.check_pass()
+        elif chk.verdict == "fail":
+            report.fail(dump("closure-check", chk, chk.rhs))
+        else:
+            report.check_skip("skipped_empty_region")
+        if drawn is not None and chk.x is drawn[0] and chk.param is drawn[1]:
             picked = chk
-    return picked
+    if picked is not None and picked.verdict != "skipped-empty-region":
+        oracle = brute_force_optimum(problem, drawn)
+        if close(oracle, picked.lhs, picked.tolerance):
+            report.note("oracle_crosschecks")
+        else:
+            report.fail(dump("oracle", picked, oracle))
 
 
+def _run_stage(report: SuiteReport, inst: Instance, stage: Stage) -> bool:
+    """Close, then check; False when a check of the stage failed."""
+    mark = report.checks_failed
+    Y = None
+    if stage.close is not None:
+        gen = stage.close()
+        if not gen.fixed_point:
+            report.fail(_dump(inst, "fixed-point", {"stage": stage.label}, gen.union,
+                              None, None, inst.tol))
+            return False
+        Y = gen.union
+    for comp in stage.comparisons:
+        for at in comp.points(Y):
+            out = comp.at(Y, at)
+            if isinstance(out, str):
+                report.check_skip(out)
+            elif _agree(out[0], out[1], inst.tol):
+                if comp.counted:
+                    report.check_pass()
+                if comp.note:
+                    report.note(comp.note)
+            else:
+                report.fail(_dump(inst, comp.name, dict(zip(comp.keys, map(_enc, at))),
+                                  Y, out[0], out[1], inst.tol))
+    for f, problem in stage.problems():
+        _sweep(report, inst, stage, f, problem, Y)
+    return report.checks_failed == mark
+
+
+def _run(name: str, spec: Spec, cfg: SuiteConfig) -> SuiteReport:
+    report = SuiteReport(name=name, seed=cfg.seed)
+    sizes = _plan_sizes(cfg, spec)
+    for i in range(len(sizes) + spec.extra(cfg)):
+        report.begin_instance()
+        inst = Instance(name, cfg, i, sizes)
+        for stage in spec.build(inst):
+            if not _run_stage(report, inst, stage) and stage.close is None:
+                break
+        for key in inst.notes:
+            report.note(key)
+        report.end_instance()
+    return report
+
+
+class Outcome(NamedTuple):
+    """A replayed comparison: its verdict and the two values it compared."""
+
+    verdict: str
+    lhs: object
+    rhs: object
+    tolerance: Num
+
+
+def replay_check(dump: dict):
+    """Rerun the check a failure dump records, from the dump alone.
+
+    A check of a witness problem (a `witness_dump`, or a suite dump of a
+    "closure-check" or "oracle" comparison) is rebuilt from its descriptors
+    into a DeterminacyCheck, whose rhs for "oracle" is the brute-force
+    optimum.  Any other dump rebuilds its suite instance from the suite,
+    config and index, reruns its comparison at `at` over the dumped Y (or
+    the closure, for "fixed-point"), and returns an Outcome whose verdict is
+    "pass", "fail" or the note of a skipped point.
+    """
+    if "problem" in dump:
+        space = space_from_descriptor(dump["space"])
+        f = FunctionOracle.from_descriptor(dump["function"])
+        prob = dump["problem"]
+        problem = PROBLEM_FAMILIES[prob["family"]](
+            space, f, mode=prob["mode"], truncation=_dec(prob["truncation"]))
+        z = (space.point(dump["z"]["x"]), _dec(dump["z"]["param"]))
+        chk = check_reduction(problem, [space.point(pid) for pid in dump["Y"]], z,
+                              tol=parse(dump["tolerance"]))
+        if dump.get("comparison") != "oracle":
+            return chk
+        oracle = brute_force_optimum(problem, z)
+        return replace(chk, rhs=oracle,
+                       verdict="pass" if close(oracle, chk.lhs, chk.tolerance) else "fail")
+    cfg = SuiteConfig(**{k: _dec(v) for k, v in dump["config"].items()})
+    spec = SUITES[dump["suite"]][0]
+    inst = Instance(dump["suite"], cfg, dump["instance"], _plan_sizes(cfg, spec))
+    stages = spec.build(inst)
+    Y = None if dump["Y"] is None else [inst.space.point(pid) for pid in dump["Y"]]
+    if dump["comparison"] == "fixed-point":
+        stage = next(s for s in stages if s.label == dump["at"]["stage"])
+        return Outcome("pass" if stage.close().fixed_point else "fail", None, None, inst.tol)
+    comp = next(c for s in stages for c in s.comparisons if c.name == dump["comparison"])
+    decode = {"x": inst.space.point, "y": lambda v: inst.second.point(v), "family": str}
+    out = comp.at(Y, tuple(decode.get(k, _dec)(dump["at"][k]) for k in comp.keys))
+    if isinstance(out, str):
+        return Outcome(out, None, None, inst.tol)
+    return Outcome("pass" if _agree(out[0], out[1], inst.tol) else "fail", *out, inst.tol)
+
+
+# ---------------------------------------------------------------------------
+# The ten suites: one instance builder each
+
+INF_SHARE = 0.3  # chance of +inf per value, in the instances that draw some
 _SMALL = (5, 6, 8, 9, 10, 12, 14, 16, 18, 20)
 
 
-def _make_problems(space: FiniteMetricSpace, f: FunctionOracle, mode: str,
-                   config: SuiteConfig) -> list[WitnessProblem]:
-    radii = radius_truncation(space, config.q_density)
-    shells = (config.shells_override
-              if config.shells_override is not None
-              else shell_truncation(space, level_grid(f, space, "sample"),
-                                    config.q_density))
-    return [
-        punctured_ball_problem(space, f, mode, truncation=radii),
-        ball_pairs_problem(space, f, mode, truncation=radii),
-        torus_slope_problem(space, f, mode, truncation=shells),
-    ]
+def _each(Y):
+    return ((x,) for x in Y)
 
 
-def _closure_suite(name: str, config: SuiteConfig, mode: str) -> SuiteReport:
-    report = SuiteReport(name=name, seed=config.seed)
-    sizes = _plan_sizes(config, 102, _SMALL, big=(100, 64, 50, 40, 32, 25))
-    for i, n in enumerate(sizes):
-        report.begin_instance()
-        method, dim = _method_for(i, n)
-        space = random_finite_metric(n, f"{name}:{config.seed}:{i}", method, dim=dim)
-        inf_share = config.inf_share if (mode == "sup" and i % 4 == 2) else 0.0
-        f = random_table_function(space, f"{name}:{config.seed}:{i}", inf_share=inf_share)
-        rng = Random(f"pick:{name}:{config.seed}:{i}")
-        seed_pt = rng.choice(space.points)
-        for problem in _make_problems(space, f, mode, config):
-            gen = closure_iterate(problem, [seed_pt], eps=config.eps, cap=config.cap,
-                                  max_depth=config.max_depth)
-            if not gen.fixed_point:
-                report.fail({"kind": "no-fixed-point", "instance": i,
-                             "problem": problem.name,
-                             "space": space_to_descriptor(space)})
-                continue
-            Y = gen.union
-            # dual-route spot check: the scan-all-tuples oracle must agree
-            # with the sweep's optimum on a sampled parameter
-            x = rng.choice(Y)
-            p = rng.choice(problem.params.truncation)
-            chk = _check_all(problem, Y, report, space, f, config.tolerance, sample=(x, p))
-            if chk.verdict != "skipped-empty-region":
-                oracle = brute_force_optimum(problem, (x, p))
-                if not close(oracle, chk.lhs, chk.tolerance):
-                    report.fail(witness_dump(space, f, problem, Y, chk)
-                                | {"kind": "oracle-mismatch", "oracle": fmt(oracle)})
-                else:
-                    report.note("oracle_crosschecks")
-        report.end_instance()
-    return report
+def _across(params):
+    return lambda Y: ((x, p) for x in Y for p in params)
 
 
-def _suite_sup(name: str, config: SuiteConfig) -> SuiteReport:
-    return _closure_suite(name, config, "sup")
+def _formula(close: Callable, *comparison) -> list[Stage]:
+    return [Stage("closure", close, (Comparison(*comparison),))]
 
 
-def _suite_inf(name: str, config: SuiteConfig) -> SuiteReport:
-    return _closure_suite(name, config, "inf")
+def _closure(mode: str) -> Callable:
+    """thm-2.1/2.2: each shipped family closes alone, then is checked and cross-checked."""
+
+    def build(inst: Instance) -> list[Stage]:
+        space, f = inst.table(INF_SHARE if mode == "sup" and inst.index % 4 == 2 else 0.0)
+        seed = [inst.rng.choice(space.points)]
+        radii = radius_truncation(space, inst.cfg.q_density)
+        shells = inst.shells(f, "sample")
+        return [Stage(p.name, lambda p=p: closure_iterate(p, seed, **inst.opts),
+                      problems=lambda p=p: [(f, p)], oracle=True)
+                for p in (punctured_ball_problem(space, f, mode, truncation=radii),
+                          ball_pairs_problem(space, f, mode, truncation=radii),
+                          torus_slope_problem(space, f, mode, truncation=shells))]
+
+    return build
 
 
-def _suite_intersection(name: str, config: SuiteConfig) -> SuiteReport:
-    from .families import family_for, intersect, is_member
-
-    report = SuiteReport(name=name, seed=config.seed)
-    sizes = _plan_sizes(config, 52, (5, 6, 8, 10, 12, 14, 16))
-    for i, n in enumerate(sizes):
-        report.begin_instance()
-        method, dim = _method_for(i, n)
-        space = random_finite_metric(n, f"{name}:{config.seed}:{i}", method, dim=dim)
-        f = random_table_function(space, f"{name}:{config.seed}:{i}")
-        radii = radius_truncation(space, config.q_density)
-        shells = shell_truncation(space, level_grid(f, space, "sample"), config.q_density)
-        prob_pairs = ball_pairs_problem(space, f, "sup", truncation=radii)
-        prob_torus = torus_slope_problem(space, f, "sup", truncation=shells)
-        fam = intersect([family_for([prob_pairs], config.eps, config.cap),
-                         family_for([prob_torus], config.eps, config.cap)])
-        rng = Random(f"pick:{name}:{config.seed}:{i}")
-        seed_pt = rng.choice(space.points)
-        gen = intersect_problems([prob_pairs, prob_torus], [seed_pt],
-                                 eps=config.eps, cap=config.cap,
-                                 max_depth=config.max_depth)
-        if not gen.fixed_point:
-            report.fail({"kind": "no-fixed-point", "instance": i,
-                         "space": space_to_descriptor(space)})
-            report.end_instance()
-            continue
-        Y = gen.union
-        for handle, label in ((family_for([prob_pairs], config.eps, config.cap), "pairs"),
-                              (family_for([prob_torus], config.eps, config.cap), "torus"),
-                              (fam, "intersection")):
-            if is_member(handle, Y):
-                report.check_pass()
-            else:
-                report.fail({"kind": f"not-a-member:{label}", "instance": i,
-                             "space": space_to_descriptor(space),
-                             "Y": [p.id for p in Y]})
-        for problem in (prob_pairs, prob_torus):
-            _check_all(problem, Y, report, space, f, config.tolerance)
-        report.end_instance()
-    return report
+def _intersection(inst: Instance) -> list[Stage]:
+    """prop-1.1: closed under two families at once, a member of each and of both."""
+    space, f = inst.table()
+    eps, cap, q = inst.cfg.eps, inst.cfg.cap, inst.cfg.q_density
+    pairs = ball_pairs_problem(space, f, "sup", truncation=radius_truncation(space, q))
+    torus = torus_slope_problem(space, f, "sup", truncation=shell_truncation(
+        space, level_grid(f, space, "sample"), q))  # shells_override does not apply here
+    handles = {"pairs": families.family_for([pairs], eps, cap),
+               "torus": families.family_for([torus], eps, cap)}
+    handles["intersection"] = families.intersect(list(handles.values()))
+    member = Comparison("membership", ("family",), lambda Y: [(k,) for k in handles],
+                        lambda Y, at: (True, families.is_member(handles[at[0]], Y)))
+    return [Stage("closure", inst.closing(intersect_problems, [pairs, torus]), (member,),
+                  lambda: [(f, pairs), (f, torus)])]
 
 
-def _suite_product_closure(name: str, config: SuiteConfig) -> SuiteReport:
-    report = SuiteReport(name=name, seed=config.seed)
-    sizes = _plan_sizes(config, 24, (4, 5, 6, 7, 8, 9, 10))
-    for i, n1 in enumerate(sizes):
-        report.begin_instance()
-        n2 = 3 + (i % 5)
-        s1 = random_finite_metric(n1, f"{name}:a:{config.seed}:{i}", "euclidean", dim=1)
-        s2 = random_finite_metric(n2, f"{name}:b:{config.seed}:{i}", "euclidean", dim=1)
-        rng = Random(f"pick:{name}:{config.seed}:{i}")
-        g = random_table_function(s1, f"{name}:g:{config.seed}:{i}")
-        y0 = rng.choice(s2.points)
+def _slice(f2: Callable, y: Point) -> FunctionOracle:
+    return FunctionOracle(f"slice@{y.id}", lambda u: f2(u, y))
+
+
+def _product(inst: Instance, n2: int, coeffs_of: Callable, t_mode: str):
+    """f2(x, y) = g(x) + a(x) d(y, y0) on two lines, closed over three second seeds."""
+    rng = inst.rng
+    s1 = inst.space = random_finite_metric(inst.n, inst.key("a:"), "euclidean", dim=1)
+    s2 = inst.second = random_finite_metric(n2, inst.key("b:"), "euclidean", dim=1)
+    g = random_table_function(s1, inst.key("g:"))
+    y0 = rng.choice(s2.points)
+    k, coeffs = coeffs_of(rng, s1)
+
+    def f2(x: Point, y: Point) -> Num:
+        return g.value(x) + coeffs[x.id] * s2.distance(y, y0)
+
+    def make_problem(y: Point) -> WitnessProblem:
+        return torus_slope_problem(s1, _slice(f2, y), "sup", t_mode=t_mode)
+
+    seed1 = [rng.choice(s1.points)]
+    seed2 = sort_points(rng.sample(list(s2.points), min(3, n2)))
+    return s1, s2, f2, k, make_problem, seed2, lambda: product_closure(
+        make_problem, seed1, seed2, **inst.opts, product_fn=f2, second_space=s2,
+        lipschitz_k=k)[0]
+
+
+def _product_closure(inst: Instance) -> list[Stage]:
+    """thm-2.3: the slice at every second seed is checked over the product closure."""
+
+    def coeffs(rng, s1):
         c = Fraction(rng.randint(0, 3), 2)
+        return c, dict.fromkeys((x.id for x in s1.points), c)
 
-        def f2(x: Point, y: Point, g=g, y0=y0, c=c, s2=s2) -> Num:
-            return g.value(x) + c * s2.distance(y, y0)
-
-        def make_problem(y: Point, s1=s1, f2=f2) -> WitnessProblem:
-            slice_f = FunctionOracle(f"slice@{y.id}", lambda u, y=y: f2(u, y))
-            return torus_slope_problem(s1, slice_f, "sup", t_mode="sample")
-
-        seed1 = [rng.choice(s1.points)]
-        seed2 = sort_points(rng.sample(list(s2.points), min(3, n2)))
-        gen, Y2 = product_closure(make_problem, seed1, seed2, eps=config.eps,
-                                  cap=config.cap, max_depth=config.max_depth,
-                                  product_fn=f2, second_space=s2,
-                                  lipschitz_k=c)
-        if not gen.fixed_point:
-            report.fail({"kind": "no-fixed-point", "instance": i})
-            report.end_instance()
-            continue
-        Y1 = gen.union
-        for y in Y2:
-            problem = make_problem(y)
-            slice_f = FunctionOracle(f"slice@{y.id}", lambda u, y=y: f2(u, y))
-            _check_all(problem, Y1, report, s1, slice_f, config.tolerance)
-        report.end_instance()
-    return report
+    _, _, f2, _, make_problem, Y2, close = _product(inst, 3 + inst.index % 5, coeffs, "sample")
+    return [Stage("closure", close, problems=lambda: [(_slice(f2, y), make_problem(y))
+                                                      for y in Y2])]
 
 
-def _suite_limits(name: str, config: SuiteConfig) -> SuiteReport:
-    report = SuiteReport(name=name, seed=config.seed)
-    sizes = _plan_sizes(config, 102, _SMALL, big=(40, 30, 25))
-    for i, n in enumerate(sizes):
-        report.begin_instance()
-        use_step = i % 3 == 0
-        method, dim = ("euclidean", 1) if use_step else _method_for(i, n)
-        space = random_finite_metric(n, f"{name}:{config.seed}:{i}", method, dim=dim)
-        if use_step:
-            f = step_function(space, f"{name}:{config.seed}:{i}")
-            report.note("step_function_instances")
-        else:
-            f = random_table_function(space, f"{name}:{config.seed}:{i}")
-        radii = radius_truncation(space, config.q_density)
-        probs = [punctured_ball_problem(space, f, "sup", truncation=radii),
-                 punctured_ball_problem(space, f, "inf", truncation=radii)]
-        rng = Random(f"pick:{name}:{config.seed}:{i}")
-        gen = intersect_problems(probs, [rng.choice(space.points)],
-                                 eps=config.eps, cap=config.cap,
-                                 max_depth=config.max_depth)
-        if not gen.fixed_point:
-            report.fail({"kind": "no-fixed-point", "instance": i})
-            report.end_instance()
-            continue
-        Y = gen.union
-        grid = ScaleGrid(radii=radii)
-        tol = config.tolerance if config.tolerance is not None else 0
-        for x in Y:
-            if len(space) == 1:
-                report.check_skip("skipped_isolated")
-                continue
-            full_lo = liminf_at(f, space, x, grid)
-            full_hi = limsup_at(f, space, x, grid)
-            rest_lo = liminf_at(f, space, x, grid, Y=Y)
-            rest_hi = limsup_at(f, space, x, grid, Y=Y)
-            full_cont = continuity_check(f, space, x, grid, tol=tol)
-            rest_cont = continuity_check(f, space, x, grid, Y=Y, tol=tol)
-            if (close(full_lo, rest_lo, tol) and close(full_hi, rest_hi, tol)
-                    and full_cont == rest_cont):
-                report.check_pass()
-            else:
-                report.fail({
-                    "kind": "limit-mismatch", "instance": i, "x": x.id,
-                    "space": space_to_descriptor(space),
-                    "function": f.to_descriptor(space),
-                    "Y": [p.id for p in Y],
-                    "liminf": [fmt(full_lo), fmt(rest_lo)],
-                    "limsup": [fmt(full_hi), fmt(rest_hi)],
-                    "continuity": [full_cont, rest_cont],
-                })
-        report.end_instance()
-    return report
+def _limits(inst: Instance) -> list[Stage]:
+    """thm-3.1: grid liminf, limsup and continuity, every third function a step."""
+    if inst.index % 3 == 0:
+        space = inst.space = random_finite_metric(inst.n, inst.key(), "euclidean", dim=1)
+        f = step_function(space, inst.key())
+        inst.notes.append("step_function_instances")
+    else:
+        space, f = inst.table()
+    radii = radius_truncation(space, inst.cfg.q_density)
+    probs = [punctured_ball_problem(space, f, mode, truncation=radii) for mode in ("sup", "inf")]
+    grid = ScaleGrid(radii=radii)
+
+    def limits(Y, at):
+        if len(space) == 1:
+            return "skipped_isolated"
+        full, rest = ((liminf_at(f, space, *at, grid, Y=y), limsup_at(f, space, *at, grid, Y=y))
+                      for y in (None, Y))
+        return (full + (continuity_check(f, space, *at, grid, tol=inst.tol),),
+                rest + (continuity_check(f, space, *at, grid, Y=Y, tol=inst.tol),))
+
+    return _formula(inst.closing(intersect_problems, probs), "limits", ("x",), _each, limits)
 
 
-def _lip_instances(name: str, config: SuiteConfig):
-    sizes = _plan_sizes(config, 102, _SMALL, big=(60, 50, 40, 30, 25))
-    for i, n in enumerate(sizes):
-        method, dim = _method_for(i, n)
-        space = random_finite_metric(n, f"{name}:{config.seed}:{i}", method, dim=dim)
-        f = random_table_function(space, f"{name}:{config.seed}:{i}")
-        radii = radius_truncation(space, config.q_density)
-        problem = ball_pairs_problem(space, f, "sup", truncation=radii)
-        rng = Random(f"pick:{name}:{config.seed}:{i}")
-        gen = closure_iterate(problem, [rng.choice(space.points)], eps=config.eps,
-                              cap=config.cap, max_depth=config.max_depth)
-        yield i, space, f, radii, gen
+def _lip(comparison: Callable) -> Callable:
+    """prop-3.2/thm-3.3: closed under ball pairs, one pairwise Lipschitz formula."""
+
+    def build(inst: Instance) -> list[Stage]:
+        space, f = inst.table()
+        radii = radius_truncation(space, inst.cfg.q_density)
+        close = inst.closing(closure_iterate, ball_pairs_problem(space, f, "sup", truncation=radii))
+        return _formula(close, *comparison(space, f, radii))
+
+    return build
 
 
-def _suite_pair_sup(name: str, config: SuiteConfig) -> SuiteReport:
-    report = SuiteReport(name=name, seed=config.seed)
-    tol = config.tolerance
-    for i, space, f, radii, gen in _lip_instances(name, config):
-        report.begin_instance()
-        if not gen.fixed_point:
-            report.fail({"kind": "no-fixed-point", "instance": i})
-            report.end_instance()
-            continue
-        Y = gen.union
-        use_tol = tol if tol is not None else 0
-        for x in Y:
-            for r in radii:
-                full = lip_local_sup(f, space, x, r)
-                rest = lip_local_sup(f, space, x, r, Y=Y)
-                if full.pairs == 0 and rest.pairs == 0:
-                    report.check_skip("skipped_no_pairs")
-                elif close(full.value, rest.value, use_tol):
-                    report.check_pass()
-                else:
-                    report.fail({
-                        "kind": "pair-sup-mismatch", "instance": i, "x": x.id,
-                        "r": fmt(r), "space": space_to_descriptor(space),
-                        "function": f.to_descriptor(space),
-                        "Y": [p.id for p in Y],
-                        "full": fmt(full.value), "restricted": fmt(rest.value),
-                    })
-        report.end_instance()
-    return report
+def _pair_sup(space, f: FunctionOracle, radii: tuple) -> tuple:
+    def at(Y, at):
+        full, rest = (lip_local_sup(f, space, *at, Y=y) for y in (None, Y))
+        return "skipped_no_pairs" if full.pairs == rest.pairs == 0 else (full.value, rest.value)
+
+    return "pair-sup", ("x", "param"), _across(radii), at
 
 
-def _suite_lip_modulus(name: str, config: SuiteConfig) -> SuiteReport:
-    report = SuiteReport(name=name, seed=config.seed)
-    tol = config.tolerance
-    for i, space, f, radii, gen in _lip_instances(name, config):
-        report.begin_instance()
-        if not gen.fixed_point:
-            report.fail({"kind": "no-fixed-point", "instance": i})
-            report.end_instance()
-            continue
-        Y = gen.union
-        grid = ScaleGrid(radii=radii)
-        use_tol = tol if tol is not None else 0
-        for x in Y:
-            full = lip_modulus(f, space, x, grid)
-            rest = lip_modulus(f, space, x, grid, Y=Y)
-            if close(full, rest, use_tol):
-                report.check_pass()
-            else:
-                report.fail({
-                    "kind": "modulus-mismatch", "instance": i, "x": x.id,
-                    "space": space_to_descriptor(space),
-                    "function": f.to_descriptor(space),
-                    "Y": [p.id for p in Y],
-                    "full": fmt(full), "restricted": fmt(rest),
-                })
-        report.end_instance()
-    return report
+def _lip_modulus(space, f: FunctionOracle, radii: tuple) -> tuple:
+    grid = ScaleGrid(radii=radii)
+    return "modulus", ("x",), _each, lambda Y, at: tuple(
+        lip_modulus(f, space, *at, grid, Y=y) for y in (None, Y))
 
 
-def _torus_instances(name: str, config: SuiteConfig, t_mode: str, big=(40, 40, 30, 25)):
-    sizes = _plan_sizes(config, 102, (5, 6, 8, 9, 10, 12, 14, 16), big=big)
-    for i, n in enumerate(sizes):
-        method, dim = _method_for(i, n)
-        space = random_finite_metric(n, f"{name}:{config.seed}:{i}", method, dim=dim)
-        inf_share = config.inf_share if i % 4 == 1 else 0.0
-        f = random_table_function(space, f"{name}:{config.seed}:{i}", inf_share=inf_share)
-        shells = (config.shells_override
-                  if config.shells_override is not None
-                  else shell_truncation(space, level_grid(f, space, t_mode),
-                                        config.q_density))
-        problem = torus_slope_problem(space, f, "sup", truncation=shells)
-        rng = Random(f"pick:{name}:{config.seed}:{i}")
-        gen = closure_iterate(problem, [rng.choice(space.points)], eps=config.eps,
-                              cap=config.cap, max_depth=config.max_depth)
-        yield i, space, f, shells, gen
+def _shelled(t_mode: str, comparison: Callable) -> Callable:
+    """prop-4.1/thm-4.2: closed under descent shells, one descent formula."""
 
-
-def _suite_torus_sup(name: str, config: SuiteConfig) -> SuiteReport:
-    report = SuiteReport(name=name, seed=config.seed)
-    for i, space, f, shells, gen in _torus_instances(name, config, "sample"):
-        report.begin_instance()
+    def build(inst: Instance) -> list[Stage]:
+        space, f = inst.table(INF_SHARE if inst.index % 4 == 1 else 0.0)
+        shells = inst.shells(f, t_mode)
+        close = inst.closing(closure_iterate,
+                             torus_slope_problem(space, f, "sup", truncation=shells))
         if any(not f.is_finite_at(p) for p in space.points):
-            report.note("inf_function_instances")
-        if not gen.fixed_point:
-            report.fail({"kind": "no-fixed-point", "instance": i})
-            report.end_instance()
-            continue
-        Y = gen.union
-        use_tol = config.tolerance if config.tolerance is not None else 0
-        for x in Y:
-            for t, r, s in shells:
-                try:
-                    full = torus_sup(f, space, x, t, r, s)
-                except EmptyRegion:
-                    report.check_skip("skipped_empty_shell")
-                    continue
-                try:
-                    rest = torus_sup(f, space, x, t, r, s, Y=Y)
-                except EmptyRegion:
-                    report.fail({
-                        "kind": "restricted-shell-empty", "instance": i,
-                        "x": x.id, "param": [fmt(t), fmt(r), fmt(s)],
-                        "space": space_to_descriptor(space),
-                        "Y": [p.id for p in Y]})
-                    continue
-                if close(full, rest, use_tol):
-                    report.check_pass()
-                else:
-                    report.fail({
-                        "kind": "torus-sup-mismatch", "instance": i, "x": x.id,
-                        "param": [fmt(t), fmt(r), fmt(s)],
-                        "space": space_to_descriptor(space),
-                        "function": f.to_descriptor(space),
-                        "Y": [p.id for p in Y],
-                        "full": fmt(full), "restricted": fmt(rest),
-                    })
-        report.end_instance()
-    return report
+            inst.notes.append("inf_function_instances")
+        return _formula(close, *comparison(inst, space, f, shells))
+
+    return build
 
 
-def _suite_slope(name: str, config: SuiteConfig) -> SuiteReport:
-    report = SuiteReport(name=name, seed=config.seed)
-    for i, space, f, shells, gen in _torus_instances(name, config, "full",
-                                                     big=(30, 25, 20, 20)):
-        report.begin_instance()
-        if any(not f.is_finite_at(p) for p in space.points):
-            report.note("inf_function_instances")
-        if not gen.fixed_point:
-            report.fail({"kind": "no-fixed-point", "instance": i})
-            report.end_instance()
-            continue
-        Y = gen.union
-        grid = ScaleGrid(shells=tuple(dict.fromkeys((r, s) for _, r, s in shells)))
-        use_tol = config.tolerance if config.tolerance is not None else 0
-        for x in Y:
-            if len(space) == 1:
-                report.check_skip("skipped_isolated")
-                continue
-            if not f.is_finite_at(x):
-                report.note("convention_branch_checks")
-            full = slope_at(f, space, x, grid)
-            rest = slope_at(f, space, x, grid, Y=Y)
-            if close(full, rest, use_tol):
-                report.check_pass()
-            else:
-                report.fail({
-                    "kind": "slope-mismatch", "instance": i, "x": x.id,
-                    "space": space_to_descriptor(space),
-                    "function": f.to_descriptor(space),
-                    "Y": [p.id for p in Y],
-                    "full": fmt(full), "restricted": fmt(rest),
-                })
-        report.end_instance()
-    return report
+def _torus_sup(inst: Instance, space, f: FunctionOracle, shells: tuple) -> tuple:
+    def at(Y, at):
+        x, p = at
+        try:
+            full = torus_sup(f, space, x, *p)
+        except EmptyRegion:
+            return "skipped_empty_shell"
+        try:
+            return full, torus_sup(f, space, x, *p, Y=Y)
+        except EmptyRegion:  # a nonempty shell that misses Y fails
+            return full, None
+
+    return "torus-sup", ("x", "param"), _across(shells), at
 
 
-def _suite_partial_slope(name: str, config: SuiteConfig) -> SuiteReport:
-    report = SuiteReport(name=name, seed=config.seed)
-    sizes = _plan_sizes(config, 32, (4, 5, 6, 8, 10, 12), big=(20, 16))
-    for i, n1 in enumerate(sizes):
-        report.begin_instance()
-        n2 = 3 + (i % 6)
-        s1 = random_finite_metric(n1, f"{name}:a:{config.seed}:{i}", "euclidean", dim=1)
-        s2 = random_finite_metric(n2, f"{name}:b:{config.seed}:{i}", "euclidean", dim=1)
-        rng = Random(f"pick:{name}:{config.seed}:{i}")
-        g = random_table_function(s1, f"{name}:g:{config.seed}:{i}")
-        y0 = rng.choice(s2.points)
+def _slope(inst: Instance, space, f: FunctionOracle, shells: tuple) -> tuple:
+    grid = ScaleGrid(shells=tuple(dict.fromkeys((r, s) for _, r, s in shells)))
+
+    def at(Y, at):
+        if len(space) == 1:
+            return "skipped_isolated"
+        if not f.is_finite_at(at[0]):
+            inst.notes.append("convention_branch_checks")
+        return slope_at(f, space, *at, grid), slope_at(f, space, *at, grid, Y=Y)
+
+    return "slope", ("x",), _each, at
+
+
+def _lipschitz(f2: Callable, s1, s2, k: Num, expected: bool, **kw) -> Stage:
+    check = Comparison("lipschitz", (), lambda Y: [()],
+                       lambda Y, at: (expected, verify_lipschitz_second(f2, s1, s2, k)), **kw)
+    return Stage("lipschitz", None, (check,))
+
+
+def _adversarial(inst: Instance) -> list[Stage]:
+    """A planted bump breaks the Lipschitz bound in y; the check must reject it."""
+    j = inst.local
+    s1 = inst.space = random_finite_metric(4 + j % 4, inst.key("adv-a:"), "euclidean", dim=1)
+    s2 = inst.second = random_finite_metric(3 + j % 4, inst.key("adv-b:"), "euclidean", dim=1)
+    rng = Random(f"adv:{inst.name}:{inst.cfg.seed}:{j}")
+    g = random_table_function(s1, inst.key("adv-g:"))
+    y0 = s2.points[0]
+    k = Fraction(rng.randint(1, 4), 2)
+    bad = (rng.choice(s1.points), rng.choice([p for p in s2.points if p != y0]))
+    # any scanned pair (bad_y, y) has gap >= bump - k*diam; keep that > k*diam
+    bump = 2 * k * (s2.diameter() + 1) + 1
+
+    def f2(x: Point, y: Point) -> Num:
+        base = g.value(x) + k * s2.distance(y, y0)
+        return base + bump if (x, y) == bad else base
+
+    return [_lipschitz(f2, s1, s2, k, False, note="adversarial_rejected")]
+
+
+def _partial_slope(inst: Instance) -> list[Stage]:
+    """thm-4.3: a verified Lipschitz bound in y, then partial slopes at every seed."""
+    if inst.n is None:
+        return _adversarial(inst)
+
+    def coeffs(rng, s1):
         k = Fraction(rng.randint(1, 4), 2)
-        coeffs = {x.id: Fraction(rng.randint(-2 * k.numerator, 2 * k.numerator),
-                                 2 * k.denominator) for x in s1.points}
+        return k, {x.id: Fraction(rng.randint(-2 * k.numerator, 2 * k.numerator),
+                                  2 * k.denominator) for x in s1.points}
 
-        def f2(x: Point, y: Point, g=g, y0=y0, coeffs=coeffs, s2=s2) -> Num:
-            return g.value(x) + coeffs[x.id] * s2.distance(y, y0)
+    s1, s2, f2, k, make_problem, Y2, close = _product(inst, 3 + inst.index % 6, coeffs, "full")
 
-        if not verify_lipschitz_second(f2, s1, s2, k):
-            report.fail({"kind": "valid-instance-rejected", "instance": i})
-            report.end_instance()
-            continue
-        report.note("lipschitz_verified")
+    @functools.cache
+    def grid(y: Point) -> ScaleGrid:
+        shells = make_problem(y).params.truncation
+        return ScaleGrid(shells=tuple(dict.fromkeys((r, s) for _, r, s in shells)))
 
-        def make_problem(y: Point, s1=s1, f2=f2) -> WitnessProblem:
-            slice_f = FunctionOracle(f"slice@{y.id}", lambda u, y=y: f2(u, y))
-            return torus_slope_problem(s1, slice_f, "sup", t_mode="full")
+    def slopes(Y, at):
+        y, x = at
+        g = grid(y)
+        if len(s1) == 1:
+            return "skipped_isolated"
+        return partial_slope(f2, s1, x, y, grid=g), partial_slope(f2, s1, x, y, grid=g, Y1=Y)
 
-        seed1 = [rng.choice(s1.points)]
-        seed2 = sort_points(rng.sample(list(s2.points), min(3, n2)))
-        gen, Y2 = product_closure(make_problem, seed1, seed2, eps=config.eps,
-                                  cap=config.cap, max_depth=config.max_depth,
-                                  product_fn=f2, second_space=s2, lipschitz_k=k)
-        if not gen.fixed_point:
-            report.fail({"kind": "no-fixed-point", "instance": i})
-            report.end_instance()
-            continue
-        Y1 = gen.union
-        use_tol = config.tolerance if config.tolerance is not None else 0
-        for y in Y2:
-            problem = make_problem(y)
-            grid = ScaleGrid(shells=tuple(dict.fromkeys(
-                (r, s) for _, r, s in problem.params.truncation)))
-            for x in Y1:
-                if len(s1) == 1:
-                    report.check_skip("skipped_isolated")
-                    continue
-                full = partial_slope(f2, s1, x, y, grid=grid)
-                rest = partial_slope(f2, s1, x, y, grid=grid, Y1=Y1)
-                if close(full, rest, use_tol):
-                    report.check_pass()
-                else:
-                    report.fail({
-                        "kind": "partial-slope-mismatch", "instance": i,
-                        "x": x.id, "y": y.id,
-                        "space": space_to_descriptor(s1),
-                        "Y1": [p.id for p in Y1],
-                        "full": fmt(full), "restricted": fmt(rest),
-                    })
-        report.end_instance()
-
-    # adversarial instances: a planted bump must be rejected
-    adv = max(10, (config.instances if config.instances is not None else 32) // 3)
-    for j in range(adv):
-        report.begin_instance()
-        s1 = random_finite_metric(4 + j % 4, f"{name}:adv-a:{config.seed}:{j}",
-                                  "euclidean", dim=1)
-        s2 = random_finite_metric(3 + j % 4, f"{name}:adv-b:{config.seed}:{j}",
-                                  "euclidean", dim=1)
-        rng = Random(f"adv:{name}:{config.seed}:{j}")
-        g = random_table_function(s1, f"{name}:adv-g:{config.seed}:{j}")
-        y0 = s2.points[0]
-        k = Fraction(rng.randint(1, 4), 2)
-        bad_x = rng.choice(s1.points)
-        bad_y = rng.choice([p for p in s2.points if p != y0])
-        # any scanned pair (bad_y, y) has gap >= bump - k*diam; keep that > k*diam
-        bump = 2 * k * (s2.diameter() + 1) + 1
-
-        def f2_bad(x: Point, y: Point, g=g, y0=y0, k=k, s2=s2,
-                   bad_x=bad_x, bad_y=bad_y, bump=bump) -> Num:
-            base = g.value(x) + k * s2.distance(y, y0)
-            if x == bad_x and y == bad_y:
-                base += bump
-            return base
-
-        if verify_lipschitz_second(f2_bad, s1, s2, k):
-            report.fail({"kind": "adversarial-accepted", "instance": j})
-        else:
-            report.note("adversarial_rejected")
-            report.check_pass()
-        report.end_instance()
-    return report
+    return ([_lipschitz(f2, s1, s2, k, True, counted=False, note="lipschitz_verified")]
+            + _formula(close, "partial-slope", ("y", "x"),
+                       lambda Y: ((y, x) for y in Y2 for x in Y), slopes))
 
 
-SUITES: dict[str, tuple[Callable[[str, SuiteConfig], SuiteReport], str]] = {
-    "prop-1.1": (_suite_intersection,
+SUITES: dict[str, tuple[Spec, str]] = {
+    "prop-1.1": (Spec(52, (5, 6, 8, 10, 12, 14, 16), (), _intersection),
                  "intersection of generated families stays cofinal and checkable"),
-    "thm-2.1": (_suite_sup,
+    "thm-2.1": (Spec(102, _SMALL, (100, 64, 50, 40, 32, 25), _closure("sup")),
                 "sup-mode closure determinacy over the shipped problem families"),
-    "thm-2.2": (_suite_inf,
+    "thm-2.2": (Spec(102, _SMALL, (100, 64, 50, 40, 32, 25), _closure("inf")),
                 "inf-mode closure determinacy with argmin witnesses"),
-    "thm-2.3": (_suite_product_closure,
+    "thm-2.3": (Spec(24, (4, 5, 6, 7, 8, 9, 10), (), _product_closure),
                 "product closure: slice identities at every sampled second factor"),
-    "thm-3.1": (_suite_limits,
+    "thm-3.1": (Spec(102, _SMALL, (40, 30, 25), _limits),
                 "grid liminf/limsup and continuity verdicts survive restriction"),
-    "prop-3.2": (_suite_pair_sup,
+    "prop-3.2": (Spec(102, _SMALL, (60, 50, 40, 30, 25), _lip(_pair_sup)),
                  "pairwise sup over balls survives restriction at every radius"),
-    "thm-3.3": (_suite_lip_modulus,
+    "thm-3.3": (Spec(102, _SMALL, (60, 50, 40, 30, 25), _lip(_lip_modulus)),
                 "local Lipschitz modulus survives restriction"),
-    "prop-4.1": (_suite_torus_sup,
+    "prop-4.1": (Spec(102, _SMALL[:8], (40, 40, 30, 25), _shelled("sample", _torus_sup)),
                  "shell descent supremum survives restriction at every parameter"),
-    "thm-4.2": (_suite_slope,
+    "thm-4.2": (Spec(102, _SMALL[:8], (30, 25, 20, 20), _shelled("full", _slope)),
                 "descent slope survives restriction (convention branch logged)"),
-    "thm-4.3": (_suite_partial_slope,
+    "thm-4.3": (Spec(32, (4, 5, 6, 8, 10, 12), (20, 16), _partial_slope,
+                     extra=lambda cfg: max(10, (cfg.instances or 32) // 3)),
                 "partial slopes on products; planted Lipschitz violations rejected"),
 }
 
@@ -881,8 +832,7 @@ def run_suite(name: str, config: Optional[SuiteConfig] = None) -> SuiteReport:
     if name not in SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; known: {sorted(SUITES)}")
     cfg = config if config is not None else SuiteConfig()
-    runner, _ = SUITES[name]
     t0 = time.perf_counter()
-    report = runner(name, cfg)
+    report = _run(name, SUITES[name][0], cfg)
     report.runtime_seconds = time.perf_counter() - t0
     return report

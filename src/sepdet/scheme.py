@@ -346,6 +346,20 @@ def _select(problem: WitnessProblem, x: Point, p: Param, region: Region,
     return tuple(optimal[:cap])
 
 
+def validate_selection(eps: Num, cap: int) -> None:
+    """Reject a witness slack below 0 or a cap below 1."""
+    if eps < 0:
+        raise ValueError("eps must be nonnegative")
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
+
+
+def validate_tolerance(tol: Optional[Num]) -> None:
+    """Reject a negative comparison tolerance (None picks one by score type)."""
+    if tol is not None and tol < 0:
+        raise ValueError("tolerance must be nonnegative")
+
+
 def witness_select(problem: WitnessProblem, z: tuple, eps: Num = 0,
                    cap: int = 1) -> tuple[tuple, ...]:
     """Pick up to cap eps-optimal witness tuples of G(z), lexicographically.
@@ -354,10 +368,7 @@ def witness_select(problem: WitnessProblem, z: tuple, eps: Num = 0,
     so it always contains an argmax (argmin).  Deterministic: ties break by
     the tuple of point ids.
     """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
+    validate_selection(eps, cap)
     x, p = z
     region = problem.region(x, p)
     if region.is_empty:
@@ -419,6 +430,7 @@ def closure_round(problems: Sequence[WitnessProblem], current: Iterable[Point],
 def _closure(problems: Sequence[WitnessProblem], seed: Iterable[Point], *,
              eps: Num = 0, cap: int = 1, max_depth: Optional[int] = None,
              strict_empty: bool = False) -> GeneratedSubspace:
+    validate_selection(eps, cap)
     space = _common_space(problems)
     seed_pts = sort_points(seed)
     if not seed_pts:
@@ -525,6 +537,7 @@ def _compare(problem: WitnessProblem, x: Point, p: Param, tol: Optional[Num],
 
 def _check(problem: WitnessProblem, Yset: set, z: tuple,
            tol: Optional[Num]) -> DeterminacyCheck:
+    validate_tolerance(tol)
     x, p = z
     if x not in Yset:
         raise UnknownPoint(f"check center {x.id!r} must lie in Y")
@@ -553,6 +566,7 @@ def check_sweep(problem: WitnessProblem, Y: Iterable[Point],
     Y's membership is built once.  Centers with an optimum table read their
     full and restricted optima from it; the others scan their regions.
     """
+    validate_tolerance(tol)
     Y = tuple(Y)
     Yset = set(Y)
     mask = None

@@ -131,6 +131,12 @@ class TestReduce:
         assert code == 2
         assert "mystery-balls" in capsys.readouterr().err
 
+    def test_cap_below_one_exits_two(self, line3_path, capsys):
+        # cap 0 used to report the seed alone as the closure, with exit 0
+        code = run_cli(["reduce", "--space", line3_path, "--fn", "coord", "--cap", "0"])
+        assert code == 2
+        assert "cap must be at least 1" in capsys.readouterr().err
+
     def test_unknown_seed_point(self, line3_path, capsys):
         code = run_cli(["reduce", "--space", line3_path, "--fn", "coord",
                         "--x", "p9"])
@@ -170,6 +176,26 @@ class TestCheck:
         assert code == 0
         body = json.loads(capsys.readouterr().out)
         assert body["results"][0]["param"] == ["1", "1/2", "7/2"]
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--cap", "0"], "cap must be at least 1"),
+        (["--tolerance", "-1"], "tolerance must be nonnegative"),
+    ])
+    def test_bad_config_exits_two(self, line3_path, capsys, flags, message):
+        code = run_cli(["check", "--space", line3_path, "--fn", "coord"] + flags)
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, param", [("punctured-ball", "1,2"),
+                                             ("ball-pairs", "1,1/2,7/2"),
+                                             ("torus-slope:sup:full", "1"),
+                                             ("torus-slope", "1,2")])
+    def test_param_of_the_wrong_shape_exits_two(self, line3_path, capsys, name, param):
+        code = run_cli(["check", "--space", line3_path, "--fn", "coord",
+                        "--name", name, "--x", "p1", "--param", param])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--param" in err and "Traceback" not in err
 
 
 class TestSlopeAndLip:
@@ -238,6 +264,15 @@ class TestSuite:
     def test_negative_eps_rejected(self, capsys):
         assert run_cli(["suite", "--name", "thm-2.1", "--eps", "-1"]) == 2
         assert "--eps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--n", "0"], "sizes must be at least 1"),
+        (["--q-density", "1"], "q_density must be an integer >= 2"),
+    ])
+    def test_bad_sizes_and_density_exit_two(self, capsys, flags, message):
+        # --n 0 used to be dropped silently, running the default sizes
+        assert run_cli(["suite", "--name", "thm-2.1", "--instances", "1"] + flags) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestParser:

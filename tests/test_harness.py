@@ -206,6 +206,13 @@ class TestSuiteReportBookkeeping:
         with pytest.raises(ValueError):
             SuiteConfig(tolerance=-1)
 
+    def test_config_rejects_bad_sizes_and_density(self):
+        with pytest.raises(ValueError, match="sizes must be at least 1"):
+            SuiteConfig(sizes=(5, 0))
+        with pytest.raises(ValueError, match="q_density must be an integer >= 2"):
+            SuiteConfig(q_density=1)
+        assert "inf_share" not in SuiteConfig.__dataclass_fields__
+
 
 def planted_failure(line3):
     """A deliberately unclosed Y: the inf check at (p0, 4) must fail."""

@@ -17,6 +17,7 @@ from sepdet import (
     builtin_function,
     check_inf_reduction,
     check_sup_reduction,
+    check_sweep,
     closure_iterate,
     closure_round,
     intersect_problems,
@@ -180,6 +181,19 @@ class TestClosure:
         assert {p.id for p in new} == {"c3"}  # argmax neighbor of c2
         assert skipped == 0
 
+    @pytest.mark.parametrize("bad, message", [({"cap": 0}, "cap must be at least 1"),
+                                              ({"eps": -1}, "eps must be nonnegative")])
+    def test_bad_selection_config_rejected_by_every_closure(self, line3, bad, message):
+        # cap = 0 used to return the seed alone, marked as a fixed point
+        prob = punctured_ball_problem(line3, COORD, "sup")
+        seed = [line3.point("p0")]
+        with pytest.raises(ValueError, match=message):
+            closure_iterate(prob, seed, **bad)
+        with pytest.raises(ValueError, match=message):
+            intersect_problems([prob], seed, **bad)
+        with pytest.raises(ValueError, match=message):
+            product_closure(lambda y: prob, seed, [line3.point("p1")], **bad)
+
     def test_intersect_problems_requires_one_space(self, line3, grid5):
         a = punctured_ball_problem(line3, COORD, "sup")
         b = punctured_ball_problem(grid5, COORD, "sup")
@@ -230,6 +244,14 @@ class TestChecks:
         with pytest.raises(Exception, match="must lie in Y"):
             check_sup_reduction(prob, [line3.point("p1")],
                                 (line3.point("p0"), Fraction(4)))
+
+    def test_negative_tolerance_rejected(self, line3):
+        prob = punctured_ball_problem(line3, COORD, "sup")
+        z = (line3.point("p0"), Fraction(4))
+        with pytest.raises(ValueError, match="tolerance must be nonnegative"):
+            check_sup_reduction(prob, line3.points, z, tol=-1)
+        with pytest.raises(ValueError, match="tolerance must be nonnegative"):
+            list(check_sweep(prob, line3.points, -1))
 
     def test_mode_dispatch_guards(self, line3):
         sup_prob = punctured_ball_problem(line3, COORD, "sup")
