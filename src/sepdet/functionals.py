@@ -1,11 +1,17 @@
 """Variational quantities over a space and their restricted counterparts.
 
-Everything here is a finite formula over materialized regions: discrete
-liminf/limsup along a radius grid, the pairwise Lipschitz supremum over a
-ball, the torus supremum (t - f(u))^+ / d(x, u), and the descent slope as an
-inf-sup-sup sweep over shells.  Each operation takes an optional Y argument;
-when given, the regions are intersected with Y, which is all the restriction
-identities need.
+Every quantity here is a finite formula: discrete liminf/limsup along a
+radius grid, the pairwise Lipschitz supremum over a ball, the torus supremum
+(t - f(u))^+ / d(x, u), and the descent slope as an inf-sup-sup sweep over
+shells.  Each operation takes an optional Y argument; when given, the
+regions are intersected with Y, which is all the restriction identities need.
+
+Limits and Lipschitz quantities scan materialized regions.  The torus
+supremum and the slopes read, on a finite space without a budget, one ranked
+row of descent quotients per (center, level), memoised on the function
+oracle and shared with the torus-slope optimum tables; a shell is a slice of
+that row.  Lazy or budgeted spaces, and rows the ranking declines, take the
+region scan.
 
 The module also ships the three registered witness-problem families
 (punctured-ball, ball-pairs, torus-slope), each with a per-center optimum
@@ -45,6 +51,7 @@ from .spaces import (
     FiniteMetricSpace,
     MetricSpace,
     Point,
+    _check_shell,
     ball_pairs,
     ball_points,
     punctured_ball_points,
@@ -60,6 +67,7 @@ class FunctionOracle:
         self.name = name
         self._fn = fn
         self._table = table
+        self._rows: dict = {}  # space -> its _DescentRows, see _descent_rows
 
     def __repr__(self) -> str:
         return f"FunctionOracle({self.name!r})"
@@ -376,19 +384,147 @@ def _descent_quotient(t: Num, f: FunctionOracle, space: MetricSpace,
     return _exact_div(num, space.distance(x, u))
 
 
+class _Center:
+    """Point i's sorted row past distance 0.
+
+    No shell r < d < s with r > 0 reaches a point at distance 0.
+    """
+
+    def __init__(self, space: FiniteMetricSpace, i: int):
+        order, dists = space.sorted_row(i)
+        a = bisect_right(dists, 0)
+        self.index = order[a:]
+        self.points = tuple(space.points[j] for j in self.index)
+        self.dists = dists[a:]
+
+    def shell(self, r: Num, s: Num) -> tuple[int, int]:
+        """Positions a:b of the shell r < d < s."""
+        return bisect_right(self.dists, r), bisect_left(self.dists, s)
+
+
+class _DescentRow(NamedTuple):
+    """Descent quotients of one (center, level) along the center's row.
+
+    The quotient at position k is values[codes[k]]; a larger code is a
+    larger quotient.
+    """
+
+    center: _Center
+    codes: list
+    values: list
+
+
+class _DescentRows:
+    """One function's ranked descent rows on one finite space.
+
+    A function that raises at some point of the space gets no rows.
+    """
+
+    def __init__(self, f: FunctionOracle, space: FiniteMetricSpace):
+        self.space = space
+        try:
+            self.fv: Optional[list] = [f.value(u) for u in space.points]
+        except Exception:  # re-raised by the scan where it belongs
+            self.fv = None
+        self.centers: dict = {}
+        self.rows: dict = {}
+
+    def row(self, i: int, t: Num, mode: str) -> Optional[_DescentRow]:
+        """The row of center i at level t ranked in mode; None when scoring it
+        raises or rank_scores declines it, which leaves it to the scan."""
+        key = (i, mode, type(t), t)
+        try:
+            return self.rows[key]
+        except KeyError:
+            got = self.rows[key] = self._rank(i, t, mode)
+            return got
+        except TypeError:  # an unhashable level is left to the scan
+            return None
+
+    def _rank(self, i: int, t: Num, mode: str) -> Optional[_DescentRow]:
+        fv = self.fv
+        if fv is None:
+            return None
+        center = self.centers.get(i)
+        if center is None:
+            center = self.centers[i] = _Center(self.space, i)
+        got = _rank_or_none(lambda: [_exact_div(pos_part(sub(t, fv[j])), d)
+                                     for j, d in zip(center.index, center.dists)], mode)
+        return None if got is None else _DescentRow(center, got[1], got[2])
+
+
+def _descent_rows(f: FunctionOracle, space: MetricSpace,
+                  budget: Optional[int] = None) -> Optional[_DescentRows]:
+    """f's ranked descent rows on space, memoised on f for its lifetime.
+
+    None on lazy or budgeted spaces, which only the scan serves.
+    """
+    if budget is not None or not isinstance(space, FiniteMetricSpace):
+        return None
+    rows = f._rows.get(space)
+    if rows is None:
+        rows = f._rows[space] = _DescentRows(f, space)
+    return rows
+
+
+def _row_at(f: FunctionOracle, space: MetricSpace, x: Point, t: Num,
+            budget: Optional[int]) -> Optional[_DescentRow]:
+    """The sup-ranked descent row of (x, t), or None to leave x to the scan."""
+    rows = _descent_rows(f, space, budget)
+    if rows is None:
+        return None
+    try:
+        i = space.index_of(x)
+    except UnknownPoint:  # the scan raises it where it belongs
+        return None
+    return rows.row(i, t, "sup")
+
+
+def _shell_code(row: _DescentRow, allowed: Optional[set], a: int, b: int) -> int:
+    """Largest code of positions a:b of the row within allowed, -1 if none."""
+    codes = row.codes[a:b]
+    if allowed is not None:
+        codes = [c for c, u in zip(codes, row.center.points[a:b]) if u in allowed]
+    return max(codes, default=-1)
+
+
 def torus_sup(f: FunctionOracle, space: MetricSpace, x: Point, t: Num, r: Num, s: Num,
               Y: Optional[Iterable[Point]] = None,
               budget: Optional[int] = None) -> Num:
     """sup of (t - f(u))^+ / d(x, u) over the shell r < d(x, u) < s (within Y).
 
-    Raises EmptyRegion when the (restricted) shell is empty.
+    Reads the shell as a slice of the ranked descent row of (x, t); scans
+    the shell where no row applies.  Raises EmptyRegion when the
+    (restricted) shell is empty.
     """
     allowed = None if Y is None else set(Y)
     _check_center(x, allowed)
-    pts = _restricted(torus_points(space, x, r, s, budget), allowed)
-    if not pts:
+    _check_shell(r, s)
+    row = _row_at(f, space, x, t, budget)
+    if row is None:
+        pts = _restricted(torus_points(space, x, r, s, budget), allowed)
+        best = max((_descent_quotient(t, f, space, x, u) for u in pts), default=None)
+    else:
+        code = _shell_code(row, allowed, *row.center.shell(r, s))
+        best = None if code < 0 else row.values[code]
+    if best is None:
         raise EmptyRegion(f"empty shell ({fmt(r)}, {fmt(s)}) at {x.id!r}")
-    return max(_descent_quotient(t, f, space, x, u) for u in pts)
+    return best
+
+
+def _inner_sups(row: _DescentRow, shells: Sequence[tuple], allowed: Optional[set]) -> list:
+    """Codes of the inner suprema over the nonempty shells, one per outer radius.
+
+    For a fixed s the shells nest as r falls, so the least r of each s
+    gives the union of its shells and their supremum.
+    """
+    least: dict = {}
+    for r, s in shells:
+        _check_shell(r, s)
+        if s not in least or r < least[s]:
+            least[s] = r
+    codes = [_shell_code(row, allowed, *row.center.shell(r, s)) for s, r in least.items()]
+    return [c for c in codes if c >= 0]
 
 
 def slope_at(f: FunctionOracle, space: MetricSpace, x: Point,
@@ -401,6 +537,8 @@ def slope_at(f: FunctionOracle, space: MetricSpace, x: Point,
     +inf - +inf = 0, the value is well defined for proper f, and is +inf
     exactly when every realized inner supremum is.  Empty shells contribute
     nothing; if every shell in the grid is empty the point is isolated.
+    Every shell is read off the ranked descent row of (x, f(x)) where one
+    applies, and scanned otherwise.
     """
     shells = grid.shells if isinstance(grid, ScaleGrid) else tuple(grid or ())
     if not shells:
@@ -410,6 +548,12 @@ def slope_at(f: FunctionOracle, space: MetricSpace, x: Point,
     allowed = None if Y is None else set(Y)
     _check_center(x, allowed)
     t = f.value(x)
+    row = _row_at(f, space, x, t, budget)
+    if row is not None:
+        codes = _inner_sups(row, shells, allowed)
+        if not codes:
+            raise IsolatedPoint(f"every shell at {x.id!r} is empty")
+        return row.values[min(codes)]
     inner: dict = {}
     for r, s in shells:
         pts = _restricted(torus_points(space, x, r, s, budget), allowed)
@@ -449,7 +593,7 @@ def partial_slope(f2: Callable[[Point, Point], Num], space1: MetricSpace,
             raise ValueError("spot-check needs space2 together with k")
         spot_check_lipschitz_second(f2, space1, space2, k, budget or 128)
     slice_f = FunctionOracle(f"slice@{y.id}", lambda u: f2(u, y))
-    return slope_at(slice_f, space1, x, grid, Y1)
+    return slope_at(slice_f, space1, x, grid, Y1, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -698,8 +842,9 @@ def torus_slope_problem(space: MetricSpace, f: FunctionOracle,
                         budget: Optional[int] = None) -> WitnessProblem:
     """Arity-1 problem: shells r < d(x,u) < s, score (t - f(u))^+ / d(x,u).
 
-    At x each level t gives one score row over the sorted distance row,
-    ranked once; a shell is a slice of it, so its optimum is a range maximum.
+    At x each level t gives one ranked descent row (shared with torus_sup
+    and slope_at through f); a shell is a slice of it, so its optimum is a
+    range maximum.
     """
     if truncation is None:
         truncation = shell_truncation(space, level_grid(f, space, t_mode))
@@ -735,35 +880,23 @@ def torus_slope_problem(space: MetricSpace, f: FunctionOracle,
         return ([t for _, t in levels], [r for _, r in radii], rows, inner, outer,
                 _id_rank(space))
 
-    @functools.cache
-    def f_values() -> list:
-        return [f.value(u) for u in space.points]
-
     def build(i: int) -> Optional[Optima]:
         levels, radii, rows, inner, outer, rank = layout()
-        points, dists = _punctured_row(space, i)
+        descent = _descent_rows(f, space)
+        ranked = [descent.row(i, t, mode) for t in levels]
+        if None in ranked:
+            return None
+        center = ranked[0].center
+        points = np.array(center.index, dtype=np.int64)
+        m, n = len(points), len(space)
+        dists = center.dists
         lo = np.array([bisect_right(dists, r) for r in radii], dtype=np.int64)[inner]
         hi = np.array([bisect_left(dists, r) for r in radii], dtype=np.int64)[outer]
-        a, b = int(lo.min()), int(hi.max())  # every shell lies in a:b
-        n, m = len(space), len(points)
-        keys = np.full((len(levels), m), -1, dtype=np.int64)
-        floats = np.zeros((len(levels), m), dtype=bool)
-        values = []
-        span = points[a:b].tolist()
-        for row, t in enumerate(levels):
-            def score_all(t=t) -> list:
-                fv = f_values()
-                return [_exact_div(pos_part(sub(t, fv[j])), dists[k])
-                        for k, j in enumerate(span, a)]
-
-            got = _rank_or_none(score_all, mode)
-            if got is None:
-                return None
-            scores, codes, vals = got
-            keys[row, a:b] = _arity1_keys(codes, rank[points[a:b]], n)
-            floats[row, a:b] = [_is_float(v) for v in scores]
-            values.append(vals)
-        return Optima(points, _masked(keys, points), rows, lo, hi, values, n, 1,
+        codes = np.array([row.codes for row in ranked], dtype=np.int64).reshape(-1, m)
+        floats = np.array([[_is_float(row.values[c]) for c in row.codes] for row in ranked],
+                          dtype=bool).reshape(-1, m)
+        return Optima(points, _masked(_arity1_keys(codes, rank[points], n), points), rows,
+                      lo, hi, [row.values for row in ranked], n, 1,
                       lambda k: (space.points[space.id_order[k]],), floats)
 
     return WitnessProblem(

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import families
-from .errors import EmptyRegion, UnknownSuite
+from .errors import EmptyRegion, IsolatedPoint, UnknownSuite
 from .extreal import POS_INF, Num, close, fmt, is_finite, parse
 from .functionals import (
     PROBLEM_FAMILIES,
@@ -452,7 +452,7 @@ def _sweep(report: SuiteReport, inst: Instance, stage: Stage, f: FunctionOracle,
                 | _dump(inst, comparison, at, Y, chk.lhs, restricted, chk.tolerance))
 
     drawn = picked = None
-    if stage.oracle:
+    if stage.oracle and problem.params.truncation:
         drawn = (inst.rng.choice(Y), inst.rng.choice(problem.params.truncation))
     for chk in check_sweep(problem, Y, inst.cfg.tolerance):
         if chk.verdict == "pass":
@@ -700,8 +700,13 @@ def _pair_sup(space, f: FunctionOracle, radii: tuple) -> tuple:
 
 def _lip_modulus(space, f: FunctionOracle, radii: tuple) -> tuple:
     grid = ScaleGrid(radii=radii)
-    return "modulus", ("x",), _each, lambda Y, at: tuple(
-        lip_modulus(f, space, *at, grid, Y=y) for y in (None, Y))
+
+    def at(Y, at):
+        if len(space) == 1:
+            return "skipped_isolated"
+        return tuple(lip_modulus(f, space, *at, grid, Y=y) for y in (None, Y))
+
+    return "modulus", ("x",), _each, at
 
 
 def _shelled(t_mode: str, comparison: Callable) -> Callable:
@@ -740,9 +745,16 @@ def _slope(inst: Instance, space, f: FunctionOracle, shells: tuple) -> tuple:
     def at(Y, at):
         if len(space) == 1:
             return "skipped_isolated"
+        try:
+            full = slope_at(f, space, *at, grid)
+        except IsolatedPoint:
+            return "skipped_isolated"
         if not f.is_finite_at(at[0]):
             inst.notes.append("convention_branch_checks")
-        return slope_at(f, space, *at, grid), slope_at(f, space, *at, grid, Y=Y)
+        try:
+            return full, slope_at(f, space, *at, grid, Y=Y)
+        except IsolatedPoint:  # a point with shells that Y leaves isolated fails
+            return full, None
 
     return "slope", ("x",), _each, at
 

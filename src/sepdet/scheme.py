@@ -108,9 +108,10 @@ class WitnessProblem:
 def rank_scores(scores: Sequence[Num], mode: str) -> Optional[tuple[list[int], list]]:
     """Integer codes of scores, larger for better in mode, and the score of each code.
 
-    None when a score lies outside the mode's range, or when two equal scores
-    differ in type (int 2 and Fraction(2)) or in the sign of a float zero:
-    the scan reports the first optimal member, so such rows are left to it.
+    None when a score is NaN or lies outside the mode's range, or when two
+    equal scores differ in type (int 2 and Fraction(2)) or in the sign of a
+    float zero: the scan reports the first optimal member, so such rows are
+    left to it.
     """
     order = sorted(range(len(scores)), key=scores.__getitem__, reverse=mode == "inf")
     codes = [0] * len(scores)
@@ -121,6 +122,8 @@ def rank_scores(scores: Sequence[Num], mode: str) -> Optional[tuple[list[int], l
             w = values[-1]
             if type(v) is not type(w) or (type(v) is float and str(v) != str(w)):
                 return None
+        elif v != v:  # NaN orders nothing, so the scan's answer depends on its order
+            return None
         else:
             values.append(v)
         codes[j] = len(values) - 1

@@ -17,6 +17,7 @@ from sepdet import (
     continuity_check,
     default_radius_grid,
     default_shell_grid,
+    dyadic_interval_space,
     level_grid,
     lip_local_sup,
     lip_modulus,
@@ -312,6 +313,15 @@ class TestProductSlices:
         with pytest.raises(LipschitzViolation):
             partial_slope(f2, s1, s1.point("a0"), s2.point("b0"),
                           k=1, space2=s2)
+
+    def test_partial_slope_scans_a_lazy_factor_within_the_budget(self):
+        space = dyadic_interval_space()
+        x, y = space.point_at(2), space.point_at(0)  # x = 1/2
+        grid = ScaleGrid(shells=((Fraction(1, 8), Fraction(1, 2)),
+                                 (Fraction(1, 16), Fraction(1, 4))))
+        assert slope_at(COORD, space, x, grid, budget=16) == 1
+        assert partial_slope(lambda u, v: u.coords[0], space, x, y, grid=grid,
+                             budget=16) == 1
 
     def test_partial_slope_spot_check_needs_space2(self):
         s1, s2 = self.make_pair()

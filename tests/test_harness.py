@@ -284,6 +284,33 @@ class TestRunSuite:
         assert report.ok and report.passes == 2
         assert report.checks_failed == 0
 
+    @pytest.mark.parametrize("name", ["thm-2.1", "thm-2.2"])
+    def test_singleton_spaces_draw_no_oracle_point(self, name):
+        # a one-point space has empty truncations, so there is nothing to cross-check
+        report = run_suite(name, SuiteConfig(instances=2, sizes=(1,)))
+        assert report.ok and report.passes == 2
+        assert "oracle_crosschecks" not in report.notes
+
+    def test_singleton_spaces_skip_the_modulus(self):
+        report = run_suite("thm-3.3", SuiteConfig(instances=2, sizes=(1,)))
+        assert report.ok and report.checks_passed == 0
+        assert report.notes["skipped_isolated"] == 2
+
+    def test_an_isolated_center_skips_the_slope(self):
+        # some center of a six-point space has no point at a distance in (1/2, 3/2)
+        cfg = SuiteConfig(instances=2, sizes=(6,),
+                          shells_override=((1, Fraction(1, 2), Fraction(3, 2)),))
+        report = run_suite("thm-4.2", cfg)
+        assert report.ok
+        assert report.notes.get("skipped_isolated", 0) > 0
+        # no shell reaches past distance 100, so every center is skipped, and
+        # one where f = +inf (seed 2 has one) counts no convention-branch check
+        cfg = SuiteConfig(instances=8, sizes=(6,), seed=2, shells_override=((1, 100, 200),))
+        report = run_suite("thm-4.2", cfg)
+        assert report.ok and report.checks_passed == 0
+        assert report.notes["skipped_isolated"] == 8
+        assert "convention_branch_checks" not in report.notes
+
     def test_two_point_spaces_note_pairless_balls(self):
         report = run_suite("prop-3.2", SuiteConfig(instances=2, sizes=(2,), seed=1))
         assert report.ok

@@ -1,9 +1,12 @@
-"""Optimum tables and sorted-row regions against the scan and the oracle.
+"""Optimum tables, descent rows and sorted-row regions against the scan.
 
 Every problem family reads exact optima from per-center tables when eps = 0
 and cap = 1 and in check sweeps; removing the table (optima=None) leaves the
 region scan.  Both routes, and the brute-force oracle, must agree on
 witnesses, reported values, verdicts, sizes, tolerances and raised errors.
+The torus supremum and the slopes read ranked descent rows on finite spaces;
+a budget covering the whole space leaves them the shell scan, and both must
+give the same value of the same type, or raise the same error.
 """
 
 import dataclasses
@@ -11,6 +14,7 @@ from fractions import Fraction
 from random import Random
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -18,6 +22,7 @@ from sepdet import (
     FiniteMetricSpace,
     FunctionOracle,
     Point,
+    ScaleGrid,
     SepdetError,
     ball_pairs_problem,
     ball_points,
@@ -26,15 +31,20 @@ from sepdet import (
     check_sweep,
     closure_iterate,
     level_grid,
+    midpoint_grid,
+    partial_slope,
     punctured_ball_points,
     punctured_ball_problem,
     random_finite_metric,
     shell_truncation,
+    slope_at,
     torus_points,
     torus_slope_problem,
+    torus_sup,
     witness_select,
 )
 from sepdet.extreal import NEG_INF, POS_INF
+from sepdet.scheme import rank_scores
 
 # Function values; "mixed" holds equal scores of different types (2, 2.0,
 # Fraction(2)), which the tables must leave to the scan.  Finite "fraction"
@@ -173,3 +183,107 @@ def test_duplicate_points_stay_in_the_punctured_ball():
     assert space.distance(a, b) == 0
     assert punctured_ball_points(space, b, Fraction(1, 2)) == (a,)
     assert torus_points(space, a, Fraction(1, 2), 2) == (c,)
+
+
+def typed(run):
+    """A result as its type and repr, or the type and message of what it raised."""
+    try:
+        v = run()
+    except SepdetError as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", type(v).__name__, repr(v)
+
+
+@given(st.fixed_dictionaries({
+    "kind": st.sampled_from(SPACES),
+    "n": st.integers(1, 7),
+    "seed": st.integers(0, 10**6),
+    "shuffle_ids": st.booleans(),
+    "palette": st.sampled_from(sorted(PALETTES)),
+    "inf": st.sampled_from((0.0, 0.3)),
+}))
+def test_descent_rows_agree_with_the_shell_scan(case):
+    space = make_space(case["kind"], case["n"], case["seed"], case["shuffle_ids"])
+    f = make_function(space, case["seed"], case["palette"], case["inf"])
+    scan = len(space)  # a budget covering the space leaves the formulas the scan
+    rng = Random(case["seed"])
+    dists = space.realized_distances()
+    # radii at realized distances, between them, below and beyond them all
+    radii = sorted(set(dists) | set(midpoint_grid(dists)) | {Fraction(1, 3), 100})
+    shells = [(r, s) for i, r in enumerate(radii) for s in radii[i + 1:]]
+    bad = [(0, 1), (2, 1), (Fraction(1, 2), Fraction(1, 2)), (-1, 1)]
+    least = dists[0] if dists else 1
+    empty = [(least / 3, least / 2)]  # holds no point around any center
+    levels = sorted({f.value(p) for p in space.points}, key=repr)[:3] + [Fraction(2), POS_INF]
+    for x in space.points:
+        others = [p for p in space.points if p != x]
+        inside = [x] + rng.sample(others, rng.randint(0, len(others)))
+        for Y in (None, inside, others):
+            picked = rng.sample(shells, min(8, len(shells))) + empty
+            for t in levels:
+                for r, s in picked + [rng.choice(bad)]:
+                    assert typed(lambda: torus_sup(f, space, x, t, r, s, Y)) == \
+                        typed(lambda: torus_sup(f, space, x, t, r, s, Y, budget=scan))
+            grids = [None, ScaleGrid(shells=tuple(picked)), ScaleGrid(shells=tuple(empty)),
+                     ScaleGrid(shells=tuple(picked[:3] + bad[:1] + picked[3:]))]
+            for grid in grids:
+                assert typed(lambda: slope_at(f, space, x, grid, Y)) == \
+                    typed(lambda: slope_at(f, space, x, grid, Y, budget=scan))
+
+                def f2(u, v):
+                    return f.value(u)
+
+                assert typed(lambda: partial_slope(f2, space, x, x, grid, Y)) == \
+                    typed(lambda: partial_slope(f2, space, x, x, grid, Y, budget=scan))
+
+
+@pytest.mark.parametrize("ids", [("a", "b", "c"), ("a", "c", "b")])
+def test_equal_quotients_of_two_types_keep_the_first_in_enumeration_order(ids):
+    # from a: b at distance 1 gives (2 - 0) / 1 = 2, c at 2 gives (2 + 2.0) / 2 = 2.0
+    values = {"a": 2, "b": 0, "c": -2.0}
+    matrix = {("a", "b"): 1, ("a", "c"): 2, ("b", "c"): 1}
+    points = [Point(pid) for pid in ids]
+    space = FiniteMetricSpace.from_matrix(points, [
+        [0 if p == q else matrix.get((p.id, q.id), matrix.get((q.id, p.id))) for q in points]
+        for p in points])
+    f = FunctionOracle.from_table({pid: values[pid] for pid in ids})
+    a = space.point("a")
+    first = int if ids[1] == "b" else float  # the scan keeps the first maximal member
+    assert type(torus_sup(f, space, a, 2, Fraction(1, 2), 3)) is first
+    assert type(slope_at(f, space, a, ScaleGrid(shells=((Fraction(1, 2), 3),)))) is first
+
+
+def routes_agree(prob, space, Y):
+    """Closures from every seed and check sweeps on Y, with and without the table."""
+    scan = dataclasses.replace(prob, optima=None)
+    for x in space.points:
+        assert outcome(lambda: closure_iterate(prob, [x]).to_json()) == \
+            outcome(lambda: closure_iterate(scan, [x]).to_json())
+    for tol in (None, 0):
+        assert outcome(lambda: [c.to_json() for c in check_sweep(prob, Y, tol)]) == \
+            outcome(lambda: [check_reduction(scan, Y, (x, p), tol).to_json()
+                             for x in Y for p in prob.params.truncation])
+
+
+@pytest.mark.parametrize("mode", ["sup", "inf"])
+def test_nan_values_are_left_to_the_scan(mode):
+    assert rank_scores([1, float("nan"), 2], "sup") is None
+    space = random_finite_metric(5, 3, "euclidean", dim=1)
+    values = dict(zip((p.id for p in space.points), (1, 3, float("nan"), 0, 2)))
+    f = FunctionOracle.from_table(values)
+    for prob in (punctured_ball_problem(space, f, mode), ball_pairs_problem(space, f, mode)):
+        routes_agree(prob, space, space.points[:3])
+
+
+@pytest.mark.parametrize("far", [-1.0, NEG_INF])
+def test_unrankable_scores_outside_every_shell_leave_the_center_to_the_scan(far):
+    # on 0 < 1 < 2 < 3, the shells from a reach b only; c scores (2 - 0) / 2 = 1,
+    # d scores (2 - far) / 3: the float 1.0 ties c's int 1, and +inf is out of
+    # range in inf mode, so a's descent row is declined as a whole
+    points = [Point(pid, (Fraction(k),)) for k, pid in enumerate("abcd")]
+    space = FiniteMetricSpace.from_coords(points)
+    f = FunctionOracle.from_table({"a": 2, "b": 1, "c": 0, "d": far})
+    shells = ((2, Fraction(1, 2), Fraction(3, 2)), (1, Fraction(1, 2), Fraction(3, 2)))
+    for mode in ("sup", "inf"):
+        prob = torus_slope_problem(space, f, mode, truncation=shells)
+        routes_agree(prob, space, points[:3])

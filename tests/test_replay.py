@@ -10,6 +10,7 @@ verdict, values and tolerance.
 """
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -116,6 +117,19 @@ def test_an_empty_restricted_shell_fails_and_replays(monkeypatch):
     dumps = [d for d in report.failures if d["restricted"] is None]
     assert dumps and all(d["comparison"] == "torus-sup" for d in dumps)
     assert replay_check(dumps[0]).rhs is None
+
+
+def test_a_restricted_isolated_center_fails_and_replays(monkeypatch):
+    tiny_closures(monkeypatch)
+    cfg = SuiteConfig(instances=3, sizes=(6,),
+                      shells_override=((1, Fraction(1, 2), Fraction(3, 2)),))
+    report = run_suite("thm-4.2", cfg)
+    dumps = [d for d in report.failures if d["restricted"] is None]
+    assert dumps and all(d["comparison"] == "slope" for d in dumps)
+    for dump in dumps:
+        replayed = replay_check(json.loads(json.dumps(dump)))
+        assert (replayed.verdict, replayed.rhs) == ("fail", None)
+        assert enc(replayed.lhs) == dump["full"]
 
 
 def test_the_dumped_config_drives_the_rebuild():
