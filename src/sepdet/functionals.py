@@ -365,13 +365,16 @@ def lip_local_sup(f: FunctionOracle, space: MetricSpace, x: Point, r: Num,
 def lip_modulus(f: FunctionOracle, space: MetricSpace, x: Point, grid,
                 Y: Optional[Iterable[Point]] = None,
                 budget: Optional[int] = None) -> Num:
-    """min over grid radii of the local pairwise supremum at x.
+    """min of the local pairwise supremum at x over grid radii whose ball holds a pair.
 
     The discrete version of the least Lipschitz constant valid on some ball
-    around x.
+    around x.  Raises IsolatedPoint when no ball (within Y) holds a pair.
     """
-    radii = _grid_radii(grid)
-    return min(lip_local_sup(f, space, x, r, Y, budget).value for r in radii)
+    sups = [got.value for got in (lip_local_sup(f, space, x, r, Y, budget)
+                                  for r in _grid_radii(grid)) if got.pairs]
+    if not sups:
+        raise IsolatedPoint(f"no ball at {x.id!r} along the grid holds a pair")
+    return min(sups)
 
 
 # ---------------------------------------------------------------------------

@@ -51,12 +51,12 @@ from .scheme import (
     GeneratedSubspace,
     WitnessProblem,
     check_reduction,
-    check_sweep,
     closure_iterate,
     fmt_param,
     intersect_problems,
     product_closure,
     sort_points,
+    sweep_tally,
     validate_selection,
     validate_tolerance,
 )
@@ -267,13 +267,13 @@ class SuiteReport:
         else:
             self.fails += 1
 
-    def check_pass(self) -> None:
-        self.checks_passed += 1
+    def check_pass(self, count: int = 1) -> None:
+        self.checks_passed += count
 
-    def check_skip(self, note: Optional[str] = None) -> None:
-        self.checks_skipped += 1
-        if note:
-            self.note(note)
+    def check_skip(self, note: Optional[str] = None, count: int = 1) -> None:
+        self.checks_skipped += count
+        if note and count:
+            self.note(note, count)
 
     def fail(self, dump: dict) -> None:
         self.checks_failed += 1
@@ -382,7 +382,7 @@ class Instance:
         self.local = index if self.n is not None else index - len(sizes)
         self.rng = Random(f"pick:{name}:{cfg.seed}:{index}")
         # formulas compare at 0 when unset; sweeps pass cfg.tolerance on, and
-        # check_sweep resolves None by score type
+        # sweep_tally resolves None by score type
         self.tol = 0 if cfg.tolerance is None else cfg.tolerance
         self.opts = {"eps": cfg.eps, "cap": cfg.cap, "max_depth": cfg.max_depth}
         self.notes: list[str] = []
@@ -418,7 +418,7 @@ def _plan_sizes(config: SuiteConfig, spec: Spec) -> list[int]:
 
 
 def _agree(a, b, tol: Num) -> bool:
-    if type(a) is tuple:
+    if type(a) is tuple and b is not None:
         return all(_agree(u, v, tol) for u, v in zip(a, b))
     return a == b if a is None or b is None or type(a) is bool else close(a, b, tol)
 
@@ -451,18 +451,14 @@ def _sweep(report: SuiteReport, inst: Instance, stage: Stage, f: FunctionOracle,
         return (witness_dump(problem.space, f, problem, Y, chk)
                 | _dump(inst, comparison, at, Y, chk.lhs, restricted, chk.tolerance))
 
-    drawn = picked = None
+    drawn = None
     if stage.oracle and problem.params.truncation:
         drawn = (inst.rng.choice(Y), inst.rng.choice(problem.params.truncation))
-    for chk in check_sweep(problem, Y, inst.cfg.tolerance):
-        if chk.verdict == "pass":
-            report.check_pass()
-        elif chk.verdict == "fail":
-            report.fail(dump("closure-check", chk, chk.rhs))
-        else:
-            report.check_skip("skipped_empty_region")
-        if drawn is not None and chk.x is drawn[0] and chk.param is drawn[1]:
-            picked = chk
+    passed, skipped, failures, picked = sweep_tally(problem, Y, inst.cfg.tolerance, drawn)
+    report.check_pass(passed)
+    report.check_skip("skipped_empty_region", skipped)
+    for chk in failures:
+        report.fail(dump("closure-check", chk, chk.rhs))
     if picked is not None and picked.verdict != "skipped-empty-region":
         oracle = brute_force_optimum(problem, drawn)
         if close(oracle, picked.lhs, picked.tolerance):
@@ -584,6 +580,18 @@ def _formula(close: Callable, *comparison) -> list[Stage]:
     return [Stage("closure", close, (Comparison(*comparison),))]
 
 
+def _sides(formula: Callable, Y, exc: type, skip: str):
+    """(formula(None), formula(Y)); skip when the full side raises exc, None for Y's."""
+    try:
+        full = formula(None)
+    except exc:
+        return skip
+    try:
+        return full, formula(Y)
+    except exc:
+        return full, None
+
+
 def _closure(mode: str) -> Callable:
     """thm-2.1/2.2: each shipped family closes alone, then is checked and cross-checked."""
 
@@ -670,10 +678,10 @@ def _limits(inst: Instance) -> list[Stage]:
     def limits(Y, at):
         if len(space) == 1:
             return "skipped_isolated"
-        full, rest = ((liminf_at(f, space, *at, grid, Y=y), limsup_at(f, space, *at, grid, Y=y))
-                      for y in (None, Y))
-        return (full + (continuity_check(f, space, *at, grid, tol=inst.tol),),
-                rest + (continuity_check(f, space, *at, grid, Y=Y, tol=inst.tol),))
+        return _sides(lambda y: (liminf_at(f, space, *at, grid, Y=y),
+                                 limsup_at(f, space, *at, grid, Y=y),
+                                 continuity_check(f, space, *at, grid, Y=y, tol=inst.tol)),
+                      Y, IsolatedPoint, "skipped_isolated")
 
     return _formula(inst.closing(intersect_problems, probs), "limits", ("x",), _each, limits)
 
@@ -704,7 +712,8 @@ def _lip_modulus(space, f: FunctionOracle, radii: tuple) -> tuple:
     def at(Y, at):
         if len(space) == 1:
             return "skipped_isolated"
-        return tuple(lip_modulus(f, space, *at, grid, Y=y) for y in (None, Y))
+        return _sides(lambda y: lip_modulus(f, space, *at, grid, Y=y), Y, IsolatedPoint,
+                      "skipped_isolated")
 
     return "modulus", ("x",), _each, at
 
@@ -727,14 +736,8 @@ def _shelled(t_mode: str, comparison: Callable) -> Callable:
 def _torus_sup(inst: Instance, space, f: FunctionOracle, shells: tuple) -> tuple:
     def at(Y, at):
         x, p = at
-        try:
-            full = torus_sup(f, space, x, *p)
-        except EmptyRegion:
-            return "skipped_empty_shell"
-        try:
-            return full, torus_sup(f, space, x, *p, Y=Y)
-        except EmptyRegion:  # a nonempty shell that misses Y fails
-            return full, None
+        return _sides(lambda y: torus_sup(f, space, x, *p, Y=y), Y, EmptyRegion,
+                      "skipped_empty_shell")
 
     return "torus-sup", ("x", "param"), _across(shells), at
 
@@ -745,16 +748,11 @@ def _slope(inst: Instance, space, f: FunctionOracle, shells: tuple) -> tuple:
     def at(Y, at):
         if len(space) == 1:
             return "skipped_isolated"
-        try:
-            full = slope_at(f, space, *at, grid)
-        except IsolatedPoint:
-            return "skipped_isolated"
-        if not f.is_finite_at(at[0]):
+        out = _sides(lambda y: slope_at(f, space, *at, grid, Y=y), Y, IsolatedPoint,
+                     "skipped_isolated")
+        if not isinstance(out, str) and not f.is_finite_at(at[0]):
             inst.notes.append("convention_branch_checks")
-        try:
-            return full, slope_at(f, space, *at, grid, Y=Y)
-        except IsolatedPoint:  # a point with shells that Y leaves isolated fails
-            return full, None
+        return out
 
     return "slope", ("x",), _each, at
 

@@ -4,15 +4,17 @@ The engine works over a witness problem: a space, a parameter truncation, a
 region map G(x, p) into l-tuples, and a score to maximize (sup mode) or
 minimize (inf mode).  `closure_iterate` grows a seed set level by level,
 inserting the components of optimal witness tuples for every (point,
-parameter) pair, until nothing new appears.  `check_sup_reduction` /
-`check_inf_reduction` then compare the optimum over the full region against
-the optimum over tuples drawn from the generated set; the restricted optimum
-can never beat the full one, and on a generated fixed point the two agree
-exactly.  `check_sweep` runs that comparison at every (center, parameter).
+parameter) pair, until nothing new appears.  `check_sweep` then compares at
+every (center, parameter) the optimum over the full region with the optimum
+over tuples of the generated set, which never beats it and on a fixed point
+equals it; `sweep_tally` counts the verdicts.
 
 Exact argmax closures and check sweeps read a problem's per-center optimum
-table (`Optima`) where the family supplies one; eps-slack or multi-witness
-selection, lazy spaces and single checks scan the materialized regions.
+table (`Optima`) where the family supplies one: a closure round reads each
+distinct witness key once, at its first parameter; a sweep passes full and
+restricted keys that share a code (equal codes are equal values) and compares
+values where codes differ.  Other selections, lazy spaces and single checks
+scan the regions.
 """
 
 from __future__ import annotations
@@ -185,10 +187,10 @@ class Optima:
         self._slices = (rows, lo, hi)
         self._values = values
         self._rows = rows.tolist()
-        self._width = width
+        self.width = width
         self._arity = arity
         self._witness_of = witness_of
-        self.best = _range_max(keys_for(None), rows, lo, hi).tolist()
+        self.best = _range_max(keys_for(None), rows, lo, hi)
         self.size = self._sizes(hi - lo)
         counts = np.zeros((floats.shape[0], floats.shape[1] + 1), dtype=np.int64)
         np.cumsum(floats, axis=1, out=counts[:, 1:])
@@ -199,19 +201,19 @@ class Optima:
         return (count if self._arity == 1 else count * (count - 1)).tolist()
 
     def value(self, i: int, key: int) -> Num:
-        return self._values[self._rows[i]][key // self._width]
+        return self._values[self._rows[i]][key // self.width]
 
     def witness(self, i: int) -> tuple:
         """The optimal tuple of region i with the least ids (region nonempty)."""
-        return self._witness_of(self._width - 1 - self.best[i] % self._width)
+        return self._witness_of(self.width - 1 - int(self.best[i]) % self.width)
 
-    def restrict(self, mask: np.ndarray) -> tuple[list, list]:
+    def restrict(self, mask: np.ndarray) -> tuple[np.ndarray, list]:
         """Best key and size of every region cut down to tuples of points in mask."""
         rows, lo, hi = self._slices
         inside = np.zeros(len(self.points) + 1, dtype=np.int64)
         np.cumsum(mask[self.points], out=inside[1:])
         best = _range_max(self._keys_for(mask), rows, lo, hi)
-        return best.tolist(), self._sizes(inside[hi] - inside[lo])
+        return best, self._sizes(inside[hi] - inside[lo])
 
 
 @dataclass(frozen=True)
@@ -363,6 +365,10 @@ def validate_tolerance(tol: Optional[Num]) -> None:
         raise ValueError("tolerance must be nonnegative")
 
 
+def _empty_region(problem: WitnessProblem, x: Point, p: Param) -> EmptyRegion:
+    return EmptyRegion(f"{problem.name}: empty region at x={x.id}, p={fmt_param(p)}")
+
+
 def witness_select(problem: WitnessProblem, z: tuple, eps: Num = 0,
                    cap: int = 1) -> tuple[tuple, ...]:
     """Pick up to cap eps-optimal witness tuples of G(z), lexicographically.
@@ -375,7 +381,7 @@ def witness_select(problem: WitnessProblem, z: tuple, eps: Num = 0,
     x, p = z
     region = problem.region(x, p)
     if region.is_empty:
-        raise EmptyRegion(f"{problem.name}: empty region at x={x.id}, p={fmt_param(p)}")
+        raise _empty_region(problem, x, p)
     return _select(problem, x, p, region, eps, cap)
 
 
@@ -398,9 +404,10 @@ def closure_round(problems: Sequence[WitnessProblem], current: Iterable[Point],
     means: not already in `current`.  Region maps do not depend on the
     growing set, so sweeping only the frontier is exact.  With eps = 0 and
     cap = 1 the witness is the exact argmax (argmin), read from the
-    problem's optimum table where it has one; otherwise regions are scanned.
+    problem's optimum table where it has one, once per distinct key at the
+    first parameter that has it; otherwise regions are scanned.
     """
-    space = _common_space(problems)
+    _common_space(problems)
     known = set(current)
     todo = sort_points(frontier if frontier is not None else known)
     argmax = eps == 0 and cap == 1
@@ -408,21 +415,28 @@ def closure_round(problems: Sequence[WitnessProblem], current: Iterable[Point],
     skipped = 0
     for x in todo:
         for prob in problems:
+            trunc = prob.params.truncation
             table = prob.optima(x) if argmax and prob.optima is not None else None
-            for i, p in enumerate(prob.params.truncation):
-                if table is None:
+            picks = []
+            if table is not None:
+                empty = np.flatnonzero(table.best < 0)
+                if strict_empty and empty.size:
+                    raise _empty_region(prob, x, trunc[empty[0]])
+                skipped += empty.size
+                # one witness per distinct key, read at the first parameter that has it
+                keys, first = np.unique(table.best, return_index=True)
+                picks = [(trunc[i], (table.witness(i),))
+                         for i in np.sort(first[keys >= 0]).tolist()]
+            else:
+                for p in trunc:
                     region = prob.region(x, p)
-                    empty = region.is_empty
-                else:
-                    empty = table.best[i] < 0
-                if empty:
-                    if strict_empty:
-                        raise EmptyRegion(
-                            f"{prob.name}: empty region at x={x.id}, p={fmt_param(p)}")
-                    skipped += 1
-                    continue
-                picked = (_select(prob, x, p, region, eps, cap) if table is None
-                          else (table.witness(i),))
+                    if not region.is_empty:
+                        picks.append((p, _select(prob, x, p, region, eps, cap)))
+                    elif strict_empty:
+                        raise _empty_region(prob, x, p)
+                    else:
+                        skipped += 1
+            for p, picked in picks:
                 for u in picked:
                     for k, pt in enumerate(u):
                         if pt not in known and pt not in new:
@@ -562,39 +576,73 @@ def _check(problem: WitnessProblem, Yset: set, z: tuple,
     return _compare(problem, x, p, tol, lhs, rhs, len(region), len(restricted), floaty)
 
 
-def check_sweep(problem: WitnessProblem, Y: Iterable[Point],
-                tol: Optional[Num] = None) -> Iterator[DeterminacyCheck]:
-    """check_reduction at every (x in Y, p in the truncation), x-major.
+def _center_verdicts(problem: WitnessProblem, x: Point, Yset: set, table: Optional[Optima],
+                     mask: Optional[np.ndarray], tol: Optional[Num]) -> tuple:
+    """Per-parameter skipped and failed flags at x, and check(i), by the scan or
+    by the table: keys sharing a code pass under any tolerance (equal codes are
+    equal values), and only the others are compared by value."""
+    trunc = problem.params.truncation
+    if table is None:
+        checks = [_check(problem, Yset, (x, p), tol) for p in trunc]
+        verdicts = np.array([c.verdict for c in checks], dtype=object)
+        return verdicts == "skipped-empty-region", verdicts == "fail", checks.__getitem__
+    best, (rbest, rsize) = table.best, table.restrict(mask)
+    above = np.flatnonzero(rbest > best)
+    if above.size:
+        i = above[0]
+        raise InvariantViolation(f"{problem.name}: restricted key {rbest[i]} beats full key "
+                                 f"{best[i]} at x={x.id}, p={fmt_param(trunc[i])}")
+    skipped = best < 0
+    unhit = NEG_INF if problem.mode == "sup" else POS_INF  # rhs when no tuple lies in Y
 
-    Y's membership is built once.  Centers with an optimum table read their
-    full and restricted optima from it; the others scan their regions.
-    """
+    def check(i: int) -> DeterminacyCheck:
+        if skipped[i]:
+            return _skipped(problem, x, trunc[i], tol)
+        rhs = table.value(i, rbest[i]) if rbest[i] >= 0 else unhit
+        return _compare(problem, x, trunc[i], tol, table.value(i, best[i]), rhs,
+                        table.size[i], rsize[i], table.floaty[i])
+
+    failed = np.zeros(len(trunc), dtype=bool)
+    for i in np.flatnonzero(~skipped & (best // table.width != rbest // table.width)).tolist():
+        failed[i] = check(i).verdict == "fail"
+    return skipped, failed, check
+
+
+def _sweep_centers(problem: WitnessProblem, Y: Iterable[Point],
+                   tol: Optional[Num]) -> Iterator[tuple]:
+    """(x, skipped, failed, check) for every x in Y, x-major; Y's membership is built once."""
     validate_tolerance(tol)
     Y = tuple(Y)
     Yset = set(Y)
     mask = None
-    unhit = NEG_INF if problem.mode == "sup" else POS_INF  # rhs when no tuple lies in Y
-    trunc = problem.params.truncation
     for x in Y:
         table = problem.optima(x) if problem.optima is not None else None
-        if table is None:
-            for p in trunc:
-                yield _check(problem, Yset, (x, p), tol)
-            continue
-        if mask is None:
+        if table is not None and mask is None:
             mask = np.zeros(len(problem.space), dtype=bool)
-            for y in Yset:
-                if y in problem.space:
-                    mask[problem.space.index_of(y)] = True
-        rbest, rsize = table.restrict(mask)
-        for i, p in enumerate(trunc):
-            key = table.best[i]
-            if key < 0:
-                yield _skipped(problem, x, p, tol)
-                continue
-            rhs = table.value(i, rbest[i]) if rbest[i] >= 0 else unhit
-            yield _compare(problem, x, p, tol, table.value(i, key), rhs,
-                           table.size[i], rsize[i], table.floaty[i])
+            mask[[problem.space.index_of(y) for y in Yset if y in problem.space]] = True
+        yield x, *_center_verdicts(problem, x, Yset, table, mask, tol)
+
+
+def check_sweep(problem: WitnessProblem, Y: Iterable[Point],
+                tol: Optional[Num] = None) -> Iterator[DeterminacyCheck]:
+    """check_reduction at every (x in Y, p in the truncation), x-major, by table or scan."""
+    for *_, check in _sweep_centers(problem, Y, tol):
+        yield from map(check, range(len(problem.params.truncation)))
+
+
+def sweep_tally(problem: WitnessProblem, Y: Iterable[Point], tol: Optional[Num] = None,
+                drawn: Optional[tuple] = None) -> tuple:
+    """check_sweep's (passed, skipped) counts, its failing checks in order, and
+    its check at drawn (an (x, p), or None); no other check is built."""
+    trunc = problem.params.truncation
+    passed, skipped, failures, picked = 0, 0, [], None
+    for x, skip, fail, check in _sweep_centers(problem, Y, tol):
+        skipped += int(skip.sum())
+        passed += len(trunc) - int(skip.sum()) - int(fail.sum())
+        failures.extend(map(check, np.flatnonzero(fail).tolist()))
+        if drawn is not None and x is drawn[0]:
+            picked = check(trunc.index(drawn[1]))
+    return passed, skipped, failures, picked
 
 
 def check_sup_reduction(problem: WitnessProblem, Y: Iterable[Point], z: tuple,

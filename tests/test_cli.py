@@ -224,7 +224,8 @@ class TestSlopeAndLip:
                         "--x", "p1"])
         assert code == 0
         body = json.loads(capsys.readouterr().out)
-        assert body["value"] == 0  # the half-minimum radius ball is a singleton
+        # the half-minimum radius ball holds no pair; at 3/2 every quotient is 1
+        assert body["value"] == 1
         assert body["radii"] == ["1/2", "3/2", 3]
 
     def test_lip_rejects_shell_params(self, line3_path, capsys):

@@ -4,6 +4,9 @@ Every problem family reads exact optima from per-center tables when eps = 0
 and cap = 1 and in check sweeps; removing the table (optima=None) leaves the
 region scan.  Both routes, and the brute-force oracle, must agree on
 witnesses, reported values, verdicts, sizes, tolerances and raised errors.
+Sweeps decide table checks by code equality, and closure rounds read each
+distinct witness key once; counted tallies, per-check sweeps and closures
+must match the scan's.
 The torus supremum and the slopes read ranked descent rows on finite spaces;
 a budget covering the whole space leaves them the shell scan, and both must
 give the same value of the same type, or raise the same error.
@@ -19,8 +22,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sepdet import (
+    EmptyRegion,
     FiniteMetricSpace,
     FunctionOracle,
+    InvariantViolation,
     Point,
     ScaleGrid,
     SepdetError,
@@ -30,6 +35,7 @@ from sepdet import (
     check_reduction,
     check_sweep,
     closure_iterate,
+    intersect_problems,
     level_grid,
     midpoint_grid,
     partial_slope,
@@ -44,7 +50,7 @@ from sepdet import (
     witness_select,
 )
 from sepdet.extreal import NEG_INF, POS_INF
-from sepdet.scheme import rank_scores
+from sepdet.scheme import rank_scores, sweep_tally
 
 # Function values; "mixed" holds equal scores of different types (2, 2.0,
 # Fraction(2)), which the tables must leave to the scan.  Finite "fraction"
@@ -287,3 +293,98 @@ def test_unrankable_scores_outside_every_shell_leave_the_center_to_the_scan(far)
     for mode in ("sup", "inf"):
         prob = torus_slope_problem(space, f, mode, truncation=shells)
         routes_agree(prob, space, points[:3])
+
+
+def tallied(tally):
+    passed, skipped, failures, drawn = tally
+    return passed, skipped, [c.to_json() for c in failures], drawn and drawn.to_json()
+
+
+def counted(checks, drawn):
+    """What sweep_tally reports, counted from check_sweep's checks."""
+    checks = list(checks)
+    at = [c.to_json() for c in checks if c.x is drawn[0] and c.param is drawn[1]]
+    return (sum(c.verdict == "pass" for c in checks),
+            sum(c.verdict == "skipped-empty-region" for c in checks),
+            [c.to_json() for c in checks if c.verdict == "fail"], at[0])
+
+
+def one_short(union, seed):
+    """The closure without its last-added point, unless that is the seed."""
+    return union[:-1] if union[-1] not in seed else union
+
+
+@pytest.mark.parametrize("palette", sorted(PALETTES))
+@pytest.mark.parametrize("kind", SPACES)
+def test_sweep_tallies_agree_with_check_sweep_and_the_scan(kind, palette):
+    failures = 0
+    for seed in range(3):
+        space = make_space(kind, 3 + 2 * seed, seed, shuffle_ids=seed == 1)
+        f = make_function(space, seed, palette, 0.3 if seed == 2 else 0.0)
+        if not any(f.is_finite_at(p) for p in space.points):
+            continue
+        rng = Random(seed)
+        for mode in ("sup", "inf"):
+            for prob in problems(space, f, mode):
+                scan = dataclasses.replace(prob, optima=None)
+                start = [rng.choice(space.points)]
+                closed = outcome(lambda: closure_iterate(prob, start).union)
+                some = tuple(rng.sample(space.points, rng.randint(1, len(space))))
+                Ys = (closed[1], one_short(closed[1], start)) if closed[0] == "ok" else ()
+                for Y in Ys + (some,):
+                    drawn = (rng.choice(Y), rng.choice(prob.params.truncation))
+                    for tol in (None, 0, Fraction(1, 3)):
+                        got = outcome(lambda: tallied(sweep_tally(prob, Y, tol, drawn)))
+                        assert got == outcome(lambda: tallied(sweep_tally(scan, Y, tol, drawn)))
+                        assert got == outcome(lambda: counted(check_sweep(prob, Y, tol), drawn))
+                        assert got == outcome(lambda: counted(check_sweep(scan, Y, tol), drawn))
+                        failures += got[0] == "ok" and len(got[1][2]) > 0
+    assert failures > 0  # the truncated closures make some checks fail
+
+
+def test_a_restricted_key_above_the_full_key_raises():
+    space = make_space("int", 5, 1, False)
+    f = make_function(space, 1, "fraction", 0.0)
+    prob = ball_pairs_problem(space, f, "sup")
+    x = space.points[0]
+    table = prob.optima(x)
+    restrict = table.restrict
+
+    def corrupted(mask):
+        best, size = restrict(mask)
+        return np.where(table.best >= 0, table.best + 1, best), size
+
+    table.restrict = corrupted
+    with pytest.raises(InvariantViolation, match="restricted key"):
+        sweep_tally(prob, space.points)
+    with pytest.raises(InvariantViolation, match="restricted key"):
+        list(check_sweep(prob, [x]))
+
+
+def closed(problems, x, strict):
+    """closure_iterate of one problem, intersect_problems of several, from x."""
+    if len(problems) == 1:
+        return closure_iterate(problems[0], [x], strict_empty=strict).to_json()
+    return intersect_problems(problems, [x], strict_empty=strict).to_json()
+
+
+@pytest.mark.parametrize("palette", sorted(PALETTES))
+@pytest.mark.parametrize("kind", SPACES)
+def test_closures_agree_with_the_scan_key_by_key(kind, palette):
+    raised = 0
+    for seed in range(3):
+        space = make_space(kind, 3 + 2 * seed, seed, shuffle_ids=seed == 1)
+        f = make_function(space, seed, palette, 0.3 if seed == 2 else 0.0)
+        if not any(f.is_finite_at(p) for p in space.points):
+            continue
+        for mode in ("sup", "inf"):
+            probs = problems(space, f, mode)
+            scans = [dataclasses.replace(prob, optima=None) for prob in probs]
+            for k in (0, 1, 2, None):
+                fast, slow = (probs, scans) if k is None else ([probs[k]], [scans[k]])
+                for x in space.points:
+                    for strict in (False, True):
+                        got = outcome(lambda: closed(fast, x, strict))
+                        assert got == outcome(lambda: closed(slow, x, strict))
+                        raised += got[0] == EmptyRegion.__name__
+    assert raised > 0  # strict closures meet empty regions

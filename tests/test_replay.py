@@ -2,11 +2,10 @@
 
 Failures are forced through `run_suite` itself: closures that stop at a
 too-small Y (two points, reported as a fixed point), `max_depth=1`, a
-brute-force oracle shifted by one, a modulus grid without its least radius,
-or a Lipschitz check that answers wrong.  The suites look these names up in
-`sepdet.harness` at call time, which is what the patches rely on.  Each dump
-then goes through JSON and `replay_check`, which must reach the same
-verdict, values and tolerance.
+brute-force oracle shifted by one, or a Lipschitz check that answers
+wrong.  The suites look these names up in `sepdet.harness` at call time,
+which is what the patches rely on.  Each dump then goes through JSON and
+`replay_check`, which must reach the same verdict, values and tolerance.
 """
 
 import json
@@ -18,7 +17,6 @@ import sepdet.harness as harness
 from sepdet import (
     DeterminacyCheck,
     GeneratedSubspace,
-    ScaleGrid,
     SuiteConfig,
     fmt,
     replay_check,
@@ -56,15 +54,6 @@ def shifted_oracle(monkeypatch):
     monkeypatch.setattr(harness, "brute_force_optimum", lambda *a, **kw: real(*a, **kw) + 1)
 
 
-def tiny_closures_and_coarse_moduli(monkeypatch):
-    """The modulus is 0 wherever the grid's least radius isolates x, as it
-    does on every finite space, so drop that radius to make it fail."""
-    tiny_closures(monkeypatch)
-    real = harness.lip_modulus
-    monkeypatch.setattr(harness, "lip_modulus", lambda f, space, x, grid, **kw: real(
-        f, space, x, ScaleGrid(radii=grid.radii[1:]), **kw))
-
-
 def lipschitz_answers(answer):
     def patch(monkeypatch):
         monkeypatch.setattr(harness, "verify_lipschitz_second", lambda *a, **kw: answer)
@@ -79,7 +68,7 @@ FORCED = {
     "membership": ("prop-1.1", tiny_closures, {}),
     "limits": ("thm-3.1", tiny_closures, {}),
     "pair-sup": ("prop-3.2", tiny_closures, {}),
-    "modulus": ("thm-3.3", tiny_closures_and_coarse_moduli, {}),
+    "modulus": ("thm-3.3", tiny_closures, {}),
     "torus-sup": ("prop-4.1", tiny_closures, {}),
     "slope": ("thm-4.2", tiny_closures, {}),
     "partial-slope": ("thm-4.3", tiny_closures, {}),
@@ -126,6 +115,22 @@ def test_a_restricted_isolated_center_fails_and_replays(monkeypatch):
     report = run_suite("thm-4.2", cfg)
     dumps = [d for d in report.failures if d["restricted"] is None]
     assert dumps and all(d["comparison"] == "slope" for d in dumps)
+    for dump in dumps:
+        replayed = replay_check(json.loads(json.dumps(dump)))
+        assert (replayed.verdict, replayed.rhs) == ("fail", None)
+        assert enc(replayed.lhs) == dump["full"]
+
+
+def test_a_center_isolated_in_y_fails_the_limits_and_replays(monkeypatch):
+    def seed_only(problems, seed, **kw):
+        pts = sort_points(seed)
+        return GeneratedSubspace(levels=[pts, pts], union=pts, fixed_point=True,
+                                 depth_exceeded=False, provenance={})
+
+    monkeypatch.setattr(harness, "intersect_problems", seed_only)
+    report = run_suite("thm-3.1", SuiteConfig(**SMALL))
+    dumps = [d for d in report.failures if d["restricted"] is None]
+    assert dumps and all(d["comparison"] == "limits" for d in dumps)
     for dump in dumps:
         replayed = replay_check(json.loads(json.dumps(dump)))
         assert (replayed.verdict, replayed.rhs) == ("fail", None)
