@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .errors import SepdetError
+from .errors import IsolatedPoint, SepdetError
 from .extreal import fmt, parse
 from .functionals import (
     BUILTIN_FUNCTIONS,
@@ -196,6 +196,8 @@ def _cmd_lip(args) -> int:
                "value": fmt(got.value), "pairs": got.pairs}
     else:
         radii = default_radius_grid(space, x)
+        if not radii:
+            raise IsolatedPoint(f"no radii realized at {x.id!r}")
         value = lip_modulus(f, space, x, radii)
         out = {"verb": "lip", "x": x.id, "value": fmt(value),
                "radii": [fmt(r) for r in radii]}

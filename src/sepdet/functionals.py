@@ -6,12 +6,14 @@ radius grid, the pairwise Lipschitz supremum over a ball, the torus supremum
 shells.  Each operation takes an optional Y argument; when given, the
 regions are intersected with Y, which is all the restriction identities need.
 
-Limits and Lipschitz quantities scan materialized regions.  The torus
-supremum and the slopes read, on a finite space without a budget, one ranked
-row of descent quotients per (center, level), memoised on the function
-oracle and shared with the torus-slope optimum tables; a shell is a slice of
-that row.  Lazy or budgeted spaces, and rows the ranking declines, take the
-region scan.
+On a finite space without a budget the formulas read f's rankings, memoised
+on the function oracle per space and shared with the optimum tables of the
+families built on f: a limit is a running minimum or maximum of f's codes
+along the center's punctured row, a ball's pairwise supremum the largest
+code in a block of the ranked pair quotients, and a shell a slice of the
+ranked descent row of its (center, level).  Lazy or budgeted spaces,
+centers outside the space, declined rankings and functions that raise take
+the region scan.
 
 The module also ships the three registered witness-problem families
 (punctured-ball, ball-pairs, torus-slope), each with a per-center optimum
@@ -22,6 +24,7 @@ from a space's realized distances.
 from __future__ import annotations
 
 import functools
+import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,6 +54,7 @@ from .spaces import (
     FiniteMetricSpace,
     MetricSpace,
     Point,
+    _check_radius,
     _check_shell,
     ball_pairs,
     ball_points,
@@ -67,7 +71,7 @@ class FunctionOracle:
         self.name = name
         self._fn = fn
         self._table = table
-        self._rows: dict = {}  # space -> its _DescentRows, see _descent_rows
+        self._rankings: dict = {}  # space -> its _Rankings, see _rankings
 
     def __repr__(self) -> str:
         return f"FunctionOracle({self.name!r})"
@@ -251,82 +255,7 @@ def level_grid(f: FunctionOracle, space, mode: str = "sample",
 
 
 # ---------------------------------------------------------------------------
-# Limit values along a grid
-
-
-def _grid_radii(grid) -> tuple:
-    radii = grid.radii if isinstance(grid, ScaleGrid) else tuple(grid)
-    if not radii:
-        raise ValueError("radius grid is empty")
-    return radii
-
-
-def _restricted(points: Iterable[Point], allowed: Optional[set]) -> list:
-    if allowed is None:
-        return list(points)
-    return [u for u in points if u in allowed]
-
-
-def _check_center(x: Point, allowed: Optional[set]) -> None:
-    if allowed is not None and x not in allowed:
-        raise UnknownPoint(f"center {x.id!r} must lie in the restriction set")
-
-
-def liminf_at(f: FunctionOracle, space: MetricSpace, x: Point, grid,
-              Y: Optional[Iterable[Point]] = None,
-              budget: Optional[int] = None) -> Num:
-    """sup over grid radii of inf of f over the punctured ball (within Y).
-
-    Monotone under grid refinement.  Raises IsolatedPoint when every
-    punctured ball along the grid is empty.
-    """
-    radii = _grid_radii(grid)
-    allowed = None if Y is None else set(Y)
-    _check_center(x, allowed)
-    vals = []
-    for r in radii:
-        pts = _restricted(punctured_ball_points(space, x, r, budget), allowed)
-        if pts:
-            vals.append(min(f.value(u) for u in pts))
-    if not vals:
-        raise IsolatedPoint(f"every punctured ball at {x.id!r} along the grid is empty")
-    return max(vals)
-
-
-def limsup_at(f: FunctionOracle, space: MetricSpace, x: Point, grid,
-              Y: Optional[Iterable[Point]] = None,
-              budget: Optional[int] = None) -> Num:
-    """inf over grid radii of sup of f over the punctured ball (within Y)."""
-    radii = _grid_radii(grid)
-    allowed = None if Y is None else set(Y)
-    _check_center(x, allowed)
-    vals = []
-    for r in radii:
-        pts = _restricted(punctured_ball_points(space, x, r, budget), allowed)
-        if pts:
-            vals.append(max(f.value(u) for u in pts))
-    if not vals:
-        raise IsolatedPoint(f"every punctured ball at {x.id!r} along the grid is empty")
-    return min(vals)
-
-
-def continuity_check(f: FunctionOracle, space: MetricSpace, x: Point, grid,
-                     Y: Optional[Iterable[Point]] = None, tol: Num = 0,
-                     budget: Optional[int] = None) -> bool:
-    """True when grid liminf and limsup both agree with f(x) up to tol."""
-    fx = f.value(x)
-    lo = liminf_at(f, space, x, grid, Y, budget)
-    hi = limsup_at(f, space, x, grid, Y, budget)
-    return close(lo, fx, tol) and close(hi, fx, tol)
-
-
-# ---------------------------------------------------------------------------
-# Pairwise Lipschitz quantities
-
-
-class PairSup(NamedTuple):
-    value: object  # Num; 0 when no pairs exist
-    pairs: int  # number of unordered pairs scanned
+# Rankings shared by the formulas and the optimum tables
 
 
 def _exact_div(num: Num, den: Num) -> Num:
@@ -335,56 +264,6 @@ def _exact_div(num: Num, den: Num) -> Num:
         q = Fraction(num, den)
         return int(q) if q.denominator == 1 else q
     return num / den
-
-
-def _pair_quotient(f: FunctionOracle, space: MetricSpace, a: Point, b: Point) -> Num:
-    return _exact_div(abs(sub(f.value(a), f.value(b))), space.distance(a, b))
-
-
-def lip_local_sup(f: FunctionOracle, space: MetricSpace, x: Point, r: Num,
-                  Y: Optional[Iterable[Point]] = None,
-                  budget: Optional[int] = None) -> PairSup:
-    """sup of |f(u1) - f(u2)| / d(u1, u2) over distinct pairs of B(x, r) ∩ Y.
-
-    Returns PairSup(0, 0) when the ball holds fewer than two points.
-    """
-    allowed = None if Y is None else set(Y)
-    _check_center(x, allowed)
-    pts = _restricted(ball_points(space, x, r, budget), allowed)
-    best: Num = 0
-    pairs = 0
-    for i, a in enumerate(pts):
-        for b in pts[i + 1:]:
-            pairs += 1
-            q = _pair_quotient(f, space, a, b)
-            if q > best:
-                best = q
-    return PairSup(best, pairs)
-
-
-def lip_modulus(f: FunctionOracle, space: MetricSpace, x: Point, grid,
-                Y: Optional[Iterable[Point]] = None,
-                budget: Optional[int] = None) -> Num:
-    """min of the local pairwise supremum at x over grid radii whose ball holds a pair.
-
-    The discrete version of the least Lipschitz constant valid on some ball
-    around x.  Raises IsolatedPoint when no ball (within Y) holds a pair.
-    """
-    sups = [got.value for got in (lip_local_sup(f, space, x, r, Y, budget)
-                                  for r in _grid_radii(grid)) if got.pairs]
-    if not sups:
-        raise IsolatedPoint(f"no ball at {x.id!r} along the grid holds a pair")
-    return min(sups)
-
-
-# ---------------------------------------------------------------------------
-# Torus suprema and slopes
-
-
-def _descent_quotient(t: Num, f: FunctionOracle, space: MetricSpace,
-                      x: Point, u: Point) -> Num:
-    num = pos_part(sub(t, f.value(u)))
-    return _exact_div(num, space.distance(x, u))
 
 
 class _Center:
@@ -417,10 +296,14 @@ class _DescentRow(NamedTuple):
     values: list
 
 
-class _DescentRows:
-    """One function's ranked descent rows on one finite space.
+class _Rankings:
+    """One function's values, computed once, and rankings on one finite space.
 
-    A function that raises at some point of the space gets no rows.
+    Ranked in a mode, f gives (keys, float flags, value of each code) with
+    one key per point, and the pair quotients |f(a) - f(b)| / d(a, b) with
+    an n x n key matrix (-1 on the diagonal); keys are Optima keys, so a
+    key's code is key // width.  Each (center, level, mode) gives a descent
+    row.  None (f raises, or rank_scores declines) leaves the scores to the scan.
     """
 
     def __init__(self, f: FunctionOracle, space: FiniteMetricSpace):
@@ -429,58 +312,263 @@ class _DescentRows:
             self.fv: Optional[list] = [f.value(u) for u in space.points]
         except Exception:  # re-raised by the scan where it belongs
             self.fv = None
+        self.rank = _id_rank(space)
         self.centers: dict = {}
-        self.rows: dict = {}
+        self.memo: dict = {}
+
+    def _get(self, key: tuple, make: Callable):
+        try:
+            return self.memo[key]
+        except KeyError:
+            got = self.memo[key] = None if self.fv is None else make()
+            return got
+
+    def points(self, mode: str) -> Optional[tuple]:
+        def make():
+            got = _rank_or_none(lambda: self.fv, mode)
+            return got and (_arity1_keys(got[1], self.rank, len(self.space)),
+                            np.array([_is_float(v) for v in got[0]]), got[2])
+
+        return self._get(("points", mode), make)
+
+    def pairs(self, mode: str) -> Optional[tuple]:
+        def make():
+            fv, mat, n, rank = self.fv, self.space.matrix, len(self.space), self.rank
+            a, b = np.triu_indices(n, 1)
+            got = _rank_or_none(lambda: [_exact_div(abs(sub(fv[i], fv[j])), mat[i][j])
+                                         for i, j in zip(a.tolist(), b.tolist())], mode)
+            if got is None:
+                return None
+            scores, codes, values = got
+            first, second = np.minimum(rank[a], rank[b]), np.maximum(rank[a], rank[b])
+            width = n * n
+            keys = np.full((n, n), -1, dtype=np.int64)
+            keys[a, b] = keys[b, a] = (np.array(codes, dtype=np.int64) * width
+                                       + (width - 1 - (first * n + second)))
+            floats = np.zeros((n, n), dtype=bool)
+            floats[a, b] = floats[b, a] = [_is_float(v) for v in scores]
+            return keys, floats, values
+
+        return self._get(("pairs", mode), make)
 
     def row(self, i: int, t: Num, mode: str) -> Optional[_DescentRow]:
-        """The row of center i at level t ranked in mode; None when scoring it
-        raises or rank_scores declines it, which leaves it to the scan."""
-        key = (i, mode, type(t), t)
         try:
-            return self.rows[key]
-        except KeyError:
-            got = self.rows[key] = self._rank(i, t, mode)
-            return got
+            return self._get(("row", i, mode, type(t), t), lambda: self._rank(i, t, mode))
         except TypeError:  # an unhashable level is left to the scan
             return None
 
     def _rank(self, i: int, t: Num, mode: str) -> Optional[_DescentRow]:
-        fv = self.fv
-        if fv is None:
-            return None
         center = self.centers.get(i)
         if center is None:
             center = self.centers[i] = _Center(self.space, i)
+        fv = self.fv
         got = _rank_or_none(lambda: [_exact_div(pos_part(sub(t, fv[j])), d)
                                      for j, d in zip(center.index, center.dists)], mode)
         return None if got is None else _DescentRow(center, got[1], got[2])
 
 
-def _descent_rows(f: FunctionOracle, space: MetricSpace,
-                  budget: Optional[int] = None) -> Optional[_DescentRows]:
-    """f's ranked descent rows on space, memoised on f for its lifetime.
-
-    None on lazy or budgeted spaces, which only the scan serves.
-    """
+def _rankings(f: FunctionOracle, space: MetricSpace,
+              budget: Optional[int] = None) -> Optional[_Rankings]:
+    """f's rankings on space, memoised on f; None on lazy or budgeted spaces."""
     if budget is not None or not isinstance(space, FiniteMetricSpace):
         return None
-    rows = f._rows.get(space)
-    if rows is None:
-        rows = f._rows[space] = _DescentRows(f, space)
-    return rows
+    got = f._rankings.get(space)
+    if got is None:
+        got = f._rankings[space] = _Rankings(f, space)
+    return got
+
+
+def _center_of(f: FunctionOracle, space: MetricSpace, x: Point,
+               budget: Optional[int]) -> Optional[tuple[_Rankings, int]]:
+    """f's rankings on space and x's index, or None to leave x to the scan."""
+    rankings = _rankings(f, space, budget)
+    if rankings is None:
+        return None
+    try:
+        return rankings, space.index_of(x)
+    except UnknownPoint:  # the scan raises it where it belongs
+        return None
+
+
+def _reads(f: FunctionOracle, space: MetricSpace, x: Point, radii: tuple,
+           allowed: Optional[set], budget: Optional[int], ranking: Callable,
+           punctured: bool) -> Optional[tuple]:
+    """ranking(x's rankings, "sup"), x's (punctured) sorted row within allowed
+    as point indices, and the count of them in each radius's ball, the radii
+    checked as the scan checks them; None leaves x to the scan."""
+    at = _center_of(f, space, x, budget)
+    ranked = None if at is None else ranking(at[0], "sup")
+    if ranked is None:
+        return None
+    for r in radii:
+        _check_radius(r)
+    points, dists = _sorted_row(space, at[1], punctured)
+    if allowed is not None:
+        keep = np.fromiter((u in allowed for u in space.points), bool, len(space))[points]
+        points, dists = points[keep], [d for d, k in zip(dists, keep.tolist()) if k]
+    return ranked, points, [bisect_left(dists, r) for r in radii]
+
+
+# ---------------------------------------------------------------------------
+# Limit values along a grid
+
+
+def _grid_radii(grid) -> tuple:
+    radii = grid.radii if isinstance(grid, ScaleGrid) else tuple(grid)
+    if not radii:
+        raise ValueError("radius grid is empty")
+    return radii
+
+
+def _restricted(points: Iterable[Point], allowed: Optional[set]) -> list:
+    if allowed is None:
+        return list(points)
+    return [u for u in points if u in allowed]
+
+
+def _check_center(x: Point, allowed: Optional[set]) -> None:
+    if allowed is not None and x not in allowed:
+        raise UnknownPoint(f"center {x.id!r} must lie in the restriction set")
+
+
+def _limit(f: FunctionOracle, space: MetricSpace, x: Point, grid,
+           Y: Optional[Iterable[Point]], budget: Optional[int],
+           inner: Callable, outer: Callable) -> Num:
+    """outer over the grid radii of inner of f over the nonempty punctured balls;
+    with a ranking, inner is a running min or max of f's codes along x's row."""
+    radii = _grid_radii(grid)
+    allowed = None if Y is None else set(Y)
+    _check_center(x, allowed)
+    got = _reads(f, space, x, radii, allowed, budget, _Rankings.points, True)
+    if got is None:
+        vals = []
+        for r in radii:
+            pts = _restricted(punctured_ball_points(space, x, r, budget), allowed)
+            if pts:
+                vals.append(inner(f.value(u) for u in pts))
+    else:
+        (keys, _, values), points, counts = got
+        run = (np.minimum if inner is min else np.maximum).accumulate(keys[points] // len(space))
+        vals = [values[run[k - 1]] for k in counts if k]
+    if not vals:
+        raise IsolatedPoint(f"every punctured ball at {x.id!r} along the grid is empty")
+    return outer(vals)
+
+
+def liminf_at(f: FunctionOracle, space: MetricSpace, x: Point, grid,
+              Y: Optional[Iterable[Point]] = None,
+              budget: Optional[int] = None) -> Num:
+    """sup over grid radii of inf of f over the punctured ball (within Y).
+
+    Monotone under grid refinement.  Raises IsolatedPoint when every
+    punctured ball along the grid is empty.  Reads f's sup ranking where one
+    applies and scans the balls otherwise.
+    """
+    return _limit(f, space, x, grid, Y, budget, min, max)
+
+
+def limsup_at(f: FunctionOracle, space: MetricSpace, x: Point, grid,
+              Y: Optional[Iterable[Point]] = None,
+              budget: Optional[int] = None) -> Num:
+    """inf over grid radii of sup of f over the punctured ball (within Y),
+    read off f's sup ranking as liminf_at is."""
+    return _limit(f, space, x, grid, Y, budget, max, min)
+
+
+def continuity_check(f: FunctionOracle, space: MetricSpace, x: Point, grid,
+                     Y: Optional[Iterable[Point]] = None, tol: Num = 0,
+                     budget: Optional[int] = None) -> bool:
+    """True when grid liminf and limsup both agree with f(x) up to tol."""
+    fx = f.value(x)
+    lo = liminf_at(f, space, x, grid, Y, budget)
+    hi = limsup_at(f, space, x, grid, Y, budget)
+    return close(lo, fx, tol) and close(hi, fx, tol)
+
+
+# ---------------------------------------------------------------------------
+# Pairwise Lipschitz quantities
+
+
+class PairSup(NamedTuple):
+    value: object  # Num; 0 when no pairs exist
+    pairs: int  # number of unordered pairs scanned
+
+
+def _pair_quotient(f: FunctionOracle, space: MetricSpace, a: Point, b: Point) -> Num:
+    return _exact_div(abs(sub(f.value(a), f.value(b))), space.distance(a, b))
+
+
+def _pair_sups(f: FunctionOracle, space: MetricSpace, x: Point, radii: tuple,
+               Y: Optional[Iterable[Point]], budget: Optional[int]) -> list:
+    """PairSup of B(x, r) ∩ Y for each r in radii.
+
+    With a ranking, the balls are prefixes of x's sorted row, and a running
+    maximum of the best pair each point forms with the points before it
+    serves every radius.  The scan starts at int 0 and keeps the first larger
+    quotient, so both routes give int 0 where no quotient is positive.
+    """
+    allowed = None if Y is None else set(Y)
+    _check_center(x, allowed)
+    got = _reads(f, space, x, radii, allowed, budget, _Rankings.pairs, False)
+    if got is not None:
+        (keys, _, values), points, counts = got
+        ball = points[:max(counts)]
+        block = np.tril(keys[np.ix_(ball, ball)] + 1, -1)  # 0 where no pair
+        best = np.maximum.accumulate(block.max(axis=1, initial=0)).tolist()
+        tops = [values[(best[k - 1] - 1) // len(space) ** 2] if k > 1 else 0 for k in counts]
+        return [PairSup(v if v > 0 else 0, k * (k - 1) // 2) for v, k in zip(tops, counts)]
+    sups = []
+    for r in radii:
+        pts = _restricted(ball_points(space, x, r, budget), allowed)
+        best: Num = 0
+        for a, b in itertools.combinations(pts, 2):
+            q = _pair_quotient(f, space, a, b)
+            if q > best:
+                best = q
+        sups.append(PairSup(best, len(pts) * (len(pts) - 1) // 2))
+    return sups
+
+
+def lip_local_sup(f: FunctionOracle, space: MetricSpace, x: Point, r: Num,
+                  Y: Optional[Iterable[Point]] = None,
+                  budget: Optional[int] = None) -> PairSup:
+    """sup of |f(u1) - f(u2)| / d(u1, u2) over distinct pairs of B(x, r) ∩ Y.
+
+    Returns PairSup(0, 0) when the ball holds fewer than two points.  Reads
+    f's ranked pair quotients where they apply, and scans the pairs otherwise.
+    """
+    return _pair_sups(f, space, x, (r,), Y, budget)[0]
+
+
+def lip_modulus(f: FunctionOracle, space: MetricSpace, x: Point, grid,
+                Y: Optional[Iterable[Point]] = None,
+                budget: Optional[int] = None) -> Num:
+    """min of the local pairwise supremum at x over grid radii whose ball holds a pair.
+
+    The least Lipschitz constant valid on some ball around x, discretely; one
+    pass along x's row of ranked pair quotients serves every radius where they
+    apply.  Raises IsolatedPoint when no ball (within Y) holds a pair."""
+    sups = [v for v, pairs in _pair_sups(f, space, x, _grid_radii(grid), Y, budget) if pairs]
+    if not sups:
+        raise IsolatedPoint(f"no ball at {x.id!r} along the grid holds a pair")
+    return min(sups)
+
+
+# ---------------------------------------------------------------------------
+# Torus suprema and slopes
+
+
+def _descent_quotient(t: Num, f: FunctionOracle, space: MetricSpace,
+                      x: Point, u: Point) -> Num:
+    num = pos_part(sub(t, f.value(u)))
+    return _exact_div(num, space.distance(x, u))
 
 
 def _row_at(f: FunctionOracle, space: MetricSpace, x: Point, t: Num,
             budget: Optional[int]) -> Optional[_DescentRow]:
     """The sup-ranked descent row of (x, t), or None to leave x to the scan."""
-    rows = _descent_rows(f, space, budget)
-    if rows is None:
-        return None
-    try:
-        i = space.index_of(x)
-    except UnknownPoint:  # the scan raises it where it belongs
-        return None
-    return rows.row(i, t, "sup")
+    at = _center_of(f, space, x, budget)
+    return None if at is None else at[0].row(at[1], t, "sup")
 
 
 def _shell_code(row: _DescentRow, allowed: Optional[set], a: int, b: int) -> int:
@@ -626,8 +714,9 @@ def shell_truncation(space, t_values: Sequence[Num],
     return tuple((t, r, s) for t in t_values for (r, s) in shells)
 
 
-# Optimum tables: each family ranks the scores its regions can meet, once,
-# and reads every region's optimum off the center's sorted distance row.
+# Optimum tables: each family reads the scores its regions can meet, ranked
+# once per function (_Rankings), and every region's optimum off the center's
+# sorted distance row.
 
 
 def _valid_params(params: Sequence, ok: Callable) -> bool:
@@ -679,10 +768,11 @@ def _is_float(v: Num) -> bool:
     return type(v) is float and is_finite(v)
 
 
-def _punctured_row(space: FiniteMetricSpace, i: int) -> tuple[np.ndarray, list]:
-    """Point indices and distances of the sorted row of point i, point i removed."""
+def _sorted_row(space: FiniteMetricSpace, i: int,
+                punctured: bool) -> tuple[np.ndarray, list]:
+    """Point indices and distances of the sorted row of point i, without i when punctured."""
     order, dists = space.sorted_row(i)
-    keep = [k for k, j in enumerate(order) if j != i]
+    keep = [k for k, j in enumerate(order) if j != i or not punctured]
     return np.array([order[k] for k in keep], dtype=np.int64), [dists[k] for k in keep]
 
 
@@ -707,8 +797,9 @@ def punctured_ball_problem(space: MetricSpace, f: FunctionOracle,
                            budget: Optional[int] = None) -> WitnessProblem:
     """Arity-1 problem: region B(x, r) \\ {x}, score f(u).
 
-    Scores do not depend on x, so f is ranked once over the space; at x a
-    ball is a prefix of the sorted row.
+    Scores do not depend on x, so the table reads f's ranking in mode (in
+    sup mode the one liminf_at and limsup_at read); at x a ball is a prefix
+    of the sorted row.
     """
     trunc = radius_truncation(space) if truncation is None else tuple(truncation)
 
@@ -721,21 +812,12 @@ def punctured_ball_problem(space: MetricSpace, f: FunctionOracle,
     def score(z: tuple, u: tuple) -> Num:
         return f.value(u[0])
 
-    @functools.cache
-    def ranked():
-        got = _rank_or_none(lambda: [f.value(u) for u in space.points], mode)
-        if got is None:
-            return None
-        scores, codes, values = got
-        keys = _arity1_keys(codes, _id_rank(space), len(space))
-        return keys, np.array([_is_float(v) for v in scores]), values
-
     def build(i: int) -> Optional[Optima]:
-        got = ranked()
+        got = _rankings(f, space).points(mode)
         if got is None:
             return None
         keys, floats, values = got
-        points, dists = _punctured_row(space, i)
+        points, dists = _sorted_row(space, i, True)
         zeros = np.zeros(len(trunc), dtype=np.int64)
         hi = np.array([bisect_left(dists, r) for r in trunc], dtype=np.int64)
         return Optima(points, _masked(keys[points][None, :], points), zeros, zeros, hi,
@@ -755,20 +837,13 @@ def ball_pairs_problem(space: MetricSpace, f: FunctionOracle,
                        budget: Optional[int] = None) -> WitnessProblem:
     """Arity-2 problem: distinct pairs of B(x, r), score |f(u1)-f(u2)|/d.
 
-    Pair scores are ranked once over the space.  At x a ball is a prefix of
-    the sorted row, and each point joining it brings the pairs it forms with
-    the points before it, so one running maximum serves every radius.
+    The table reads f's ranked pair quotients (in sup mode the ones
+    lip_local_sup and lip_modulus read).  At x a ball is a prefix of the sorted row, and each
+    point joining it brings the pairs it forms with the points before it, so
+    one running maximum serves every radius.
     """
     trunc = radius_truncation(space) if truncation is None else tuple(truncation)
     cache: dict = {}
-
-    def pair_score(a: Point, b: Point) -> Num:
-        key = (a.id, b.id) if a.id <= b.id else (b.id, a.id)
-        v = cache.get(key)
-        if v is None:
-            v = _pair_quotient(f, space, a, b)
-            cache[key] = v
-        return v
 
     def region(x: Point, r: Num) -> Region:
         return ball_pairs(space, x, r, budget)
@@ -778,44 +853,22 @@ def ball_pairs_problem(space: MetricSpace, f: FunctionOracle,
         return a != b and space.distance(x, a) < r and space.distance(x, b) < r
 
     def score(z: tuple, u: tuple) -> Num:
-        return pair_score(u[0], u[1])
-
-    @functools.cache
-    def ranked():
-        n = len(space)
-        a, b = np.triu_indices(n, 1)
-
-        def score_all() -> list:
-            fv = [f.value(u) for u in space.points]
-            return [_exact_div(abs(sub(fv[i], fv[j])), space.matrix[i][j])
-                    for i, j in zip(a.tolist(), b.tolist())]
-
-        got = _rank_or_none(score_all, mode)
-        if got is None:
-            return None
-        scores, codes, values = got
-        rank = _id_rank(space)
-        first, second = np.minimum(rank[a], rank[b]), np.maximum(rank[a], rank[b])
-        width = n * n
-        keys = np.full((n, n), -1, dtype=np.int64)
-        keys[a, b] = keys[b, a] = (np.array(codes, dtype=np.int64) * width
-                                   + (width - 1 - (first * n + second)))
-        floats = np.zeros((n, n), dtype=bool)
-        floats[a, b] = floats[b, a] = [_is_float(v) for v in scores]
-        return keys, floats, values
+        a, b = u
+        key = (a.id, b.id) if a.id <= b.id else (b.id, a.id)
+        if key not in cache:
+            cache[key] = _pair_quotient(f, space, a, b)
+        return cache[key]
 
     def witness_of(k: int) -> tuple:
-        n = len(space)
-        ids = space.id_order
+        n, ids = len(space), space.id_order
         return (space.points[ids[k // n]], space.points[ids[k % n]])
 
     def build(i: int) -> Optional[Optima]:
-        got = ranked()
+        got = _rankings(f, space).pairs(mode)
         if got is None:
             return None
         pair_keys, pair_floats, values = got
-        order, dists = space.sorted_row(i)
-        points = np.array(order, dtype=np.int64)
+        points, dists = _sorted_row(space, i, False)
         block = np.ix_(points, points)
 
         def keys_for(mask):
@@ -885,8 +938,8 @@ def torus_slope_problem(space: MetricSpace, f: FunctionOracle,
 
     def build(i: int) -> Optional[Optima]:
         levels, radii, rows, inner, outer, rank = layout()
-        descent = _descent_rows(f, space)
-        ranked = [descent.row(i, t, mode) for t in levels]
+        rankings = _rankings(f, space)
+        ranked = [rankings.row(i, t, mode) for t in levels]
         if None in ranked:
             return None
         center = ranked[0].center
@@ -932,21 +985,14 @@ def problem_from_descriptor(space: MetricSpace, f: FunctionOracle,
         raise DescriptorError(f"mode must be 'sup' or 'inf', got {mode!r}")
     kwargs: dict = {"mode": mode}
     if family == "torus-slope":
-        t_mode = obj.get("t_mode", "sample")
+        t_mode = kwargs["t_mode"] = obj.get("t_mode", "sample")
         if t_mode not in ("sample", "full"):
             raise DescriptorError(f"t_mode must be 'sample' or 'full', got {t_mode!r}")
-        density = obj.get("q_density")
-        if density is not None:
-            if not isinstance(density, int) or density < 2:
-                raise DescriptorError("q_density must be an integer >= 2")
-            kwargs["truncation"] = shell_truncation(
-                space, level_grid(f, space, t_mode), density)
-        else:
-            kwargs["t_mode"] = t_mode
-    else:
-        density = obj.get("q_density")
-        if density is not None:
-            if not isinstance(density, int) or density < 2:
-                raise DescriptorError("q_density must be an integer >= 2")
-            kwargs["truncation"] = radius_truncation(space, density)
+    density = obj.get("q_density")
+    if density is not None:
+        if not isinstance(density, int) or density < 2:
+            raise DescriptorError("q_density must be an integer >= 2")
+        kwargs["truncation"] = (  # a truncation leaves t_mode unused
+            shell_truncation(space, level_grid(f, space, t_mode), density)
+            if family == "torus-slope" else radius_truncation(space, density))
     return PROBLEM_FAMILIES[family](space, f, **kwargs)

@@ -641,6 +641,7 @@ def _product(inst: Instance, n2: int, coeffs_of: Callable, t_mode: str):
     def f2(x: Point, y: Point) -> Num:
         return g.value(x) + coeffs[x.id] * s2.distance(y, y0)
 
+    @functools.cache  # the closure and the comparisons share each slice problem
     def make_problem(y: Point) -> WitnessProblem:
         return torus_slope_problem(s1, _slice(f2, y), "sup", t_mode=t_mode)
 

@@ -228,6 +228,15 @@ class TestSlopeAndLip:
         assert body["value"] == 1
         assert body["radii"] == ["1/2", "3/2", 3]
 
+    def test_a_point_without_neighbours_is_named_as_isolated(self, tmp_path, capsys):
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"kind": "finite", "metric": "matrix",
+                                    "points": ["a"], "matrix": [[0]]}))
+        for verb, grid in (("slope", "shells"), ("lip", "radii")):
+            assert run_cli([verb, "--space", str(path), "--fn", "zero", "--x", "a"]) == 2
+            err = capsys.readouterr().err
+            assert f"no {grid} realized at 'a'" in err and "Traceback" not in err
+
     def test_lip_rejects_shell_params(self, line3_path, capsys):
         code = run_cli(["lip", "--space", line3_path, "--fn", "coord",
                         "--x", "p0", "--param", "1,2,3"])

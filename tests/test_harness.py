@@ -28,8 +28,8 @@ from sepdet import (
     torus_slope_problem,
     witness_dump,
 )
-from sepdet.extreal import is_finite
-from sepdet.harness import SUITES
+from sepdet.extreal import fmt, is_finite
+from sepdet.harness import SUITES, Instance, _plan_sizes
 
 COORD = builtin_function("coord")
 
@@ -376,3 +376,65 @@ def test_small_suite_reports_are_pinned():
             text = json.dumps(report.to_json(), sort_keys=True).encode()
             got[f"{name} {eps}/{cap}"] = hashlib.sha256(text).hexdigest()
     assert got == GOLDEN
+
+
+def compared_values(name: str, cfg: SuiteConfig) -> list:
+    """Every value each comparison of the suite computes, as (fmt, type name).
+
+    A report keeps no value of a passing check, so this pins what the
+    formulas compute, not only their verdicts.
+    """
+
+    def enc(v):
+        if type(v) is tuple:
+            return [enc(u) for u in v]
+        return None if v is None else [fmt(v), type(v).__name__]
+
+    spec = SUITES[name][0]
+    sizes = _plan_sizes(cfg, spec)
+    got = []
+    for i in range(len(sizes) + spec.extra(cfg)):
+        for stage in spec.build(Instance(name, cfg, i, sizes)):
+            Y = None if stage.close is None else stage.close().union
+            for comp in stage.comparisons:
+                for at in comp.points(Y):
+                    out = comp.at(Y, at)
+                    got.append([i, comp.name, out if isinstance(out, str) else enc(out)])
+    return got
+
+
+# sha256 of compared_values at the GOLDEN configs; the suites without a
+# comparison (thm-2.1, thm-2.2, thm-2.3) hash the empty list.
+PINNED_VALUES = {
+    "prop-1.1 0/1": "32c976d282e34b25e09f600ef4883f0728a9dd3dc1e6494c125e31026508c5ea",
+    "prop-3.2 0/1": "11a24d175b0b00d78949a2b768bba7c0d4ae0c033bc17ede229d6084bff9cf89",
+    "prop-4.1 0/1": "3ad0d657b2601c461eefd9c65b940bcc2c867b53d9b99fdda09d4f254a37fc42",
+    "thm-2.1 0/1": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    "thm-2.2 0/1": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    "thm-2.3 0/1": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    "thm-3.1 0/1": "45790c2ef4d773a82a6200faea7825a19345751121eda8b916b224730ee94a4d",
+    "thm-3.3 0/1": "8919df376bce9c54fffe7a0b22c7a7a5e92cfb90103d8314d6115bea232d62b2",
+    "thm-4.2 0/1": "8c4c62d534e4b3dca5f3b737fc60b26ee82cfa5b5d4ac7fe035a506c7a4ab60a",
+    "thm-4.3 0/1": "dc7d6ae580ece4bfc7e7c9b97569aafedad191038a05acf49dcf0a3c062504a6",
+    "prop-1.1 1/2/3": "32c976d282e34b25e09f600ef4883f0728a9dd3dc1e6494c125e31026508c5ea",
+    "prop-3.2 1/2/3": "11a24d175b0b00d78949a2b768bba7c0d4ae0c033bc17ede229d6084bff9cf89",
+    "prop-4.1 1/2/3": "5bec62574ee3c7dca0eabeb1ca65dad71bf0d4c5e54278a212996e11743a1e1e",
+    "thm-2.1 1/2/3": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    "thm-2.2 1/2/3": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    "thm-2.3 1/2/3": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    "thm-3.1 1/2/3": "92c7f8525141a6238ddf42eb62e234b2fcc9c4ce6bf5da06197386e46d205c05",
+    "thm-3.3 1/2/3": "5c39cabb04412aae09b7397eb29efca1b9e11a2b2dc4cb598cfaf341e550d4a0",
+    "thm-4.2 1/2/3": "dc2dc0603ec4b684a9d1efc94e946a6937c4bc2a37de8c290a80beecb921b1e8",
+    "thm-4.3 1/2/3": "a9027bf142d724b0cd0646fe3f59eb9abaa658d5d804808e596954d54f88b2b5",
+}
+
+
+def test_small_suite_values_are_pinned():
+    got = {}
+    for eps, cap in ((0, 1), (Fraction(1, 2), 3)):
+        for name in sorted(SUITES):
+            instances, sizes = GOLDEN_SIZES.get(name, (4, (5, 7, 9, 11)))
+            cfg = SuiteConfig(instances=instances, sizes=sizes, eps=eps, cap=cap)
+            text = json.dumps(compared_values(name, cfg)).encode()
+            got[f"{name} {eps}/{cap}"] = hashlib.sha256(text).hexdigest()
+    assert got == PINNED_VALUES

@@ -7,9 +7,10 @@ witnesses, reported values, verdicts, sizes, tolerances and raised errors.
 Sweeps decide table checks by code equality, and closure rounds read each
 distinct witness key once; counted tallies, per-check sweeps and closures
 must match the scan's.
-The torus supremum and the slopes read ranked descent rows on finite spaces;
-a budget covering the whole space leaves them the shell scan, and both must
-give the same value of the same type, or raise the same error.
+The torus supremum and the slopes read ranked descent rows on finite spaces,
+and the limits and the pairwise Lipschitz formulas read f's shared rankings;
+a budget covering the whole space leaves them the scan, and both must give
+the same value of the same type, or raise the same error.
 """
 
 import dataclasses
@@ -18,7 +19,7 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepdet import (
@@ -35,8 +36,13 @@ from sepdet import (
     check_reduction,
     check_sweep,
     closure_iterate,
+    continuity_check,
     intersect_problems,
     level_grid,
+    liminf_at,
+    limsup_at,
+    lip_local_sup,
+    lip_modulus,
     midpoint_grid,
     partial_slope,
     punctured_ball_points,
@@ -50,6 +56,7 @@ from sepdet import (
     witness_select,
 )
 from sepdet.extreal import NEG_INF, POS_INF
+from sepdet.functionals import _rankings
 from sepdet.scheme import rank_scores, sweep_tally
 
 # Function values; "mixed" holds equal scores of different types (2, 2.0,
@@ -195,7 +202,7 @@ def typed(run):
     """A result as its type and repr, or the type and message of what it raised."""
     try:
         v = run()
-    except SepdetError as exc:
+    except (SepdetError, ValueError) as exc:  # ValueError: an empty radius grid
         return type(exc).__name__, str(exc)
     return "ok", type(v).__name__, repr(v)
 
@@ -257,6 +264,105 @@ def test_equal_quotients_of_two_types_keep_the_first_in_enumeration_order(ids):
     first = int if ids[1] == "b" else float  # the scan keeps the first maximal member
     assert type(torus_sup(f, space, a, 2, Fraction(1, 2), 3)) is first
     assert type(slope_at(f, space, a, ScaleGrid(shells=((Fraction(1, 2), 3),)))) is first
+
+
+def oracle_or_none(prob, x, r, Y):
+    """The brute-force optimum of B(x, r) (within Y), None when no tuple qualifies."""
+    try:
+        return brute_force_optimum(prob, (x, r), restrict=Y)
+    except EmptyRegion:
+        return None
+
+
+@pytest.mark.parametrize("palette", sorted(PALETTES))
+@pytest.mark.parametrize("kind", SPACES)
+@settings(max_examples=10)
+@given(st.fixed_dictionaries({
+    "n": st.integers(1, 7),
+    "seed": st.integers(0, 10**6),
+    "shuffle_ids": st.booleans(),
+    "inf": st.sampled_from((0.0, 0.3)),
+}))
+def test_pair_and_limit_reads_agree_with_the_scan_and_the_oracle(kind, palette, case):
+    space = make_space(kind, case["n"], case["seed"], case["shuffle_ids"])
+    f = make_function(space, case["seed"], palette, case["inf"])
+    if palette == "fraction" and not case["inf"]:  # the reads are taken
+        assert _rankings(f, space).pairs("sup") is not None
+        assert _rankings(f, space).points("sup") is not None
+    scan = len(space)  # a budget covering the space leaves the formulas the scan
+    rng = Random(case["seed"])
+    dists = space.realized_distances()
+    # radii at realized distances, between them, below and beyond them all
+    radii = sorted(set(dists) | set(midpoint_grid(dists)) | {Fraction(1, 3), 100})
+    bad = [0, -1, Fraction(-1, 2)]
+    pairs = ball_pairs_problem(space, f, "sup", truncation=radii)
+    lows, highs = (punctured_ball_problem(space, f, mode, truncation=radii)
+                   for mode in ("inf", "sup"))
+    for x in space.points:
+        others = [p for p in space.points if p != x]
+        inside = [x] + rng.sample(others, rng.randint(0, len(others)))
+        picked = rng.sample(radii, min(4, len(radii)))
+        grids = [tuple(radii), tuple(picked), (), (rng.choice(bad),) + tuple(picked),
+                 tuple(picked[:2]) + (rng.choice(bad),) + tuple(picked[2:])]
+        for Y in (None, inside, others):
+            for r in radii + bad:
+                got = typed(lambda: lip_local_sup(f, space, x, r, Y))
+                assert got == typed(lambda: lip_local_sup(f, space, x, r, Y, budget=scan))
+            for grid in grids:
+                for formula in (lip_modulus, liminf_at, limsup_at, continuity_check):
+                    assert typed(lambda: formula(f, space, x, grid, Y)) == \
+                        typed(lambda: formula(f, space, x, grid, Y, budget=scan))
+            if Y is others:
+                continue  # the formulas need the center in Y; the oracle does not
+            sups = [oracle_or_none(pairs, x, r, Y) for r in radii]
+            for r, best in zip(radii, sups):
+                got = lip_local_sup(f, space, x, r, Y)
+                assert (got.pairs > 0) == (best is not None)
+                assert got.value == (best or 0)
+            lip = [best for best in sups if best is not None]
+            assert outcome(lambda: lip_modulus(f, space, x, radii, Y)) == (
+                ("ok", min(lip)) if lip else ("IsolatedPoint", no_pair(x)))
+            low = [v for v in (oracle_or_none(lows, x, r, Y) for r in radii) if v is not None]
+            high = [v for v in (oracle_or_none(highs, x, r, Y) for r in radii) if v is not None]
+            assert outcome(lambda: liminf_at(f, space, x, radii, Y)) == (
+                ("ok", max(low)) if low else ("IsolatedPoint", isolated(x)))
+            assert outcome(lambda: limsup_at(f, space, x, radii, Y)) == (
+                ("ok", min(high)) if high else ("IsolatedPoint", isolated(x)))
+
+
+def isolated(x):
+    return f"every punctured ball at {x.id!r} along the grid is empty"
+
+
+def no_pair(x):
+    return f"no ball at {x.id!r} along the grid holds a pair"
+
+
+@pytest.mark.parametrize("zero", [Fraction(3, 2), 0.5])
+def test_a_ball_of_zero_quotients_gives_int_zero(zero, line3):
+    f = FunctionOracle.from_table({p.id: zero for p in line3.points})
+    x = line3.point("p0")
+    for budget in (None, len(line3)):
+        got = lip_local_sup(f, line3, x, 4, budget=budget)
+        assert got == (0, 3) and type(got.value) is int
+        assert type(lip_modulus(f, line3, x, (Fraction(3, 2), 4), budget=budget)) is int
+
+
+@pytest.mark.parametrize("ids", [("a", "b", "c"), ("a", "c", "b")])
+def test_equal_pair_quotients_and_values_of_two_types_keep_the_first(ids):
+    # unit distances: |0 - 2| = 2 and |0 - 2.0| = 2.0 are the largest quotients
+    # at a, and f is 2 at b and 2.0 at c
+    values = {"a": 0, "b": 2, "c": 2.0}
+    points = [Point(pid) for pid in ids]
+    space = FiniteMetricSpace.from_matrix(
+        points, [[0 if p == q else 1 for q in points] for p in points])
+    f = FunctionOracle.from_table({pid: values[pid] for pid in ids})
+    a = space.point("a")
+    first = int if ids[1] == "b" else float  # the scan keeps the first in enumeration order
+    assert type(lip_local_sup(f, space, a, 2).value) is first
+    assert type(lip_modulus(f, space, a, (2,))) is first
+    assert type(liminf_at(f, space, a, (2,))) is first
+    assert type(limsup_at(f, space, a, (2,))) is first
 
 
 def routes_agree(prob, space, Y):
