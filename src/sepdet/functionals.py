@@ -10,10 +10,10 @@ On a finite space without a budget the formulas read f's rankings, memoised
 on the function oracle per space and shared with the optimum tables of the
 families built on f: a limit is a running minimum or maximum of f's codes
 along the center's punctured row, a ball's pairwise supremum the largest
-code in a block of the ranked pair quotients, and a shell a slice of the
-ranked descent row of its (center, level).  Lazy or budgeted spaces,
-centers outside the space, declined rankings and functions that raise take
-the region scan.
+code in a block of the ranked pair quotients, and a shell's supremum the
+largest descent-quotient code of its (center, level) along a slice of the
+center's sorted row.  Lazy or budgeted spaces, centers outside the space,
+declined rankings and functions that raise take the region scan.
 
 The module also ships the three registered witness-problem families
 (punctured-ball, ball-pairs, torus-slope), each with a per-center optimum
@@ -28,7 +28,7 @@ import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -266,44 +266,16 @@ def _exact_div(num: Num, den: Num) -> Num:
     return num / den
 
 
-class _Center:
-    """Point i's sorted row past distance 0.
-
-    No shell r < d < s with r > 0 reaches a point at distance 0.
-    """
-
-    def __init__(self, space: FiniteMetricSpace, i: int):
-        order, dists = space.sorted_row(i)
-        a = bisect_right(dists, 0)
-        self.index = order[a:]
-        self.points = tuple(space.points[j] for j in self.index)
-        self.dists = dists[a:]
-
-    def shell(self, r: Num, s: Num) -> tuple[int, int]:
-        """Positions a:b of the shell r < d < s."""
-        return bisect_right(self.dists, r), bisect_left(self.dists, s)
-
-
-class _DescentRow(NamedTuple):
-    """Descent quotients of one (center, level) along the center's row.
-
-    The quotient at position k is values[codes[k]]; a larger code is a
-    larger quotient.
-    """
-
-    center: _Center
-    codes: list
-    values: list
-
-
 class _Rankings:
     """One function's values, computed once, and rankings on one finite space.
 
-    Ranked in a mode, f gives (keys, float flags, value of each code) with
-    one key per point, and the pair quotients |f(a) - f(b)| / d(a, b) with
-    an n x n key matrix (-1 on the diagonal); keys are Optima keys, so a
-    key's code is key // width.  Each (center, level, mode) gives a descent
-    row.  None (f raises, or rank_scores declines) leaves the scores to the scan.
+    A ranking is (keys, float flags, value of each code) by point index; keys
+    are Optima keys, so a key's code is key // width.  Ranked in a mode, f
+    gives one key per point; the pair quotients |f(a) - f(b)| / d(a, b) give
+    an n x n key matrix (-1 on the diagonal); the descent quotients
+    (t - f(u))^+ / d(x, u) of a center x and level t give one key per point,
+    -1 at distance 0 from x, where no shell reaches.  None (f raises, or
+    rank_scores declines) leaves the scores to the scan.
     """
 
     def __init__(self, f: FunctionOracle, space: FiniteMetricSpace):
@@ -312,8 +284,8 @@ class _Rankings:
             self.fv: Optional[list] = [f.value(u) for u in space.points]
         except Exception:  # re-raised by the scan where it belongs
             self.fv = None
-        self.rank = _id_rank(space)
-        self.centers: dict = {}
+        self.rank = np.empty(len(space), dtype=np.int64)  # point index -> id rank
+        self.rank[list(space.id_order)] = np.arange(len(space))
         self.memo: dict = {}
 
     def _get(self, key: tuple, make: Callable):
@@ -351,20 +323,26 @@ class _Rankings:
 
         return self._get(("pairs", mode), make)
 
-    def row(self, i: int, t: Num, mode: str) -> Optional[_DescentRow]:
+    def descent(self, i: int, t: Num, mode: str) -> Optional[tuple]:
+        def make():
+            fv, n = self.fv, len(self.space)
+            order, dists = self.space.sorted_row(i)
+            a = bisect_right(dists, 0)
+            got = _rank_or_none(lambda: [_exact_div(pos_part(sub(t, fv[j])), d)
+                                         for j, d in zip(order[a:], dists[a:])], mode)
+            if got is None:
+                return None
+            scores, codes, values = got
+            by_point, floats = [-1] * n, [False] * n
+            for j, c, v in zip(order[a:], codes, scores):
+                by_point[j], floats[j] = c, _is_float(v)
+            # code -1 at distance 0 gives a key below -1, clipped to -1
+            return np.maximum(_arity1_keys(by_point, self.rank, n), -1), np.array(floats), values
+
         try:
-            return self._get(("row", i, mode, type(t), t), lambda: self._rank(i, t, mode))
+            return self._get(("descent", i, mode, type(t), t), make)
         except TypeError:  # an unhashable level is left to the scan
             return None
-
-    def _rank(self, i: int, t: Num, mode: str) -> Optional[_DescentRow]:
-        center = self.centers.get(i)
-        if center is None:
-            center = self.centers[i] = _Center(self.space, i)
-        fv = self.fv
-        got = _rank_or_none(lambda: [_exact_div(pos_part(sub(t, fv[j])), d)
-                                     for j, d in zip(center.index, center.dists)], mode)
-        return None if got is None else _DescentRow(center, got[1], got[2])
 
 
 def _rankings(f: FunctionOracle, space: MetricSpace,
@@ -479,6 +457,7 @@ def continuity_check(f: FunctionOracle, space: MetricSpace, x: Point, grid,
                      Y: Optional[Iterable[Point]] = None, tol: Num = 0,
                      budget: Optional[int] = None) -> bool:
     """True when grid liminf and limsup both agree with f(x) up to tol."""
+    Y = None if Y is None else tuple(Y)  # both limits read it
     fx = f.value(x)
     lo = liminf_at(f, space, x, grid, Y, budget)
     hi = limsup_at(f, space, x, grid, Y, budget)
@@ -564,19 +543,29 @@ def _descent_quotient(t: Num, f: FunctionOracle, space: MetricSpace,
     return _exact_div(num, space.distance(x, u))
 
 
-def _row_at(f: FunctionOracle, space: MetricSpace, x: Point, t: Num,
-            budget: Optional[int]) -> Optional[_DescentRow]:
-    """The sup-ranked descent row of (x, t), or None to leave x to the scan."""
+def _shell_codes(f: FunctionOracle, space: MetricSpace, x: Point, t: Num, shells: Iterable,
+                 allowed: Optional[set], budget: Optional[int]) -> Optional[tuple]:
+    """The largest code of each shell r < d(x, u) < s within allowed in the
+    sup-ranked descent quotients of (x, t), -1 where it holds none, and the
+    value of each code; None leaves x to the scan, and shells unread.
+
+    A shell is a slice of x's sorted row, where r > 0 skips distance 0.
+    """
     at = _center_of(f, space, x, budget)
-    return None if at is None else at[0].row(at[1], t, "sup")
-
-
-def _shell_code(row: _DescentRow, allowed: Optional[set], a: int, b: int) -> int:
-    """Largest code of positions a:b of the row within allowed, -1 if none."""
-    codes = row.codes[a:b]
-    if allowed is not None:
-        codes = [c for c, u in zip(codes, row.center.points[a:b]) if u in allowed]
-    return max(codes, default=-1)
+    ranked = None if at is None else at[0].descent(at[1], t, "sup")
+    if ranked is None:
+        return None
+    keys, _, values = ranked
+    key, n, points = keys.item, len(keys), space.points
+    order, dists = space.sorted_row(at[1])
+    codes = []
+    for r, s in shells:
+        a = bisect_right(dists, r)
+        shell = order[a:bisect_left(dists, s, a)]  # s > r: the shell ends at a or later
+        if allowed is not None:
+            shell = [j for j in shell if points[j] in allowed]
+        codes.append(max(map(key, shell), default=-1) // n)
+    return codes, values
 
 
 def torus_sup(f: FunctionOracle, space: MetricSpace, x: Point, t: Num, r: Num, s: Num,
@@ -584,38 +573,36 @@ def torus_sup(f: FunctionOracle, space: MetricSpace, x: Point, t: Num, r: Num, s
               budget: Optional[int] = None) -> Num:
     """sup of (t - f(u))^+ / d(x, u) over the shell r < d(x, u) < s (within Y).
 
-    Reads the shell as a slice of the ranked descent row of (x, t); scans
-    the shell where no row applies.  Raises EmptyRegion when the
+    Reads the largest of the shell's ranked descent quotients of (x, t);
+    scans the shell where no ranking applies.  Raises EmptyRegion when the
     (restricted) shell is empty.
     """
     allowed = None if Y is None else set(Y)
     _check_center(x, allowed)
     _check_shell(r, s)
-    row = _row_at(f, space, x, t, budget)
-    if row is None:
+    read = _shell_codes(f, space, x, t, ((r, s),), allowed, budget)
+    if read is None:
         pts = _restricted(torus_points(space, x, r, s, budget), allowed)
         best = max((_descent_quotient(t, f, space, x, u) for u in pts), default=None)
     else:
-        code = _shell_code(row, allowed, *row.center.shell(r, s))
-        best = None if code < 0 else row.values[code]
+        (code,), values = read
+        best = None if code < 0 else values[code]
     if best is None:
         raise EmptyRegion(f"empty shell ({fmt(r)}, {fmt(s)}) at {x.id!r}")
     return best
 
 
-def _inner_sups(row: _DescentRow, shells: Sequence[tuple], allowed: Optional[set]) -> list:
-    """Codes of the inner suprema over the nonempty shells, one per outer radius.
-
-    For a fixed s the shells nest as r falls, so the least r of each s
-    gives the union of its shells and their supremum.
-    """
+def _widest(shells: Iterable) -> Iterator[tuple]:
+    """The shell with the least r of each outer radius s, which holds the
+    others (the shells of one s nest as r falls), every shell checked.  Lazy:
+    a center left to the scan checks its shells in grid order instead."""
     least: dict = {}
     for r, s in shells:
         _check_shell(r, s)
         if s not in least or r < least[s]:
             least[s] = r
-    codes = [_shell_code(row, allowed, *row.center.shell(r, s)) for s, r in least.items()]
-    return [c for c in codes if c >= 0]
+    for s, r in least.items():
+        yield r, s
 
 
 def slope_at(f: FunctionOracle, space: MetricSpace, x: Point,
@@ -628,8 +615,8 @@ def slope_at(f: FunctionOracle, space: MetricSpace, x: Point,
     +inf - +inf = 0, the value is well defined for proper f, and is +inf
     exactly when every realized inner supremum is.  Empty shells contribute
     nothing; if every shell in the grid is empty the point is isolated.
-    Every shell is read off the ranked descent row of (x, f(x)) where one
-    applies, and scanned otherwise.
+    Every shell is read off the ranked descent quotients of (x, f(x)) where
+    they apply, and scanned otherwise.
     """
     shells = grid.shells if isinstance(grid, ScaleGrid) else tuple(grid or ())
     if not shells:
@@ -639,12 +626,12 @@ def slope_at(f: FunctionOracle, space: MetricSpace, x: Point,
     allowed = None if Y is None else set(Y)
     _check_center(x, allowed)
     t = f.value(x)
-    row = _row_at(f, space, x, t, budget)
-    if row is not None:
-        codes = _inner_sups(row, shells, allowed)
+    read = _shell_codes(f, space, x, t, _widest(shells), allowed, budget)
+    if read is not None:
+        codes = [c for c in read[0] if c >= 0]
         if not codes:
             raise IsolatedPoint(f"every shell at {x.id!r} is empty")
-        return row.values[min(codes)]
+        return read[1][min(codes)]
     inner: dict = {}
     for r, s in shells:
         pts = _restricted(torus_points(space, x, r, s, budget), allowed)
@@ -785,12 +772,6 @@ def _masked(keys: np.ndarray, points: np.ndarray):
     return lambda mask: keys if mask is None else np.where(mask[points], keys, -1)
 
 
-def _id_rank(space: FiniteMetricSpace) -> np.ndarray:
-    rank = np.empty(len(space), dtype=np.int64)
-    rank[list(space.id_order)] = np.arange(len(space))
-    return rank
-
-
 def punctured_ball_problem(space: MetricSpace, f: FunctionOracle,
                            mode: str = "sup",
                            truncation: Optional[Sequence[Num]] = None,
@@ -898,9 +879,9 @@ def torus_slope_problem(space: MetricSpace, f: FunctionOracle,
                         budget: Optional[int] = None) -> WitnessProblem:
     """Arity-1 problem: shells r < d(x,u) < s, score (t - f(u))^+ / d(x,u).
 
-    At x each level t gives one ranked descent row (shared with torus_sup
-    and slope_at through f); a shell is a slice of it, so its optimum is a
-    range maximum.
+    At x each level t gives one ranking of the descent quotients (shared
+    with torus_sup and slope_at through f); laid out along x's sorted row, a
+    shell is a slice, so its optimum is a range maximum.
     """
     if truncation is None:
         truncation = shell_truncation(space, level_grid(f, space, t_mode))
@@ -933,27 +914,21 @@ def torus_slope_problem(space: MetricSpace, f: FunctionOracle,
                   radii.setdefault((type(r), r), len(radii)),
                   radii.setdefault((type(s), s), len(radii))) for t, r, s in trunc]
         rows, inner, outer = (np.array(col, dtype=np.int64) for col in zip(*index))
-        return ([t for _, t in levels], [r for _, r in radii], rows, inner, outer,
-                _id_rank(space))
+        return [t for _, t in levels], [r for _, r in radii], rows, inner, outer
 
     def build(i: int) -> Optional[Optima]:
-        levels, radii, rows, inner, outer, rank = layout()
+        levels, radii, rows, inner, outer = layout()
         rankings = _rankings(f, space)
-        ranked = [rankings.row(i, t, mode) for t in levels]
+        ranked = [rankings.descent(i, t, mode) for t in levels]
         if None in ranked:
             return None
-        center = ranked[0].center
-        points = np.array(center.index, dtype=np.int64)
-        m, n = len(points), len(space)
-        dists = center.dists
+        points, dists = _sorted_row(space, i, True)
         lo = np.array([bisect_right(dists, r) for r in radii], dtype=np.int64)[inner]
         hi = np.array([bisect_left(dists, r) for r in radii], dtype=np.int64)[outer]
-        codes = np.array([row.codes for row in ranked], dtype=np.int64).reshape(-1, m)
-        floats = np.array([[_is_float(row.values[c]) for c in row.codes] for row in ranked],
-                          dtype=bool).reshape(-1, m)
-        return Optima(points, _masked(_arity1_keys(codes, rank[points], n), points), rows,
-                      lo, hi, [row.values for row in ranked], n, 1,
-                      lambda k: (space.points[space.id_order[k]],), floats)
+        keys, floats, values = zip(*ranked)
+        return Optima(points, _masked(np.stack(keys)[:, points], points), rows, lo, hi,
+                      list(values), len(space), 1,
+                      lambda k: (space.points[space.id_order[k]],), np.stack(floats)[:, points])
 
     return WitnessProblem(
         name=f"torus-slope[{mode}]", space=space,

@@ -47,18 +47,16 @@ from .extreal import (
 )
 from .spaces import FiniteMetricSpace, MetricSpace, Point, Region
 
-Param = object  # scalar radius or (t, r, s) triple; opaque to the engine
-
 
 @dataclass(frozen=True)
 class ParamSpace:
     """A separable parameter space, given by its finite truncation.
 
     The truncation is the finite, duplicate-free sample of a dense subset
-    actually swept by closures and checks.
+    actually swept by closures and checks: scalar radii or (t, r, s) shell
+    triples, opaque to the engine.
     """
 
-    description: str
     truncation: tuple
 
     def __post_init__(self):
@@ -70,12 +68,11 @@ class ParamSpace:
 
 
 def positive_scalar_params(truncation: Sequence[Num]) -> ParamSpace:
-    return ParamSpace(description="positive scalar radii", truncation=tuple(truncation))
+    return ParamSpace(tuple(truncation))
 
 
 def shell_params(truncation: Sequence[tuple]) -> ParamSpace:
-    return ParamSpace(description="(level, inner, outer) shell triples",
-                      truncation=tuple(truncation))
+    return ParamSpace(tuple(truncation))
 
 
 @dataclass(frozen=True)
@@ -95,8 +92,8 @@ class WitnessProblem:
     params: ParamSpace
     arity: int
     mode: str
-    region: Callable[[Point, Param], Region]
-    member: Callable[[Point, Param, tuple], bool]
+    region: Callable[[Point, object], Region]
+    member: Callable[[Point, object, tuple], bool]
     score: Callable[[tuple, tuple], Num]
     optima: Optional[Callable[[Point], Optional["Optima"]]] = None
 
@@ -222,7 +219,7 @@ class Provenance:
 
     problem: str
     x: Point
-    param: Param
+    param: object
     witness: tuple
     component: int
 
@@ -270,7 +267,7 @@ class DeterminacyCheck:
 
     problem: str
     x: Point
-    param: Param
+    param: object
     mode: str
     lhs: Optional[Num]
     rhs: Optional[Num]
@@ -300,7 +297,7 @@ class DeterminacyCheck:
         }
 
 
-def fmt_param(p: Param):
+def fmt_param(p: object):
     if isinstance(p, tuple):
         return [fmt(v) for v in p]
     return fmt(p)
@@ -335,7 +332,7 @@ def _score_region(problem: WitnessProblem, z: tuple, region: Region) -> list:
     return out
 
 
-def _select(problem: WitnessProblem, x: Point, p: Param, region: Region,
+def _select(problem: WitnessProblem, x: Point, p: object, region: Region,
             eps: Num, cap: int) -> tuple[tuple, ...]:
     z = (x, p)
     scored = _score_region(problem, z, region)
@@ -365,7 +362,7 @@ def validate_tolerance(tol: Optional[Num]) -> None:
         raise ValueError("tolerance must be nonnegative")
 
 
-def _empty_region(problem: WitnessProblem, x: Point, p: Param) -> EmptyRegion:
+def _empty_region(problem: WitnessProblem, x: Point, p: object) -> EmptyRegion:
     return EmptyRegion(f"{problem.name}: empty region at x={x.id}, p={fmt_param(p)}")
 
 
@@ -518,7 +515,7 @@ def intersect_problems(problems: Sequence[WitnessProblem], seed: Iterable[Point]
                     strict_empty=strict_empty)
 
 
-def _skipped(problem: WitnessProblem, x: Point, p: Param,
+def _skipped(problem: WitnessProblem, x: Point, p: object,
              tol: Optional[Num]) -> DeterminacyCheck:
     return DeterminacyCheck(
         problem=problem.name, x=x, param=p, mode=problem.mode,
@@ -527,7 +524,7 @@ def _skipped(problem: WitnessProblem, x: Point, p: Param,
         tolerance=0 if tol is None else tol)
 
 
-def _compare(problem: WitnessProblem, x: Point, p: Param, tol: Optional[Num],
+def _compare(problem: WitnessProblem, x: Point, p: object, tol: Optional[Num],
              lhs: Num, rhs: Num, region_size: int, restricted_size: int,
              floaty: bool) -> DeterminacyCheck:
     """Verdict on the full optimum lhs against the restricted optimum rhs.
@@ -645,31 +642,15 @@ def sweep_tally(problem: WitnessProblem, Y: Iterable[Point], tol: Optional[Num] 
     return passed, skipped, failures, picked
 
 
-def check_sup_reduction(problem: WitnessProblem, Y: Iterable[Point], z: tuple,
-                        tol: Optional[Num] = None) -> DeterminacyCheck:
-    """Compare sup over G(z) with sup over tuples of Y inside G(z).
-
-    The restricted sup can never exceed the full one (raised as an internal
-    invariant if it ever did).  tol=None resolves to 0 when every score is
-    exact (int/Fraction) and to 1e-12 otherwise.  An empty region yields the
-    verdict "skipped-empty-region".
-    """
-    if problem.mode != "sup":
-        raise ValueError(f"problem {problem.name!r} is not in sup mode")
-    return _check(problem, set(Y), z, tol)
-
-
-def check_inf_reduction(problem: WitnessProblem, Y: Iterable[Point], z: tuple,
-                        tol: Optional[Num] = None) -> DeterminacyCheck:
-    """Mirror of check_sup_reduction for inf-mode problems."""
-    if problem.mode != "inf":
-        raise ValueError(f"problem {problem.name!r} is not in inf mode")
-    return _check(problem, set(Y), z, tol)
-
-
 def check_reduction(problem: WitnessProblem, Y: Iterable[Point], z: tuple,
                     tol: Optional[Num] = None) -> DeterminacyCheck:
-    """Dispatch on the problem's mode."""
+    """Compare the optimum over G(z) with the optimum over tuples of Y inside G(z).
+
+    In the problem's mode the restricted optimum can never beat the full one
+    (raised as an internal invariant if it ever did).  tol=None resolves to 0
+    when every score is exact (int/Fraction) and to 1e-12 otherwise.  An empty
+    region yields the verdict "skipped-empty-region".
+    """
     return _check(problem, set(Y), z, tol)
 
 

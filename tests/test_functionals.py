@@ -85,6 +85,13 @@ class TestLimits:
         assert limsup_at(ZERO, grid5, x, grid) == 0
         assert continuity_check(ZERO, grid5, x, grid)
 
+    def test_continuity_check_reads_a_one_shot_y_once(self, grid5, line3):
+        # both limits read Y, so an iterator must not be used up by the first
+        x, grid = grid5.point("g2"), default_radius_grid(grid5)
+        assert continuity_check(ZERO, grid5, x, grid, Y=iter(grid5.points))
+        p0, grid = line3.point("p0"), default_radius_grid(line3)
+        assert not continuity_check(COORD, line3, p0, grid, Y=iter(line3.points))
+
     def test_line_values_at_the_endpoints(self, line3):
         grid = default_radius_grid(line3)
         p0 = line3.point("p0")

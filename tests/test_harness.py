@@ -1,8 +1,11 @@
 """Instance generators, the brute-force oracle, dumps/replay, suite runs."""
 
+import ast
 import hashlib
+import importlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,9 +17,7 @@ from sepdet import (
     builtin_function,
     ball_pairs_problem,
     brute_force_optimum,
-    check_inf_reduction,
     check_reduction,
-    check_sup_reduction,
     closure_iterate,
     dyadic_interval_space,
     punctured_ball_problem,
@@ -218,7 +219,7 @@ def planted_failure(line3):
     """A deliberately unclosed Y: the inf check at (p0, 4) must fail."""
     prob = punctured_ball_problem(line3, COORD, "inf")
     Y = [line3.point("p0"), line3.point("p2")]
-    chk = check_inf_reduction(prob, Y, (line3.point("p0"), Fraction(4)))
+    chk = check_reduction(prob, Y, (line3.point("p0"), Fraction(4)))
     return prob, Y, chk
 
 
@@ -244,7 +245,7 @@ class TestDumpAndReplay:
     def test_passing_check_replays_to_a_pass(self, line3):
         prob = punctured_ball_problem(line3, COORD, "sup")
         Y = closure_iterate(prob, [line3.point("p0")]).union
-        chk = check_sup_reduction(prob, Y, (line3.point("p0"), Fraction(4)))
+        chk = check_reduction(prob, Y, (line3.point("p0"), Fraction(4)))
         dump = witness_dump(line3, COORD, prob, Y, chk)
         assert replay_check(dump).verdict == "pass"
 
@@ -438,3 +439,24 @@ def test_small_suite_values_are_pinned():
             text = json.dumps(compared_values(name, cfg)).encode()
             got[f"{name} {eps}/{cap}"] = hashlib.sha256(text).hexdigest()
     assert got == PINNED_VALUES
+
+
+def test_every_traced_name_resolves_on_sepdet():
+    # bench/tracing.py wraps sepdet's functions by (module, attribute) and the
+    # problem factories by name; its tables are read from the source, without
+    # importing or running it, so renaming a traced function fails here
+    # instead of in a traced benchmark run
+    source = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    tables = {node.targets[0].id: ast.literal_eval(node.value)
+              for node in ast.parse(source.read_text(encoding="utf-8")).body
+              if isinstance(node, ast.Assign) and len(node.targets) == 1
+              and isinstance(node.targets[0], ast.Name)
+              and node.targets[0].id in ("_TIMED", "_FACTORIES")}
+    assert tables["_TIMED"] and tables["_FACTORIES"]
+    targets = [(row[0], row[1]) for row in tables["_TIMED"]]
+    # each factory is patched where it is defined and where the harness binds it
+    targets += [(module, name) for name in tables["_FACTORIES"]
+                for module in ("sepdet.functionals", "sepdet.harness")]
+    missing = [f"{module}.{attr}" for module, attr in targets
+               if not hasattr(importlib.import_module(module), attr)]
+    assert not missing, missing

@@ -1,4 +1,4 @@
-"""Optimum tables, descent rows and sorted-row regions against the scan.
+"""Optimum tables, shared rankings and sorted-row regions against the scan.
 
 Every problem family reads exact optima from per-center tables when eps = 0
 and cap = 1 and in check sweeps; removing the table (optima=None) leaves the
@@ -7,8 +7,8 @@ witnesses, reported values, verdicts, sizes, tolerances and raised errors.
 Sweeps decide table checks by code equality, and closure rounds read each
 distinct witness key once; counted tallies, per-check sweeps and closures
 must match the scan's.
-The torus supremum and the slopes read ranked descent rows on finite spaces,
-and the limits and the pairwise Lipschitz formulas read f's shared rankings;
+The torus supremum and the slopes read ranked descent quotients on finite
+spaces, and the limits and the pairwise Lipschitz formulas f's rankings;
 a budget covering the whole space leaves them the scan, and both must give
 the same value of the same type, or raise the same error.
 """
@@ -196,6 +196,26 @@ def test_duplicate_points_stay_in_the_punctured_ball():
     assert space.distance(a, b) == 0
     assert punctured_ball_points(space, b, Fraction(1, 2)) == (a,)
     assert torus_points(space, a, Fraction(1, 2), 2) == (c,)
+    # no shell reaches a point at distance 0, whose descent quotient would divide by 0
+    f = FunctionOracle.from_table({"a": 0, "b": 3, "c": -1})
+    scan = len(space)  # a budget covering the space leaves the formulas the scan
+    shells = ((Fraction(1, 2), 2), (Fraction(1, 4), Fraction(1, 2)), (Fraction(1, 2), 1))
+    for x in space.points:
+        for Y in (None, [x, c], space.points):
+            for t in (-1, 0, 3, POS_INF):
+                for r, s in shells:
+                    assert typed(lambda: torus_sup(f, space, x, t, r, s, Y)) == \
+                        typed(lambda: torus_sup(f, space, x, t, r, s, Y, budget=scan))
+            for grid in (None, ScaleGrid(shells=shells)):
+                assert typed(lambda: slope_at(f, space, x, grid, Y)) == \
+                    typed(lambda: slope_at(f, space, x, grid, Y, budget=scan))
+    trunc = shell_truncation(space, level_grid(f, space, "full"))
+    prob = torus_slope_problem(space, f, truncation=trunc)
+    assert all(prob.optima(x) is not None for x in space.points)
+    by_scan = torus_slope_problem(space, f, truncation=trunc, budget=scan)
+    for Y in ([a, c], [b, c], space.points):
+        assert [chk.to_json() for chk in check_sweep(prob, Y)] == \
+            [chk.to_json() for chk in check_sweep(by_scan, Y)]
 
 
 def typed(run):
@@ -264,6 +284,11 @@ def test_equal_quotients_of_two_types_keep_the_first_in_enumeration_order(ids):
     first = int if ids[1] == "b" else float  # the scan keeps the first maximal member
     assert type(torus_sup(f, space, a, 2, Fraction(1, 2), 3)) is first
     assert type(slope_at(f, space, a, ScaleGrid(shells=((Fraction(1, 2), 3),)))) is first
+    # shells sharing s = 3: the inner supremum keeps the first maximal shell in grid order,
+    # and the narrow shell holds c alone
+    wide, narrow = (Fraction(1, 2), 3), (Fraction(3, 2), 3)
+    assert type(slope_at(f, space, a, ScaleGrid(shells=(narrow, wide)))) is float
+    assert type(slope_at(f, space, a, ScaleGrid(shells=(wide, narrow)))) is first
 
 
 def oracle_or_none(prob, x, r, Y):

@@ -15,8 +15,7 @@ from sepdet import (
     ScoreRangeError,
     SpaceMismatch,
     builtin_function,
-    check_inf_reduction,
-    check_sup_reduction,
+    check_reduction,
     check_sweep,
     closure_iterate,
     closure_round,
@@ -207,13 +206,13 @@ class TestChecks:
         Y = closure_iterate(prob, [line3.point("p0")]).union
         for x in Y:
             for r in prob.params.truncation:
-                chk = check_inf_reduction(prob, Y, (x, r))
+                chk = check_reduction(prob, Y, (x, r))
                 assert chk.verdict != "fail"
 
     def test_check_fields_on_a_strict_restriction(self, line3):
         prob = punctured_ball_problem(line3, COORD, "inf")
         Y = [line3.point("p0"), line3.point("p1")]
-        chk = check_inf_reduction(prob, Y, (line3.point("p0"), Fraction(4)))
+        chk = check_reduction(prob, Y, (line3.point("p0"), Fraction(4)))
         assert chk.verdict == "pass"
         assert chk.lhs == 1 and chk.rhs == 1
         assert chk.region_size == 2 and chk.restricted_size == 1
@@ -222,42 +221,33 @@ class TestChecks:
     def test_unclosed_set_fails_the_check(self, line3):
         prob = punctured_ball_problem(line3, COORD, "inf")
         Y = [line3.point("p0"), line3.point("p2")]
-        chk = check_inf_reduction(prob, Y, (line3.point("p0"), Fraction(4)))
+        chk = check_reduction(prob, Y, (line3.point("p0"), Fraction(4)))
         assert chk.verdict == "fail"
         assert chk.lhs == 1 and chk.rhs == 3
 
     def test_empty_restriction_fails_with_region_hit_false(self, line3):
         prob = punctured_ball_problem(line3, COORD, "sup")
-        chk = check_sup_reduction(prob, [line3.point("p0")],
-                                  (line3.point("p0"), Fraction(3, 2)))
+        chk = check_reduction(prob, [line3.point("p0")], (line3.point("p0"), Fraction(3, 2)))
         assert chk.verdict == "fail" and not chk.region_hit
 
     def test_empty_region_is_skipped(self, line3):
         prob = punctured_ball_problem(line3, COORD, "sup")
-        chk = check_sup_reduction(prob, line3.points,
-                                  (line3.point("p0"), Fraction(1, 2)))
+        chk = check_reduction(prob, line3.points, (line3.point("p0"), Fraction(1, 2)))
         assert chk.verdict == "skipped-empty-region"
         assert chk.lhs is None and chk.rhs is None
 
     def test_center_must_lie_in_y(self, line3):
         prob = punctured_ball_problem(line3, COORD, "sup")
         with pytest.raises(Exception, match="must lie in Y"):
-            check_sup_reduction(prob, [line3.point("p1")],
-                                (line3.point("p0"), Fraction(4)))
+            check_reduction(prob, [line3.point("p1")], (line3.point("p0"), Fraction(4)))
 
     def test_negative_tolerance_rejected(self, line3):
         prob = punctured_ball_problem(line3, COORD, "sup")
         z = (line3.point("p0"), Fraction(4))
         with pytest.raises(ValueError, match="tolerance must be nonnegative"):
-            check_sup_reduction(prob, line3.points, z, tol=-1)
+            check_reduction(prob, line3.points, z, tol=-1)
         with pytest.raises(ValueError, match="tolerance must be nonnegative"):
             list(check_sweep(prob, line3.points, -1))
-
-    def test_mode_dispatch_guards(self, line3):
-        sup_prob = punctured_ball_problem(line3, COORD, "sup")
-        with pytest.raises(ValueError):
-            check_inf_reduction(sup_prob, line3.points,
-                                (line3.point("p0"), Fraction(4)))
 
     def test_float_scores_get_the_float_tolerance(self):
         # 2-D coordinates force sqrt distances, hence float scores
@@ -267,8 +257,7 @@ class TestChecks:
         from sepdet import FiniteMetricSpace, ball_pairs_problem
         space = FiniteMetricSpace.from_coords(pts)
         prob = ball_pairs_problem(space, COORD, "sup")
-        chk = check_sup_reduction(prob, space.points,
-                                  (space.points[0], space.diameter() + 1))
+        chk = check_reduction(prob, space.points, (space.points[0], space.diameter() + 1))
         assert chk.verdict == "pass"
         assert chk.tolerance == pytest.approx(1e-12)
 
@@ -283,7 +272,7 @@ class TestChecks:
         x = Y[drop % len(Y)]
         Y = [p for p in Y if p == x or p.id > Y[drop % len(Y)].id] or [x]
         for r in prob.params.truncation:
-            chk = check_sup_reduction(prob, Y, (x, r))
+            chk = check_reduction(prob, Y, (x, r))
             if chk.verdict == "skipped-empty-region" or not chk.region_hit:
                 continue
             assert chk.rhs <= chk.lhs
