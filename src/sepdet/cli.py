@@ -40,7 +40,7 @@ def _read_json(path: str) -> dict:
         raise SepdetError(f"cannot read {path!r}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a decode error, or an int past the digit bound
         raise SepdetError(f"malformed JSON in {path!r}: {exc}") from exc
 
 

@@ -45,10 +45,6 @@ class IsolatedPoint(SepdetError):
     """Every punctured neighbourhood of the point is empty."""
 
 
-class LipschitzViolation(SepdetError):
-    """A declared Lipschitz bound in the second variable fails."""
-
-
 class UnknownSuite(SepdetError):
     """run_suite was asked for a name that is not registered."""
 

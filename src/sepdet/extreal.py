@@ -13,6 +13,7 @@ formulas rely on:
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Union
 
@@ -75,12 +76,25 @@ def fmt(v: Num):
     return v
 
 
+def _check_exponent(v: str, s: str) -> None:
+    """Reject a decimal exponent whose value would have more digits than the
+    interpreter allows in an int string: Fraction would expand it in full."""
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    try:
+        exponent = int(s.lower().rpartition("e")[2])
+    except ValueError:  # no exponent after all; Fraction reads or rejects s
+        return
+    if abs(exponent) > limit:
+        raise ValueError(f"{v!r} would expand to more than {limit} digits")
+
+
 def parse(v) -> Num:
     """Inverse of fmt, also accepting plain JSON numbers.
 
-    Strings may be "inf", "-inf", an integer literal, or "p/q".
+    Strings may be "inf", "-inf", an integer or decimal literal, or "p/q".
+    NaN, which fmt never writes, is rejected.
     """
-    if isinstance(v, bool):
+    if isinstance(v, bool) or (isinstance(v, float) and math.isnan(v)):
         raise ValueError(f"not a number: {v!r}")
     if isinstance(v, (int, float)):
         return v
@@ -92,6 +106,8 @@ def parse(v) -> Num:
             return POS_INF
         if s in ("-inf", "-Infinity"):
             return NEG_INF
+        if "e" in s or "E" in s:
+            _check_exponent(v, s)
         try:
             return Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:

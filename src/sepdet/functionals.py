@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,17 +40,8 @@ from .errors import (
     NoCoordinates,
     UnknownPoint,
 )
-from .extreal import Num, close, fmt, is_exact, is_finite, parse, pos_part, sub
-from .scheme import (
-    Optima,
-    Region,
-    WitnessProblem,
-    lipschitz_second_witness,
-    positive_scalar_params,
-    rank_scores,
-    shell_params,
-    spot_check_lipschitz_second,
-)
+from .extreal import FLOAT_TOL, Num, close, fmt, is_exact, is_finite, parse, pos_part, sub
+from .scheme import Optima, ParamSpace, Region, WitnessProblem, rank_scores
 from .spaces import (
     FiniteMetricSpace,
     MetricSpace,
@@ -145,6 +137,10 @@ class FunctionOracle:
                 offset = parse(obj.get("offset", 0))
             except ValueError as exc:
                 raise DescriptorError(f"coeffs/offset: {exc}") from exc
+            named = {**{f"coeffs[{i}]": c for i, c in enumerate(cs)}, "offset": offset}
+            infinite = [field for field, c in named.items() if not is_finite(c)]
+            if infinite:  # inf * 0 or inf - inf would make a NaN value
+                raise DescriptorError(f"{kind} function: {', '.join(infinite)} must be finite")
 
             def combine(coords: tuple) -> Num:
                 if len(coords) != len(cs):
@@ -646,7 +642,48 @@ def slope_at(f: FunctionOracle, space: MetricSpace, x: Point,
 
 
 # ---------------------------------------------------------------------------
-# Products: Lipschitz bound in the second variable, partial slopes
+# Products: slices, the Lipschitz bound in the second variable, partial slopes
+
+
+# The live slices by (id(f2), y).  A slice's closure holds f2, so f2's id is not
+# reused while its entry exists, and the entry goes with the slice's last holder
+# (keyed weakly on f2 instead, the slices would keep f2 alive).
+_slices: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def slice_oracle(f2: Callable[[Point, Point], Num], y: Point) -> FunctionOracle:
+    """The oracle of u -> f2(u, y), one per (f2, y) while anything holds it, so
+    the slice problems of a product closure and partial_slope share its rankings."""
+    key = (id(f2), y)
+    got = _slices.get(key)
+    if got is None:
+        got = _slices[key] = FunctionOracle(f"slice@{y.id}", lambda u: f2(u, y))
+    return got
+
+
+def lipschitz_second_witness(f2: Callable[[Point, Point], Num],
+                             space1: MetricSpace, space2: MetricSpace, k: Num,
+                             budget: Optional[int] = None) -> Optional[tuple]:
+    """First triple (x, y1, y2) violating |f(x,y1) - f(x,y2)| <= k d2(y1,y2).
+
+    Scans points in enumeration order, at most budget triples; None when no
+    violation is found.  Exact values compare exactly; float chains get the
+    1e-12 slack.
+    """
+    count = 0
+    for x in space1.iter_points(budget):
+        pts2 = list(space2.iter_points(budget))
+        for i, y1 in enumerate(pts2):
+            for y2 in pts2[i + 1:]:
+                count += 1
+                if budget is not None and count > budget:
+                    return None
+                gap = abs(f2(x, y1) - f2(x, y2))
+                bound = k * space2.distance(y1, y2)
+                slack = 0 if is_exact(gap) and is_exact(bound) else FLOAT_TOL
+                if gap > bound + slack:
+                    return (x, y1, y2)
+    return None
 
 
 def verify_lipschitz_second(f2: Callable[[Point, Point], Num],
@@ -659,19 +696,13 @@ def verify_lipschitz_second(f2: Callable[[Point, Point], Num],
 def partial_slope(f2: Callable[[Point, Point], Num], space1: MetricSpace,
                   x: Point, y: Point, grid: Optional[ScaleGrid] = None,
                   Y1: Optional[Iterable[Point]] = None,
-                  k: Optional[Num] = None, space2: Optional[MetricSpace] = None,
                   budget: Optional[int] = None) -> Num:
     """Slope of the slice u -> f(u, y) at x over the first factor (within Y1).
 
-    When k and space2 are given, a spot-check of the Lipschitz bound in the
-    second variable runs first and raises LipschitzViolation on failure.
+    The slope reads the rankings of y's slice_oracle.  It is separably
+    determined when f is Lipschitz in y, which verify_lipschitz_second checks.
     """
-    if k is not None:
-        if space2 is None:
-            raise ValueError("spot-check needs space2 together with k")
-        spot_check_lipschitz_second(f2, space1, space2, k, budget or 128)
-    slice_f = FunctionOracle(f"slice@{y.id}", lambda u: f2(u, y))
-    return slope_at(slice_f, space1, x, grid, Y1, budget)
+    return slope_at(slice_oracle(f2, y), space1, x, grid, Y1, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -807,7 +838,7 @@ def punctured_ball_problem(space: MetricSpace, f: FunctionOracle,
 
     return WitnessProblem(
         name=f"punctured-ball[{mode}]", space=space,
-        params=positive_scalar_params(trunc), arity=1, mode=mode,
+        params=ParamSpace(trunc), arity=1, mode=mode,
         region=region, member=member, score=score,
         optima=_optimum_tables(space, budget, _valid_params(trunc, lambda r: r > 0), build))
 
@@ -867,7 +898,7 @@ def ball_pairs_problem(space: MetricSpace, f: FunctionOracle,
 
     return WitnessProblem(
         name=f"ball-pairs[{mode}]", space=space,
-        params=positive_scalar_params(trunc), arity=2, mode=mode,
+        params=ParamSpace(trunc), arity=2, mode=mode,
         region=region, member=member, score=score,
         optima=_optimum_tables(space, budget, _valid_params(trunc, lambda r: r > 0), build))
 
@@ -932,7 +963,7 @@ def torus_slope_problem(space: MetricSpace, f: FunctionOracle,
 
     return WitnessProblem(
         name=f"torus-slope[{mode}]", space=space,
-        params=shell_params(trunc), arity=1, mode=mode,
+        params=ParamSpace(trunc), arity=1, mode=mode,
         region=region, member=member, score=score,
         optima=_optimum_tables(space, budget,
                                _valid_params(trunc, lambda p: len(p) == 3 and 0 < p[1] < p[2]),

@@ -29,7 +29,6 @@ import numpy as np
 from .errors import (
     EmptyRegion,
     InvariantViolation,
-    LipschitzViolation,
     NoCoordinates,
     ScoreRangeError,
     SpaceMismatch,
@@ -42,7 +41,6 @@ from .extreal import (
     Num,
     close,
     fmt,
-    is_exact,
     is_finite,
 )
 from .spaces import FiniteMetricSpace, MetricSpace, Point, Region
@@ -65,14 +63,6 @@ class ParamSpace:
             if p in seen:
                 raise ValueError(f"duplicate parameter {p!r} in truncation")
             seen.add(p)
-
-
-def positive_scalar_params(truncation: Sequence[Num]) -> ParamSpace:
-    return ParamSpace(tuple(truncation))
-
-
-def shell_params(truncation: Sequence[tuple]) -> ParamSpace:
-    return ParamSpace(tuple(truncation))
 
 
 @dataclass(frozen=True)
@@ -657,68 +647,20 @@ def check_reduction(problem: WitnessProblem, Y: Iterable[Point], z: tuple,
 def product_closure(make_problem: Callable[[Point], WitnessProblem],
                     seed1: Iterable[Point], seed2: Iterable[Point], *,
                     eps: Num = 0, cap: int = 1, max_depth: Optional[int] = None,
-                    product_fn: Optional[Callable[[Point, Point], Num]] = None,
-                    second_space: Optional[MetricSpace] = None,
-                    lipschitz_k: Optional[Num] = None,
-                    spot_budget: int = 128,
                     strict_empty: bool = False) -> tuple[GeneratedSubspace, tuple[Point, ...]]:
     """Closure in the first factor under the operators of every second-factor seed.
 
     Returns (Y1, Y2) with Y2 the sorted second seed and Y1 closed under the
-    witness operator of the score slice at every y in Y2.  When lipschitz_k
-    is given together with product_fn and second_space, the k-Lipschitz bound
-    in the second variable is spot-checked first by lipschitz_second_witness
-    over the first problem's space and second_space, at most spot_budget
-    triples, raising LipschitzViolation naming the witness triple on failure.
+    witness operator of the score slice at every y in Y2.  The Lipschitz
+    bound in the second variable that makes the slices separably determined
+    is the caller's to check (`verify_lipschitz_second`).
     """
     Y2 = sort_points(seed2)
     if not Y2:
         raise ValueError("second seed must be nonempty")
-    if lipschitz_k is not None and (product_fn is None or second_space is None):
-        raise ValueError("lipschitz spot-check needs product_fn and second_space")
-    problems = [make_problem(y) for y in Y2]
-    if lipschitz_k is not None:
-        spot_check_lipschitz_second(product_fn, problems[0].space, second_space,
-                                    lipschitz_k, spot_budget)
-    result = _closure(problems, seed1, eps=eps, cap=cap, max_depth=max_depth,
-                      strict_empty=strict_empty)
+    result = _closure([make_problem(y) for y in Y2], seed1, eps=eps, cap=cap,
+                      max_depth=max_depth, strict_empty=strict_empty)
     return result, Y2
-
-
-def lipschitz_second_witness(f2: Callable[[Point, Point], Num],
-                             space1: MetricSpace, space2: MetricSpace, k: Num,
-                             budget: Optional[int] = None) -> Optional[tuple]:
-    """First triple (x, y1, y2) violating |f(x,y1) - f(x,y2)| <= k d2(y1,y2).
-
-    Scans points in enumeration order, at most budget triples; None when no
-    violation is found.  Exact values compare exactly; float chains get the
-    1e-12 slack.
-    """
-    count = 0
-    for x in space1.iter_points(budget):
-        pts2 = list(space2.iter_points(budget))
-        for i, y1 in enumerate(pts2):
-            for y2 in pts2[i + 1:]:
-                count += 1
-                if budget is not None and count > budget:
-                    return None
-                gap = abs(f2(x, y1) - f2(x, y2))
-                bound = k * space2.distance(y1, y2)
-                slack = 0 if is_exact(gap) and is_exact(bound) else FLOAT_TOL
-                if gap > bound + slack:
-                    return (x, y1, y2)
-    return None
-
-
-def spot_check_lipschitz_second(f2: Callable[[Point, Point], Num],
-                                space1: MetricSpace, space2: MetricSpace, k: Num,
-                                budget: int) -> None:
-    """Raise LipschitzViolation naming the first witness triple within budget."""
-    witness = lipschitz_second_witness(f2, space1, space2, k, budget)
-    if witness is not None:
-        wx, wy1, wy2 = witness
-        raise LipschitzViolation(
-            f"bound k={fmt(k)} fails at x={wx.id}, y1={wy1.id}, y2={wy2.id}")
 
 
 DEFAULT_COEFFS = (Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1))

@@ -1,8 +1,14 @@
 """CLI verbs: exit codes, diagnostics, and byte-stable JSON reports."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sepdet.cli import run_cli
 
@@ -82,6 +88,42 @@ class TestValidate:
         path.write_text("{not json")
         assert run_cli(["validate", "--space", str(path)]) == 2
         assert "malformed JSON" in capsys.readouterr().err
+
+    def test_int_past_the_digit_bound_is_malformed_json(self, tmp_path, capsys):
+        path = tmp_path / "long.json"
+        path.write_text('{"kind": "finite", "metric": "matrix", "points": ["a", "b"], '
+                        '"matrix": [[0, ' + "1" * 5000 + '], [1, 0]]}')
+        assert run_cli(["validate", "--space", str(path)]) == 2
+        assert "malformed JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["matrix", "values", "--eps"])
+    def test_huge_exponent_is_rejected_by_name(self, where, line3_path, tmp_path, capsys):
+        # Fraction("1e999999999") would expand 10**999999999 and hang
+        huge = "1e999999999"
+        space, fn = tmp_path / "space.json", tmp_path / "fn.json"
+        space.write_text(json.dumps({"kind": "finite", "metric": "matrix", "points": ["a", "b"],
+                                     "matrix": [[0, huge if where == "matrix" else 1], [1, 0]]}))
+        fn.write_text(json.dumps({"kind": "table", "values": {
+            "p0": huge if where == "values" else 0, "p1": 1, "p2": 2}}))
+        argv = {"matrix": ["validate", "--space", str(space)],
+                "values": ["validate", "--space", line3_path, "--fn", str(fn)],
+                "--eps": ["reduce", "--space", line3_path, "--fn", "coord", "--eps", huge]}
+        assert run_cli(argv[where]) == 2
+        err = capsys.readouterr().err
+        assert where in err and "would expand to more than" in err
+
+    @pytest.mark.parametrize("verb", [["validate"], ["slope", "--x", "p0"]])
+    def test_nan_function_value_is_rejected(self, verb, line3_path, tmp_path, capsys):
+        fn = tmp_path / "nan.json"
+        fn.write_text('{"kind": "table", "values": {"p0": NaN, "p1": 1, "p2": 2}}')
+        assert run_cli(verb + ["--space", line3_path, "--fn", str(fn)]) == 2
+        assert "values: not a number: nan" in capsys.readouterr().err
+
+    def test_infinite_linear_coefficients_are_rejected(self, line3_path, tmp_path, capsys):
+        fn = tmp_path / "lin.json"  # would be inf * 0 - inf = NaN at coordinate 0
+        fn.write_text(json.dumps({"kind": "linear", "coeffs": ["inf"], "offset": "-inf"}))
+        assert run_cli(["slope", "--space", line3_path, "--fn", str(fn), "--x", "p0"]) == 2
+        assert "coeffs[0], offset must be finite" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path, capsys):
         assert run_cli(["validate", "--space", str(tmp_path / "nope.json")]) == 2
@@ -295,3 +337,110 @@ class TestParser:
     def test_help_exits_zero(self, capsys):
         assert run_cli(["--help"]) == 0
         assert "sepdet" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# Malformed descriptors: each case is (space, function or None, extra flags,
+# a string the diagnostic must contain).  Spaces keep at most 6 points.
+
+HUGE_EXPONENT = st.builds(lambda sign, e: f"{sign}1e{e}", st.sampled_from(["", "-", "2.5"]),
+                          st.integers(4301, 10**12) | st.integers(-10**12, -4301))
+BAD_NUMBER = st.one_of(st.booleans(), st.just(float("nan")), HUGE_EXPONENT)
+HUGE_INT = st.integers(10**18, 10**1000) | st.integers(-10**1000, -10**18)
+
+
+def line(n):
+    return {"kind": "finite", "metric": "euclidean",
+            "points": [{"id": f"p{k}", "coords": [k]} for k in range(n)]}
+
+
+def uniform_matrix(n):
+    return {"kind": "finite", "metric": "matrix", "points": [f"p{k}" for k in range(n)],
+            "matrix": [[0 if i == j else 1 for j in range(n)] for i in range(n)]}
+
+
+@st.composite
+def non_square(draw):
+    n = draw(st.integers(1, 6))
+    desc = uniform_matrix(n)
+    if draw(st.booleans()):
+        desc["matrix"] = desc["matrix"][:-1] if draw(st.booleans()) else desc["matrix"] + [[1] * n]
+    else:
+        row = desc["matrix"][draw(st.integers(0, n - 1))]
+        if n == 1 or draw(st.booleans()):
+            row.append(1)
+        else:
+            row.pop()
+    return desc, None, [], "matrix"
+
+
+@st.composite
+def bad_entry(draw):
+    n = draw(st.integers(2, 6))
+    i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+    desc = uniform_matrix(n)
+    kind = draw(st.sampled_from(["number", "nan", "huge-int"]))
+    if kind == "number":
+        bad = draw(st.one_of(st.booleans(), HUGE_EXPONENT))
+        desc["matrix"][j][i] = bad
+        return desc, None, [], f"matrix[{j}]"
+    if kind == "nan":
+        desc["matrix"][i][j] = desc["matrix"][j][i] = float("nan")
+    else:
+        big = draw(HUGE_INT)
+        desc["matrix"][i][j], desc["matrix"][j][i] = big, big + 1
+    return desc, None, [], f"matrix[{i}][{j}]"
+
+
+@st.composite
+def bad_point(draw):
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(0, n - 1))
+    desc = line(n)
+    if draw(st.booleans()):
+        del desc["points"][k]["id"]
+        return desc, None, [], f"points[{k}] is missing 'id'"
+    desc["points"][k]["coords"] = [draw(BAD_NUMBER)]
+    return desc, None, [], f"points[{k}].coords"
+
+
+@st.composite
+def bad_function(draw):
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["table", "unknown", "linear", "quadratic", "abs"]))
+    if kind == "table":
+        values = {f"p{k}": k for k in range(n)}
+        values[f"p{draw(st.integers(0, n - 1))}"] = draw(BAD_NUMBER)
+        return line(n), {"kind": "table", "values": values}, [], "values"
+    if kind == "unknown":
+        name = draw(st.text("xyz", min_size=1, max_size=5))
+        return line(n), {"kind": name}, [], f"unknown function kind {name!r}"
+    inf = draw(st.sampled_from(["inf", "-inf"]))
+    if draw(st.booleans()):
+        return line(n), {"kind": kind, "coeffs": [inf]}, [], "coeffs[0]"
+    return line(n), {"kind": kind, "coeffs": [1], "offset": inf}, [], "offset"
+
+
+@st.composite
+def bad_eps(draw):
+    return line(draw(st.integers(1, 6))), None, ["--eps", draw(HUGE_EXPONENT)], "--eps"
+
+
+class TestMalformedDescriptors:
+    @given(st.one_of(non_square(), bad_entry(), bad_point(), bad_function(), bad_eps()))
+    def test_every_malformed_descriptor_exits_two_naming_the_field(self, case):
+        space, fn, flags, field = case
+        with tempfile.TemporaryDirectory() as tmp:
+            space_path, fn_path = Path(tmp) / "space.json", Path(tmp) / "fn.json"
+            space_path.write_text(json.dumps(space))
+            argv = ["validate", "--space", str(space_path)]
+            if fn is not None:
+                fn_path.write_text(json.dumps(fn))
+                argv += ["--fn", str(fn_path)]
+            if flags:
+                argv = ["reduce", "--space", str(space_path), "--fn", "coord"] + flags
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = run_cli(argv)
+        assert code == 2, err.getvalue()
+        assert field in err.getvalue() and "Traceback" not in err.getvalue()

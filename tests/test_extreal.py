@@ -102,8 +102,11 @@ class TestFormatRoundtrip:
         assert parse(5) == 5
         assert parse(0.5) == 0.5
         assert parse("7/4") == Fraction(7, 4)
+        assert parse("2.5e-3") == Fraction(1, 400)
+        assert parse("1e4300") == 10**4300  # at the interpreter's int digit bound
 
-    @pytest.mark.parametrize("bad", ["seven", "1/0", None, True, [1]])
+    @pytest.mark.parametrize("bad", ["seven", "1/0", None, True, [1], float("nan"), "nan",
+                                     "1e999999999", "-1E-4301", "1e" + "9" * 5000])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             parse(bad)

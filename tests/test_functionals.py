@@ -1,5 +1,7 @@
 """Variational quantities: limits, Lipschitz suprema, shell slopes, slices."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -11,8 +13,8 @@ from sepdet import (
     EmptyRegion,
     FunctionOracle,
     IsolatedPoint,
-    LipschitzViolation,
     ScaleGrid,
+    SuiteConfig,
     builtin_function,
     continuity_check,
     default_radius_grid,
@@ -26,10 +28,15 @@ from sepdet import (
     lipschitz_second_witness,
     midpoint_grid,
     partial_slope,
+    product_closure,
+    run_suite,
+    slice_oracle,
     slope_at,
+    torus_slope_problem,
     torus_sup,
     verify_lipschitz_second,
 )
+from sepdet import functionals
 from sepdet.extreal import POS_INF, is_pos_inf
 from conftest import coord_space
 
@@ -311,16 +318,6 @@ class TestProductSlices:
         x = s1.point("a2")
         assert partial_slope(f2, s1, x, s2.point("b1")) == slope_at(COORD, s1, x)
 
-    def test_partial_slope_spot_check_raises(self):
-        s1, s2 = self.make_pair()
-
-        def f2(x, y):
-            return 3 * y.coords[0]
-
-        with pytest.raises(LipschitzViolation):
-            partial_slope(f2, s1, s1.point("a0"), s2.point("b0"),
-                          k=1, space2=s2)
-
     def test_partial_slope_scans_a_lazy_factor_within_the_budget(self):
         space = dyadic_interval_space()
         x, y = space.point_at(2), space.point_at(0)  # x = 1/2
@@ -330,11 +327,108 @@ class TestProductSlices:
         assert partial_slope(lambda u, v: u.coords[0], space, x, y, grid=grid,
                              budget=16) == 1
 
-    def test_partial_slope_spot_check_needs_space2(self):
+    def test_witness_compares_exact_values_exactly(self):
         s1, s2 = self.make_pair()
-        with pytest.raises(ValueError):
+        slope = 1 + Fraction(1, 10**15)  # breaks k = 1 by far less than 1e-12
+
+        def f2(x, y):
+            return slope * y.coords[0]
+
+        w = lipschitz_second_witness(f2, s1, s2, k=1)
+        assert [p.id for p in w] == ["a0", "b0", "b1"]  # the first triple scanned
+        assert not verify_lipschitz_second(f2, s1, s2, k=1)
+
+    def test_witness_scans_the_whole_first_factor(self):
+        s1, s2 = self.make_pair()
+
+        def f2(x, y):  # breaks the bound only at the last first-factor point
+            return (3 if x.id == "a4" else 1) * y.coords[0]
+
+        assert lipschitz_second_witness(f2, s1, s2, k=1)[0].id == "a4"
+
+    def test_witness_stops_at_the_budget(self):
+        s1, s2 = self.make_pair()
+        calls = []
+
+        def f2(x, y):  # breaks the bound only at a1, past the first three triples
+            calls.append((x, y))
+            return (3 if x.id == "a1" else 1) * y.coords[0]
+
+        assert verify_lipschitz_second(f2, s1, s2, k=1, budget=3)
+        assert 0 < len(calls) <= 2 * 3
+        assert not verify_lipschitz_second(f2, s1, s2, k=1, budget=4)
+
+    @pytest.mark.parametrize("keyword", ["product_fn", "second_space", "lipschitz_k",
+                                         "spot_budget"])
+    def test_product_closure_checks_no_bound(self, keyword):
+        s1, s2 = self.make_pair()
+        with pytest.raises(TypeError, match=keyword):
+            product_closure(lambda y: torus_slope_problem(s1, COORD), [s1.point("a0")],
+                            s2.points, **{keyword: None})
+
+    @pytest.mark.parametrize("keyword", ["k", "space2"])
+    def test_partial_slope_checks_no_bound(self, keyword):
+        s1, s2 = self.make_pair()
+        with pytest.raises(TypeError, match=keyword):
             partial_slope(lambda x, y: 0, s1, s1.point("a0"), s2.point("b0"),
-                          k=1)
+                          **{keyword: None})
+
+    def test_partial_slopes_read_the_closure_slices(self, monkeypatch):
+        s1, s2 = self.make_pair()
+        y0 = s2.point("b0")
+
+        def f2(x, y):
+            return x.coords[0] ** 2 + Fraction(1, 2) * s2.distance(y, y0)
+
+        problems = {y: torus_slope_problem(s1, slice_oracle(f2, y), t_mode="full")
+                    for y in s2.points}
+        gen, Y2 = product_closure(problems.__getitem__, [s1.point("a2")], s2.points)
+        Y = sorted(gen.union, key=lambda p: p.id)
+        built = []
+        monkeypatch.setattr(functionals._Rankings, "__init__",
+                            lambda self, *a: built.append(a))
+
+        def descents():
+            return sum(len(slice_oracle(f2, y)._rankings[s1].memo) for y in Y2)
+
+        before = descents()
+        for y in Y2:
+            grid = ScaleGrid(shells=tuple(dict.fromkeys(
+                (r, s) for _, r, s in problems[y].params.truncation)))
+            for x in Y:
+                assert partial_slope(f2, s1, x, y, grid) == \
+                    partial_slope(f2, s1, x, y, grid, Y1=Y)
+        assert built == [] and descents() == before
+
+    def test_slices_are_shared_while_held_and_dropped_after(self):
+        s1, s2 = self.make_pair()
+
+        def f2(x, y):
+            return x.coords[0]
+
+        y = s2.point("b1")
+        held = slice_oracle(f2, y)
+        assert slice_oracle(f2, y) is held
+        dead = weakref.ref(held)
+        del held, f2
+        gc.collect()
+        assert dead() is None
+        run_suite("thm-4.3", SuiteConfig(instances=2, sizes=(4,)))
+        gc.collect()
+        assert len(functionals._slices) == 0
+
+    def test_thm_4_3_ranks_each_slice_once(self, monkeypatch):
+        seen, spaces = [], []
+        init = functionals._Rankings.__init__
+
+        def counted(self, f, space):
+            seen.append((f.name, id(space)))
+            spaces.append(space)  # keeps every id distinct for the whole run
+            init(self, f, space)
+
+        monkeypatch.setattr(functionals._Rankings, "__init__", counted)
+        run_suite("thm-4.3", SuiteConfig(instances=2, sizes=(8,)))
+        assert seen and len(set(seen)) == len(seen)
 
 
 class TestDescriptors:

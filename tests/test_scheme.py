@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from sepdet import (
     EmptyRegion,
     FunctionOracle,
-    LipschitzViolation,
     NoCoordinates,
+    ParamSpace,
     Point,
     ScoreRangeError,
     SpaceMismatch,
@@ -20,7 +20,6 @@ from sepdet import (
     closure_iterate,
     closure_round,
     intersect_problems,
-    positive_scalar_params,
     product_closure,
     punctured_ball_problem,
     rational_span_close,
@@ -46,7 +45,7 @@ def neighbor_problem(space, mode="sup"):
 class TestParamSpace:
     def test_duplicate_truncation_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            positive_scalar_params([1, Fraction(2), 1])
+            ParamSpace((1, Fraction(2), 1))
 
 
 
@@ -302,70 +301,6 @@ class TestProductClosure:
         plain = closure_iterate(neighbor_problem(chain5), [chain5.point("c0")])
         assert gen.union == plain.union
         assert len(Y2) == 2
-
-    def test_lipschitz_spot_check_rejects(self, chain5):
-        other = coord_space([("y0", 0), ("y1", 1)])
-
-        def f2(x, y):
-            return 3 * y.coords[0]
-
-        def make_problem(y):
-            return neighbor_problem(chain5)
-
-        with pytest.raises(LipschitzViolation):
-            product_closure(make_problem, [chain5.point("c0")], other.points,
-                            product_fn=f2, second_space=other, lipschitz_k=1)
-
-    def test_lipschitz_spot_check_accepts_a_true_bound(self, chain5):
-        other = coord_space([("y0", 0), ("y1", 1)])
-
-        def f2(x, y):
-            return x.coords[0] + y.coords[0]
-
-        def make_problem(y):
-            return neighbor_problem(chain5)
-
-        gen, _ = product_closure(make_problem, [chain5.point("c0")],
-                                 other.points, product_fn=f2,
-                                 second_space=other, lipschitz_k=1)
-        assert gen.fixed_point
-
-    def test_lipschitz_spot_check_is_exact(self, chain5):
-        other = coord_space([("y0", 0), ("y1", 1)])
-        slope = 1 + Fraction(1, 10**15)  # breaks k = 1 by far less than 1e-12
-
-        def f2(x, y):
-            return slope * y.coords[0]
-
-        with pytest.raises(LipschitzViolation, match="x=c0, y1=y0, y2=y1"):
-            product_closure(lambda y: neighbor_problem(chain5), [chain5.point("c0")],
-                            other.points, product_fn=f2, second_space=other,
-                            lipschitz_k=1)
-
-    def test_lipschitz_spot_check_scans_the_first_factor_space(self, chain5):
-        other = coord_space([("y0", 0), ("y1", 1)])
-
-        def f2(x, y):  # breaks the bound only at c3, which no seed names
-            return (3 if x.id == "c3" else 1) * y.coords[0]
-
-        with pytest.raises(LipschitzViolation, match="x=c3"):
-            product_closure(lambda y: neighbor_problem(chain5), [chain5.point("c0")],
-                            other.points, product_fn=f2, second_space=other,
-                            lipschitz_k=1)
-
-    def test_lipschitz_spot_check_stops_at_the_budget(self, chain5):
-        other = coord_space([(f"y{k}", k) for k in range(4)])
-        calls = []
-
-        def f2(x, y):
-            calls.append((x, y))
-            return y.coords[0]
-
-        gen, _ = product_closure(lambda y: neighbor_problem(chain5), [chain5.point("c0")],
-                                 other.points, product_fn=f2, second_space=other,
-                                 lipschitz_k=1, spot_budget=3)
-        assert gen.fixed_point
-        assert 0 < len(calls) <= 2 * 3
 
     def test_empty_second_seed_rejected(self, chain5):
         with pytest.raises(ValueError):
