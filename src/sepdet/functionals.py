@@ -8,12 +8,13 @@ regions are intersected with Y, which is all the restriction identities need.
 
 On a finite space without a budget the formulas read f's rankings, memoised
 on the function oracle per space and shared with the optimum tables of the
-families built on f: a limit is a running minimum or maximum of f's codes
-along the center's punctured row, a ball's pairwise supremum the largest
-code in a block of the ranked pair quotients, and a shell's supremum the
-largest descent-quotient code of its (center, level) along a slice of the
-center's sorted row.  Lazy or budgeted spaces, centers outside the space,
-declined rankings and functions that raise take the region scan.
+families built on f.  The pair and shell formulas read the center's optimum
+table of their family, every parameter of one center at once
+(lip_local_sups, torus_sups; the slope folds the shell optima of level
+f(x) by outer radius), through the builders the families use.  A limit is a
+running minimum or maximum of f's codes along the center's punctured row.
+Lazy or budgeted spaces, centers outside the space, declined rankings and
+functions that raise take the region scan.
 
 The module also ships the three registered witness-problem families
 (punctured-ball, ball-pairs, torus-slope), each with a per-center optimum
@@ -27,9 +28,8 @@ import functools
 import itertools
 import weakref
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -96,7 +96,12 @@ class FunctionOracle:
 
     @classmethod
     def from_table(cls, values: dict, name: str = "table") -> "FunctionOracle":
-        table = {str(pid): parse(v) for pid, v in values.items()}
+        table = {}
+        for pid, v in values.items():
+            try:
+                table[str(pid)] = parse(v)
+            except ValueError as exc:
+                raise ValueError(f"{exc} at point {pid!r}") from exc
 
         def fn(p: Point) -> Num:
             try:
@@ -193,15 +198,6 @@ def builtin_function(name: str) -> FunctionOracle:
 # Scale grids
 
 
-@dataclass(frozen=True)
-class ScaleGrid:
-    """Finite radius/shell/level grids swept by the discrete formulas."""
-
-    radii: tuple = ()
-    shells: tuple = ()  # (r, s) pairs with r < s
-    levels: tuple = ()  # t values for torus scores
-
-
 def _half(v: Num) -> Num:
     return Fraction(v, 2) if is_exact(v) else v / 2
 
@@ -223,8 +219,15 @@ def midpoint_grid(values: Sequence[Num]) -> tuple:
     return tuple(out)
 
 
+def _realized(space, center: Optional[Point] = None) -> tuple:
+    """space.realized_distances(center); a lazy space has none to list."""
+    if not isinstance(space, FiniteMetricSpace):
+        raise ValueError("a lazy space needs an explicit truncation or grid")
+    return space.realized_distances(center)
+
+
 def default_radius_grid(space, center: Optional[Point] = None) -> tuple:
-    return midpoint_grid(space.realized_distances(center))
+    return midpoint_grid(_realized(space, center))
 
 
 def default_shell_grid(space, center: Optional[Point] = None) -> tuple:
@@ -335,10 +338,7 @@ class _Rankings:
             # code -1 at distance 0 gives a key below -1, clipped to -1
             return np.maximum(_arity1_keys(by_point, self.rank, n), -1), np.array(floats), values
 
-        try:
-            return self._get(("descent", i, mode, type(t), t), make)
-        except TypeError:  # an unhashable level is left to the scan
-            return None
+        return self._get(("descent", i, mode, type(t), t), make)
 
 
 def _rankings(f: FunctionOracle, space: MetricSpace,
@@ -352,35 +352,23 @@ def _rankings(f: FunctionOracle, space: MetricSpace,
     return got
 
 
-def _center_of(f: FunctionOracle, space: MetricSpace, x: Point,
-               budget: Optional[int]) -> Optional[tuple[_Rankings, int]]:
-    """f's rankings on space and x's index, or None to leave x to the scan."""
+def _table_at(f: FunctionOracle, space: MetricSpace, x: Point, budget: Optional[int],
+              build: Callable[[_Rankings, int], Optional[Optima]]) -> Optional[Optima]:
+    """x's table of a family, built on f's rankings; None leaves x to the scan
+    (lazy or budgeted spaces, a center outside the space, a declined build)."""
     rankings = _rankings(f, space, budget)
-    if rankings is None:
+    if rankings is None or x not in space:
         return None
-    try:
-        return rankings, space.index_of(x)
-    except UnknownPoint:  # the scan raises it where it belongs
-        return None
+    return build(rankings, space.index_of(x))
 
 
-def _reads(f: FunctionOracle, space: MetricSpace, x: Point, radii: tuple,
-           allowed: Optional[set], budget: Optional[int], ranking: Callable,
-           punctured: bool) -> Optional[tuple]:
-    """ranking(x's rankings, "sup"), x's (punctured) sorted row within allowed
-    as point indices, and the count of them in each radius's ball, the radii
-    checked as the scan checks them; None leaves x to the scan."""
-    at = _center_of(f, space, x, budget)
-    ranked = None if at is None else ranking(at[0], "sup")
-    if ranked is None:
-        return None
-    for r in radii:
-        _check_radius(r)
-    points, dists = _sorted_row(space, at[1], punctured)
-    if allowed is not None:
-        keep = np.fromiter((u in allowed for u in space.points), bool, len(space))[points]
-        points, dists = points[keep], [d for d, k in zip(dists, keep.tolist()) if k]
-    return ranked, points, [bisect_left(dists, r) for r in radii]
+def _mask(space: FiniteMetricSpace, allowed: set) -> np.ndarray:
+    return np.fromiter((u in allowed for u in space.points), bool, len(space))
+
+
+def _read(table: Optima, space: FiniteMetricSpace, allowed: Optional[set]) -> tuple:
+    """The best key and the size of each region of table within allowed."""
+    return (table.best, table.size) if allowed is None else table.read(_mask(space, allowed))
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +376,7 @@ def _reads(f: FunctionOracle, space: MetricSpace, x: Point, radii: tuple,
 
 
 def _grid_radii(grid) -> tuple:
-    radii = grid.radii if isinstance(grid, ScaleGrid) else tuple(grid)
+    radii = tuple(grid)
     if not radii:
         raise ValueError("radius grid is empty")
     return radii
@@ -408,22 +396,32 @@ def _check_center(x: Point, allowed: Optional[set]) -> None:
 def _limit(f: FunctionOracle, space: MetricSpace, x: Point, grid,
            Y: Optional[Iterable[Point]], budget: Optional[int],
            inner: Callable, outer: Callable) -> Num:
-    """outer over the grid radii of inner of f over the nonempty punctured balls;
-    with a ranking, inner is a running min or max of f's codes along x's row."""
+    """outer over the grid radii of inner of f over the nonempty punctured balls.
+
+    With f's sup ranking, inner is a running min or max of f's codes along
+    x's punctured row within Y, and a ball is a prefix of it.
+    """
     radii = _grid_radii(grid)
     allowed = None if Y is None else set(Y)
     _check_center(x, allowed)
-    got = _reads(f, space, x, radii, allowed, budget, _Rankings.points, True)
-    if got is None:
+    rankings = _rankings(f, space, budget)
+    ranked = None if rankings is None or x not in space else rankings.points("sup")
+    if ranked is None:
         vals = []
         for r in radii:
             pts = _restricted(punctured_ball_points(space, x, r, budget), allowed)
             if pts:
                 vals.append(inner(f.value(u) for u in pts))
     else:
-        (keys, _, values), points, counts = got
+        for r in radii:
+            _check_radius(r)
+        points, dists = _sorted_row(space, space.index_of(x), True)
+        if allowed is not None:
+            keep = _mask(space, allowed)[points]
+            points, dists = points[keep], [d for d, k in zip(dists, keep.tolist()) if k]
+        keys, _, values = ranked
         run = (np.minimum if inner is min else np.maximum).accumulate(keys[points] // len(space))
-        vals = [values[run[k - 1]] for k in counts if k]
+        vals = [values[run[k - 1]] for k in (bisect_left(dists, r) for r in radii) if k]
     if not vals:
         raise IsolatedPoint(f"every punctured ball at {x.id!r} along the grid is empty")
     return outer(vals)
@@ -473,35 +471,32 @@ def _pair_quotient(f: FunctionOracle, space: MetricSpace, a: Point, b: Point) ->
     return _exact_div(abs(sub(f.value(a), f.value(b))), space.distance(a, b))
 
 
-def _pair_sups(f: FunctionOracle, space: MetricSpace, x: Point, radii: tuple,
-               Y: Optional[Iterable[Point]], budget: Optional[int]) -> list:
-    """PairSup of B(x, r) ∩ Y for each r in radii.
+def lip_local_sups(f: FunctionOracle, space: MetricSpace, x: Point, radii: Sequence[Num],
+                   Y: Optional[Iterable[Point]] = None,
+                   budget: Optional[int] = None) -> list[PairSup]:
+    """lip_local_sup of B(x, r) ∩ Y for every r in radii, in one read of x.
 
-    With a ranking, the balls are prefixes of x's sorted row, and a running
-    maximum of the best pair each point forms with the points before it
-    serves every radius.  The scan starts at int 0 and keeps the first larger
+    Reads x's ball-pairs [sup] table where f's pair quotients rank, and scans
+    the pairs otherwise.  The scan starts at int 0 and keeps the first larger
     quotient, so both routes give int 0 where no quotient is positive.
     """
+    radii = tuple(radii)
     allowed = None if Y is None else set(Y)
     _check_center(x, allowed)
-    got = _reads(f, space, x, radii, allowed, budget, _Rankings.pairs, False)
-    if got is not None:
-        (keys, _, values), points, counts = got
-        ball = points[:max(counts)]
-        block = np.tril(keys[np.ix_(ball, ball)] + 1, -1)  # 0 where no pair
-        best = np.maximum.accumulate(block.max(axis=1, initial=0)).tolist()
-        tops = [values[(best[k - 1] - 1) // len(space) ** 2] if k > 1 else 0 for k in counts]
-        return [PairSup(v if v > 0 else 0, k * (k - 1) // 2) for v, k in zip(tops, counts)]
-    sups = []
     for r in radii:
-        pts = _restricted(ball_points(space, x, r, budget), allowed)
-        best: Num = 0
-        for a, b in itertools.combinations(pts, 2):
-            q = _pair_quotient(f, space, a, b)
-            if q > best:
-                best = q
-        sups.append(PairSup(best, len(pts) * (len(pts) - 1) // 2))
-    return sups
+        _check_radius(r)
+    table = _table_at(f, space, x, budget, lambda rk, i: _pairs_table(rk, i, radii, "sup"))
+    if table is None:
+        sups = []
+        for r in radii:
+            pts = _restricted(ball_points(space, x, r, budget), allowed)
+            pairs = itertools.combinations(pts, 2)
+            best = max(itertools.chain((0,), (_pair_quotient(f, space, a, b) for a, b in pairs)))
+            sups.append(PairSup(best, len(pts) * (len(pts) - 1) // 2))
+        return sups
+    best, sizes = _read(table, space, allowed)
+    tops = [table.value(k, key) if key >= 0 else 0 for k, key in enumerate(best.tolist())]
+    return [PairSup(v if v > 0 else 0, size // 2) for v, size in zip(tops, sizes)]
 
 
 def lip_local_sup(f: FunctionOracle, space: MetricSpace, x: Point, r: Num,
@@ -509,10 +504,10 @@ def lip_local_sup(f: FunctionOracle, space: MetricSpace, x: Point, r: Num,
                   budget: Optional[int] = None) -> PairSup:
     """sup of |f(u1) - f(u2)| / d(u1, u2) over distinct pairs of B(x, r) ∩ Y.
 
-    Returns PairSup(0, 0) when the ball holds fewer than two points.  Reads
-    f's ranked pair quotients where they apply, and scans the pairs otherwise.
+    Returns PairSup(0, 0) when the ball holds fewer than two points; the
+    one-radius read of lip_local_sups.
     """
-    return _pair_sups(f, space, x, (r,), Y, budget)[0]
+    return lip_local_sups(f, space, x, (r,), Y, budget)[0]
 
 
 def lip_modulus(f: FunctionOracle, space: MetricSpace, x: Point, grid,
@@ -520,10 +515,10 @@ def lip_modulus(f: FunctionOracle, space: MetricSpace, x: Point, grid,
                 budget: Optional[int] = None) -> Num:
     """min of the local pairwise supremum at x over grid radii whose ball holds a pair.
 
-    The least Lipschitz constant valid on some ball around x, discretely; one
-    pass along x's row of ranked pair quotients serves every radius where they
-    apply.  Raises IsolatedPoint when no ball (within Y) holds a pair."""
-    sups = [v for v, pairs in _pair_sups(f, space, x, _grid_radii(grid), Y, budget) if pairs]
+    The least Lipschitz constant valid on some ball around x, discretely,
+    folded from one lip_local_sups read of x.  Raises IsolatedPoint when no
+    ball (within Y) holds a pair."""
+    sups = [v for v, pairs in lip_local_sups(f, space, x, _grid_radii(grid), Y, budget) if pairs]
     if not sups:
         raise IsolatedPoint(f"no ball at {x.id!r} along the grid holds a pair")
     return min(sups)
@@ -539,29 +534,31 @@ def _descent_quotient(t: Num, f: FunctionOracle, space: MetricSpace,
     return _exact_div(num, space.distance(x, u))
 
 
-def _shell_codes(f: FunctionOracle, space: MetricSpace, x: Point, t: Num, shells: Iterable,
-                 allowed: Optional[set], budget: Optional[int]) -> Optional[tuple]:
-    """The largest code of each shell r < d(x, u) < s within allowed in the
-    sup-ranked descent quotients of (x, t), -1 where it holds none, and the
-    value of each code; None leaves x to the scan, and shells unread.
+def torus_sups(f: FunctionOracle, space: MetricSpace, x: Point, params: Sequence[tuple],
+               Y: Optional[Iterable[Point]] = None,
+               budget: Optional[int] = None) -> list:
+    """torus_sup at every (t, r, s) in params, in one read of x; None where the
+    (restricted) shell is empty.
 
-    A shell is a slice of x's sorted row, where r > 0 skips distance 0.
+    Reads x's torus-slope [sup] table where every level's descent quotients
+    rank, and scans the shells otherwise, where the first maximal member in
+    enumeration order gives a shell's value.
     """
-    at = _center_of(f, space, x, budget)
-    ranked = None if at is None else at[0].descent(at[1], t, "sup")
-    if ranked is None:
-        return None
-    keys, _, values = ranked
-    key, n, points = keys.item, len(keys), space.points
-    order, dists = space.sorted_row(at[1])
-    codes = []
-    for r, s in shells:
-        a = bisect_right(dists, r)
-        shell = order[a:bisect_left(dists, s, a)]  # s > r: the shell ends at a or later
-        if allowed is not None:
-            shell = [j for j in shell if points[j] in allowed]
-        codes.append(max(map(key, shell), default=-1) // n)
-    return codes, values
+    params = tuple(params)
+    allowed = None if Y is None else set(Y)
+    _check_center(x, allowed)
+    for _, r, s in params:
+        _check_shell(r, s)
+    table = params and _table_at(  # an empty truncation has no level to rank
+        f, space, x, budget, lambda rk, i: _torus_table(rk, i, _torus_layout(params), "sup"))
+    if not table:
+        sups = []
+        for t, r, s in params:
+            pts = _restricted(torus_points(space, x, r, s, budget), allowed)
+            sups.append(max((_descent_quotient(t, f, space, x, u) for u in pts), default=None))
+        return sups
+    return [table.value(k, key) if key >= 0 else None
+            for k, key in enumerate(_read(table, space, allowed)[0].tolist())]
 
 
 def torus_sup(f: FunctionOracle, space: MetricSpace, x: Point, t: Num, r: Num, s: Num,
@@ -569,40 +566,17 @@ def torus_sup(f: FunctionOracle, space: MetricSpace, x: Point, t: Num, r: Num, s
               budget: Optional[int] = None) -> Num:
     """sup of (t - f(u))^+ / d(x, u) over the shell r < d(x, u) < s (within Y).
 
-    Reads the largest of the shell's ranked descent quotients of (x, t);
-    scans the shell where no ranking applies.  Raises EmptyRegion when the
+    The one-parameter read of torus_sups.  Raises EmptyRegion when the
     (restricted) shell is empty.
     """
-    allowed = None if Y is None else set(Y)
-    _check_center(x, allowed)
-    _check_shell(r, s)
-    read = _shell_codes(f, space, x, t, ((r, s),), allowed, budget)
-    if read is None:
-        pts = _restricted(torus_points(space, x, r, s, budget), allowed)
-        best = max((_descent_quotient(t, f, space, x, u) for u in pts), default=None)
-    else:
-        (code,), values = read
-        best = None if code < 0 else values[code]
+    best = torus_sups(f, space, x, ((t, r, s),), Y, budget)[0]
     if best is None:
         raise EmptyRegion(f"empty shell ({fmt(r)}, {fmt(s)}) at {x.id!r}")
     return best
 
 
-def _widest(shells: Iterable) -> Iterator[tuple]:
-    """The shell with the least r of each outer radius s, which holds the
-    others (the shells of one s nest as r falls), every shell checked.  Lazy:
-    a center left to the scan checks its shells in grid order instead."""
-    least: dict = {}
-    for r, s in shells:
-        _check_shell(r, s)
-        if s not in least or r < least[s]:
-            least[s] = r
-    for s, r in least.items():
-        yield r, s
-
-
 def slope_at(f: FunctionOracle, space: MetricSpace, x: Point,
-             grid: Optional[ScaleGrid] = None,
+             grid: Optional[Sequence[tuple]] = None,
              Y: Optional[Iterable[Point]] = None,
              budget: Optional[int] = None) -> Num:
     """Descent slope at x: inf over s of sup over r < s of the shell supremum.
@@ -610,35 +584,38 @@ def slope_at(f: FunctionOracle, space: MetricSpace, x: Point,
     The level is t = f(x); by the sign conventions (t - f(u))^+ with
     +inf - +inf = 0, the value is well defined for proper f, and is +inf
     exactly when every realized inner supremum is.  Empty shells contribute
-    nothing; if every shell in the grid is empty the point is isolated.
-    Every shell is read off the ranked descent quotients of (x, f(x)) where
-    they apply, and scanned otherwise.
+    nothing; if every shell in the grid (default: every shell of x's
+    realized radii) is empty the point is isolated.  Where the descent
+    quotients of (x, f(x)) rank, x's torus-slope table gives every shell's
+    best key, folded by outer radius; otherwise the shells are scanned and
+    each s keeps its first maximal shell in grid order.
     """
-    shells = grid.shells if isinstance(grid, ScaleGrid) else tuple(grid or ())
-    if not shells:
-        shells = default_shell_grid(space, x)
+    shells = tuple(grid or ()) or default_shell_grid(space, x)
     if not shells:
         raise IsolatedPoint(f"no shells realized at {x.id!r}")
     allowed = None if Y is None else set(Y)
     _check_center(x, allowed)
     t = f.value(x)
-    read = _shell_codes(f, space, x, t, _widest(shells), allowed, budget)
-    if read is not None:
-        codes = [c for c in read[0] if c >= 0]
-        if not codes:
-            raise IsolatedPoint(f"every shell at {x.id!r} is empty")
-        return read[1][min(codes)]
-    inner: dict = {}
     for r, s in shells:
-        pts = _restricted(torus_points(space, x, r, s, budget), allowed)
-        if not pts:
-            continue
-        sup = max(_descent_quotient(t, f, space, x, u) for u in pts)
-        if s not in inner or sup > inner[s]:
-            inner[s] = sup
-    if not inner:
+        _check_shell(r, s)
+    radii, inner, outer = _radius_layout(shells)
+    layout = ([t], np.zeros(len(shells), dtype=np.int64), radii, inner, outer)
+    table = _table_at(f, space, x, budget, lambda rk, i: _torus_table(rk, i, layout, "sup"))
+    if table is None:
+        inner: dict = {}
+        scanned = torus_sups(f, space, x, [(t, r, s) for r, s in shells], allowed, budget)
+        for (_, s), sup in zip(shells, scanned):
+            if sup is not None and (s not in inner or sup > inner[s]):
+                inner[s] = sup
+        sups = list(inner.values())
+    else:
+        tops = np.full(len(radii), -1, dtype=np.int64)  # best key per outer radius
+        np.maximum.at(tops, outer, _read(table, space, allowed)[0])
+        tops = tops[tops >= 0]
+        sups = [table.value(0, int(tops.min()))] if tops.size else []
+    if not sups:
         raise IsolatedPoint(f"every shell at {x.id!r} is empty")
-    return min(inner.values())
+    return min(sups)
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +671,7 @@ def verify_lipschitz_second(f2: Callable[[Point, Point], Num],
 
 
 def partial_slope(f2: Callable[[Point, Point], Num], space1: MetricSpace,
-                  x: Point, y: Point, grid: Optional[ScaleGrid] = None,
+                  x: Point, y: Point, grid: Optional[Sequence[tuple]] = None,
                   Y1: Optional[Iterable[Point]] = None,
                   budget: Optional[int] = None) -> Num:
     """Slope of the slice u -> f(u, y) at x over the first factor (within Y1).
@@ -716,7 +693,7 @@ def radius_truncation(space, density: Optional[int] = None) -> tuple:
     half the minimum and one past the diameter.  density caps the grid by
     even subsampling (first and last kept).
     """
-    grid = midpoint_grid(space.realized_distances())
+    grid = midpoint_grid(_realized(space))
     if density is not None and density >= 2 and len(grid) > density:
         step = (len(grid) - 1) / (density - 1)
         idx = sorted({round(i * step) for i in range(density)})
@@ -745,8 +722,8 @@ def _valid_params(params: Sequence, ok: Callable) -> bool:
         return False
 
 
-def _optimum_tables(space: MetricSpace, budget: Optional[int], params_ok: bool,
-                    build: Callable[[int], Optional[Optima]]):
+def _optimum_tables(f: FunctionOracle, space: MetricSpace, budget: Optional[int], params_ok: bool,
+                    build: Callable[[_Rankings, int], Optional[Optima]]):
     """Memoized per-center optimum tables, or None where only the scan applies.
 
     Lazy spaces, budgeted regions and truncations holding a parameter the
@@ -755,17 +732,8 @@ def _optimum_tables(space: MetricSpace, budget: Optional[int], params_ok: bool,
     """
     if budget is not None or not isinstance(space, FiniteMetricSpace) or not params_ok:
         return None
-    cache: dict = {}
-
-    def optima(x: Point) -> Optional[Optima]:
-        if x not in space:
-            return None
-        i = space.index_of(x)
-        if i not in cache:
-            cache[i] = build(i)
-        return cache[i]
-
-    return optima
+    tables = functools.cache(lambda i: build(_rankings(f, space), i))
+    return lambda x: tables(space.index_of(x)) if x in space else None
 
 
 def _rank_or_none(score_all: Callable[[], list], mode: str) -> Optional[tuple]:
@@ -803,6 +771,94 @@ def _masked(keys: np.ndarray, points: np.ndarray):
     return lambda mask: keys if mask is None else np.where(mask[points], keys, -1)
 
 
+def _ball_ends(dists: list, radii: Sequence[Num]) -> np.ndarray:
+    return np.array([bisect_left(dists, r) for r in radii], dtype=np.int64)
+
+
+# The table builders, one per family, shared by the factories and the
+# formulas: (f's rankings on a finite space, a center index, the parameters)
+# to the center's Optima, or None when a ranking is declined.  Parameters are
+# checked by the caller.
+
+
+def _points_table(rankings: _Rankings, i: int, radii: Sequence[Num],
+                  mode: str) -> Optional[Optima]:
+    """Punctured balls B(x_i, r) \\ {x_i}: prefixes of the punctured sorted row."""
+    got = rankings.points(mode)
+    if got is None:
+        return None
+    keys, floats, values = got
+    space = rankings.space
+    points, dists = _sorted_row(space, i, True)
+    zeros = np.zeros(len(radii), dtype=np.int64)
+    return Optima(points, _masked(keys[points][None, :], points), zeros, zeros,
+                  _ball_ends(dists, radii), [values], len(space), 1,
+                  lambda k: (space.points[space.id_order[k]],), floats[points][None, :])
+
+
+def _pairs_table(rankings: _Rankings, i: int, radii: Sequence[Num],
+                 mode: str) -> Optional[Optima]:
+    """Pairs of balls B(x_i, r): a ball is a prefix of the sorted row, and each
+    point joining it brings the pairs it forms with the points before it, so
+    one range maximum serves every radius."""
+    got = rankings.pairs(mode)
+    if got is None:
+        return None
+    pair_keys, pair_floats, values = got
+    space = rankings.space
+    n, ids = len(space), space.id_order
+    points, dists = _sorted_row(space, i, False)
+    block = np.ix_(points, points)
+
+    def keys_for(mask):
+        keys = pair_keys[block]
+        if mask is not None:
+            inside = mask[points]
+            keys = np.where(inside[:, None] & inside[None, :], keys, -1)
+        return (np.tril(keys + 1, -1).max(axis=1) - 1)[None, :]
+
+    zeros = np.zeros(len(radii), dtype=np.int64)
+    floats = np.tril(pair_floats[block], -1).any(axis=1)[None, :]
+    return Optima(points, keys_for, zeros, zeros, _ball_ends(dists, radii), [values], n * n, 2,
+                  lambda k: (space.points[ids[k // n]], space.points[ids[k % n]]), floats)
+
+
+def _radius_layout(shells: Iterable[tuple]) -> tuple[list, np.ndarray, np.ndarray]:
+    """The distinct radii of (r, s) shells, by value, and each shell's r and s
+    as indices into them."""
+    radii: dict = {}
+    index = [(radii.setdefault(r, len(radii)), radii.setdefault(s, len(radii)))
+             for r, s in shells]
+    inner, outer = np.array(index, dtype=np.int64).reshape(-1, 2).T
+    return list(radii), inner, outer
+
+
+def _torus_layout(params: Sequence[tuple]) -> tuple:
+    """(levels, row of each parameter, radii, inner, outer) of (t, r, s) triples:
+    levels by type and value, since the quotients' types follow t's."""
+    levels: dict = {}
+    rows = [levels.setdefault((type(t), t), len(levels)) for t, _, _ in params]
+    return ([t for _, t in levels], np.array(rows, dtype=np.int64),
+            *_radius_layout((r, s) for _, r, s in params))
+
+
+def _torus_table(rankings: _Rankings, i: int, layout: tuple, mode: str) -> Optional[Optima]:
+    """Shells r < d(x_i, u) < s at each level t: one ranking of the descent
+    quotients per level, laid out along the punctured sorted row, where a
+    shell is a slice."""
+    levels, rows, radii, inner, outer = layout
+    ranked = [rankings.descent(i, t, mode) for t in levels]
+    if None in ranked:
+        return None
+    space = rankings.space
+    points, dists = _sorted_row(space, i, True)
+    lo = np.array([bisect_right(dists, r) for r in radii], dtype=np.int64)[inner]
+    keys, floats, values = zip(*ranked)
+    return Optima(points, _masked(np.stack(keys)[:, points], points), rows, lo,
+                  _ball_ends(dists, radii)[outer], list(values), len(space), 1,
+                  lambda k: (space.points[space.id_order[k]],), np.stack(floats)[:, points])
+
+
 def punctured_ball_problem(space: MetricSpace, f: FunctionOracle,
                            mode: str = "sup",
                            truncation: Optional[Sequence[Num]] = None,
@@ -810,8 +866,7 @@ def punctured_ball_problem(space: MetricSpace, f: FunctionOracle,
     """Arity-1 problem: region B(x, r) \\ {x}, score f(u).
 
     Scores do not depend on x, so the table reads f's ranking in mode (in
-    sup mode the one liminf_at and limsup_at read); at x a ball is a prefix
-    of the sorted row.
+    sup mode the one liminf_at and limsup_at read).
     """
     trunc = radius_truncation(space) if truncation is None else tuple(truncation)
 
@@ -824,23 +879,12 @@ def punctured_ball_problem(space: MetricSpace, f: FunctionOracle,
     def score(z: tuple, u: tuple) -> Num:
         return f.value(u[0])
 
-    def build(i: int) -> Optional[Optima]:
-        got = _rankings(f, space).points(mode)
-        if got is None:
-            return None
-        keys, floats, values = got
-        points, dists = _sorted_row(space, i, True)
-        zeros = np.zeros(len(trunc), dtype=np.int64)
-        hi = np.array([bisect_left(dists, r) for r in trunc], dtype=np.int64)
-        return Optima(points, _masked(keys[points][None, :], points), zeros, zeros, hi,
-                      [values], len(space), 1, lambda k: (space.points[space.id_order[k]],),
-                      floats[points][None, :])
-
     return WitnessProblem(
         name=f"punctured-ball[{mode}]", space=space,
         params=ParamSpace(trunc), arity=1, mode=mode,
         region=region, member=member, score=score,
-        optima=_optimum_tables(space, budget, _valid_params(trunc, lambda r: r > 0), build))
+        optima=_optimum_tables(f, space, budget, _valid_params(trunc, lambda r: r > 0),
+                               lambda rk, i: _points_table(rk, i, trunc, mode)))
 
 
 def ball_pairs_problem(space: MetricSpace, f: FunctionOracle,
@@ -850,9 +894,7 @@ def ball_pairs_problem(space: MetricSpace, f: FunctionOracle,
     """Arity-2 problem: distinct pairs of B(x, r), score |f(u1)-f(u2)|/d.
 
     The table reads f's ranked pair quotients (in sup mode the ones
-    lip_local_sup and lip_modulus read).  At x a ball is a prefix of the sorted row, and each
-    point joining it brings the pairs it forms with the points before it, so
-    one running maximum serves every radius.
+    lip_local_sups reads).
     """
     trunc = radius_truncation(space) if truncation is None else tuple(truncation)
     cache: dict = {}
@@ -871,36 +913,12 @@ def ball_pairs_problem(space: MetricSpace, f: FunctionOracle,
             cache[key] = _pair_quotient(f, space, a, b)
         return cache[key]
 
-    def witness_of(k: int) -> tuple:
-        n, ids = len(space), space.id_order
-        return (space.points[ids[k // n]], space.points[ids[k % n]])
-
-    def build(i: int) -> Optional[Optima]:
-        got = _rankings(f, space).pairs(mode)
-        if got is None:
-            return None
-        pair_keys, pair_floats, values = got
-        points, dists = _sorted_row(space, i, False)
-        block = np.ix_(points, points)
-
-        def keys_for(mask):
-            keys = pair_keys[block]
-            if mask is not None:
-                inside = mask[points]
-                keys = np.where(inside[:, None] & inside[None, :], keys, -1)
-            return (np.tril(keys + 1, -1).max(axis=1) - 1)[None, :]
-
-        zeros = np.zeros(len(trunc), dtype=np.int64)
-        hi = np.array([bisect_left(dists, r) for r in trunc], dtype=np.int64)
-        floats = np.tril(pair_floats[block], -1).any(axis=1)[None, :]
-        return Optima(points, keys_for, zeros, zeros, hi, [values], len(space) ** 2, 2,
-                      witness_of, floats)
-
     return WitnessProblem(
         name=f"ball-pairs[{mode}]", space=space,
         params=ParamSpace(trunc), arity=2, mode=mode,
         region=region, member=member, score=score,
-        optima=_optimum_tables(space, budget, _valid_params(trunc, lambda r: r > 0), build))
+        optima=_optimum_tables(f, space, budget, _valid_params(trunc, lambda r: r > 0),
+                               lambda rk, i: _pairs_table(rk, i, trunc, mode)))
 
 
 def torus_slope_problem(space: MetricSpace, f: FunctionOracle,
@@ -911,8 +929,7 @@ def torus_slope_problem(space: MetricSpace, f: FunctionOracle,
     """Arity-1 problem: shells r < d(x,u) < s, score (t - f(u))^+ / d(x,u).
 
     At x each level t gives one ranking of the descent quotients (shared
-    with torus_sup and slope_at through f); laid out along x's sorted row, a
-    shell is a slice, so its optimum is a range maximum.
+    with torus_sups and slope_at through f).
     """
     if truncation is None:
         truncation = shell_truncation(space, level_grid(f, space, t_mode))
@@ -936,38 +953,14 @@ def torus_slope_problem(space: MetricSpace, f: FunctionOracle,
             v = memo[key] = _descent_quotient(p[0], f, space, x, u[0])
         return v
 
-    @functools.cache
-    def layout():
-        """Levels and radii of the truncation, each parameter as indices into them."""
-        levels: dict = {}
-        radii: dict = {}
-        index = [(levels.setdefault((type(t), t), len(levels)),
-                  radii.setdefault((type(r), r), len(radii)),
-                  radii.setdefault((type(s), s), len(radii))) for t, r, s in trunc]
-        rows, inner, outer = (np.array(col, dtype=np.int64) for col in zip(*index))
-        return [t for _, t in levels], [r for _, r in radii], rows, inner, outer
-
-    def build(i: int) -> Optional[Optima]:
-        levels, radii, rows, inner, outer = layout()
-        rankings = _rankings(f, space)
-        ranked = [rankings.descent(i, t, mode) for t in levels]
-        if None in ranked:
-            return None
-        points, dists = _sorted_row(space, i, True)
-        lo = np.array([bisect_right(dists, r) for r in radii], dtype=np.int64)[inner]
-        hi = np.array([bisect_left(dists, r) for r in radii], dtype=np.int64)[outer]
-        keys, floats, values = zip(*ranked)
-        return Optima(points, _masked(np.stack(keys)[:, points], points), rows, lo, hi,
-                      list(values), len(space), 1,
-                      lambda k: (space.points[space.id_order[k]],), np.stack(floats)[:, points])
-
+    layout = functools.cache(lambda: _torus_layout(trunc))
     return WitnessProblem(
         name=f"torus-slope[{mode}]", space=space,
         params=ParamSpace(trunc), arity=1, mode=mode,
         region=region, member=member, score=score,
-        optima=_optimum_tables(space, budget,
+        optima=_optimum_tables(f, space, budget,
                                _valid_params(trunc, lambda p: len(p) == 3 and 0 < p[1] < p[2]),
-                               build))
+                               lambda rk, i: _torus_table(rk, i, layout(), mode)))
 
 
 PROBLEM_FAMILIES = {

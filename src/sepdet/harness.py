@@ -29,11 +29,11 @@ from .extreal import POS_INF, Num, close, fmt, is_finite, parse
 from .functionals import (
     PROBLEM_FAMILIES,
     FunctionOracle,
-    ScaleGrid,
     ball_pairs_problem,
     continuity_check,
     level_grid,
-    lip_local_sup,
+    lip_local_sup,  # kept bound here: bench/tracing.py patches the harness's names
+    lip_local_sups,
     lip_modulus,
     liminf_at,
     limsup_at,
@@ -44,7 +44,8 @@ from .functionals import (
     slice_oracle,
     slope_at,
     torus_slope_problem,
-    torus_sup,
+    torus_sup,  # kept bound here, as lip_local_sup
+    torus_sups,
     verify_lipschitz_second,
 )
 from .scheme import (
@@ -340,7 +341,9 @@ class Comparison(NamedTuple):
     """A formula over the whole space against the same formula over Y.
 
     At each tuple from `points(Y)`, whose entries `keys` names, `at(Y, point)`
-    returns (full, restricted), or a note naming why the point is skipped.
+    returns an outcome: (full, restricted), or a note naming why the point is
+    skipped.  With `params`, a point is one center (x,), `at` returns one
+    outcome per parameter, and the last key names the parameter.
     """
 
     name: str
@@ -349,6 +352,13 @@ class Comparison(NamedTuple):
     at: Callable
     counted: bool = True  # a pass adds to checks_passed
     note: Optional[str] = None  # noted on every pass
+    params: Optional[tuple] = None
+
+    def outcomes(self, Y, point: tuple) -> Iterable[tuple]:
+        """(point with its parameter, outcome) at every parameter of point."""
+        if self.params is None:
+            return [(point, self.at(Y, point))]
+        return zip(((*point, p) for p in self.params), self.at(Y, point))
 
 
 class Stage(NamedTuple):
@@ -480,8 +490,8 @@ def _run_stage(report: SuiteReport, inst: Instance, stage: Stage) -> bool:
             return False
         Y = gen.union
     for comp in stage.comparisons:
-        for at in comp.points(Y):
-            out = comp.at(Y, at)
+        for at, out in itertools.chain.from_iterable(
+                comp.outcomes(Y, point) for point in comp.points(Y)):
             if isinstance(out, str):
                 report.check_skip(out)
             elif _agree(out[0], out[1], inst.tol):
@@ -556,7 +566,8 @@ def replay_check(dump: dict):
         return Outcome("pass" if stage.close().fixed_point else "fail", None, None, inst.tol)
     comp = next(c for s in stages for c in s.comparisons if c.name == dump["comparison"])
     decode = {"x": inst.space.point, "y": lambda v: inst.second.point(v), "family": str}
-    out = comp.at(Y, tuple(decode.get(k, _dec)(dump["at"][k]) for k in comp.keys))
+    at = tuple(decode.get(k, _dec)(dump["at"][k]) for k in comp.keys)
+    out = dict(comp.outcomes(Y, at if comp.params is None else at[:-1]))[at]
     if isinstance(out, str):
         return Outcome(out, None, None, inst.tol)
     return Outcome("pass" if _agree(out[0], out[1], inst.tol) else "fail", *out, inst.tol)
@@ -571,14 +582,6 @@ _SMALL = (5, 6, 8, 9, 10, 12, 14, 16, 18, 20)
 
 def _each(Y):
     return ((x,) for x in Y)
-
-
-def _across(params):
-    return lambda Y: ((x, p) for x in Y for p in params)
-
-
-def _formula(close: Callable, *comparison) -> list[Stage]:
-    return [Stage("closure", close, (Comparison(*comparison),))]
 
 
 def _sides(formula: Callable, Y, exc: type, skip: str):
@@ -674,17 +677,17 @@ def _limits(inst: Instance) -> list[Stage]:
         space, f = inst.table()
     radii = radius_truncation(space, inst.cfg.q_density)
     probs = [punctured_ball_problem(space, f, mode, truncation=radii) for mode in ("sup", "inf")]
-    grid = ScaleGrid(radii=radii)
 
     def limits(Y, at):
         if len(space) == 1:
             return "skipped_isolated"
-        return _sides(lambda y: (liminf_at(f, space, *at, grid, Y=y),
-                                 limsup_at(f, space, *at, grid, Y=y),
-                                 continuity_check(f, space, *at, grid, Y=y, tol=inst.tol)),
+        return _sides(lambda y: (liminf_at(f, space, *at, radii, Y=y),
+                                 limsup_at(f, space, *at, radii, Y=y),
+                                 continuity_check(f, space, *at, radii, Y=y, tol=inst.tol)),
                       Y, IsolatedPoint, "skipped_isolated")
 
-    return _formula(inst.closing(intersect_problems, probs), "limits", ("x",), _each, limits)
+    return [Stage("closure", inst.closing(intersect_problems, probs),
+                  (Comparison("limits", ("x",), _each, limits),))]
 
 
 def _lip(comparison: Callable) -> Callable:
@@ -694,29 +697,28 @@ def _lip(comparison: Callable) -> Callable:
         space, f = inst.table()
         radii = radius_truncation(space, inst.cfg.q_density)
         close = inst.closing(closure_iterate, ball_pairs_problem(space, f, "sup", truncation=radii))
-        return _formula(close, *comparison(space, f, radii))
+        return [Stage("closure", close, (comparison(space, f, radii),))]
 
     return build
 
 
-def _pair_sup(space, f: FunctionOracle, radii: tuple) -> tuple:
+def _pair_sup(space, f: FunctionOracle, radii: tuple) -> Comparison:
     def at(Y, at):
-        full, rest = (lip_local_sup(f, space, *at, Y=y) for y in (None, Y))
-        return "skipped_no_pairs" if full.pairs == rest.pairs == 0 else (full.value, rest.value)
+        full, rest = (lip_local_sups(f, space, *at, radii, Y=y) for y in (None, Y))
+        return ["skipped_no_pairs" if a.pairs == b.pairs == 0 else (a.value, b.value)
+                for a, b in zip(full, rest)]
 
-    return "pair-sup", ("x", "param"), _across(radii), at
+    return Comparison("pair-sup", ("x", "param"), _each, at, params=radii)
 
 
-def _lip_modulus(space, f: FunctionOracle, radii: tuple) -> tuple:
-    grid = ScaleGrid(radii=radii)
-
+def _lip_modulus(space, f: FunctionOracle, radii: tuple) -> Comparison:
     def at(Y, at):
         if len(space) == 1:
             return "skipped_isolated"
-        return _sides(lambda y: lip_modulus(f, space, *at, grid, Y=y), Y, IsolatedPoint,
+        return _sides(lambda y: lip_modulus(f, space, *at, radii, Y=y), Y, IsolatedPoint,
                       "skipped_isolated")
 
-    return "modulus", ("x",), _each, at
+    return Comparison("modulus", ("x",), _each, at)
 
 
 def _shelled(t_mode: str, comparison: Callable) -> Callable:
@@ -729,22 +731,21 @@ def _shelled(t_mode: str, comparison: Callable) -> Callable:
                              torus_slope_problem(space, f, "sup", truncation=shells))
         if any(not f.is_finite_at(p) for p in space.points):
             inst.notes.append("inf_function_instances")
-        return _formula(close, *comparison(inst, space, f, shells))
+        return [Stage("closure", close, (comparison(inst, space, f, shells),))]
 
     return build
 
 
-def _torus_sup(inst: Instance, space, f: FunctionOracle, shells: tuple) -> tuple:
+def _torus_sup(inst: Instance, space, f: FunctionOracle, shells: tuple) -> Comparison:
     def at(Y, at):
-        x, p = at
-        return _sides(lambda y: torus_sup(f, space, x, *p, Y=y), Y, EmptyRegion,
-                      "skipped_empty_shell")
+        full, rest = (torus_sups(f, space, *at, shells, Y=y) for y in (None, Y))
+        return ["skipped_empty_shell" if a is None else (a, b) for a, b in zip(full, rest)]
 
-    return "torus-sup", ("x", "param"), _across(shells), at
+    return Comparison("torus-sup", ("x", "param"), _each, at, params=shells)
 
 
-def _slope(inst: Instance, space, f: FunctionOracle, shells: tuple) -> tuple:
-    grid = ScaleGrid(shells=tuple(dict.fromkeys((r, s) for _, r, s in shells)))
+def _slope(inst: Instance, space, f: FunctionOracle, shells: tuple) -> Comparison:
+    grid = tuple(dict.fromkeys((r, s) for _, r, s in shells))
 
     def at(Y, at):
         if len(space) == 1:
@@ -755,7 +756,7 @@ def _slope(inst: Instance, space, f: FunctionOracle, shells: tuple) -> tuple:
             inst.notes.append("convention_branch_checks")
         return out
 
-    return "slope", ("x",), _each, at
+    return Comparison("slope", ("x",), _each, at)
 
 
 def _lipschitz(f2: Callable, s1, s2, k: Num, expected: bool, **kw) -> Stage:
@@ -797,9 +798,8 @@ def _partial_slope(inst: Instance) -> list[Stage]:
     s1, s2, f2, k, make_problem, Y2, close = _product(inst, 3 + inst.index % 6, coeffs, "full")
 
     @functools.cache
-    def grid(y: Point) -> ScaleGrid:
-        shells = make_problem(y).params.truncation
-        return ScaleGrid(shells=tuple(dict.fromkeys((r, s) for _, r, s in shells)))
+    def grid(y: Point) -> tuple:
+        return tuple(dict.fromkeys((r, s) for _, r, s in make_problem(y).params.truncation))
 
     def slopes(Y, at):
         y, x = at
@@ -808,9 +808,10 @@ def _partial_slope(inst: Instance) -> list[Stage]:
             return "skipped_isolated"
         return partial_slope(f2, s1, x, y, grid=g), partial_slope(f2, s1, x, y, grid=g, Y1=Y)
 
-    return ([_lipschitz(f2, s1, s2, k, True, counted=False, note="lipschitz_verified")]
-            + _formula(close, "partial-slope", ("y", "x"),
-                       lambda Y: ((y, x) for y in Y2 for x in Y), slopes))
+    at = Comparison("partial-slope", ("y", "x"), lambda Y: ((y, x) for y in Y2 for x in Y),
+                    slopes)
+    return [_lipschitz(f2, s1, s2, k, True, counted=False, note="lipschitz_verified"),
+            Stage("closure", close, (at,))]
 
 
 SUITES: dict[str, tuple[Spec, str]] = {

@@ -177,15 +177,10 @@ class Optima:
         self.width = width
         self._arity = arity
         self._witness_of = witness_of
-        self.best = _range_max(keys_for(None), rows, lo, hi)
-        self.size = self._sizes(hi - lo)
+        self.best, self.size = self.read()
         counts = np.zeros((floats.shape[0], floats.shape[1] + 1), dtype=np.int64)
         np.cumsum(floats, axis=1, out=counts[:, 1:])
         self.floaty = (counts[rows, hi] > counts[rows, lo]).tolist()
-
-    def _sizes(self, count: np.ndarray) -> list:
-        # a slice of k points holds k tuples of arity 1, k(k - 1) ordered pairs
-        return (count if self._arity == 1 else count * (count - 1)).tolist()
 
     def value(self, i: int, key: int) -> Num:
         return self._values[self._rows[i]][key // self.width]
@@ -194,13 +189,18 @@ class Optima:
         """The optimal tuple of region i with the least ids (region nonempty)."""
         return self._witness_of(self.width - 1 - int(self.best[i]) % self.width)
 
-    def restrict(self, mask: np.ndarray) -> tuple[np.ndarray, list]:
-        """Best key and size of every region cut down to tuples of points in mask."""
+    def read(self, mask: Optional[np.ndarray] = None) -> tuple[np.ndarray, list]:
+        """Best key and size of every region, whole or cut down to tuples of
+        points in mask (a boolean array over the space's point indices)."""
         rows, lo, hi = self._slices
-        inside = np.zeros(len(self.points) + 1, dtype=np.int64)
-        np.cumsum(mask[self.points], out=inside[1:])
-        best = _range_max(self._keys_for(mask), rows, lo, hi)
-        return best, self._sizes(inside[hi] - inside[lo])
+        count = hi - lo
+        if mask is not None:
+            inside = np.zeros(len(self.points) + 1, dtype=np.int64)
+            np.cumsum(mask[self.points], out=inside[1:])
+            count = inside[hi] - inside[lo]
+        # a slice of k points holds k tuples of arity 1, k(k - 1) ordered pairs
+        sizes = count if self._arity == 1 else count * (count - 1)
+        return _range_max(self._keys_for(mask), rows, lo, hi), sizes.tolist()
 
 
 @dataclass(frozen=True)
@@ -573,7 +573,7 @@ def _center_verdicts(problem: WitnessProblem, x: Point, Yset: set, table: Option
         checks = [_check(problem, Yset, (x, p), tol) for p in trunc]
         verdicts = np.array([c.verdict for c in checks], dtype=object)
         return verdicts == "skipped-empty-region", verdicts == "fail", checks.__getitem__
-    best, (rbest, rsize) = table.best, table.restrict(mask)
+    best, (rbest, rsize) = table.best, table.read(mask)
     above = np.flatnonzero(rbest > best)
     if above.size:
         i = above[0]

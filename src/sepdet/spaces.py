@@ -330,10 +330,6 @@ class Region:
         return u in self._member_set
 
 
-def distance(space: MetricSpace, a: Point, b: Point) -> Num:
-    return space.distance(a, b)
-
-
 def _check_radius(r: Num) -> None:
     if not r > 0:
         raise NonPositiveRadius(f"radius must be positive, got {fmt(r)}")
@@ -425,6 +421,9 @@ def _parse_point(obj, i: int) -> Point:
     if isinstance(obj, dict):
         if "id" not in obj:
             raise DescriptorError(f"points[{i}] is missing 'id'")
+        if not isinstance(obj["id"], str):
+            raise DescriptorError(
+                f"points[{i}].id must be a string, got {type(obj['id']).__name__}")
         coords = obj.get("coords")
         if coords is not None:
             if not isinstance(coords, list) or not coords:
@@ -433,7 +432,7 @@ def _parse_point(obj, i: int) -> Point:
                 coords = tuple(parse(c) for c in coords)
             except ValueError as exc:
                 raise DescriptorError(f"points[{i}].coords: {exc}") from exc
-        return Point(id=str(obj["id"]), coords=coords)
+        return Point(id=obj["id"], coords=coords)
     raise DescriptorError(f"points[{i}] must be an id or an object")
 
 

@@ -347,6 +347,8 @@ HUGE_EXPONENT = st.builds(lambda sign, e: f"{sign}1e{e}", st.sampled_from(["", "
                           st.integers(4301, 10**12) | st.integers(-10**12, -4301))
 BAD_NUMBER = st.one_of(st.booleans(), st.just(float("nan")), HUGE_EXPONENT)
 HUGE_INT = st.integers(10**18, 10**1000) | st.integers(-10**1000, -10**18)
+NON_STRING_ID = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+                          st.lists(st.integers(), max_size=2), st.just({"a": 1}))
 
 
 def line(n):
@@ -397,9 +399,13 @@ def bad_point(draw):
     n = draw(st.integers(1, 6))
     k = draw(st.integers(0, n - 1))
     desc = line(n)
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["missing", "not a string", "coords"]))
+    if kind == "missing":
         del desc["points"][k]["id"]
         return desc, None, [], f"points[{k}] is missing 'id'"
+    if kind == "not a string":
+        desc["points"][k]["id"] = draw(NON_STRING_ID)
+        return desc, None, [], f"points[{k}].id"
     desc["points"][k]["coords"] = [draw(BAD_NUMBER)]
     return desc, None, [], f"points[{k}].coords"
 
@@ -410,8 +416,9 @@ def bad_function(draw):
     kind = draw(st.sampled_from(["table", "unknown", "linear", "quadratic", "abs"]))
     if kind == "table":
         values = {f"p{k}": k for k in range(n)}
-        values[f"p{draw(st.integers(0, n - 1))}"] = draw(BAD_NUMBER)
-        return line(n), {"kind": "table", "values": values}, [], "values"
+        bad = draw(st.integers(0, n - 1))
+        values[f"p{bad}"] = draw(BAD_NUMBER)
+        return line(n), {"kind": "table", "values": values}, [], f"at point 'p{bad}'"
     if kind == "unknown":
         name = draw(st.text("xyz", min_size=1, max_size=5))
         return line(n), {"kind": name}, [], f"unknown function kind {name!r}"
@@ -429,7 +436,22 @@ def bad_eps(draw):
 class TestMalformedDescriptors:
     @given(st.one_of(non_square(), bad_entry(), bad_point(), bad_function(), bad_eps()))
     def test_every_malformed_descriptor_exits_two_naming_the_field(self, case):
-        space, fn, flags, field = case
+        self.exits_two_naming(*case)
+
+    @pytest.mark.parametrize("pid", [None, True, [1, 2]])
+    def test_a_point_id_that_is_not_a_string_is_named(self, pid):
+        space = uniform_matrix(3)
+        space["points"][1] = {"id": pid}
+        self.exits_two_naming(space, None, [], "points[1].id must be a string")
+
+    def test_a_bad_table_value_names_its_point(self):
+        fn = {"kind": "table", "values": {"a": 1, "b": "1e999999999", "c": 2}}
+        space = {"kind": "finite", "metric": "matrix", "points": ["a", "b", "c"],
+                 "matrix": uniform_matrix(3)["matrix"]}
+        self.exits_two_naming(space, fn, [], "would expand to more than 4300 digits at point 'b'")
+
+    @staticmethod
+    def exits_two_naming(space, fn, flags, field):
         with tempfile.TemporaryDirectory() as tmp:
             space_path, fn_path = Path(tmp) / "space.json", Path(tmp) / "fn.json"
             space_path.write_text(json.dumps(space))

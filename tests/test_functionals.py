@@ -13,15 +13,23 @@ from sepdet import (
     EmptyRegion,
     FunctionOracle,
     IsolatedPoint,
-    ScaleGrid,
+    LazyMetricSpace,
     SuiteConfig,
+    ball_pairs,
+    ball_pairs_problem,
+    ball_points,
+    brute_force_optimum,
     builtin_function,
+    check_reduction,
+    check_sweep,
+    closure_iterate,
     continuity_check,
     default_radius_grid,
     default_shell_grid,
     dyadic_interval_space,
     level_grid,
     lip_local_sup,
+    lip_local_sups,
     lip_modulus,
     liminf_at,
     limsup_at,
@@ -29,12 +37,19 @@ from sepdet import (
     midpoint_grid,
     partial_slope,
     product_closure,
+    punctured_ball_points,
+    punctured_ball_problem,
+    radius_truncation,
     run_suite,
+    shell_truncation,
     slice_oracle,
     slope_at,
+    torus_points,
     torus_slope_problem,
     torus_sup,
+    torus_sups,
     verify_lipschitz_second,
+    witness_select,
 )
 from sepdet import functionals
 from sepdet.extreal import POS_INF, is_pos_inf
@@ -249,11 +264,11 @@ class TestSlope:
 
     def test_explicit_grid_overrides_the_default(self, grid5):
         # the single shell (3/2, 5/2) sees g0 and g4; g0 wins with (0-(-2))/2
-        grid = ScaleGrid(shells=((Fraction(3, 2), Fraction(5, 2)),))
+        grid = ((Fraction(3, 2), Fraction(5, 2)),)
         assert slope_at(COORD, grid5, grid5.point("g2"), grid) == 1
 
     def test_empty_shells_raise_isolated(self, grid5):
-        grid = ScaleGrid(shells=((Fraction(1, 4), Fraction(1, 2)),))
+        grid = ((Fraction(1, 4), Fraction(1, 2)),)
         with pytest.raises(IsolatedPoint):
             slope_at(COORD, grid5, grid5.point("g2"), grid)
 
@@ -321,8 +336,7 @@ class TestProductSlices:
     def test_partial_slope_scans_a_lazy_factor_within_the_budget(self):
         space = dyadic_interval_space()
         x, y = space.point_at(2), space.point_at(0)  # x = 1/2
-        grid = ScaleGrid(shells=((Fraction(1, 8), Fraction(1, 2)),
-                                 (Fraction(1, 16), Fraction(1, 4))))
+        grid = ((Fraction(1, 8), Fraction(1, 2)), (Fraction(1, 16), Fraction(1, 4)))
         assert slope_at(COORD, space, x, grid, budget=16) == 1
         assert partial_slope(lambda u, v: u.coords[0], space, x, y, grid=grid,
                              budget=16) == 1
@@ -393,8 +407,7 @@ class TestProductSlices:
 
         before = descents()
         for y in Y2:
-            grid = ScaleGrid(shells=tuple(dict.fromkeys(
-                (r, s) for _, r, s in problems[y].params.truncation)))
+            grid = tuple(dict.fromkeys((r, s) for _, r, s in problems[y].params.truncation))
             for x in Y:
                 assert partial_slope(f2, s1, x, y, grid) == \
                     partial_slope(f2, s1, x, y, grid, Y1=Y)
@@ -468,3 +481,69 @@ class TestDescriptors:
         with pytest.raises(ValueError):
             top.check_proper(line3)
         COORD.check_proper(line3)
+
+
+def counting_lazy_space():
+    """The dyadic interval, counting every enumerated point."""
+    base = dyadic_interval_space()
+    calls = []
+
+    def point_at(i):
+        calls.append(i)
+        return base.point_at(i)
+
+    return LazyMetricSpace(point_at, base.dist, name="counted"), base.point_at(2), calls
+
+
+HALF, QUARTER = Fraction(1, 2), Fraction(1, 4)
+# every public entry point given a lazy space, no budget and no truncation
+LAZY_CALLS = {
+    "default_radius_grid": lambda s, x: default_radius_grid(s, x),
+    "default_shell_grid": lambda s, x: default_shell_grid(s, x),
+    "radius_truncation": lambda s, x: radius_truncation(s),
+    "shell_truncation": lambda s, x: shell_truncation(s, (0,)),
+    "level_grid": lambda s, x: level_grid(COORD, s),
+    "punctured_ball_problem": lambda s, x: punctured_ball_problem(s, COORD),
+    "ball_pairs_problem": lambda s, x: ball_pairs_problem(s, COORD),
+    "torus_slope_problem": lambda s, x: torus_slope_problem(s, COORD),
+    "liminf_at": lambda s, x: liminf_at(COORD, s, x, (HALF,)),
+    "limsup_at": lambda s, x: limsup_at(COORD, s, x, (HALF,)),
+    "continuity_check": lambda s, x: continuity_check(COORD, s, x, (HALF,)),
+    "lip_local_sup": lambda s, x: lip_local_sup(COORD, s, x, HALF),
+    "lip_local_sups": lambda s, x: lip_local_sups(COORD, s, x, (HALF,)),
+    "lip_modulus": lambda s, x: lip_modulus(COORD, s, x, (HALF,)),
+    "torus_sup": lambda s, x: torus_sup(COORD, s, x, 1, QUARTER, HALF),
+    "torus_sups": lambda s, x: torus_sups(COORD, s, x, ((1, QUARTER, HALF),)),
+    "slope_at": lambda s, x: slope_at(COORD, s, x),
+    "slope_at on a grid": lambda s, x: slope_at(COORD, s, x, ((QUARTER, HALF),)),
+    "partial_slope": lambda s, x: partial_slope(lambda u, v: u.coords[0], s, x, x),
+    "ball_points": lambda s, x: ball_points(s, x, HALF),
+    "punctured_ball_points": lambda s, x: punctured_ball_points(s, x, HALF),
+    "torus_points": lambda s, x: torus_points(s, x, QUARTER, HALF),
+    "ball_pairs": lambda s, x: ball_pairs(s, x, HALF),
+    "enumerate_points": lambda s, x: s.enumerate_points(),
+    "check_proper": lambda s, x: COORD.check_proper(s),
+    "to_descriptor": lambda s, x: COORD.to_descriptor(s),
+    "lipschitz_second_witness": lambda s, x: lipschitz_second_witness(
+        lambda u, v: u.coords[0], s, s, 1),
+    "closure_iterate": lambda s, x: closure_iterate(
+        punctured_ball_problem(s, COORD, truncation=(HALF,)), [x]),
+    "closure_iterate to a depth": lambda s, x: closure_iterate(
+        punctured_ball_problem(s, COORD, truncation=(HALF,)), [x], max_depth=2),
+    "witness_select": lambda s, x: witness_select(
+        punctured_ball_problem(s, COORD, truncation=(HALF,)), (x, HALF)),
+    "check_reduction": lambda s, x: check_reduction(
+        ball_pairs_problem(s, COORD, truncation=(HALF,)), [x], (x, HALF)),
+    "check_sweep": lambda s, x: list(check_sweep(
+        torus_slope_problem(s, COORD, truncation=((1, QUARTER, HALF),)), [x])),
+    "brute_force_optimum": lambda s, x: brute_force_optimum(
+        punctured_ball_problem(s, COORD, truncation=(HALF,)), (x, HALF)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAZY_CALLS))
+def test_lazy_spaces_never_enumerate_without_a_budget(name):
+    space, x, calls = counting_lazy_space()
+    with pytest.raises(ValueError, match="lazy space"):
+        LAZY_CALLS[name](space, x)
+    assert calls == []

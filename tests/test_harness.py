@@ -29,6 +29,7 @@ from sepdet import (
     torus_slope_problem,
     witness_dump,
 )
+import sepdet.harness as harness
 from sepdet.extreal import fmt, is_finite
 from sepdet.harness import SUITES, Instance, _plan_sizes
 
@@ -337,6 +338,31 @@ class TestRunSuite:
         assert "OK" in report.summary()
 
 
+@pytest.mark.parametrize("suite,per_center,one_parameter", [
+    ("prop-3.2", "lip_local_sups", "lip_local_sup"), ("prop-4.1", "torus_sups", "torus_sup")])
+def test_per_center_comparisons_read_each_center_twice(suite, per_center, one_parameter,
+                                                       monkeypatch):
+    # one read over the whole space and one restricted to Y per center, and
+    # no one-parameter call
+    calls = []
+    real = getattr(harness, per_center)
+
+    def counted(f, space, x, params, Y=None, budget=None):
+        calls.append((x, Y))
+        return real(f, space, x, params, Y, budget)
+
+    monkeypatch.setattr(harness, per_center, counted)
+    monkeypatch.setattr(harness, one_parameter, None)
+    report = run_suite(suite, SuiteConfig(instances=4, sizes=(1, 5, 7, 9)))
+    assert report.ok and report.checks_passed > 0
+    fulls, rests = calls[0::2], calls[1::2]
+    assert all(Y is None for _, Y in fulls) and all(Y is not None for _, Y in rests)
+    assert [x for x, _ in fulls] == [x for x, _ in rests]
+    closures = list({id(Y): Y for _, Y in rests}.values())
+    assert len(closures) == 4
+    assert [x for x, _ in rests] == [x for Y in closures for x in Y]
+
+
 # sha256 of the sorted-key JSON report of every suite at a small config, under
 # exact argmax selection and under eps = 1/2, cap = 3.  Any change to what a
 # suite computes or reports moves one of these.
@@ -399,8 +425,9 @@ def compared_values(name: str, cfg: SuiteConfig) -> list:
             Y = None if stage.close is None else stage.close().union
             for comp in stage.comparisons:
                 for at in comp.points(Y):
-                    out = comp.at(Y, at)
-                    got.append([i, comp.name, out if isinstance(out, str) else enc(out)])
+                    out = comp.at(Y, at)  # one outcome per parameter with params
+                    for one in (out if comp.params is not None else [out]):
+                        got.append([i, comp.name, one if isinstance(one, str) else enc(one)])
     return got
 
 

@@ -7,10 +7,11 @@ witnesses, reported values, verdicts, sizes, tolerances and raised errors.
 Sweeps decide table checks by code equality, and closure rounds read each
 distinct witness key once; counted tallies, per-check sweeps and closures
 must match the scan's.
-The torus supremum and the slopes read ranked descent quotients on finite
-spaces, and the limits and the pairwise Lipschitz formulas f's rankings;
-a budget covering the whole space leaves them the scan, and both must give
-the same value of the same type, or raise the same error.
+The pair and shell formulas read their family's table of the center, one
+read for every parameter (lip_local_sups, torus_sups), and the limits read
+f's rankings; a budget covering the whole space leaves them the scan, and
+both must give the same value of the same type, or raise the same error, as
+must the one-parameter forms.
 """
 
 import dataclasses
@@ -28,7 +29,6 @@ from sepdet import (
     FunctionOracle,
     InvariantViolation,
     Point,
-    ScaleGrid,
     SepdetError,
     ball_pairs_problem,
     ball_points,
@@ -42,6 +42,7 @@ from sepdet import (
     liminf_at,
     limsup_at,
     lip_local_sup,
+    lip_local_sups,
     lip_modulus,
     midpoint_grid,
     partial_slope,
@@ -53,6 +54,7 @@ from sepdet import (
     torus_points,
     torus_slope_problem,
     torus_sup,
+    torus_sups,
     witness_select,
 )
 from sepdet.extreal import NEG_INF, POS_INF
@@ -152,7 +154,7 @@ def check_both_routes(prob, scan, Y, space):
         table = prob.optima(x)
         if table is None:
             continue
-        rbest, _ = table.restrict(np.array([p in Y for p in space.points]))
+        rbest, _ = table.read(np.array([p in Y for p in space.points]))
         for i, p in enumerate(prob.params.truncation):
             z = (x, p)
             if table.best[i] < 0:
@@ -206,7 +208,7 @@ def test_duplicate_points_stay_in_the_punctured_ball():
                 for r, s in shells:
                     assert typed(lambda: torus_sup(f, space, x, t, r, s, Y)) == \
                         typed(lambda: torus_sup(f, space, x, t, r, s, Y, budget=scan))
-            for grid in (None, ScaleGrid(shells=shells)):
+            for grid in (None, shells):
                 assert typed(lambda: slope_at(f, space, x, grid, Y)) == \
                     typed(lambda: slope_at(f, space, x, grid, Y, budget=scan))
     trunc = shell_truncation(space, level_grid(f, space, "full"))
@@ -257,8 +259,8 @@ def test_descent_rows_agree_with_the_shell_scan(case):
                 for r, s in picked + [rng.choice(bad)]:
                     assert typed(lambda: torus_sup(f, space, x, t, r, s, Y)) == \
                         typed(lambda: torus_sup(f, space, x, t, r, s, Y, budget=scan))
-            grids = [None, ScaleGrid(shells=tuple(picked)), ScaleGrid(shells=tuple(empty)),
-                     ScaleGrid(shells=tuple(picked[:3] + bad[:1] + picked[3:]))]
+            grids = [None, tuple(picked), tuple(empty),
+                     tuple(picked[:3] + bad[:1] + picked[3:])]
             for grid in grids:
                 assert typed(lambda: slope_at(f, space, x, grid, Y)) == \
                     typed(lambda: slope_at(f, space, x, grid, Y, budget=scan))
@@ -268,6 +270,49 @@ def test_descent_rows_agree_with_the_shell_scan(case):
 
                 assert typed(lambda: partial_slope(f2, space, x, x, grid, Y)) == \
                     typed(lambda: partial_slope(f2, space, x, x, grid, Y, budget=scan))
+
+
+def each_empty_as_none(run):
+    """A one-parameter form's value, None where it raises EmptyRegion."""
+    try:
+        return run()
+    except EmptyRegion:
+        return None
+
+
+@given(st.fixed_dictionaries({
+    "kind": st.sampled_from(SPACES),
+    "n": st.integers(1, 7),
+    "seed": st.integers(0, 10**6),
+    "shuffle_ids": st.booleans(),
+    "palette": st.sampled_from(sorted(PALETTES)),
+    "inf": st.sampled_from((0.0, 0.3)),
+}))
+def test_per_center_reads_agree_with_the_one_parameter_forms_and_the_scan(case):
+    space = make_space(case["kind"], case["n"], case["seed"], case["shuffle_ids"])
+    f = make_function(space, case["seed"], case["palette"], case["inf"])
+    scan = len(space)  # a budget covering the space leaves the formulas the scan
+    rng = Random(case["seed"])
+    dists = space.realized_distances()
+    radii = sorted(set(dists) | set(midpoint_grid(dists)) | {Fraction(1, 3), 100})
+    levels = sorted({f.value(p) for p in space.points}, key=repr)[:3] + [Fraction(2), POS_INF]
+    for x in space.points:
+        others = [p for p in space.points if p != x]
+        for Y in (None, [x] + rng.sample(others, rng.randint(0, len(others))), others):
+            picked = rng.sample(radii, min(5, len(radii)))
+            if rng.random() < 0.2:
+                picked.insert(rng.randint(0, len(picked)), rng.choice((0, Fraction(-1, 2))))
+            got = typed(lambda: lip_local_sups(f, space, x, picked, Y))
+            assert got == typed(lambda: lip_local_sups(f, space, x, picked, Y, budget=scan))
+            assert got == typed(lambda: [lip_local_sup(f, space, x, r, Y) for r in picked])
+            params = [(rng.choice(levels), r, s) for i, r in enumerate(radii)
+                      for s in radii[i + 1:] if rng.random() < 0.5]
+            if rng.random() < 0.2:
+                params.insert(rng.randint(0, len(params)), (0, Fraction(1, 2), Fraction(1, 2)))
+            got = typed(lambda: torus_sups(f, space, x, params, Y))
+            assert got == typed(lambda: torus_sups(f, space, x, params, Y, budget=scan))
+            assert not params or got == typed(lambda: [each_empty_as_none(lambda: torus_sup(f, space, x, *p, Y))
+                                         for p in params])
 
 
 @pytest.mark.parametrize("ids", [("a", "b", "c"), ("a", "c", "b")])
@@ -283,12 +328,12 @@ def test_equal_quotients_of_two_types_keep_the_first_in_enumeration_order(ids):
     a = space.point("a")
     first = int if ids[1] == "b" else float  # the scan keeps the first maximal member
     assert type(torus_sup(f, space, a, 2, Fraction(1, 2), 3)) is first
-    assert type(slope_at(f, space, a, ScaleGrid(shells=((Fraction(1, 2), 3),)))) is first
+    assert type(slope_at(f, space, a, ((Fraction(1, 2), 3),))) is first
     # shells sharing s = 3: the inner supremum keeps the first maximal shell in grid order,
     # and the narrow shell holds c alone
     wide, narrow = (Fraction(1, 2), 3), (Fraction(3, 2), 3)
-    assert type(slope_at(f, space, a, ScaleGrid(shells=(narrow, wide)))) is float
-    assert type(slope_at(f, space, a, ScaleGrid(shells=(wide, narrow)))) is first
+    assert type(slope_at(f, space, a, (narrow, wide))) is float
+    assert type(slope_at(f, space, a, (wide, narrow))) is first
 
 
 def oracle_or_none(prob, x, r, Y):
@@ -479,13 +524,13 @@ def test_a_restricted_key_above_the_full_key_raises():
     prob = ball_pairs_problem(space, f, "sup")
     x = space.points[0]
     table = prob.optima(x)
-    restrict = table.restrict
+    read = table.read
 
-    def corrupted(mask):
-        best, size = restrict(mask)
+    def corrupted(mask=None):
+        best, size = read(mask)
         return np.where(table.best >= 0, table.best + 1, best), size
 
-    table.restrict = corrupted
+    table.read = corrupted
     with pytest.raises(InvariantViolation, match="restricted key"):
         sweep_tally(prob, space.points)
     with pytest.raises(InvariantViolation, match="restricted key"):

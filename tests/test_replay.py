@@ -108,6 +108,26 @@ def test_an_empty_restricted_shell_fails_and_replays(monkeypatch):
     assert replay_check(dumps[0]).rhs is None
 
 
+def test_a_torus_sup_dump_names_one_parameter_and_replays_per_center(monkeypatch):
+    # the comparison reads whole centers; its dumps keep the (x, param) of the
+    # failing parameter, and replay reads that center once per side
+    tiny_closures(monkeypatch)
+    report = run_suite("prop-4.1", SuiteConfig(**SMALL))
+    dumps = [d for d in report.failures if d["comparison"] == "torus-sup"]
+    assert dumps and all(set(d["at"]) == {"x", "param"} and len(d["at"]["param"]) == 3
+                         for d in dumps)
+    reads = []
+    real = harness.torus_sups
+    monkeypatch.setattr(harness, "torus_sups", lambda *a, **kw: reads.append(a) or real(*a, **kw))
+    monkeypatch.setattr(harness, "torus_sup", None)
+    for dump in dumps:
+        reads.clear()
+        replayed = replay_check(json.loads(json.dumps(dump)))
+        assert [a[2].id for a in reads] == [dump["at"]["x"]] * 2
+        assert replayed.verdict == "fail"
+        assert (enc(replayed.lhs), enc(replayed.rhs)) == (dump["full"], dump["restricted"])
+
+
 def test_a_restricted_isolated_center_fails_and_replays(monkeypatch):
     tiny_closures(monkeypatch)
     cfg = SuiteConfig(instances=3, sizes=(6,),
