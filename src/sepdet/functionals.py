@@ -41,13 +41,11 @@ from .errors import (
     UnknownPoint,
 )
 from .extreal import FLOAT_TOL, Num, close, fmt, is_exact, is_finite, parse, pos_part, sub
-from .scheme import Optima, ParamSpace, Region, WitnessProblem, rank_scores
+from .scheme import Optima, Radii, Region, ShellGrid, Shells, WitnessProblem, rank_scores
 from .spaces import (
     FiniteMetricSpace,
     MetricSpace,
     Point,
-    _check_radius,
-    _check_shell,
     ball_pairs,
     ball_points,
     punctured_ball_points,
@@ -375,11 +373,14 @@ def _read(table: Optima, space: FiniteMetricSpace, allowed: Optional[set]) -> tu
 # Limit values along a grid
 
 
-def _grid_radii(grid) -> tuple:
-    radii = tuple(grid)
+def _radii_at(grid, x: Point, Y: Optional[Iterable[Point]]) -> tuple[Radii, Optional[set]]:
+    """(grid as Radii, Y as a set) for a limit or modulus at x: an empty grid
+    raises first, then a center outside Y, then a bad radius."""
+    radii = grid if type(grid) is Radii else tuple(grid)
     if not radii:
         raise ValueError("radius grid is empty")
-    return radii
+    allowed = _allowed(x, Y)
+    return Radii.of(radii, repeats=True), allowed
 
 
 def _restricted(points: Iterable[Point], allowed: Optional[set]) -> list:
@@ -388,22 +389,22 @@ def _restricted(points: Iterable[Point], allowed: Optional[set]) -> list:
     return [u for u in points if u in allowed]
 
 
-def _check_center(x: Point, allowed: Optional[set]) -> None:
+def _allowed(x: Point, Y: Optional[Iterable[Point]]) -> Optional[set]:
+    """Y as a set, None for the whole space; x must lie in it."""
+    allowed = None if Y is None else set(Y)
     if allowed is not None and x not in allowed:
         raise UnknownPoint(f"center {x.id!r} must lie in the restriction set")
+    return allowed
 
 
-def _limit(f: FunctionOracle, space: MetricSpace, x: Point, grid,
-           Y: Optional[Iterable[Point]], budget: Optional[int],
+def _limit(f: FunctionOracle, space: MetricSpace, x: Point, radii: Radii,
+           allowed: Optional[set], budget: Optional[int],
            inner: Callable, outer: Callable) -> Num:
-    """outer over the grid radii of inner of f over the nonempty punctured balls.
+    """outer over the radii of inner of f over the nonempty punctured balls.
 
     With f's sup ranking, inner is a running min or max of f's codes along
-    x's punctured row within Y, and a ball is a prefix of it.
+    x's punctured row within allowed, and a ball is a prefix of it.
     """
-    radii = _grid_radii(grid)
-    allowed = None if Y is None else set(Y)
-    _check_center(x, allowed)
     rankings = _rankings(f, space, budget)
     ranked = None if rankings is None or x not in space else rankings.points("sup")
     if ranked is None:
@@ -413,8 +414,6 @@ def _limit(f: FunctionOracle, space: MetricSpace, x: Point, grid,
             if pts:
                 vals.append(inner(f.value(u) for u in pts))
     else:
-        for r in radii:
-            _check_radius(r)
         points, dists = _sorted_row(space, space.index_of(x), True)
         if allowed is not None:
             keep = _mask(space, allowed)[points]
@@ -436,7 +435,7 @@ def liminf_at(f: FunctionOracle, space: MetricSpace, x: Point, grid,
     punctured ball along the grid is empty.  Reads f's sup ranking where one
     applies and scans the balls otherwise.
     """
-    return _limit(f, space, x, grid, Y, budget, min, max)
+    return _limit(f, space, x, *_radii_at(grid, x, Y), budget, min, max)
 
 
 def limsup_at(f: FunctionOracle, space: MetricSpace, x: Point, grid,
@@ -444,17 +443,17 @@ def limsup_at(f: FunctionOracle, space: MetricSpace, x: Point, grid,
               budget: Optional[int] = None) -> Num:
     """inf over grid radii of sup of f over the punctured ball (within Y),
     read off f's sup ranking as liminf_at is."""
-    return _limit(f, space, x, grid, Y, budget, max, min)
+    return _limit(f, space, x, *_radii_at(grid, x, Y), budget, max, min)
 
 
 def continuity_check(f: FunctionOracle, space: MetricSpace, x: Point, grid,
                      Y: Optional[Iterable[Point]] = None, tol: Num = 0,
                      budget: Optional[int] = None) -> bool:
     """True when grid liminf and limsup both agree with f(x) up to tol."""
-    Y = None if Y is None else tuple(Y)  # both limits read it
     fx = f.value(x)
-    lo = liminf_at(f, space, x, grid, Y, budget)
-    hi = limsup_at(f, space, x, grid, Y, budget)
+    radii, allowed = _radii_at(grid, x, Y)  # both limits read them
+    lo = _limit(f, space, x, radii, allowed, budget, min, max)
+    hi = _limit(f, space, x, radii, allowed, budget, max, min)
     return close(lo, fx, tol) and close(hi, fx, tol)
 
 
@@ -480,11 +479,8 @@ def lip_local_sups(f: FunctionOracle, space: MetricSpace, x: Point, radii: Seque
     the pairs otherwise.  The scan starts at int 0 and keeps the first larger
     quotient, so both routes give int 0 where no quotient is positive.
     """
-    radii = tuple(radii)
-    allowed = None if Y is None else set(Y)
-    _check_center(x, allowed)
-    for r in radii:
-        _check_radius(r)
+    allowed = _allowed(x, Y)
+    radii = Radii.of(radii, repeats=True)
     table = _table_at(f, space, x, budget, lambda rk, i: _pairs_table(rk, i, radii, "sup"))
     if table is None:
         sups = []
@@ -518,7 +514,8 @@ def lip_modulus(f: FunctionOracle, space: MetricSpace, x: Point, grid,
     The least Lipschitz constant valid on some ball around x, discretely,
     folded from one lip_local_sups read of x.  Raises IsolatedPoint when no
     ball (within Y) holds a pair."""
-    sups = [v for v, pairs in lip_local_sups(f, space, x, _grid_radii(grid), Y, budget) if pairs]
+    radii, allowed = _radii_at(grid, x, Y)
+    sups = [v for v, pairs in lip_local_sups(f, space, x, radii, allowed, budget) if pairs]
     if not sups:
         raise IsolatedPoint(f"no ball at {x.id!r} along the grid holds a pair")
     return min(sups)
@@ -544,13 +541,10 @@ def torus_sups(f: FunctionOracle, space: MetricSpace, x: Point, params: Sequence
     rank, and scans the shells otherwise, where the first maximal member in
     enumeration order gives a shell's value.
     """
-    params = tuple(params)
-    allowed = None if Y is None else set(Y)
-    _check_center(x, allowed)
-    for _, r, s in params:
-        _check_shell(r, s)
+    allowed = _allowed(x, Y)
+    params = Shells.of(params, repeats=True)
     table = params and _table_at(  # an empty truncation has no level to rank
-        f, space, x, budget, lambda rk, i: _torus_table(rk, i, _torus_layout(params), "sup"))
+        f, space, x, budget, lambda rk, i: _torus_table(rk, i, params.levels, params, "sup"))
     if not table:
         sups = []
         for t, r, s in params:
@@ -590,27 +584,26 @@ def slope_at(f: FunctionOracle, space: MetricSpace, x: Point,
     best key, folded by outer radius; otherwise the shells are scanned and
     each s keeps its first maximal shell in grid order.
     """
-    shells = tuple(grid or ()) or default_shell_grid(space, x)
+    shells = grid if type(grid) is ShellGrid else tuple(grid or ())
+    shells = shells or default_shell_grid(space, x)
     if not shells:
         raise IsolatedPoint(f"no shells realized at {x.id!r}")
-    allowed = None if Y is None else set(Y)
-    _check_center(x, allowed)
+    allowed = _allowed(x, Y)
     t = f.value(x)
-    for r, s in shells:
-        _check_shell(r, s)
-    radii, inner, outer = _radius_layout(shells)
-    layout = ([t], np.zeros(len(shells), dtype=np.int64), radii, inner, outer)
-    table = _table_at(f, space, x, budget, lambda rk, i: _torus_table(rk, i, layout, "sup"))
+    shells = ShellGrid.of(shells, repeats=True)
+    table = _table_at(f, space, x, budget, lambda rk, i: _torus_table(rk, i, [t], shells, "sup"))
     if table is None:
         inner: dict = {}
-        scanned = torus_sups(f, space, x, [(t, r, s) for r, s in shells], allowed, budget)
-        for (_, s), sup in zip(shells, scanned):
+        level = Shells(((t, r, s) for r, s in shells), repeats=True, layout=(
+            [t], shells.radii, shells.rows, shells.inner, shells.outer))
+        scanned = torus_sups(f, space, x, level, allowed, budget)
+        for s, sup in zip(shells.outer.tolist(), scanned):  # s by its radius index
             if sup is not None and (s not in inner or sup > inner[s]):
                 inner[s] = sup
         sups = list(inner.values())
     else:
-        tops = np.full(len(radii), -1, dtype=np.int64)  # best key per outer radius
-        np.maximum.at(tops, outer, _read(table, space, allowed)[0])
+        tops = np.full(len(shells.radii), -1, dtype=np.int64)  # best key per outer radius
+        np.maximum.at(tops, shells.outer, _read(table, space, allowed)[0])
         tops = tops[tops >= 0]
         sups = [table.value(0, int(tops.min()))] if tops.size else []
     if not sups:
@@ -666,7 +659,11 @@ def lipschitz_second_witness(f2: Callable[[Point, Point], Num],
 def verify_lipschitz_second(f2: Callable[[Point, Point], Num],
                             space1: MetricSpace, space2: MetricSpace, k: Num,
                             budget: Optional[int] = None) -> bool:
-    """True when no scanned triple violates the k-Lipschitz bound in y."""
+    """True when no scanned triple violates the k-Lipschitz bound in y.
+
+    Exact triples compare exactly; a gap or bound that passed through floats
+    may exceed the bound by FLOAT_TOL (1e-12), as lipschitz_second_witness
+    allows."""
     return lipschitz_second_witness(f2, space1, space2, k, budget) is None
 
 
@@ -686,8 +683,8 @@ def partial_slope(f2: Callable[[Point, Point], Num], space1: MetricSpace,
 # Registered witness-problem families
 
 
-def radius_truncation(space, density: Optional[int] = None) -> tuple:
-    """Scalar radii realizing every distinct ball of the space.
+def radius_truncation(space, density: Optional[int] = None) -> Radii:
+    """Scalar radii realizing every distinct ball of the space, prepared.
 
     One value inside each gap between consecutive realized distances, plus
     half the minimum and one past the diameter.  density caps the grid by
@@ -698,15 +695,21 @@ def radius_truncation(space, density: Optional[int] = None) -> tuple:
         step = (len(grid) - 1) / (density - 1)
         idx = sorted({round(i * step) for i in range(density)})
         grid = tuple(grid[i] for i in idx)
-    return grid
+    return Radii(grid)
 
 
 def shell_truncation(space, t_values: Sequence[Num],
-                     density: Optional[int] = None) -> tuple:
-    """All (t, r, s) with r < s from the radius grid and t from t_values."""
-    radii = radius_truncation(space, density)
-    shells = [(r, s) for i, r in enumerate(radii) for s in radii[i + 1:]]
-    return tuple((t, r, s) for t in t_values for (r, s) in shells)
+                     density: Optional[int] = None) -> Shells:
+    """All (t, r, s) with r < s from the radius grid and t from t_values,
+    t-major, laid out by construction; a level repeated by value repeats its
+    shells, which raises."""
+    radii, levels = radius_truncation(space, density), list(t_values)
+    inner, outer = np.triu_indices(len(radii), 1)
+    shells = [(radii[i], radii[j]) for i, j in zip(inner.tolist(), outer.tolist())]
+    k = len(levels)
+    return Shells([(t, r, s) for t in levels for r, s in shells], layout=(
+        levels, list(radii), np.repeat(np.arange(k), len(shells)), np.tile(inner, k),
+        np.tile(outer, k)))
 
 
 # Optimum tables: each family reads the scores its regions can meet, ranked
@@ -714,23 +717,14 @@ def shell_truncation(space, t_values: Sequence[Num],
 # sorted distance row.
 
 
-def _valid_params(params: Sequence, ok: Callable) -> bool:
-    """True when the region builders accept every parameter (the scan raises otherwise)."""
-    try:
-        return bool(params) and all(ok(p) for p in params)
-    except (TypeError, ValueError):
-        return False
-
-
-def _optimum_tables(f: FunctionOracle, space: MetricSpace, budget: Optional[int], params_ok: bool,
-                    build: Callable[[_Rankings, int], Optional[Optima]]):
+def _optimum_tables(f: FunctionOracle, space: MetricSpace, budget: Optional[int],
+                    trunc: Sequence, build: Callable[[_Rankings, int], Optional[Optima]]):
     """Memoized per-center optimum tables, or None where only the scan applies.
 
-    Lazy spaces, budgeted regions and truncations holding a parameter the
-    region builders reject are left to the scan, and so is a center whose
-    build returns None.
+    Lazy spaces, budgeted regions and empty truncations are left to the
+    scan, and so is a center whose build returns None.
     """
-    if budget is not None or not isinstance(space, FiniteMetricSpace) or not params_ok:
+    if budget is not None or not isinstance(space, FiniteMetricSpace) or not trunc:
         return None
     tables = functools.cache(lambda i: build(_rankings(f, space), i))
     return lambda x: tables(space.index_of(x)) if x in space else None
@@ -776,9 +770,8 @@ def _ball_ends(dists: list, radii: Sequence[Num]) -> np.ndarray:
 
 
 # The table builders, one per family, shared by the factories and the
-# formulas: (f's rankings on a finite space, a center index, the parameters)
-# to the center's Optima, or None when a ranking is declined.  Parameters are
-# checked by the caller.
+# formulas: (f's rankings on a finite space, a center index, the prepared
+# parameters) to the center's Optima, or None when a ranking is declined.
 
 
 def _points_table(rankings: _Rankings, i: int, radii: Sequence[Num],
@@ -823,30 +816,12 @@ def _pairs_table(rankings: _Rankings, i: int, radii: Sequence[Num],
                   lambda k: (space.points[ids[k // n]], space.points[ids[k % n]]), floats)
 
 
-def _radius_layout(shells: Iterable[tuple]) -> tuple[list, np.ndarray, np.ndarray]:
-    """The distinct radii of (r, s) shells, by value, and each shell's r and s
-    as indices into them."""
-    radii: dict = {}
-    index = [(radii.setdefault(r, len(radii)), radii.setdefault(s, len(radii)))
-             for r, s in shells]
-    inner, outer = np.array(index, dtype=np.int64).reshape(-1, 2).T
-    return list(radii), inner, outer
-
-
-def _torus_layout(params: Sequence[tuple]) -> tuple:
-    """(levels, row of each parameter, radii, inner, outer) of (t, r, s) triples:
-    levels by type and value, since the quotients' types follow t's."""
-    levels: dict = {}
-    rows = [levels.setdefault((type(t), t), len(levels)) for t, _, _ in params]
-    return ([t for _, t in levels], np.array(rows, dtype=np.int64),
-            *_radius_layout((r, s) for _, r, s in params))
-
-
-def _torus_table(rankings: _Rankings, i: int, layout: tuple, mode: str) -> Optional[Optima]:
-    """Shells r < d(x_i, u) < s at each level t: one ranking of the descent
-    quotients per level, laid out along the punctured sorted row, where a
-    shell is a slice."""
-    levels, rows, radii, inner, outer = layout
+def _torus_table(rankings: _Rankings, i: int, levels: list, shells: ShellGrid,
+                 mode: str) -> Optional[Optima]:
+    """Shells r < d(x_i, u) < s at each level t (shell k at levels[shells.rows[k]]):
+    one ranking of the descent quotients per level, laid out along the
+    punctured sorted row, where a shell is a slice."""
+    rows, radii, inner, outer = shells.rows, shells.radii, shells.inner, shells.outer
     ranked = [rankings.descent(i, t, mode) for t in levels]
     if None in ranked:
         return None
@@ -868,7 +843,7 @@ def punctured_ball_problem(space: MetricSpace, f: FunctionOracle,
     Scores do not depend on x, so the table reads f's ranking in mode (in
     sup mode the one liminf_at and limsup_at read).
     """
-    trunc = radius_truncation(space) if truncation is None else tuple(truncation)
+    trunc = Radii.of(radius_truncation(space) if truncation is None else truncation)
 
     def region(x: Point, r: Num) -> Region:
         return Region(1, tuple((u,) for u in punctured_ball_points(space, x, r, budget)))
@@ -881,9 +856,9 @@ def punctured_ball_problem(space: MetricSpace, f: FunctionOracle,
 
     return WitnessProblem(
         name=f"punctured-ball[{mode}]", space=space,
-        params=ParamSpace(trunc), arity=1, mode=mode,
+        params=trunc, arity=1, mode=mode,
         region=region, member=member, score=score,
-        optima=_optimum_tables(f, space, budget, _valid_params(trunc, lambda r: r > 0),
+        optima=_optimum_tables(f, space, budget, trunc,
                                lambda rk, i: _points_table(rk, i, trunc, mode)))
 
 
@@ -896,7 +871,7 @@ def ball_pairs_problem(space: MetricSpace, f: FunctionOracle,
     The table reads f's ranked pair quotients (in sup mode the ones
     lip_local_sups reads).
     """
-    trunc = radius_truncation(space) if truncation is None else tuple(truncation)
+    trunc = Radii.of(radius_truncation(space) if truncation is None else truncation)
     cache: dict = {}
 
     def region(x: Point, r: Num) -> Region:
@@ -915,9 +890,9 @@ def ball_pairs_problem(space: MetricSpace, f: FunctionOracle,
 
     return WitnessProblem(
         name=f"ball-pairs[{mode}]", space=space,
-        params=ParamSpace(trunc), arity=2, mode=mode,
+        params=trunc, arity=2, mode=mode,
         region=region, member=member, score=score,
-        optima=_optimum_tables(f, space, budget, _valid_params(trunc, lambda r: r > 0),
+        optima=_optimum_tables(f, space, budget, trunc,
                                lambda rk, i: _pairs_table(rk, i, trunc, mode)))
 
 
@@ -933,7 +908,7 @@ def torus_slope_problem(space: MetricSpace, f: FunctionOracle,
     """
     if truncation is None:
         truncation = shell_truncation(space, level_grid(f, space, t_mode))
-    trunc = tuple(truncation)
+    trunc = Shells.of(truncation)
 
     def region(x: Point, p: tuple) -> Region:
         _, r, s = p
@@ -953,14 +928,12 @@ def torus_slope_problem(space: MetricSpace, f: FunctionOracle,
             v = memo[key] = _descent_quotient(p[0], f, space, x, u[0])
         return v
 
-    layout = functools.cache(lambda: _torus_layout(trunc))
     return WitnessProblem(
         name=f"torus-slope[{mode}]", space=space,
-        params=ParamSpace(trunc), arity=1, mode=mode,
+        params=trunc, arity=1, mode=mode,
         region=region, member=member, score=score,
-        optima=_optimum_tables(f, space, budget,
-                               _valid_params(trunc, lambda p: len(p) == 3 and 0 < p[1] < p[2]),
-                               lambda rk, i: _torus_table(rk, i, layout(), mode)))
+        optima=_optimum_tables(f, space, budget, trunc,
+                               lambda rk, i: _torus_table(rk, i, trunc.levels, trunc, mode)))
 
 
 PROBLEM_FAMILIES = {

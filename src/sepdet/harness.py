@@ -219,7 +219,6 @@ class SuiteConfig:
     # ones; formula comparisons compare at 0
     tolerance: Optional[Num] = None
     q_density: Optional[int] = None
-    shells_override: Optional[tuple] = None
 
     def __post_init__(self):
         if self.instances is not None and self.instances < 1:
@@ -410,8 +409,6 @@ class Instance:
         return self.space, random_table_function(self.space, self.key(), inf_share=inf_share)
 
     def shells(self, f: FunctionOracle, t_mode: str) -> tuple:
-        if self.cfg.shells_override is not None:
-            return self.cfg.shells_override
         return shell_truncation(self.space, level_grid(f, self.space, t_mode),
                                 self.cfg.q_density)
 
@@ -584,15 +581,18 @@ def _each(Y):
     return ((x,) for x in Y)
 
 
-def _sides(formula: Callable, Y, exc: type, skip: str):
-    """(formula(None), formula(Y)); skip when the full side raises exc, None for Y's."""
+def _sides(space, formula: Callable, Y):
+    """(formula(None), formula(Y)), None for Y's side where it raises IsolatedPoint;
+    skipped as isolated where the full side does, or space has one point."""
+    if len(space) == 1:
+        return "skipped_isolated"
     try:
         full = formula(None)
-    except exc:
-        return skip
+    except IsolatedPoint:
+        return "skipped_isolated"
     try:
         return full, formula(Y)
-    except exc:
+    except IsolatedPoint:
         return full, None
 
 
@@ -618,8 +618,7 @@ def _intersection(inst: Instance) -> list[Stage]:
     space, f = inst.table()
     eps, cap, q = inst.cfg.eps, inst.cfg.cap, inst.cfg.q_density
     pairs = ball_pairs_problem(space, f, "sup", truncation=radius_truncation(space, q))
-    torus = torus_slope_problem(space, f, "sup", truncation=shell_truncation(
-        space, level_grid(f, space, "sample"), q))  # shells_override does not apply here
+    torus = torus_slope_problem(space, f, "sup", truncation=inst.shells(f, "sample"))
     handles = {"pairs": families.family_for([pairs], eps, cap),
                "torus": families.family_for([torus], eps, cap)}
     handles["intersection"] = families.intersect(list(handles.values()))
@@ -679,12 +678,9 @@ def _limits(inst: Instance) -> list[Stage]:
     probs = [punctured_ball_problem(space, f, mode, truncation=radii) for mode in ("sup", "inf")]
 
     def limits(Y, at):
-        if len(space) == 1:
-            return "skipped_isolated"
-        return _sides(lambda y: (liminf_at(f, space, *at, radii, Y=y),
-                                 limsup_at(f, space, *at, radii, Y=y),
-                                 continuity_check(f, space, *at, radii, Y=y, tol=inst.tol)),
-                      Y, IsolatedPoint, "skipped_isolated")
+        return _sides(space, lambda y: (
+            liminf_at(f, space, *at, radii, Y=y), limsup_at(f, space, *at, radii, Y=y),
+            continuity_check(f, space, *at, radii, Y=y, tol=inst.tol)), Y)
 
     return [Stage("closure", inst.closing(intersect_problems, probs),
                   (Comparison("limits", ("x",), _each, limits),))]
@@ -713,10 +709,7 @@ def _pair_sup(space, f: FunctionOracle, radii: tuple) -> Comparison:
 
 def _lip_modulus(space, f: FunctionOracle, radii: tuple) -> Comparison:
     def at(Y, at):
-        if len(space) == 1:
-            return "skipped_isolated"
-        return _sides(lambda y: lip_modulus(f, space, *at, radii, Y=y), Y, IsolatedPoint,
-                      "skipped_isolated")
+        return _sides(space, lambda y: lip_modulus(f, space, *at, radii, Y=y), Y)
 
     return Comparison("modulus", ("x",), _each, at)
 
@@ -745,13 +738,8 @@ def _torus_sup(inst: Instance, space, f: FunctionOracle, shells: tuple) -> Compa
 
 
 def _slope(inst: Instance, space, f: FunctionOracle, shells: tuple) -> Comparison:
-    grid = tuple(dict.fromkeys((r, s) for _, r, s in shells))
-
     def at(Y, at):
-        if len(space) == 1:
-            return "skipped_isolated"
-        out = _sides(lambda y: slope_at(f, space, *at, grid, Y=y), Y, IsolatedPoint,
-                     "skipped_isolated")
+        out = _sides(space, lambda y: slope_at(f, space, *at, shells.grid, Y=y), Y)
         if not isinstance(out, str) and not f.is_finite_at(at[0]):
             inst.notes.append("convention_branch_checks")
         return out
@@ -797,13 +785,9 @@ def _partial_slope(inst: Instance) -> list[Stage]:
 
     s1, s2, f2, k, make_problem, Y2, close = _product(inst, 3 + inst.index % 6, coeffs, "full")
 
-    @functools.cache
-    def grid(y: Point) -> tuple:
-        return tuple(dict.fromkeys((r, s) for _, r, s in make_problem(y).params.truncation))
-
     def slopes(Y, at):
         y, x = at
-        g = grid(y)
+        g = make_problem(y).params.grid
         if len(s1) == 1:
             return "skipped_isolated"
         return partial_slope(f2, s1, x, y, grid=g), partial_slope(f2, s1, x, y, grid=g, Y1=Y)

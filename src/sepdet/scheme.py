@@ -22,11 +22,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from numbers import Real
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import (
+    BadShell,
     EmptyRegion,
     InvariantViolation,
     NoCoordinates,
@@ -43,26 +46,101 @@ from .extreal import (
     fmt,
     is_finite,
 )
-from .spaces import FiniteMetricSpace, MetricSpace, Point, Region
+from .spaces import FiniteMetricSpace, MetricSpace, Point, Region, _check_radius, _check_shell
 
 
-@dataclass(frozen=True)
-class ParamSpace:
+class ParamSpace(tuple):
     """A separable parameter space, given by its finite truncation.
 
     The truncation is the finite, duplicate-free sample of a dense subset
-    actually swept by closures and checks: scalar radii or (t, r, s) shell
-    triples, opaque to the engine.
+    actually swept by closures and checks, opaque to the engine; a
+    ParamSpace is that sequence.  The shipped families prepare theirs as one
+    of the kinds below, which checks each parameter once, lays the
+    truncation out for the optimum tables and finds repeats from that layout
+    (_keys).  A formula's grid may repeat a parameter (repeats=True).
     """
 
-    truncation: tuple
+    def __new__(cls, truncation: Iterable = (), *args, **kwargs):
+        return super().__new__(cls, truncation)
 
-    def __post_init__(self):
-        seen = set()
-        for p in self.truncation:
-            if p in seen:
-                raise ValueError(f"duplicate parameter {p!r} in truncation")
-            seen.add(p)
+    def __init__(self, truncation: Iterable = (), repeats: bool = False):
+        self.repeats = repeats
+        seen: dict = {}  # each key hashed once
+        twin = None if repeats else next(
+            (i for i, k in enumerate(self._keys()) if seen.setdefault(k, i) != i), None)
+        if twin is not None:
+            raise ValueError(f"duplicate parameter {self[twin]!r} in truncation")
+
+    truncation = property(lambda self: self)
+
+    def _keys(self) -> Iterable:  # one per parameter, equal where the parameters are
+        return self
+
+    @classmethod
+    def of(cls, params: Iterable, repeats: bool = False) -> "ParamSpace":
+        """params as cls: as given when so prepared, else checked and laid out.
+        A formula's grid may repeat a parameter (repeats=True); a problem's
+        truncation may not."""
+        if type(params) is cls and (repeats or not params.repeats):
+            return params
+        return cls(params, repeats)
+
+
+class Radii(ParamSpace):
+    """Scalar radii, each checked positive once."""
+
+    def __init__(self, radii: Iterable[Num] = (), repeats: bool = False):
+        for r in self:
+            _check_radius(r)
+        super().__init__(radii, repeats)
+
+
+class ShellGrid(ParamSpace):
+    """(r, s) shells r < d(x, u) < s, a slope's grid, laid out by value: the
+    levels t by type and value (the quotients' types follow t's; a grid has
+    none, and its shells take row 0, the slope's f(x)), the distinct radii,
+    and each shell's row and inner and outer radius index, from which
+    repeats are found.  A truncation builder that knows the layout gives it."""
+
+    width, kind = 2, "an (r, s) pair"
+
+    def __init__(self, params: Iterable = (), repeats: bool = False,
+                 layout: Optional[tuple] = None):
+        if layout is None:
+            for p in self:
+                if not isinstance(p, (tuple, list)) or len(p) != self.width or not all(
+                        isinstance(v, Real) for v in p):
+                    raise BadShell(f"shell parameter must be {self.kind} of numbers, got {p!r}")
+                _check_shell(*p[-2:])
+            levels: dict = {}
+            radii: dict = {}
+            rows = [levels.setdefault((type(p[0]), p[0]), len(levels))
+                    for p in self if len(p) == 3]
+            index = [radii.setdefault(v, len(radii)) for p in self for v in p[-2:]]
+            layout = ([t for _, t in levels], list(radii), rows or [0] * len(self),
+                      index[0::2], index[1::2])
+        self.levels, self.radii = layout[:2]
+        self.rows, self.inner, self.outer = (np.asarray(a, dtype=np.int64) for a in layout[2:])
+        super().__init__(params, repeats)
+
+    def _keys(self) -> Iterable:
+        same: dict = {}  # each level's first level equal to it by value
+        first = np.array([same.setdefault(t, k) for k, t in enumerate(self.levels)] or [0])
+        return zip(first[self.rows].tolist(), self.inner.tolist(), self.outer.tolist())
+
+
+class Shells(ShellGrid):
+    """(t, r, s) shells, each at its level t, laid out as a ShellGrid's."""
+
+    width, kind = 3, "a (t, r, s) triple"
+
+    @cached_property
+    def grid(self) -> ShellGrid:
+        """The distinct (r, s) shells, each where it first appears: the slope's grid."""
+        first = np.sort(np.unique(self.inner * len(self.radii) + self.outer,
+                                  return_index=True)[1])
+        return ShellGrid((tuple(self[k][1:]) for k in first.tolist()), layout=(
+            [], self.radii, np.zeros(first.size), self.inner[first], self.outer[first]))
 
 
 @dataclass(frozen=True)
@@ -288,7 +366,7 @@ class DeterminacyCheck:
 
 
 def fmt_param(p: object):
-    if isinstance(p, tuple):
+    if isinstance(p, (tuple, list)):
         return [fmt(v) for v in p]
     return fmt(p)
 

@@ -17,6 +17,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from numbers import Real
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -331,12 +332,12 @@ class Region:
 
 
 def _check_radius(r: Num) -> None:
-    if not r > 0:
+    if not (isinstance(r, Real) and r > 0):
         raise NonPositiveRadius(f"radius must be positive, got {fmt(r)}")
 
 
 def _check_shell(r: Num, s: Num) -> None:
-    if not (0 < r < s):
+    if not (isinstance(r, Real) and isinstance(s, Real) and 0 < r < s):
         raise BadShell(f"shell needs 0 < r < s, got r={fmt(r)}, s={fmt(s)}")
 
 

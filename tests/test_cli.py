@@ -1,6 +1,8 @@
 """CLI verbs: exit codes, diagnostics, and byte-stable JSON reports."""
 
+import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import tempfile
@@ -10,7 +12,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sepdet.cli import run_cli
+from sepdet import SuiteConfig
+from sepdet.cli import _build_parser, run_cli
 
 LINE3 = {
     "kind": "finite",
@@ -466,3 +469,25 @@ class TestMalformedDescriptors:
                 code = run_cli(argv)
         assert code == 2, err.getvalue()
         assert field in err.getvalue() and "Traceback" not in err.getvalue()
+
+
+# Every knob a run can take.  A field or flag added later fails here first,
+# so that the change that adds it names it.
+SUITE_CONFIG_FIELDS = ["instances", "sizes", "seed", "eps", "cap", "max_depth", "tolerance",
+                       "q_density"]
+COMMON_FLAGS = ["--cap", "--depth", "--eps", "--help", "--instances", "--n", "--name", "--out",
+                "--param", "--q-density", "--seed", "--tolerance", "--x"]
+VERB_FLAGS = {verb: sorted(COMMON_FLAGS + ["--fn", "--space"])
+              for verb in ("validate", "reduce", "check", "slope", "lip")} | {
+    "suite": COMMON_FLAGS}
+
+
+def test_the_option_surface_is_pinned():
+    assert [field.name for field in dataclasses.fields(SuiteConfig)] == SUITE_CONFIG_FIELDS
+    parser = _build_parser()
+    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert {verb: sorted(flag for action in sub._actions for flag in action.option_strings
+                         if flag.startswith("--"))
+            for verb, sub in verbs.choices.items()} == VERB_FLAGS
+    assert sorted(flag for action in parser._actions for flag in action.option_strings) == \
+        ["--help", "-h"]

@@ -1,6 +1,7 @@
 """Variational quantities: limits, Lipschitz suprema, shell slopes, slices."""
 
 import gc
+import re
 import weakref
 from fractions import Fraction
 
@@ -9,11 +10,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sepdet import (
+    BadShell,
     DescriptorError,
     EmptyRegion,
     FunctionOracle,
     IsolatedPoint,
     LazyMetricSpace,
+    NonPositiveRadius,
     SuiteConfig,
     ball_pairs,
     ball_pairs_problem,
@@ -407,7 +410,7 @@ class TestProductSlices:
 
         before = descents()
         for y in Y2:
-            grid = tuple(dict.fromkeys((r, s) for _, r, s in problems[y].params.truncation))
+            grid = problems[y].params.grid
             for x in Y:
                 assert partial_slope(f2, s1, x, y, grid) == \
                     partial_slope(f2, s1, x, y, grid, Y1=Y)
@@ -442,6 +445,46 @@ class TestProductSlices:
         monkeypatch.setattr(functionals._Rankings, "__init__", counted)
         run_suite("thm-4.3", SuiteConfig(instances=2, sizes=(8,)))
         assert seen and len(set(seen)) == len(seen)
+
+
+class TestMalformedParameters:
+    """A parameter that is no radius or shell is named when it is prepared:
+    by a formula on entry, by a problem factory at construction."""
+
+    @pytest.fixture
+    def six(self):
+        return coord_space([(f"e{i}", i) for i in range(6)])
+
+    @pytest.mark.parametrize("call, error, named", [
+        (lambda s, x: lip_local_sups(COORD, s, x, ("a",)), NonPositiveRadius, "got a"),
+        (lambda s, x: lip_modulus(COORD, s, x, [1, None]), NonPositiveRadius, "got None"),
+        (lambda s, x: liminf_at(COORD, s, x, [(1, 2)]), NonPositiveRadius, "got (1, 2)"),
+        (lambda s, x: torus_sups(COORD, s, x, [(1, 2)]), BadShell, "got (1, 2)"),
+        (lambda s, x: torus_sups(COORD, s, x, [(0, "a", 2)]), BadShell, "got (0, 'a', 2)"),
+        (lambda s, x: torus_sups(COORD, s, x, [("t", 1, 2)]), BadShell, "got ('t', 1, 2)"),
+        (lambda s, x: torus_sup(COORD, s, x, 0, 2, 1), BadShell, "r=2, s=1"),
+        (lambda s, x: slope_at(COORD, s, x, [(0, 1, 2)]), BadShell, "got (0, 1, 2)"),
+        (lambda s, x: slope_at(COORD, s, x, [HALF, 1]), BadShell, "got Fraction(1, 2)"),
+    ])
+    def test_formulas_name_the_parameter(self, six, call, error, named):
+        with pytest.raises(error, match=re.escape(named)):
+            call(six, six.point("e2"))
+
+    @pytest.mark.parametrize("build, error", [
+        (lambda s: punctured_ball_problem(s, COORD, truncation=("a",)), NonPositiveRadius),
+        (lambda s: ball_pairs_problem(s, COORD, truncation=(1, 0)), NonPositiveRadius),
+        (lambda s: torus_slope_problem(s, COORD, truncation=[(1, 2)]), BadShell),
+        (lambda s: torus_slope_problem(s, COORD, truncation=[(0, 2, 1)]), BadShell),
+        (lambda s: torus_slope_problem(s, COORD, truncation=[(0, 1, 2, 3)]), BadShell),
+    ])
+    def test_factories_reject_a_bad_truncation_at_construction(self, six, build, error):
+        with pytest.raises(error):
+            build(six)
+
+    def test_a_bad_truncation_ends_before_its_closure(self, six):
+        with pytest.raises(NonPositiveRadius, match="got a"):
+            closure_iterate(punctured_ball_problem(six, COORD, truncation=("a",)),
+                            [six.point("e0")])
 
 
 class TestDescriptors:

@@ -1,9 +1,11 @@
 """Instance generators, the brute-force oracle, dumps/replay, suite runs."""
 
 import ast
+import functools
 import hashlib
 import importlib
 import json
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,10 +32,18 @@ from sepdet import (
     witness_dump,
 )
 import sepdet.harness as harness
+import sepdet.scheme as scheme
+import sepdet.spaces as spaces
 from sepdet.extreal import fmt, is_finite
 from sepdet.harness import SUITES, Instance, _plan_sizes
+from sepdet.scheme import Radii, ShellGrid, Shells
 
 COORD = builtin_function("coord")
+
+
+def inject_shells(monkeypatch, *shells):
+    """Every suite instance sweeps these shells in place of its own truncation."""
+    monkeypatch.setattr(Instance, "shells", lambda self, f, t_mode: Shells(shells))
 
 
 class TestSpaceGenerator:
@@ -298,17 +308,16 @@ class TestRunSuite:
         assert report.ok and report.checks_passed == 0
         assert report.notes["skipped_isolated"] == 2
 
-    def test_an_isolated_center_skips_the_slope(self):
+    def test_an_isolated_center_skips_the_slope(self, monkeypatch):
         # some center of a six-point space has no point at a distance in (1/2, 3/2)
-        cfg = SuiteConfig(instances=2, sizes=(6,),
-                          shells_override=((1, Fraction(1, 2), Fraction(3, 2)),))
-        report = run_suite("thm-4.2", cfg)
+        inject_shells(monkeypatch, (1, Fraction(1, 2), Fraction(3, 2)))
+        report = run_suite("thm-4.2", SuiteConfig(instances=2, sizes=(6,)))
         assert report.ok
         assert report.notes.get("skipped_isolated", 0) > 0
         # no shell reaches past distance 100, so every center is skipped, and
         # one where f = +inf (seed 2 has one) counts no convention-branch check
-        cfg = SuiteConfig(instances=8, sizes=(6,), seed=2, shells_override=((1, 100, 200),))
-        report = run_suite("thm-4.2", cfg)
+        inject_shells(monkeypatch, (1, 100, 200))
+        report = run_suite("thm-4.2", SuiteConfig(instances=8, sizes=(6,), seed=2))
         assert report.ok and report.checks_passed == 0
         assert report.notes["skipped_isolated"] == 8
         assert "convention_branch_checks" not in report.notes
@@ -318,10 +327,9 @@ class TestRunSuite:
         assert report.ok
         assert report.notes.get("skipped_no_pairs", 0) > 0
 
-    def test_shell_override_skips_every_region(self):
-        cfg = SuiteConfig(instances=2, sizes=(4,), seed=1,
-                          shells_override=((1, Fraction(1, 8), Fraction(1, 4)),))
-        report = run_suite("prop-4.1", cfg)
+    def test_shell_override_skips_every_region(self, monkeypatch):
+        inject_shells(monkeypatch, (1, Fraction(1, 8), Fraction(1, 4)))
+        report = run_suite("prop-4.1", SuiteConfig(instances=2, sizes=(4,), seed=1))
         assert report.ok
         assert report.checks_passed == 0
         assert report.notes.get("skipped_empty_shell", 0) > 0
@@ -361,6 +369,52 @@ def test_per_center_comparisons_read_each_center_twice(suite, per_center, one_pa
     closures = list({id(Y): Y for _, Y in rests}.values())
     assert len(closures) == 4
     assert [x for x, _ in rests] == [x for Y in closures for x in Y]
+
+
+@pytest.mark.parametrize("suite", ["prop-4.1", "thm-4.2", "thm-4.3"])
+def test_the_shell_suites_prepare_each_truncation_once(suite, monkeypatch):
+    # every parameter is checked at most once per truncation built, a shell
+    # layout is built with its truncation and a slope grid once per truncation,
+    # and no formula call prepares anything
+    built, counts, depth = [], Counter(), [0]
+
+    def counted(name, fn):
+        def run(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return run
+
+    for module in (scheme, spaces):
+        for name in ("_check_radius", "_check_shell"):
+            monkeypatch.setattr(module, name, counted("checks", getattr(module, name)))
+    grid = functools.cached_property(counted("grids", Shells.__dict__["grid"].func))
+    grid.__set_name__(Shells, "grid")
+    monkeypatch.setattr(Shells, "grid", grid)
+    inits = {kind: kind.__init__ for kind in (Radii, ShellGrid)}
+
+    def recorded(self, params=(), repeats=False, layout=None):
+        laid_out = type(self) is not Radii and layout is None  # from plain parameters
+        built.append((type(self), len(self), laid_out, depth[0]))
+        if type(self) is Radii:
+            return inits[Radii](self, params, repeats)
+        return inits[ShellGrid](self, params, repeats, layout)
+
+    for kind in inits:
+        monkeypatch.setattr(kind, "__init__", recorded)
+    for name in ("torus_sups", "slope_at", "partial_slope"):
+        def formula(*args, real=getattr(harness, name), **kwargs):
+            depth[0] += 1
+            try:
+                return real(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        monkeypatch.setattr(harness, name, formula)
+    report = run_suite(suite, SuiteConfig(instances=4, sizes=(6, 9)))
+    assert report.ok and report.checks_passed > 0
+    assert all(not inside for *_, inside in built)
+    assert not any(laid_out for _, _, laid_out, _ in built)
+    assert counts["checks"] <= sum(n for kind, n, *_ in built if kind is Radii)
+    assert counts["grids"] <= sum(kind is Shells for kind, *_ in built)
 
 
 # sha256 of the sorted-key JSON report of every suite at a small config, under

@@ -59,7 +59,7 @@ from sepdet import (
 )
 from sepdet.extreal import NEG_INF, POS_INF
 from sepdet.functionals import _rankings
-from sepdet.scheme import rank_scores, sweep_tally
+from sepdet.scheme import Radii, ShellGrid, Shells, rank_scores, sweep_tally
 
 # Function values; "mixed" holds equal scores of different types (2, 2.0,
 # Fraction(2)), which the tables must leave to the scan.  Finite "fraction"
@@ -246,7 +246,8 @@ def test_descent_rows_agree_with_the_shell_scan(case):
     # radii at realized distances, between them, below and beyond them all
     radii = sorted(set(dists) | set(midpoint_grid(dists)) | {Fraction(1, 3), 100})
     shells = [(r, s) for i, r in enumerate(radii) for s in radii[i + 1:]]
-    bad = [(0, 1), (2, 1), (Fraction(1, 2), Fraction(1, 2)), (-1, 1)]
+    bad = [(0, 1), (2, 1), (Fraction(1, 2), Fraction(1, 2)), (-1, 1), ("a", 1), (1, None)]
+    malformed = [(0, 1, 2), (1,), "rs", 1]  # no (r, s) pair
     least = dists[0] if dists else 1
     empty = [(least / 3, least / 2)]  # holds no point around any center
     levels = sorted({f.value(p) for p in space.points}, key=repr)[:3] + [Fraction(2), POS_INF]
@@ -260,7 +261,8 @@ def test_descent_rows_agree_with_the_shell_scan(case):
                     assert typed(lambda: torus_sup(f, space, x, t, r, s, Y)) == \
                         typed(lambda: torus_sup(f, space, x, t, r, s, Y, budget=scan))
             grids = [None, tuple(picked), tuple(empty),
-                     tuple(picked[:3] + bad[:1] + picked[3:])]
+                     tuple(picked[:3] + bad[:1] + picked[3:]),
+                     tuple(picked[:2] + [rng.choice(malformed)] + picked[2:])]
             for grid in grids:
                 assert typed(lambda: slope_at(f, space, x, grid, Y)) == \
                     typed(lambda: slope_at(f, space, x, grid, Y, budget=scan))
@@ -301,18 +303,83 @@ def test_per_center_reads_agree_with_the_one_parameter_forms_and_the_scan(case):
         for Y in (None, [x] + rng.sample(others, rng.randint(0, len(others))), others):
             picked = rng.sample(radii, min(5, len(radii)))
             if rng.random() < 0.2:
-                picked.insert(rng.randint(0, len(picked)), rng.choice((0, Fraction(-1, 2))))
+                picked.insert(rng.randint(0, len(picked)),
+                              rng.choice((0, Fraction(-1, 2), "a", None)))
             got = typed(lambda: lip_local_sups(f, space, x, picked, Y))
             assert got == typed(lambda: lip_local_sups(f, space, x, picked, Y, budget=scan))
             assert got == typed(lambda: [lip_local_sup(f, space, x, r, Y) for r in picked])
             params = [(rng.choice(levels), r, s) for i, r in enumerate(radii)
                       for s in radii[i + 1:] if rng.random() < 0.5]
             if rng.random() < 0.2:
-                params.insert(rng.randint(0, len(params)), (0, Fraction(1, 2), Fraction(1, 2)))
+                params.insert(rng.randint(0, len(params)), rng.choice((
+                    (0, Fraction(1, 2), Fraction(1, 2)), (0, "a", 1), ("t", Fraction(1, 2), 1),
+                    (Fraction(1, 2), 1), [0, 1, 2, 3])))
             got = typed(lambda: torus_sups(f, space, x, params, Y))
             assert got == typed(lambda: torus_sups(f, space, x, params, Y, budget=scan))
-            assert not params or got == typed(lambda: [each_empty_as_none(lambda: torus_sup(f, space, x, *p, Y))
-                                         for p in params])
+            if params and all(len(p) == 3 for p in params):  # a triple each, as torus_sup takes
+                assert got == typed(lambda: [each_empty_as_none(
+                    lambda: torus_sup(f, space, x, *p, Y)) for p in params])
+
+
+def prepare(kind, params):
+    """params prepared as a formula's grid, or the error naming its bad parameter."""
+    try:
+        return kind(params, repeats=True), None
+    except SepdetError as exc:
+        return None, (type(exc).__name__, str(exc))
+
+
+@settings(max_examples=40)
+@given(st.fixed_dictionaries({
+    "kind": st.sampled_from(SPACES),
+    "n": st.integers(1, 6),
+    "seed": st.integers(0, 10**6),
+    "palette": st.sampled_from(sorted(PALETTES)),
+    "inf": st.sampled_from((0.0, 0.3)),
+    "bad": st.booleans(),
+}))
+def test_every_formula_reads_a_prepared_grid_as_its_plain_sequence(case):
+    space = make_space(case["kind"], case["n"], case["seed"], False)
+    f = make_function(space, case["seed"], case["palette"], case["inf"])
+    rng = Random(case["seed"])
+    dists = space.realized_distances()
+    values = sorted(set(dists) | set(midpoint_grid(dists)) | {100})
+    radii = rng.sample(values, min(4, len(values))) + [rng.choice(values)]  # may repeat one
+    shells = [(r, s) for i, r in enumerate(values) for s in values[i + 1:] if rng.random() < 0.5]
+    levels = sorted({f.value(p) for p in space.points}, key=repr)[:2] + [Fraction(1, 3)]
+    triples = [(rng.choice(levels), r, s) for r, s in shells]
+    triples += triples[:1]  # repeats one
+    if case["bad"]:  # the center check still comes first
+        for params, bad in ((radii, (0, "a")), (shells, ((2, 1), (0, 1, 2))),
+                            (triples, ((0, 2, 1), (1, 2)))):
+            params.insert(rng.randint(0, len(params)), rng.choice(bad))
+
+    def f2(u, v):
+        return f.value(u)
+
+    formulas = [
+        (Radii, radii, lambda g, x, Y: liminf_at(f, space, x, g, Y)),
+        (Radii, radii, lambda g, x, Y: limsup_at(f, space, x, g, Y)),
+        (Radii, radii, lambda g, x, Y: continuity_check(f, space, x, g, Y)),
+        (Radii, radii, lambda g, x, Y: lip_modulus(f, space, x, g, Y)),
+        (Radii, radii, lambda g, x, Y: lip_local_sups(f, space, x, g, Y)),
+        (Shells, triples, lambda g, x, Y: torus_sups(f, space, x, g, Y)),
+        (ShellGrid, shells, lambda g, x, Y: slope_at(f, space, x, g, Y)),
+        (ShellGrid, shells, lambda g, x, Y: partial_slope(f2, space, x, x, g, Y)),
+    ]
+    for kind, params, formula in formulas:
+        prepared, error = prepare(kind, params)
+        for x in space.points:
+            others = [p for p in space.points if p != x]
+            for Y in (None, [x] + others[:2], others):
+                plain = typed(lambda: formula(iter(params), x, Y))  # read once, as given
+                if error is None:
+                    assert typed(lambda: formula(prepared, x, Y)) == plain
+                elif Y is others:
+                    assert plain == ("UnknownPoint",
+                                     f"center {x.id!r} must lie in the restriction set")
+                else:
+                    assert plain == error
 
 
 @pytest.mark.parametrize("ids", [("a", "b", "c"), ("a", "c", "b")])
@@ -364,7 +431,7 @@ def test_pair_and_limit_reads_agree_with_the_scan_and_the_oracle(kind, palette, 
     dists = space.realized_distances()
     # radii at realized distances, between them, below and beyond them all
     radii = sorted(set(dists) | set(midpoint_grid(dists)) | {Fraction(1, 3), 100})
-    bad = [0, -1, Fraction(-1, 2)]
+    bad = [0, -1, Fraction(-1, 2), "a", None, (1, 2)]
     pairs = ball_pairs_problem(space, f, "sup", truncation=radii)
     lows, highs = (punctured_ball_problem(space, f, mode, truncation=radii)
                    for mode in ("inf", "sup"))

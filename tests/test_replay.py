@@ -24,6 +24,7 @@ from sepdet import (
     sort_points,
 )
 from sepdet.harness import SUITES
+from sepdet.scheme import Shells
 
 SHARED = {"suite", "seed", "instance", "comparison", "at", "Y", "full", "restricted",
           "tolerance", "verdict"}
@@ -130,9 +131,10 @@ def test_a_torus_sup_dump_names_one_parameter_and_replays_per_center(monkeypatch
 
 def test_a_restricted_isolated_center_fails_and_replays(monkeypatch):
     tiny_closures(monkeypatch)
-    cfg = SuiteConfig(instances=3, sizes=(6,),
-                      shells_override=((1, Fraction(1, 2), Fraction(3, 2)),))
-    report = run_suite("thm-4.2", cfg)
+    # the one shell stays patched in while the dumps replay
+    monkeypatch.setattr(harness.Instance, "shells",
+                        lambda self, f, t_mode: Shells([(1, Fraction(1, 2), Fraction(3, 2))]))
+    report = run_suite("thm-4.2", SuiteConfig(instances=3, sizes=(6,)))
     dumps = [d for d in report.failures if d["restricted"] is None]
     assert dumps and all(d["comparison"] == "slope" for d in dumps)
     for dump in dumps:

@@ -1,5 +1,6 @@
 """Witness selection, closures, and full-vs-restricted optimum checks."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -23,8 +24,11 @@ from sepdet import (
     product_closure,
     punctured_ball_problem,
     rational_span_close,
+    shell_truncation,
+    torus_slope_problem,
     witness_select,
 )
+from sepdet.scheme import Radii, ShellGrid, Shells
 from sepdet.extreal import NEG_INF
 from conftest import coord_space
 
@@ -46,6 +50,57 @@ class TestParamSpace:
     def test_duplicate_truncation_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             ParamSpace((1, Fraction(2), 1))
+
+    @pytest.mark.parametrize("levels, twin", [([1, Fraction(1)], "(Fraction(1, 1), "),
+                                              ([Fraction(1, 2), 0.5], "(0.5, "),
+                                              ([2, 0, 2], "(2, ")])
+    def test_shell_levels_equal_by_value_are_duplicates(self, line3, levels, twin):
+        with pytest.raises(ValueError, match=re.escape(f"duplicate parameter {twin}")):
+            shell_truncation(line3, levels)
+
+    def test_prepared_kinds_find_duplicates_by_value(self):
+        with pytest.raises(ValueError, match=re.escape("duplicate parameter Fraction(1, 1)")):
+            Radii((1, 2, Fraction(1)))
+        with pytest.raises(ValueError, match=re.escape("duplicate parameter (1.0, 1, 2.0)")):
+            Shells([(1, 1, 2), (1.0, 1, 2.0)])
+        with pytest.raises(ValueError, match=re.escape("duplicate parameter (1, 2.0)")):
+            ShellGrid([(1, 2), (1, 3), (1, 2.0)])
+        # a formula's grid may repeat a parameter; levels of two types stay two rows
+        assert len(Shells([(1, 1, 2)] * 2, repeats=True)) == 2
+        shells = Shells([(1, 1, 2), (Fraction(1), 1, 3)])
+        assert shells.levels == [1, Fraction(1)] and shells.rows.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("levels", [[0, Fraction(1, 2), 3], [2]])
+    def test_a_built_truncation_is_laid_out_as_its_plain_parameters(self, levels):
+        space = coord_space([(f"c{k}", k * k) for k in range(5)])
+        assert len(shell_truncation(space, [])) == 0
+        built = shell_truncation(space, levels)
+        plain = Shells(tuple(built))
+        assert built == plain and type(built.truncation) is Shells
+        for field in ("levels", "radii", "rows", "inner", "outer"):
+            assert list(getattr(built, field)) == list(getattr(plain, field))
+        firsts = []  # each distinct (r, s) where it first appears
+        for _, r, s in built:
+            if (r, s) not in firsts:
+                firsts.append((r, s))
+        assert list(built.grid) == firsts and built.grid is built.grid
+        assert list(built.grid.outer) == list(ShellGrid(firsts).outer)
+
+    def test_list_shells_check_and_report_as_tuples_do(self, line3):
+        # the duplicate check no longer hashes whole parameters, so a list passes
+        checks = [[c.to_json() for c in check_sweep(torus_slope_problem(
+            line3, COORD, truncation=[shell, (1, 3, 4)]), line3.points)]
+            for shell in ([0, Fraction(1, 2), 2], (0, Fraction(1, 2), 2))]
+        assert checks[0] == checks[1] and checks[0][0]["param"] == [0, "1/2", 2]
+
+    @pytest.mark.parametrize("kind, params", [(Radii, (1, 2)), (Shells, [(0, 1, 2)]),
+                                              (ShellGrid, [(1, 2), (1, 3)])])
+    def test_a_prepared_value_is_passed_on_as_it_is(self, kind, params):
+        prepared = kind(params)
+        assert kind.of(prepared) is prepared and kind.of(prepared, repeats=True) is prepared
+        grid = kind(params, repeats=True)
+        assert kind.of(grid, repeats=True) is grid and kind.of(grid) is not grid
+        assert kind.of(list(params)) == prepared
 
 
 
