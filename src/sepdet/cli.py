@@ -123,14 +123,19 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_reduce(args) -> int:
+def _closed(args) -> tuple:
+    """The space, problem descriptor, problem, seed and closure of reduce and check."""
     space = _load_space(args.space)
     f = _load_function(args.fn)
-    problem = problem_from_descriptor(
-        space, f, _problem_descriptor(args.name, args.q_density))
+    desc = _problem_descriptor(args.name, args.q_density)
+    problem = problem_from_descriptor(space, f, desc)
     seed = _seed_points(space, args.x)
-    gen = closure_iterate(problem, seed, eps=_parse_eps(args.eps), cap=args.cap,
-                          max_depth=args.depth)
+    return space, desc, problem, seed, closure_iterate(
+        problem, seed, eps=_parse_eps(args.eps), cap=args.cap, max_depth=args.depth)
+
+
+def _cmd_reduce(args) -> int:
+    _, _, problem, seed, gen = _closed(args)
     out = {"verb": "reduce", "problem": problem.name,
            "seed": [p.id for p in seed]} | gen.to_json()
     _emit(out, args.out)
@@ -138,16 +143,12 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    space = _load_space(args.space)
-    f = _load_function(args.fn)
-    desc = _problem_descriptor(args.name, args.q_density)
-    problem = problem_from_descriptor(space, f, desc)
-    seed = _seed_points(space, args.x)
-    gen = closure_iterate(problem, seed, eps=_parse_eps(args.eps), cap=args.cap,
-                          max_depth=args.depth)
+    if args.param is not None and not args.x:
+        raise SepdetError("--param needs --x: a single check is at (x, param)")
+    space, desc, problem, _, gen = _closed(args)
     Y = gen.union
     tol = None if args.tolerance is None else parse(args.tolerance)
-    if args.x and args.param:
+    if args.param is not None:
         z = (space.point(args.x), _parse_param(args.param, desc["family"] == "torus-slope"))
         checks = [check_reduction(problem, Y, z, tol=tol)]
     else:

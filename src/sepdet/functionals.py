@@ -810,10 +810,18 @@ def _pairs_table(rankings: _Rankings, i: int, radii: Sequence[Num],
             keys = np.where(inside[:, None] & inside[None, :], keys, -1)
         return (np.tril(keys + 1, -1).max(axis=1) - 1)[None, :]
 
+    def pairs():  # the ordered pairs of the block, by (rank a, rank b)
+        order = np.argsort(rankings.rank[points])
+        rank = rankings.rank[points[order]]
+        codes = pair_keys[np.ix_(points[order], points[order])] // (n * n)
+        first, last = np.minimum.outer(order, order), np.maximum.outer(order, order)
+        return (codes.reshape(1, -1), np.add.outer(rank * n, rank).ravel(),
+                first.ravel(), last.ravel())
+
     zeros = np.zeros(len(radii), dtype=np.int64)
     floats = np.tril(pair_floats[block], -1).any(axis=1)[None, :]
     return Optima(points, keys_for, zeros, zeros, _ball_ends(dists, radii), [values], n * n, 2,
-                  lambda k: (space.points[ids[k // n]], space.points[ids[k % n]]), floats)
+                  lambda k: (space.points[ids[k // n]], space.points[ids[k % n]]), floats, pairs)
 
 
 def _torus_table(rankings: _Rankings, i: int, levels: list, shells: ShellGrid,
@@ -872,7 +880,6 @@ def ball_pairs_problem(space: MetricSpace, f: FunctionOracle,
     lip_local_sups reads).
     """
     trunc = Radii.of(radius_truncation(space) if truncation is None else truncation)
-    cache: dict = {}
 
     def region(x: Point, r: Num) -> Region:
         return ball_pairs(space, x, r, budget)
@@ -882,11 +889,7 @@ def ball_pairs_problem(space: MetricSpace, f: FunctionOracle,
         return a != b and space.distance(x, a) < r and space.distance(x, b) < r
 
     def score(z: tuple, u: tuple) -> Num:
-        a, b = u
-        key = (a.id, b.id) if a.id <= b.id else (b.id, a.id)
-        if key not in cache:
-            cache[key] = _pair_quotient(f, space, a, b)
-        return cache[key]
+        return _pair_quotient(f, space, *u)
 
     return WitnessProblem(
         name=f"ball-pairs[{mode}]", space=space,
@@ -918,15 +921,9 @@ def torus_slope_problem(space: MetricSpace, f: FunctionOracle,
         _, r, s = p
         return r < space.distance(x, u[0]) < s
 
-    memo: dict = {}  # the region scan meets each (t, x, u) once per shell around u
-
     def score(z: tuple, u: tuple) -> Num:
         x, p = z
-        key = (type(p[0]), p[0], x.id, u[0].id)
-        v = memo.get(key)
-        if v is None:
-            v = memo[key] = _descent_quotient(p[0], f, space, x, u[0])
-        return v
+        return _descent_quotient(p[0], f, space, x, u[0])
 
     return WitnessProblem(
         name=f"torus-slope[{mode}]", space=space,

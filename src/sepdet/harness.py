@@ -189,12 +189,7 @@ def brute_force_optimum(problem: WitnessProblem, z: tuple,
         if not problem.member(x, p, u):
             continue
         sc = problem.score(z, u)
-        if best is None:
-            best = sc
-        elif problem.mode == "sup":
-            if sc > best:
-                best = sc
-        elif sc < best:
+        if best is None or (sc > best if problem.mode == "sup" else sc < best):
             best = sc
     if best is None:
         raise EmptyRegion(f"no tuple qualifies at x={x.id}, p={fmt_param(p)}")

@@ -9,17 +9,19 @@ every (center, parameter) the optimum over the full region with the optimum
 over tuples of the generated set, which never beats it and on a fixed point
 equals it; `sweep_tally` counts the verdicts.
 
-Exact argmax closures and check sweeps read a problem's per-center optimum
-table (`Optima`) where the family supplies one: a closure round reads each
-distinct witness key once, at its first parameter; a sweep passes full and
+Closures and check sweeps read a problem's per-center optimum table
+(`Optima`) where the family supplies one: a closure round reads an exact
+argmax once per distinct key, and a slack selection (eps > 0 or cap > 1) as
+the least-id tuples whose codes reach the cut's; a sweep passes full and
 restricted keys that share a code (equal codes are equal values) and compares
-values where codes differ.  Other selections, lazy spaces and single checks
-scan the regions.
+values where codes differ.  Lazy spaces, budgeted regions, declined rankings
+and single selections or checks scan the regions.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -241,12 +243,15 @@ class Optima:
     tuple's point ids, decoded by witness_of.  A region's optimum is then a
     range maximum whose code names the value and whose rest names the optimal
     tuple with the least ids.  floats marks positions bringing in a finite
-    float score.
+    float score.  A slack selection reads every tuple in id order (pairs()
+    lists them for arity 2): its code per row, its index for witness_of, and
+    the least and greatest positions of its points.
     """
 
     def __init__(self, points: np.ndarray, keys_for: Callable, rows: np.ndarray,
                  lo: np.ndarray, hi: np.ndarray, values: list, width: int, arity: int,
-                 witness_of: Callable[[int], tuple], floats: np.ndarray):
+                 witness_of: Callable[[int], tuple], floats: np.ndarray,
+                 pairs: Optional[Callable[[], tuple]] = None):
         self.points = points
         self._keys_for = keys_for
         self._slices = (rows, lo, hi)
@@ -255,6 +260,7 @@ class Optima:
         self.width = width
         self._arity = arity
         self._witness_of = witness_of
+        self._pairs = pairs
         self.best, self.size = self.read()
         counts = np.zeros((floats.shape[0], floats.shape[1] + 1), dtype=np.int64)
         np.cumsum(floats, axis=1, out=counts[:, 1:])
@@ -266,6 +272,36 @@ class Optima:
     def witness(self, i: int) -> tuple:
         """The optimal tuple of region i with the least ids (region nonempty)."""
         return self._witness_of(self.width - 1 - int(self.best[i]) % self.width)
+
+    @cached_property
+    def _by_id(self) -> tuple:
+        if self._arity == 2:
+            return self._pairs()
+        keys = self._keys_for(None)  # the rest of a point's key is its id rank
+        rank = self.width - 1 - keys.max(axis=0) % self.width  # a key of -1 is never kept
+        order = np.argsort(rank)
+        return keys[:, order] // self.width, rank[order], order, order
+
+    def select(self, eps: Num, cap: int, sup: bool) -> list[tuple[int, tuple]]:
+        """(i, the cap least-id tuples of region i that _select keeps) for every
+        nonempty region i, in truncation order.  A region keeps the codes from
+        the least one within eps of its best, found once per (row, best code)
+        by bisection in the row's values, which rank_scores orders without NaN
+        or mixed-type ties."""
+        rows, lo, hi = self._slices
+        regions = np.flatnonzero(self.best >= 0)
+        bests = list(zip(rows[regions].tolist(), (self.best[regions] // self.width).tolist()))
+        least = {(row, code): bisect_left(self._values[row], True,
+                                          key=_within(self._values[row][code], eps, sup))
+                 for row, code in set(bests)}
+        codes, index, lows, highs = self._by_id
+        least_code = np.array([least[b] for b in bests], dtype=np.int64)[:, None]
+        ok = ((codes[rows[regions]] >= least_code) & (lows >= lo[regions][:, None])
+              & (highs < hi[regions][:, None]))
+        hit, col = np.nonzero(ok & (np.cumsum(ok, axis=1) <= cap))
+        kept = list(map(self._witness_of, index[col].tolist()))
+        ends = np.cumsum(np.bincount(hit, minlength=len(regions))).tolist()
+        return [(i, tuple(kept[a:b])) for i, a, b in zip(regions.tolist(), [0] + ends, ends)]
 
     def read(self, mask: Optional[np.ndarray] = None) -> tuple[np.ndarray, list]:
         """Best key and size of every region, whole or cut down to tuples of
@@ -380,11 +416,8 @@ def _id_key(u: tuple) -> tuple:
 
 
 def _score_region(problem: WitnessProblem, z: tuple, region: Region) -> list:
-    """(score, tuple) for every member, with the range guard inlined.
-
-    Only floats can be infinite, so the guard is a cheap type test on the
-    rational fast path.
-    """
+    """(score, tuple) for every member, with the range guard inlined: only
+    floats can be infinite, so it is a cheap type test on exact scores."""
     score = problem.score
     if problem.mode == "sup":
         bad, word = NEG_INF, "-inf"
@@ -400,20 +433,22 @@ def _score_region(problem: WitnessProblem, z: tuple, region: Region) -> list:
     return out
 
 
+def _within(best: Num, eps: Num, sup: bool) -> Callable[[Num], bool]:
+    """The selection rule: a score is kept when it reaches the cut best - eps
+    (best + eps in inf mode), computed in the scores' own arithmetic."""
+    if sup:
+        cut = best if eps == 0 else best - eps  # best - eps stays +inf when best is
+        return lambda v: v >= cut
+    cut = best if eps == 0 else best + eps
+    return lambda v: v <= cut
+
+
 def _select(problem: WitnessProblem, x: Point, p: object, region: Region,
             eps: Num, cap: int) -> tuple[tuple, ...]:
-    z = (x, p)
-    scored = _score_region(problem, z, region)
-    if problem.mode == "sup":
-        best = max(sc for sc, _ in scored)
-        cut = best if eps == 0 else best - eps  # best - eps stays +inf when best is
-        optimal = [u for sc, u in scored if sc >= cut]
-    else:
-        best = min(sc for sc, _ in scored)
-        cut = best if eps == 0 else best + eps
-        optimal = [u for sc, u in scored if sc <= cut]
-    optimal.sort(key=_id_key)
-    return tuple(optimal[:cap])
+    scored = _score_region(problem, (x, p), region)
+    sup = problem.mode == "sup"
+    kept = _within((max if sup else min)(sc for sc, _ in scored), eps, sup)
+    return tuple(sorted((u for sc, u in scored if kept(sc)), key=_id_key)[:cap])
 
 
 def validate_selection(eps: Num, cap: int) -> None:
@@ -467,10 +502,10 @@ def closure_round(problems: Sequence[WitnessProblem], current: Iterable[Point],
 
     Returns (new points with provenance, skipped empty-region count).  New
     means: not already in `current`.  Region maps do not depend on the
-    growing set, so sweeping only the frontier is exact.  With eps = 0 and
-    cap = 1 the witness is the exact argmax (argmin), read from the
-    problem's optimum table where it has one, once per distinct key at the
-    first parameter that has it; otherwise regions are scanned.
+    growing set, so sweeping only the frontier is exact.  Where the problem
+    has an optimum table of x, an exact argmax (eps = 0, cap = 1) is read once
+    per distinct key, at the first parameter that has it, and any other
+    selection by Optima.select; otherwise regions are scanned.
     """
     _common_space(problems)
     known = set(current)
@@ -481,17 +516,20 @@ def closure_round(problems: Sequence[WitnessProblem], current: Iterable[Point],
     for x in todo:
         for prob in problems:
             trunc = prob.params.truncation
-            table = prob.optima(x) if argmax and prob.optima is not None else None
+            table = prob.optima(x) if prob.optima is not None else None
             picks = []
             if table is not None:
                 empty = np.flatnonzero(table.best < 0)
                 if strict_empty and empty.size:
                     raise _empty_region(prob, x, trunc[empty[0]])
                 skipped += empty.size
-                # one witness per distinct key, read at the first parameter that has it
-                keys, first = np.unique(table.best, return_index=True)
-                picks = [(trunc[i], (table.witness(i),))
-                         for i in np.sort(first[keys >= 0]).tolist()]
+                if argmax:  # one witness per distinct key, read at the first parameter that has it
+                    keys, first = np.unique(table.best, return_index=True)
+                    picks = [(trunc[i], (table.witness(i),))
+                             for i in np.sort(first[keys >= 0]).tolist()]
+                else:
+                    picks = [(trunc[i], kept)
+                             for i, kept in table.select(eps, cap, prob.mode == "sup")]
             else:
                 for p in trunc:
                     region = prob.region(x, p)
@@ -627,10 +665,7 @@ def _check(problem: WitnessProblem, Yset: set, z: tuple,
     if region.is_empty:
         return _skipped(problem, x, p, tol)
     scored = _score_region(problem, z, region)
-    if problem.arity == 1:
-        restricted = [sc for sc, u in scored if u[0] in Yset]
-    else:
-        restricted = [sc for sc, u in scored if all(c in Yset for c in u)]
+    restricted = [sc for sc, u in scored if all(c in Yset for c in u)]
     floaty = tol is None and any(type(sc) is float and is_finite(sc) for sc, _ in scored)
     if problem.mode == "sup":
         lhs = max(sc for sc, _ in scored)

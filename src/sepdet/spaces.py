@@ -386,32 +386,6 @@ def ball_pairs(space: MetricSpace, x: Point, r: Num,
     return Region(arity=2, members=members)
 
 
-class ProductSpace:
-    """Product of two spaces under the max(d1, d2) metric.
-
-    Points of the product are plain (Point, Point) pairs; as_finite()
-    materializes an equivalent FiniteMetricSpace for axiom checks.
-    """
-
-    def __init__(self, left: MetricSpace, right: MetricSpace):
-        self.left = left
-        self.right = right
-
-    def distance(self, a: tuple[Point, Point], b: tuple[Point, Point]) -> Num:
-        return max(self.left.distance(a[0], b[0]), self.right.distance(a[1], b[1]))
-
-    def iter_pairs(self, budget: Optional[int] = None) -> Iterator[tuple[Point, Point]]:
-        for p in self.left.iter_points(budget):
-            for q in self.right.iter_points(budget):
-                yield (p, q)
-
-    def as_finite(self) -> FiniteMetricSpace:
-        pairs = list(self.iter_pairs())
-        pts = [Point(id=f"{p.id}|{q.id}") for p, q in pairs]
-        matrix = [[self.distance(a, b) for b in pairs] for a in pairs]
-        return FiniteMetricSpace(pts, matrix, metric_name="product-max")
-
-
 # ---------------------------------------------------------------------------
 # JSON descriptors
 

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import dataclasses
+import importlib
 import io
 import json
 import tempfile
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sepdet import SuiteConfig
+from sepdet import SuiteConfig, cli
 from sepdet.cli import _build_parser, run_cli
 
 LINE3 = {
@@ -205,6 +206,15 @@ class TestCheck:
         body = json.loads(capsys.readouterr().out)
         assert len(body["results"]) == 1
         assert body["results"][0]["verdict"] == "pass"
+
+    def test_param_without_x_exits_two(self, line3_path, capsys):
+        # a single check is at (x, param); a lone --param is not a sweep
+        code = run_cli(["check", "--space", line3_path, "--fn", "coord",
+                        "--name", "punctured-ball", "--param", "1", "--q-density", "4"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "--param" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_unfinished_closure_exits_one(self, line3_path, capsys):
         code = run_cli(["check", "--space", line3_path, "--fn", "coord",
@@ -491,3 +501,17 @@ def test_the_option_surface_is_pinned():
             for verb, sub in verbs.choices.items()} == VERB_FLAGS
     assert sorted(flag for action in parser._actions for flag in action.option_strings) == \
         ["--help", "-h"]
+
+
+def test_descriptor_cli_batch_0_keeps_its_pinned_digest(tmp_path, monkeypatch):
+    # the seed-0 descriptor-cli batch 0 of the benchmark, run through run_cli:
+    # every byte of its reports (slack closures included) is pinned in
+    # bench/digests.json, and neither depends on where the files are written
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    wl = importlib.import_module("workloads")
+    ops = wl.write_cli_inputs(0, tmp_path / "inputs", tmp_path / "outs")[0]
+    outcomes = [wl.run_cli_op(cli, op) for op in ops]
+    assert [o.problems for o in outcomes if o.failed] == []
+    pinned = json.loads((bench / "digests.json").read_text(encoding="utf-8"))
+    assert wl.batch_digest(outcomes) == pinned["descriptor-cli"]

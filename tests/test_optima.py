@@ -1,12 +1,13 @@
 """Optimum tables, shared rankings and sorted-row regions against the scan.
 
-Every problem family reads exact optima from per-center tables when eps = 0
-and cap = 1 and in check sweeps; removing the table (optima=None) leaves the
-region scan.  Both routes, and the brute-force oracle, must agree on
-witnesses, reported values, verdicts, sizes, tolerances and raised errors.
-Sweeps decide table checks by code equality, and closure rounds read each
-distinct witness key once; counted tallies, per-check sweeps and closures
-must match the scan's.
+Every problem family reads its closures' selections (exact or with slack:
+eps > 0, cap > 1) and its check sweeps from per-center tables; removing the
+table (optima=None) leaves the region scan.  Both routes, and the
+brute-force oracle, must agree on witnesses, reported values, verdicts,
+sizes, tolerances and raised errors.  Sweeps decide table checks by code
+equality, and exact closure rounds read each distinct witness key once;
+counted tallies, per-check sweeps and closures must match the scan's, and
+slack closures on tables must make no region or score call.
 The pair and shell formulas read their family's table of the center, one
 read for every parameter (lip_local_sups, torus_sups), and the limits read
 f's rankings; a budget covering the whole space leaves them the scan, and
@@ -15,12 +16,14 @@ must the one-parameter forms.
 """
 
 import dataclasses
+import json
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sepdet import (
@@ -37,7 +40,9 @@ from sepdet import (
     check_sweep,
     closure_iterate,
     continuity_check,
+    family_for,
     intersect_problems,
+    is_member,
     level_grid,
     liminf_at,
     limsup_at,
@@ -46,10 +51,12 @@ from sepdet import (
     lip_modulus,
     midpoint_grid,
     partial_slope,
+    product_closure,
     punctured_ball_points,
     punctured_ball_problem,
     random_finite_metric,
     shell_truncation,
+    slice_oracle,
     slope_at,
     torus_points,
     torus_slope_problem,
@@ -508,10 +515,10 @@ def routes_agree(prob, space, Y):
     for x in space.points:
         assert outcome(lambda: closure_iterate(prob, [x]).to_json()) == \
             outcome(lambda: closure_iterate(scan, [x]).to_json())
-    for tol in (None, 0):
-        assert outcome(lambda: [c.to_json() for c in check_sweep(prob, Y, tol)]) == \
-            outcome(lambda: [check_reduction(scan, Y, (x, p), tol).to_json()
-                             for x in Y for p in prob.params.truncation])
+    for tol in (None, 0):  # compared as JSON text, where a NaN score equals itself
+        assert json.dumps(outcome(lambda: [c.to_json() for c in check_sweep(prob, Y, tol)])) == \
+            json.dumps(outcome(lambda: [check_reduction(scan, Y, (x, p), tol).to_json()
+                                        for x in Y for p in prob.params.truncation]))
 
 
 @pytest.mark.parametrize("mode", ["sup", "inf"])
@@ -631,3 +638,99 @@ def test_closures_agree_with_the_scan_key_by_key(kind, palette):
                         assert got == outcome(lambda: closed(slow, x, strict))
                         raised += got[0] == EmptyRegion.__name__
     assert raised > 0  # strict closures meet empty regions
+
+
+# Slack selections (eps > 0 or cap > 1) read the tables too: the cut is the
+# scan's (best - eps, best + eps in inf mode, in the scan's arithmetic), found
+# as a code threshold, and the cap least-id tuples at or above it are kept.
+SLACK_EPS = (0, Fraction(1, 2), Fraction(1, 3), 0.1, 2, POS_INF)
+
+
+@example({"kind": "float-2d", "n": 5, "seed": 7, "shuffle_ids": True, "palette": "float",
+          "inf": 0.0, "mode": "sup"}, 0.1, 3, False)  # a float cut that rounds
+@example({"kind": "fraction", "n": 6, "seed": 3, "shuffle_ids": False, "palette": "exact",
+          "inf": 0.3, "mode": "sup"}, Fraction(1, 2), 50, False)  # +inf bests, cap past the region
+@example({"kind": "int", "n": 6, "seed": 11, "shuffle_ids": True, "palette": "fraction",
+          "inf": 0.0, "mode": "inf"}, POS_INF, 2, True)  # ball pairs in inf mode, strict
+@given(instances, st.sampled_from(SLACK_EPS), st.sampled_from((1, 2, 3, 50)), st.booleans())
+def test_slack_selections_read_from_the_tables_agree_with_the_scan(case, eps, cap, strict):
+    space = make_space(case["kind"], case["n"], case["seed"], case["shuffle_ids"])
+    f = make_function(space, case["seed"], case["palette"], case["inf"])
+    if not any(f.is_finite_at(p) for p in space.points):
+        return
+    seed = [Random(case["seed"]).choice(space.points)]
+    sup = case["mode"] == "sup"
+    for prob in problems(space, f, case["mode"]):
+        scan = dataclasses.replace(prob, optima=None)
+
+        def closure(problem):
+            return closure_iterate(problem, seed, eps=eps, cap=cap, strict_empty=strict).to_json()
+
+        assert outcome(lambda: closure(prob)) == outcome(lambda: closure(scan))
+        for x in space.points:
+            table = prob.optima(x)
+            for i, kept in table.select(eps, cap, sup) if table is not None else ():
+                assert kept == witness_select(scan, (x, prob.params[i]), eps, cap)
+
+
+def test_slack_selections_take_the_scans_cut():
+    points = [Point(pid, (Fraction(c),)) for pid, c in zip("abcd", (0, 1, 2, 3))]
+    space = FiniteMetricSpace.from_coords(points)
+    a, r = space.point("a"), Fraction(5, 2)  # B(a, 5/2) = {a, b, c}
+    near = Fraction(19999999999999999, 10**17)  # below 3/10 - 0.1, above its float
+    cases = [
+        # +inf best in sup mode: the cut stays +inf, and eps = inf makes it NaN
+        ({"b": POS_INF, "c": 1}, punctured_ball_problem, "sup", Fraction(1, 2), 50, ["b"]),
+        ({"b": POS_INF, "c": 1}, punctured_ball_problem, "sup", POS_INF, 50, []),
+        ({"b": 2, "c": 1}, punctured_ball_problem, "sup", POS_INF, 50, ["b", "c"]),
+        ({"b": Fraction(3, 10), "c": near}, punctured_ball_problem, "sup", 0.1, 3, ["b", "c"]),
+        # quotients (a, b) 2, (a, c) 1/2, (b, c) 1 in inf mode, cap past the region
+        ({"b": 2, "c": 1}, ball_pairs_problem, "inf", Fraction(1, 2), 50,
+         ["ac", "bc", "ca", "cb"]),
+        ({"b": 2, "c": 1}, ball_pairs_problem, "inf", POS_INF, 50,
+         ["ab", "ac", "ba", "bc", "ca", "cb"]),
+        ({"b": 2, "c": 1}, ball_pairs_problem, "inf", 0, 2, ["ac", "ca"]),
+    ]
+    for values, family, mode, eps, cap, expected in cases:
+        f = FunctionOracle.from_table({"a": 0, "d": 0} | values)
+        prob = family(space, f, mode, truncation=[r])
+        [(_, got)] = prob.optima(a).select(eps, cap, mode == "sup")
+        assert got == witness_select(dataclasses.replace(prob, optima=None), (a, r), eps, cap)
+        assert ["".join(p.id for p in u) for u in got] == expected
+
+
+def counting(prob, calls):
+    """prob with its region map and score counted in calls."""
+    def region(x, p):
+        calls["region"] += 1
+        return prob.region(x, p)
+
+    def score(z, u):
+        calls["score"] += 1
+        return prob.score(z, u)
+
+    return dataclasses.replace(prob, region=region, score=score)
+
+
+@pytest.mark.parametrize("mode", ["sup", "inf"])
+def test_slack_closures_and_memberships_make_no_region_or_score_call(mode):
+    space = make_space("fraction", 6, 3, shuffle_ids=True)
+    f = make_function(space, 3, "fraction", 0.0)
+    calls = Counter()
+    probs = [counting(prob, calls) for prob in problems(space, f, mode)]
+
+    def f2(u, y):
+        return f.value(u) + space.distance(u, y)
+
+    def make_slice(y):
+        return counting(punctured_ball_problem(space, slice_oracle(f2, y), mode), calls)
+
+    for eps, cap in ((Fraction(1, 2), 1), (0, 3), (POS_INF, 2)):
+        for prob in probs:
+            closure_iterate(prob, space.points[:1], eps=eps, cap=cap)
+        Y = intersect_problems(probs, space.points[:1], eps=eps, cap=cap).union
+        assert is_member(family_for(probs, eps, cap), Y)
+        product_closure(make_slice, space.points[:1], space.points[:2], eps=eps, cap=cap)
+    assert calls == {}
+    closure_iterate(dataclasses.replace(probs[0], optima=None), space.points[:1], cap=3)
+    assert calls["region"] > 0 and calls["score"] > 0  # the scan is counted

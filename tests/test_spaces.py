@@ -16,7 +16,6 @@ from sepdet import (
     LazyMetricSpace,
     NonPositiveRadius,
     Point,
-    ProductSpace,
     UnknownPoint,
     ball_pairs,
     ball_points,
@@ -421,20 +420,6 @@ class TestDescriptors:
         desc = {"kind": "finite", "metric": "euclidean", "points": ["a", "b"]}
         with pytest.raises(DescriptorError, match="coords"):
             space_from_descriptor(desc)
-
-
-class TestProductSpace:
-    def test_max_metric(self, line3, grid5):
-        prod = ProductSpace(line3, grid5)
-        a = (line3.point("p0"), grid5.point("g0"))
-        b = (line3.point("p1"), grid5.point("g4"))
-        assert prod.distance(a, b) == max(1, 4)
-
-    def test_as_finite_is_a_metric_space(self, line3):
-        small = coord_space([("a", 0), ("b", 1)])
-        fin = ProductSpace(line3, small).as_finite()
-        assert len(fin) == 6
-        fin.validate(tol=0)
 
 
 class TestLazySpace:
