@@ -20,6 +20,7 @@ from .scheme import (
     closure_round,
     intersect_problems,
     sort_points,
+    validate_selection,
 )
 from .spaces import MetricSpace, Point
 
@@ -36,6 +37,7 @@ class FamilyHandle:
     def __post_init__(self):
         if not self.problems:
             raise ValueError("a family needs at least one problem")
+        validate_selection(self.eps, self.cap)
         for prob in self.problems:
             if prob.space is not self.space:
                 raise SpaceMismatch(

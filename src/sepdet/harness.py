@@ -25,7 +25,7 @@ import numpy as np
 
 from . import families
 from .errors import EmptyRegion, IsolatedPoint, UnknownSuite
-from .extreal import POS_INF, Num, close, fmt, is_finite, parse
+from .extreal import POS_INF, Num, fmt, is_finite, parse
 from .functionals import (
     PROBLEM_FAMILIES,
     FunctionOracle,
@@ -52,6 +52,7 @@ from .scheme import (
     DeterminacyCheck,
     GeneratedSubspace,
     WitnessProblem,
+    agree,
     check_reduction,
     closure_iterate,
     fmt_param,
@@ -407,10 +408,10 @@ class Instance:
         return shell_truncation(self.space, level_grid(f, self.space, t_mode),
                                 self.cfg.q_density)
 
-    def closing(self, close: Callable, problems) -> Callable[[], GeneratedSubspace]:
+    def closing(self, closure: Callable, problems) -> Callable[[], GeneratedSubspace]:
         """Draw the seed point now; close it under the problems when called."""
         seed = [self.rng.choice(self.space.points)]
-        return lambda: close(problems, seed, **self.opts)
+        return lambda: closure(problems, seed, **self.opts)
 
 
 def _plan_sizes(config: SuiteConfig, spec: Spec) -> list[int]:
@@ -418,12 +419,6 @@ def _plan_sizes(config: SuiteConfig, spec: Spec) -> list[int]:
     pool, big = (config.sizes, ()) if config.sizes else (spec.pool, spec.big)
     sizes = list(big)[:count]
     return sizes + [pool[i % len(pool)] for i in range(count - len(sizes))]
-
-
-def _agree(a, b, tol: Num) -> bool:
-    if type(a) is tuple and b is not None:
-        return all(_agree(u, v, tol) for u, v in zip(a, b))
-    return a == b if a is None or b is None or type(a) is bool else close(a, b, tol)
 
 
 def _enc(v):
@@ -464,7 +459,7 @@ def _sweep(report: SuiteReport, inst: Instance, stage: Stage, f: FunctionOracle,
         report.fail(dump("closure-check", chk, chk.rhs))
     if picked is not None and picked.verdict != "skipped-empty-region":
         oracle = brute_force_optimum(problem, drawn)
-        if close(oracle, picked.lhs, picked.tolerance):
+        if agree(picked.lhs, oracle, picked.tolerance):
             report.note("oracle_crosschecks")
         else:
             report.fail(dump("oracle", picked, oracle))
@@ -486,7 +481,7 @@ def _run_stage(report: SuiteReport, inst: Instance, stage: Stage) -> bool:
                 comp.outcomes(Y, point) for point in comp.points(Y)):
             if isinstance(out, str):
                 report.check_skip(out)
-            elif _agree(out[0], out[1], inst.tol):
+            elif agree(out[0], out[1], inst.tol):
                 if comp.counted:
                     report.check_pass()
                 if comp.note:
@@ -547,7 +542,7 @@ def replay_check(dump: dict):
             return chk
         oracle = brute_force_optimum(problem, z)
         return replace(chk, rhs=oracle,
-                       verdict="pass" if close(oracle, chk.lhs, chk.tolerance) else "fail")
+                       verdict="pass" if agree(chk.lhs, oracle, chk.tolerance) else "fail")
     cfg = SuiteConfig(**{k: _dec(v) for k, v in dump["config"].items()})
     spec = SUITES[dump["suite"]][0]
     inst = Instance(dump["suite"], cfg, dump["instance"], _plan_sizes(cfg, spec))
@@ -562,7 +557,7 @@ def replay_check(dump: dict):
     out = dict(comp.outcomes(Y, at if comp.params is None else at[:-1]))[at]
     if isinstance(out, str):
         return Outcome(out, None, None, inst.tol)
-    return Outcome("pass" if _agree(out[0], out[1], inst.tol) else "fail", *out, inst.tol)
+    return Outcome("pass" if agree(out[0], out[1], inst.tol) else "fail", *out, inst.tol)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,10 @@ equals it; `sweep_tally` counts the verdicts.
 Closures and check sweeps read a problem's per-center optimum table
 (`Optima`) where the family supplies one: a closure round reads an exact
 argmax once per distinct key, and a slack selection (eps > 0 or cap > 1) as
-the least-id tuples whose codes reach the cut's; a sweep passes full and
-restricted keys that share a code (equal codes are equal values) and compares
-values where codes differ.  Lazy spaces, budgeted regions, declined rankings
-and single selections or checks scan the regions.
+the least-id tuples whose codes reach the cut's.  Lazy spaces, budgeted
+regions, declined rankings and single selections or checks scan the regions.
+Every full-vs-restricted verdict follows `agree`: a shared table code is one
+value object, which passes unread, and anything else is compared by value.
 """
 
 from __future__ import annotations
@@ -342,9 +342,6 @@ class GeneratedSubspace:
     def level_sizes(self) -> list[int]:
         return [len(lv) for lv in self.levels]
 
-    def union_set(self) -> frozenset:
-        return frozenset(self.union)
-
     def to_json(self) -> dict:
         return {
             "levels": self.level_sizes(),
@@ -452,17 +449,30 @@ def _select(problem: WitnessProblem, x: Point, p: object, region: Region,
 
 
 def validate_selection(eps: Num, cap: int) -> None:
-    """Reject a witness slack below 0 or a cap below 1."""
-    if eps < 0:
+    """Reject a witness slack below 0 or NaN, or a cap below 1."""
+    if not eps >= 0:
         raise ValueError("eps must be nonnegative")
-    if cap < 1:
+    if not cap >= 1:
         raise ValueError("cap must be at least 1")
 
 
 def validate_tolerance(tol: Optional[Num]) -> None:
-    """Reject a negative comparison tolerance (None picks one by score type)."""
-    if tol is not None and tol < 0:
+    """Reject a negative or NaN tolerance (None picks one by score type)."""
+    if tol is not None and not tol >= 0:
         raise ValueError("tolerance must be nonnegative")
+
+
+def agree(full, restricted, tol: Num) -> bool:
+    """The verdict rule: tuples agree element by element, one object with itself
+    (both sides read one table code) under any tol unless it is NaN, None and
+    bools by ==, and anything else by value within tol."""
+    if type(full) is tuple and restricted is not None:
+        return all(agree(u, v, tol) for u, v in zip(full, restricted))
+    if full is restricted:
+        return not (isinstance(full, float) and full != full)
+    if full is None or restricted is None or type(full) is bool:
+        return full == restricted
+    return close(full, restricted, tol)
 
 
 def _empty_region(problem: WitnessProblem, x: Point, p: object) -> EmptyRegion:
@@ -507,6 +517,7 @@ def closure_round(problems: Sequence[WitnessProblem], current: Iterable[Point],
     per distinct key, at the first parameter that has it, and any other
     selection by Optima.select; otherwise regions are scanned.
     """
+    validate_selection(eps, cap)
     _common_space(problems)
     known = set(current)
     todo = sort_points(frontier if frontier is not None else known)
@@ -550,7 +561,6 @@ def closure_round(problems: Sequence[WitnessProblem], current: Iterable[Point],
 def _closure(problems: Sequence[WitnessProblem], seed: Iterable[Point], *,
              eps: Num = 0, cap: int = 1, max_depth: Optional[int] = None,
              strict_empty: bool = False) -> GeneratedSubspace:
-    validate_selection(eps, cap)
     space = _common_space(problems)
     seed_pts = sort_points(seed)
     if not seed_pts:
@@ -648,7 +658,7 @@ def _compare(problem: WitnessProblem, x: Point, p: object, tol: Optional[Num],
             raise InvariantViolation(
                 f"restricted inf {fmt(rhs)} undercuts full inf {fmt(lhs)}")
     region_hit = restricted_size > 0
-    verdict = "pass" if region_hit and close(lhs, rhs, tol) else "fail"
+    verdict = "pass" if region_hit and agree(lhs, rhs, tol) else "fail"
     return DeterminacyCheck(
         problem=problem.name, x=x, param=p, mode=problem.mode,
         lhs=lhs, rhs=rhs, region_hit=region_hit, verdict=verdict,
@@ -679,8 +689,8 @@ def _check(problem: WitnessProblem, Yset: set, z: tuple,
 def _center_verdicts(problem: WitnessProblem, x: Point, Yset: set, table: Optional[Optima],
                      mask: Optional[np.ndarray], tol: Optional[Num]) -> tuple:
     """Per-parameter skipped and failed flags at x, and check(i), by the scan or
-    by the table: keys sharing a code pass under any tolerance (equal codes are
-    equal values), and only the others are compared by value."""
+    by the table, where agree's rule runs over arrays: keys sharing a code pass
+    under any tolerance, and only the others go to check(i)."""
     trunc = problem.params.truncation
     if table is None:
         checks = [_check(problem, Yset, (x, p), tol) for p in trunc]

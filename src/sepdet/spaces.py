@@ -323,13 +323,6 @@ class Region:
     def is_empty(self) -> bool:
         return not self.members
 
-    @cached_property
-    def _member_set(self) -> frozenset:
-        return frozenset(self.members)
-
-    def contains(self, u: tuple[Point, ...]) -> bool:
-        return u in self._member_set
-
 
 def _check_radius(r: Num) -> None:
     if not (isinstance(r, Real) and r > 0):

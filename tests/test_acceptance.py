@@ -206,7 +206,7 @@ class TestCriterion9Structural:
 
             prob = self._problem(space, f, i)
             again = closure_iterate(prob, first.union)
-            assert again.union_set() == first.union_set()
+            assert frozenset(again.union) == frozenset(first.union)
             assert len(again.levels) == 2  # fixed immediately: idempotent
 
             # the one-sided bound is asserted inside every check; a pass here

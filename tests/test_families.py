@@ -1,11 +1,13 @@
 """Family handles: membership, cofinal extension, chain unions, intersection."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from sepdet import (
     DepthExceeded,
+    FamilyHandle,
     InvariantViolation,
     NotAChain,
     SpaceMismatch,
@@ -58,6 +60,19 @@ class TestMembership:
         fam = neighbor_family(chain5)
         assert is_member(fam, [chain5.point("c3"), chain5.point("c4")])
         assert not is_member(fam, [chain5.point("c4")])
+
+
+class TestSelectionConfig:
+    @pytest.mark.parametrize("bad, message", [({"eps": -1}, "eps must be nonnegative"),
+                                              ({"eps": math.nan}, "eps must be nonnegative"),
+                                              ({"cap": 0}, "cap must be at least 1")])
+    def test_bad_config_rejected_by_the_handle(self, chain5, bad, message):
+        # is_member used to accept a non-member under each of these
+        prob = neighbor_family(chain5).problems[0]
+        with pytest.raises(ValueError, match=message):
+            family_for([prob], **bad)
+        with pytest.raises(ValueError, match=message):
+            FamilyHandle(space=chain5, problems=(prob,), **bad)
 
 
 class TestCofinalExtend:

@@ -217,6 +217,11 @@ class TestSuiteReportBookkeeping:
             SuiteConfig(cap=0)
         with pytest.raises(ValueError):
             SuiteConfig(tolerance=-1)
+        # a NaN tolerance used to make thm-2.1 report oracle failures
+        with pytest.raises(ValueError, match="eps must be nonnegative"):
+            SuiteConfig(eps=float("nan"))
+        with pytest.raises(ValueError, match="tolerance must be nonnegative"):
+            SuiteConfig(tolerance=float("nan"))
 
     def test_config_rejects_bad_sizes_and_density(self):
         with pytest.raises(ValueError, match="sizes must be at least 1"):
@@ -457,6 +462,30 @@ def test_small_suite_reports_are_pinned():
             text = json.dumps(report.to_json(), sort_keys=True).encode()
             got[f"{name} {eps}/{cap}"] = hashlib.sha256(text).hexdigest()
     assert got == GOLDEN
+
+
+def test_table_comparisons_at_the_golden_configs_compare_no_value(monkeypatch):
+    # both sides of a passing table comparison read one value object, so the
+    # verdict rule never reaches close; thm-2.1's oracle cross-checks compare
+    # a scanned optimum with a table's, by value where they are two objects,
+    # which shows that the count sees agree's calls
+    calls = Counter()
+    by_value = scheme.close
+
+    def counted(a, b, tol=0):
+        calls[name] += 1
+        return by_value(a, b, tol)
+
+    monkeypatch.setattr(scheme, "close", counted)
+    for eps, cap in ((0, 1), (Fraction(1, 2), 3)):
+        for name in ("prop-3.2", "prop-4.1", "thm-2.1", "thm-3.3", "thm-4.2", "thm-4.3"):
+            instances, sizes = GOLDEN_SIZES.get(name, (4, (5, 7, 9, 11)))
+            report = run_suite(name, SuiteConfig(instances=instances, sizes=sizes,
+                                                 eps=eps, cap=cap))
+            assert report.ok and report.checks_passed > 0
+            if name == "thm-2.1":
+                assert 0 < calls.pop(name) <= report.notes["oracle_crosschecks"]
+        assert not calls
 
 
 def compared_values(name: str, cfg: SuiteConfig) -> list:

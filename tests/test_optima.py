@@ -16,6 +16,7 @@ must the one-parameter forms.
 """
 
 import dataclasses
+import itertools
 import json
 from collections import Counter
 from fractions import Fraction
@@ -31,6 +32,7 @@ from sepdet import (
     FiniteMetricSpace,
     FunctionOracle,
     InvariantViolation,
+    IsolatedPoint,
     Point,
     SepdetError,
     ball_pairs_problem,
@@ -54,6 +56,7 @@ from sepdet import (
     product_closure,
     punctured_ball_points,
     punctured_ball_problem,
+    radius_truncation,
     random_finite_metric,
     shell_truncation,
     slice_oracle,
@@ -64,9 +67,9 @@ from sepdet import (
     torus_sups,
     witness_select,
 )
-from sepdet.extreal import NEG_INF, POS_INF
+from sepdet.extreal import NEG_INF, POS_INF, close
 from sepdet.functionals import _rankings
-from sepdet.scheme import Radii, ShellGrid, Shells, rank_scores, sweep_tally
+from sepdet.scheme import Radii, ShellGrid, Shells, agree, rank_scores, sweep_tally
 
 # Function values; "mixed" holds equal scores of different types (2, 2.0,
 # Fraction(2)), which the tables must leave to the scan.  Finite "fraction"
@@ -590,6 +593,88 @@ def test_sweep_tallies_agree_with_check_sweep_and_the_scan(kind, palette):
                         assert got == outcome(lambda: counted(check_sweep(scan, Y, tol), drawn))
                         failures += got[0] == "ok" and len(got[1][2]) > 0
     assert failures > 0  # the truncated closures make some checks fail
+
+
+def value_rule(full, restricted, tol) -> bool:
+    """The rule formula comparisons followed before agree: every outcome by
+    value, with no identity test."""
+    if type(full) is tuple and restricted is not None:
+        return all(value_rule(u, v, tol) for u, v in zip(full, restricted))
+    if full is None or restricted is None or type(full) is bool:
+        return full == restricted
+    return close(full, restricted, tol)
+
+
+def sides(formula, Y) -> list:
+    """[(formula(None), formula(Y))] as the suites take it: [None] (skipped)
+    where the full side raises IsolatedPoint, None for Y's side where it does."""
+    try:
+        full = formula(None)
+    except IsolatedPoint:
+        return [None]
+    try:
+        return [(full, formula(Y))]
+    except IsolatedPoint:
+        return [(full, None)]
+
+
+def pair_sups(f, space, x, grids, Y, tol, budget):
+    full, rest = (lip_local_sups(f, space, x, grids[0], y, budget) for y in (None, Y))
+    return [None if a.pairs == b.pairs == 0 else (a.value, b.value) for a, b in zip(full, rest)]
+
+
+def shell_sups(f, space, x, grids, Y, tol, budget):
+    full, rest = (torus_sups(f, space, x, grids[1], y, budget) for y in (None, Y))
+    return [None if a is None else (a, b) for a, b in zip(full, rest)]
+
+
+# Each suite comparison at a center x: the (full, restricted) pairs it
+# compares, None where it skips one; grids is (radii, shells).
+COMPARISONS = {
+    "pair-sup": pair_sups,
+    "modulus": lambda f, space, x, grids, Y, tol, budget: sides(
+        lambda y: lip_modulus(f, space, x, grids[0], y, budget), Y),
+    "torus-sup": shell_sups,
+    "slope": lambda f, space, x, grids, Y, tol, budget: sides(
+        lambda y: slope_at(f, space, x, grids[1].grid, y, budget), Y),
+    "limits": lambda f, space, x, grids, Y, tol, budget: sides(lambda y: (
+        liminf_at(f, space, x, grids[0], y, budget), limsup_at(f, space, x, grids[0], y, budget),
+        continuity_check(f, space, x, grids[0], y, tol, budget)), Y),
+}
+
+
+@pytest.mark.parametrize("palette", sorted(PALETTES))
+@pytest.mark.parametrize("kind", SPACES)
+def test_comparison_verdicts_agree_with_the_value_rule_on_the_scan(kind, palette):
+    # agree on the table route against the value rule on the scan route, over
+    # closures, closures one point short and random subsets
+    failures = 0
+    for seed in range(3):
+        space = make_space(kind, 3 + 2 * seed, seed, shuffle_ids=seed == 1)
+        f = make_function(space, seed, palette, 0.3 if seed == 2 else 0.0)
+        if not any(f.is_finite_at(p) for p in space.points):
+            continue
+        rng = Random(seed)
+        grids = (radius_truncation(space), shell_truncation(space, level_grid(f, space, "full")))
+        pairs = ball_pairs_problem(space, f, "sup", truncation=grids[0])
+        torus = torus_slope_problem(space, f, "sup", truncation=grids[1])
+        balls = [punctured_ball_problem(space, f, mode, truncation=grids[0])
+                 for mode in ("sup", "inf")]
+        for closing, names in (([pairs], ("pair-sup", "modulus")),
+                               ([torus], ("torus-sup", "slope")), (balls, ("limits",))):
+            start = [rng.choice(space.points)]
+            closed = outcome(lambda: intersect_problems(closing, start).union)
+            some = tuple(rng.sample(space.points, rng.randint(1, len(space))))
+            Ys = (closed[1], one_short(closed[1], start)) if closed[0] == "ok" else ()
+            for Y, tol, name in itertools.product(Ys + (some,), (0, Fraction(1, 3)), names):
+                def verdicts(rule, budget):
+                    return [None if out is None else rule(*out, tol) for x in Y
+                            for out in COMPARISONS[name](f, space, x, grids, Y, tol, budget)]
+
+                got = outcome(lambda: verdicts(agree, None))
+                assert got == outcome(lambda: verdicts(value_rule, len(space)))
+                failures += got[0] == "ok" and False in got[1]
+    assert failures > 0  # the truncated closures and the subsets make some comparisons fail
 
 
 def test_a_restricted_key_above_the_full_key_raises():

@@ -1,5 +1,7 @@
 """Witness selection, closures, and full-vs-restricted optimum checks."""
 
+import dataclasses
+import math
 import re
 from fractions import Fraction
 
@@ -28,7 +30,8 @@ from sepdet import (
     torus_slope_problem,
     witness_select,
 )
-from sepdet.scheme import Radii, ShellGrid, Shells
+import sepdet.scheme as scheme
+from sepdet.scheme import Radii, ShellGrid, Shells, agree
 from sepdet.extreal import NEG_INF
 from conftest import coord_space
 
@@ -235,13 +238,17 @@ class TestClosure:
         assert skipped == 0
 
     @pytest.mark.parametrize("bad, message", [({"cap": 0}, "cap must be at least 1"),
-                                              ({"eps": -1}, "eps must be nonnegative")])
+                                              ({"eps": -1}, "eps must be nonnegative"),
+                                              ({"eps": math.nan}, "eps must be nonnegative")])
     def test_bad_selection_config_rejected_by_every_closure(self, line3, bad, message):
-        # cap = 0 used to return the seed alone, marked as a fixed point
+        # cap = 0, and eps = nan (no score reaches a NaN cut), used to return the seed alone,
+        # marked as a fixed point
         prob = punctured_ball_problem(line3, COORD, "sup")
         seed = [line3.point("p0")]
         with pytest.raises(ValueError, match=message):
             closure_iterate(prob, seed, **bad)
+        with pytest.raises(ValueError, match=message):
+            closure_round([prob], seed, bad.get("eps", 0), bad.get("cap", 1))
         with pytest.raises(ValueError, match=message):
             intersect_problems([prob], seed, **bad)
         with pytest.raises(ValueError, match=message):
@@ -296,12 +303,15 @@ class TestChecks:
             check_reduction(prob, [line3.point("p1")], (line3.point("p0"), Fraction(4)))
 
     def test_negative_tolerance_rejected(self, line3):
+        # a NaN tolerance used to fail a check whose two sides are equal,
+        # while the table sweep passed the same check by code
         prob = punctured_ball_problem(line3, COORD, "sup")
         z = (line3.point("p0"), Fraction(4))
-        with pytest.raises(ValueError, match="tolerance must be nonnegative"):
-            check_reduction(prob, line3.points, z, tol=-1)
-        with pytest.raises(ValueError, match="tolerance must be nonnegative"):
-            list(check_sweep(prob, line3.points, -1))
+        for tol in (-1, math.nan):
+            with pytest.raises(ValueError, match="tolerance must be nonnegative"):
+                check_reduction(prob, line3.points, z, tol=tol)
+            with pytest.raises(ValueError, match="tolerance must be nonnegative"):
+                list(check_sweep(prob, line3.points, tol))
 
     def test_float_scores_get_the_float_tolerance(self):
         # 2-D coordinates force sqrt distances, hence float scores
@@ -330,6 +340,59 @@ class TestChecks:
             if chk.verdict == "skipped-empty-region" or not chk.region_hit:
                 continue
             assert chk.rhs <= chk.lhs
+
+
+HALF = Fraction(1, 2)
+NAN = math.nan
+PAIR = (1, NAN)
+
+
+class TestAgree:
+    """agree, the one verdict rule: one object passes, others compare by value."""
+
+    @pytest.mark.parametrize("full, restricted, tol, verdict", [
+        (HALF, HALF, 0, True),  # one object
+        (Fraction(1, 2), Fraction(1, 2), 0, True),  # two objects, equal values
+        (2, Fraction(2), 0, True),
+        (float("inf"), float("inf"), 0, True),
+        (Fraction(1, 3), Fraction(2, 3), 0, False),
+        (Fraction(1, 3), Fraction(2, 3), Fraction(1, 3), True),
+        (float("inf"), float("-inf"), 10**9, False),
+        ((1, HALF, True), (1, Fraction(1, 2), True), 0, True),  # element by element
+        ((1, HALF, True), (1, Fraction(1, 2), False), 0, False),
+        ((1, 2), (1, 3), 0, False),
+        ((1, 2), (1, 3), 1, True),
+        ((1, 2), None, 0, False),
+        (None, 0, 0, False),
+        (0, None, 0, False),
+        (None, None, 0, True),
+        (True, True, 0, True),
+        (True, False, 1, False),  # bools by ==, not within tol
+        (NAN, NAN, 1, False),  # one object, but NaN
+        (PAIR, PAIR, 1, False),
+        (NAN, float("nan"), 1, False),
+    ])
+    def test_the_rule(self, full, restricted, tol, verdict):
+        assert agree(full, restricted, tol) is verdict
+
+    def test_separate_equal_objects_are_separate(self):
+        assert Fraction(1, 2) is not Fraction(1, 2)
+        assert float("inf") is not float("inf")
+
+    def test_one_object_makes_no_arithmetic(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("compared by value")
+
+        monkeypatch.setattr(scheme, "close", refuse)
+        value = Fraction(7, 3)
+        assert agree(value, value, 0) and agree((value, True), (value, True), 0)
+
+    def test_a_nan_score_fails_its_check_though_both_sides_are_one_object(self, line3):
+        prob = dataclasses.replace(punctured_ball_problem(line3, COORD, "sup"),
+                                   score=lambda z, u: NAN, optima=None)
+        chk = check_reduction(prob, line3.points, (line3.point("p0"), Fraction(4)))
+        assert chk.lhs is chk.rhs is NAN
+        assert chk.region_hit and chk.verdict == "fail"
 
 
 class TestProductClosure:

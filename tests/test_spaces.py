@@ -159,8 +159,8 @@ class TestBallPairs:
     def test_region_membership(self, line3):
         region = ball_pairs(line3, line3.point("p0"), Fraction(3, 2))
         p0, p1 = line3.point("p0"), line3.point("p1")
-        assert region.contains((p0, p1))
-        assert not region.contains((p0, p0))
+        assert (p0, p1) in region.members
+        assert (p0, p0) not in region.members
 
 
 class TestValidation:
