@@ -27,7 +27,7 @@ from .functionals import (
     problem_from_descriptor,
     slope_at,
 )
-from .scheme import check_reduction, check_sweep, closure_iterate, sort_points
+from .scheme import check_reduction, check_sweep, closure_iterate, sort_points, validate_selection
 from .spaces import space_from_descriptor
 
 PROG = "sepdet"
@@ -228,10 +228,9 @@ def _cmd_suite(args) -> int:
 def _parse_eps(raw: str):
     try:
         v = parse(raw)
+        validate_selection(v, 1)
     except ValueError as exc:
         raise SepdetError(f"--eps: {exc}") from exc
-    if v < 0:
-        raise SepdetError("--eps must be nonnegative")
     return v
 
 

@@ -40,8 +40,9 @@ from .errors import (
     NoCoordinates,
     UnknownPoint,
 )
-from .extreal import FLOAT_TOL, Num, close, fmt, is_exact, is_finite, parse, pos_part, sub
-from .scheme import Optima, Radii, Region, ShellGrid, Shells, WitnessProblem, rank_scores
+from .extreal import FLOAT_TOL, POS_INF, Num, close, fmt, is_exact, is_finite, parse, pos_part, sub
+from .scheme import (Optima, Radii, Region, ShellGrid, Shells, WitnessProblem, _image,
+                     rank_rows, rank_scores)
 from .spaces import (
     FiniteMetricSpace,
     MetricSpace,
@@ -271,8 +272,9 @@ class _Rankings:
     gives one key per point; the pair quotients |f(a) - f(b)| / d(a, b) give
     an n x n key matrix (-1 on the diagonal); the descent quotients
     (t - f(u))^+ / d(x, u) of a center x and level t give one key per point,
-    -1 at distance 0 from x, where no shell reaches.  None (f raises, or
-    rank_scores declines) leaves the scores to the scan.
+    -1 at distance 0 from x, where no shell reaches, every missing level of x
+    ranked in one pass (descents).  None (f raises, or the ranking declines)
+    leaves the scores to the scan.
     """
 
     def __init__(self, f: FunctionOracle, space: FiniteMetricSpace):
@@ -284,6 +286,7 @@ class _Rankings:
         self.rank = np.empty(len(space), dtype=np.int64)  # point index -> id rank
         self.rank[list(space.id_order)] = np.arange(len(space))
         self.memo: dict = {}
+        self.parts = None if self.fv is None else _parts(self.fv)
 
     def _get(self, key: tuple, make: Callable):
         try:
@@ -320,23 +323,57 @@ class _Rankings:
 
         return self._get(("pairs", mode), make)
 
-    def descent(self, i: int, t: Num, mode: str) -> Optional[tuple]:
-        def make():
-            fv, n = self.fv, len(self.space)
-            order, dists = self.space.sorted_row(i)
-            a = bisect_right(dists, 0)
-            got = _rank_or_none(lambda: [_exact_div(pos_part(sub(t, fv[j])), d)
-                                         for j, d in zip(order[a:], dists[a:])], mode)
-            if got is None:
-                return None
-            scores, codes, values = got
-            by_point, floats = [-1] * n, [False] * n
-            for j, c, v in zip(order[a:], codes, scores):
-                by_point[j], floats[j] = c, _is_float(v)
-            # code -1 at distance 0 gives a key below -1, clipped to -1
-            return np.maximum(_arity1_keys(by_point, self.rank, n), -1), np.array(floats), values
+    def descents(self, i: int, levels: Sequence[Num], mode: str) -> list:
+        """The descent ranking of center i at each level, memoised per level.
+        The missing levels are ranked together, their quotients made at once
+        by _descent_parts where it holds the inputs and one Python number at a
+        time otherwise."""
+        keys = [("descent", i, mode, type(t), t) for t in levels]
+        got = [self.memo.get(key, keys) for key in keys]  # keys marks a missing level
+        missing = [r for r, g in enumerate(got) if g is keys]
+        if not missing or self.fv is None:
+            return [None if g is keys else g for g in got]
+        fv, n, k, levels = self.fv, len(self.space), len(missing), [levels[r] for r in missing]
+        order, dists = self.space.sorted_row(i)
+        a = bisect_right(dists, 0)
+        points, dists = np.array(order[a:], dtype=np.int64), dists[a:]
+        q = None if self.parts is None else _descent_parts(levels, self.parts[:, points], dists)
+        codes, floats = np.zeros((k, len(points)), dtype=np.int64), np.zeros((k, n), dtype=bool)
+        ranked: list = [None] * k
+        if q is None:
+            for r, t in enumerate(levels):
+                one = _rank_or_none(lambda: [_exact_div(pos_part(sub(t, fv[j])), d)
+                                             for j, d in zip(points.tolist(), dists)], mode)
+                if one is not None:
+                    codes[r], floats[r, points] = one[1], [_is_float(v) for v in one[0]]
+                    ranked[r] = one[2]
+        else:
+            codes, ranked = rank_rows(q[0], q[1:3], q[3],
+                                      lambda r, js: _Quotients(q[:, r, js]), mode)
+            floats[:, points] = (q[3] == 2) & np.isfinite(q[0])
+        table = np.full((k, n), -1, dtype=np.int64)
+        table[:, points] = _arity1_keys(codes, self.rank[points], n)
+        for r, one in zip(missing, zip(table, floats, ranked)):
+            got[r] = self.memo[keys[r]] = None if one[2] is None else one
+        return got
 
-        return self._get(("descent", i, mode, type(t), t), make)
+
+class _Quotients:
+    """The value of each code of a descent row, from its (image, numerator,
+    denominator, kind) columns of _descent_parts, built on its first read and
+    kept, so that a code reads one object."""
+
+    def __init__(self, parts: np.ndarray):
+        self.parts, self.values = parts, [None] * parts.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, c: int) -> Num:
+        if self.values[c] is None:
+            x, u, v, k = self.parts[:, c].tolist()
+            self.values[c] = x if k == 2 else Fraction(int(u), int(v)) if k else int(u)
+        return self.values[c]
 
 
 def _rankings(f: FunctionOracle, space: MetricSpace,
@@ -420,7 +457,7 @@ def _limit(f: FunctionOracle, space: MetricSpace, x: Point, radii: Radii,
             points, dists = points[keep], [d for d, k in zip(dists, keep.tolist()) if k]
         keys, _, values = ranked
         run = (np.minimum if inner is min else np.maximum).accumulate(keys[points] // len(space))
-        vals = [values[run[k - 1]] for k in (bisect_left(dists, r) for r in radii) if k]
+        vals = [values[run[k - 1]] for k in _ball_ends(dists, radii)[0].tolist() if k]
     if not vals:
         raise IsolatedPoint(f"every punctured ball at {x.id!r} along the grid is empty")
     return outer(vals)
@@ -744,6 +781,47 @@ def _rank_or_none(score_all: Callable[[], list], mode: str) -> Optional[tuple]:
     return None if ranked is None else (scores, *ranked)
 
 
+def _parts(values: Sequence[Num], floats: bool = False) -> Optional[np.ndarray]:
+    """Rows numerator, denominator and kind (0 int, 1 Fraction) of values as
+    int64, +inf as 1 / 0, or with floats finite floats instead, as 1 / 1 of
+    kind 2.  None for any other value, or one past 2**17."""
+    rows = []
+    for v in values:
+        if type(v) in (int, Fraction) and abs(v.numerator) <= 2 ** 17 >= v.denominator:
+            rows.append((v.numerator, v.denominator, type(v) is Fraction))
+        elif type(v) is float and (abs(v) < POS_INF if floats else v == POS_INF):
+            rows.append((1, 1, 2) if floats else (1, 0, 0))
+        else:
+            return None
+    return np.array(rows, dtype=np.int64).reshape(-1, 3).T
+
+
+def _descent_parts(levels: list, f: np.ndarray, dists: Sequence[Num]) -> Optional[np.ndarray]:
+    """Images, reduced numerators and denominators, and kinds (0 int, 1
+    Fraction, 2 float) of the descent quotients (t - f(u))^+ / d(x, u) as
+    _exact_div gives them, a row per level t and a column per row point u (f
+    holds its _parts), stacked as floats.  A float's value is its image: +inf
+    (t = +inf, as 1 / 0), or a quotient by a float distance, keyed 0 / 0 as
+    no exact one is.  Inputs within 2**17 keep every part within 2**53, so
+    the images are correctly rounded; None where _parts declines the inputs."""
+    t, d = _parts(levels), _parts(dists, floats=True)
+    if t is None or d is None:
+        return None
+    (tn, td, tf), (fn, fd, ff), (dn, dd, dk) = t[:, :, None], f[:, None, :], d[:, None, :]
+    num, den = tn * fd - fn * td, td * fd
+    pos = num > 0  # pos_part gives the int 0 elsewhere
+    qn, qd = np.where(pos, num * dd, 0), np.where(pos, den * dn, 1)
+    g = np.gcd(qn, qd)
+    by_float = dk == 2
+    qn, qd = np.where(by_float, 0, qn // g), np.where(by_float, 0, qd // g)
+    with np.errstate(divide="ignore", invalid="ignore"):  # +inf is 1 / 0
+        images = qn / qd
+        if by_float.any():
+            by_d = np.where(pos, num / den, 0) / np.array(dists, dtype=float)
+            images = np.where(by_float, by_d, images)
+    return np.stack([images, qn, qd, np.where(qd == 0, 2, (pos & (tf | ff)) | dk | (qd != 1))])
+
+
 def _is_float(v: Num) -> bool:
     return type(v) is float and is_finite(v)
 
@@ -765,8 +843,16 @@ def _masked(keys: np.ndarray, points: np.ndarray):
     return lambda mask: keys if mask is None else np.where(mask[points], keys, -1)
 
 
-def _ball_ends(dists: list, radii: Sequence[Num]) -> np.ndarray:
-    return np.array([bisect_left(dists, r) for r in radii], dtype=np.int64)
+def _ball_ends(dists: list, radii: Sequence[Num],
+               images: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+    """bisect_left and bisect_right of every radius into the sorted dists:
+    numpy places the radii's float images, and bisection compares exactly
+    only among distances whose images tie with a radius's."""
+    row = np.array([_image(d) for d in dists])
+    images = np.array([_image(r) for r in radii]) if images is None else images
+    at = [np.searchsorted(row, images, side).tolist() for side in ("left", "right")]
+    return tuple(np.array([cut(dists, r, a, b) for r, a, b in zip(radii, *at)], dtype=np.int64)
+                 for cut in (bisect_left, bisect_right))
 
 
 # The table builders, one per family, shared by the factories and the
@@ -785,7 +871,7 @@ def _points_table(rankings: _Rankings, i: int, radii: Sequence[Num],
     points, dists = _sorted_row(space, i, True)
     zeros = np.zeros(len(radii), dtype=np.int64)
     return Optima(points, _masked(keys[points][None, :], points), zeros, zeros,
-                  _ball_ends(dists, radii), [values], len(space), 1,
+                  _ball_ends(dists, radii)[0], [values], len(space), 1,
                   lambda k: (space.points[space.id_order[k]],), floats[points][None, :])
 
 
@@ -820,7 +906,7 @@ def _pairs_table(rankings: _Rankings, i: int, radii: Sequence[Num],
 
     zeros = np.zeros(len(radii), dtype=np.int64)
     floats = np.tril(pair_floats[block], -1).any(axis=1)[None, :]
-    return Optima(points, keys_for, zeros, zeros, _ball_ends(dists, radii), [values], n * n, 2,
+    return Optima(points, keys_for, zeros, zeros, _ball_ends(dists, radii)[0], [values], n * n, 2,
                   lambda k: (space.points[ids[k // n]], space.points[ids[k % n]]), floats, pairs)
 
 
@@ -830,15 +916,15 @@ def _torus_table(rankings: _Rankings, i: int, levels: list, shells: ShellGrid,
     one ranking of the descent quotients per level, laid out along the
     punctured sorted row, where a shell is a slice."""
     rows, radii, inner, outer = shells.rows, shells.radii, shells.inner, shells.outer
-    ranked = [rankings.descent(i, t, mode) for t in levels]
+    ranked = rankings.descents(i, levels, mode)
     if None in ranked:
         return None
     space = rankings.space
     points, dists = _sorted_row(space, i, True)
-    lo = np.array([bisect_right(dists, r) for r in radii], dtype=np.int64)[inner]
     keys, floats, values = zip(*ranked)
-    return Optima(points, _masked(np.stack(keys)[:, points], points), rows, lo,
-                  _ball_ends(dists, radii)[outer], list(values), len(space), 1,
+    ends, starts = _ball_ends(dists, radii, shells.images)
+    return Optima(points, _masked(np.stack(keys)[:, points], points), rows, starts[inner],
+                  ends[outer], list(values), len(space), 1,
                   lambda k: (space.points[space.id_order[k]],), np.stack(floats)[:, points])
 
 

@@ -125,6 +125,11 @@ class ShellGrid(ParamSpace):
         self.rows, self.inner, self.outer = (np.asarray(a, dtype=np.int64) for a in layout[2:])
         super().__init__(params, repeats)
 
+    @cached_property
+    def images(self) -> np.ndarray:
+        """The radii's float images, for placing them in sorted rows."""
+        return np.array([_image(r) for r in self.radii])
+
     def _keys(self) -> Iterable:
         same: dict = {}  # each level's first level equal to it by value
         first = np.array([same.setdefault(t, k) for k, t in enumerate(self.levels)] or [0])
@@ -182,24 +187,59 @@ def rank_scores(scores: Sequence[Num], mode: str) -> Optional[tuple[list[int], l
     float zero: the scan reports the first optimal member, so such rows are
     left to it.
     """
-    order = sorted(range(len(scores)), key=scores.__getitem__, reverse=mode == "inf")
-    codes = [0] * len(scores)
-    values: list = []
-    for j in order:
-        v = scores[j]
-        if values and v == values[-1]:
-            w = values[-1]
-            if type(v) is not type(w) or (type(v) is float and str(v) != str(w)):
-                return None
-        elif v != v:  # NaN orders nothing, so the scan's answer depends on its order
-            return None
-        else:
-            values.append(v)
-        codes[j] = len(values) - 1
-    bad = NEG_INF if mode == "sup" else POS_INF
-    if values and type(values[0]) is float and values[0] == bad:
-        return None
-    return codes, values
+    images = np.array([_image(v) for v in scores], dtype=float)
+    labels: dict = {}
+    kinds = np.array([labels.setdefault(type(v), len(labels)) for v in scores], dtype=np.int64)
+    codes, (values,) = rank_rows(images[None], [np.array(scores, dtype=object)[None]],
+                                 (2 * kinds + np.signbit(images))[None],
+                                 lambda r, js: [scores[j] for j in js], mode)
+    return None if values is None else (codes[0].tolist(), values)
+
+
+def _image(v: Num) -> float:
+    try:
+        return float(v)
+    except OverflowError:  # past the float range: the infinity of its sign, still monotone
+        return POS_INF if v > 0 else NEG_INF
+
+
+def rank_rows(images: np.ndarray, keys: Sequence[np.ndarray], kinds: np.ndarray,
+              exact: Callable[[int, list], list], mode: str) -> tuple[np.ndarray, list]:
+    """rank_scores of each row of a score matrix: the codes, and per row the
+    value of each code, or None for a declined row.
+
+    images are float images of the scores, monotone in them as correct
+    rounding is (a < b gives image a <= image b), and numpy orders them.
+    Scores with equal images are equal exactly when every key agrees on them;
+    a run of equal images whose keys differ is ordered by the scores
+    themselves, which exact(row, columns) gives, as it gives each code's
+    value.  Equal scores must share their kind (type, sign of a float zero).
+    """
+    sup = mode != "inf"
+    rows, m = images.shape
+    order = np.argsort(images if sup else -images, axis=1, kind="stable")
+    at = lambda a: a.ravel()[order + m * np.arange(rows)[:, None]]  # a, each row ranked
+    image = at(images)
+    same = tied = image[:, 1:] == image[:, :-1]
+    for key in map(at, keys):
+        same = same & (key[:, 1:] == key[:, :-1])
+    for r, p in zip(*np.nonzero(tied & ~same)):  # distinct scores whose images tie
+        runs = np.cumsum(np.r_[True, ~tied[r]])  # runs of equal images along row r
+        a, b = np.flatnonzero(runs == runs[p])[[0, -1]] + [0, 1]
+        run = order[r, a:b].tolist()
+        score = dict(zip(run, exact(r, run)))
+        order[r, a:b] = run = sorted(run, key=score.__getitem__, reverse=not sup)
+        same[r, a:b - 1] = [score[u] == score[v] for u, v in zip(run, run[1:])]
+    kind = at(kinds)
+    declined = (same & (kind[:, 1:] != kind[:, :-1])).any(axis=1) | np.isnan(images).any(axis=1)
+    first = np.ones((rows, m), dtype=bool)  # the first score of each code
+    first[:, 1:] = ~same
+    codes = np.empty((rows, m), dtype=np.int64)
+    np.put_along_axis(codes, order, np.cumsum(first, axis=1) - 1, axis=1)
+    bad = NEG_INF if sup else POS_INF
+    values = [None if declined[r] else exact(r, order[r, first[r]].tolist()) for r in range(rows)]
+    return codes, [None if v is None or (v and type(v[0]) is float and v[0] == bad) else v
+                   for v in values]
 
 
 def _range_max(keys: np.ndarray, rows: np.ndarray, lo: np.ndarray,
@@ -449,9 +489,12 @@ def _select(problem: WitnessProblem, x: Point, p: object, region: Region,
 
 
 def validate_selection(eps: Num, cap: int) -> None:
-    """Reject a witness slack below 0 or NaN, or a cap below 1."""
+    """Reject a witness slack below 0, NaN or +inf, or a cap below 1: a +inf
+    slack would cut at best - eps = NaN at a +inf best, which keeps nothing."""
     if not eps >= 0:
         raise ValueError("eps must be nonnegative")
+    if eps == POS_INF:
+        raise ValueError("eps must be finite")
     if not cap >= 1:
         raise ValueError("cap must be at least 1")
 

@@ -1,0 +1,264 @@
+"""Exact rankings through float images, against the Python sort they replace.
+
+rank_scores and the descent rankings order scores by their correctly
+rounded float images and compare exactly only inside runs of equal images
+(scheme.rank_rows).  The reference below is the former rank_scores, a Python
+sort with the same declines; the new routes must give the same codes, the
+same values of the same types, and decline the same rows.  The descent
+rankings of a center are checked level by level against that reference over
+the former per-element quotients, on rows the int64 pass holds and on rows
+it leaves to Python numbers.
+"""
+
+import json
+import math
+from bisect import bisect_right
+from collections import Counter
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from sepdet import (
+    FiniteMetricSpace,
+    FunctionOracle,
+    Point,
+    SuiteConfig,
+    closure_iterate,
+    punctured_ball_problem,
+    run_suite,
+    space_to_descriptor,
+    witness_select,
+)
+from sepdet import functionals
+from sepdet.cli import run_cli
+from sepdet.extreal import NEG_INF, POS_INF, pos_part, sub
+from sepdet.functionals import _exact_div, _is_float, _Rankings
+from sepdet.scheme import rank_rows, rank_scores
+
+NAN = float("nan")
+NEAR_THIRD = Fraction(6004799503160661, 18014398509481984)  # float(NEAR_THIRD) == float(1/3)
+
+
+def reference_rank_scores(scores, mode):
+    """rank_scores as a Python sort: the reference the array route must match."""
+    order = sorted(range(len(scores)), key=scores.__getitem__, reverse=mode == "inf")
+    codes = [0] * len(scores)
+    values: list = []
+    for j in order:
+        v = scores[j]
+        if values and v == values[-1]:
+            w = values[-1]
+            if type(v) is not type(w) or (type(v) is float and str(v) != str(w)):
+                return None
+        elif v != v:  # NaN orders nothing, so the scan's answer depends on its order
+            return None
+        else:
+            values.append(v)
+        codes[j] = len(values) - 1
+    bad = NEG_INF if mode == "sup" else POS_INF
+    if values and type(values[0]) is float and values[0] == bad:
+        return None
+    return codes, values
+
+
+def typed(ranked):
+    """A ranking with each value's type and repr, so 2 and Fraction(2) differ."""
+    if ranked is None:
+        return None
+    codes, values = ranked
+    return list(codes), [(type(v).__name__, repr(v)) for v in values]
+
+
+SCORES = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=7),
+    st.sampled_from([Fraction(2), 2.0, 0.0, -0.0, Fraction(0), 0.1, Fraction(1, 10),
+                     Fraction(1, 3), NEAR_THIRD, 2 ** 53 + 1, float(2 ** 53), 10 ** 400,
+                     -10 ** 400, Fraction(10 ** 400, 3), POS_INF, NEG_INF, NAN]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(SCORES, max_size=9), st.sampled_from(["sup", "inf"]))
+@example([Fraction(1, 3), NEAR_THIRD, Fraction(1, 3)], "sup")
+@example([Fraction(1, 3), NEAR_THIRD], "inf")
+@example([2, Fraction(2)], "sup")
+@example([0.0, -0.0], "inf")
+@example([1, NAN], "sup")
+@example([NEG_INF, 1], "sup")
+@example([POS_INF, 1], "inf")
+@example([], "sup")
+def test_rank_scores_matches_the_python_sort(scores, mode):
+    assert typed(rank_scores(scores, mode)) == typed(reference_rank_scores(scores, mode))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=9),
+                         min_size=3, max_size=3), min_size=1, max_size=4),
+       st.sampled_from(["sup", "inf"]))
+@example([[Fraction(1, 3), NEAR_THIRD, Fraction(1, 3)]], "sup")
+@example([[NEAR_THIRD, Fraction(1, 3), NEAR_THIRD], [0, 1, 0]], "inf")
+def test_rank_rows_orders_int64_fractions_exactly(rows, mode):
+    # int64 keys: a tie of float images is broken by the fractions themselves
+    rows = [[Fraction(v) for v in row] for row in rows]
+    num = np.array([[v.numerator for v in row] for row in rows], dtype=np.int64)
+    den = np.array([[v.denominator for v in row] for row in rows], dtype=np.int64)
+    kinds = np.ones_like(num)  # every score a Fraction
+    codes, values = rank_rows(num / den, (num, den), kinds, lambda r, js: [
+        Fraction(int(num[r, j]), int(den[r, j])) for j in js], mode)
+    for r, row in enumerate(rows):
+        assert typed((codes[r], values[r])) == typed(reference_rank_scores(row, mode))
+
+
+def reference_descent(f_values, space, i, t, mode):
+    """The former per-level descent ranking: (codes by point, float flags, values)."""
+    order, dists = space.sorted_row(i)
+    a = bisect_right(dists, 0)
+    try:
+        scores = [_exact_div(pos_part(sub(t, f_values[j])), d)
+                  for j, d in zip(order[a:], dists[a:])]
+        ranked = reference_rank_scores(scores, mode)
+    except Exception:
+        return None
+    if ranked is None:
+        return None
+    codes, values = ranked
+    by_point, floats = [-1] * len(space), [False] * len(space)
+    for j, c, v in zip(order[a:], codes, scores):
+        by_point[j], floats[j] = c, _is_float(v)
+    return by_point, floats, [(type(v).__name__, repr(v)) for v in values]
+
+
+def got_descent(rankings, got):
+    if got is None:
+        return None
+    keys, floats, values = got
+    n = len(rankings.space)
+    return ([-1 if k < 0 else k // n for k in keys.tolist()], floats.tolist(),
+            [(type(v).__name__, repr(v)) for v in values])
+
+
+BIG = 2 ** 17 + 1  # past what the int64 pass holds
+WIDE = Fraction(2 ** 30 - 1, 2 ** 29 + 1)  # its products would overflow int64
+VALUES = st.one_of(st.integers(-5, 5), st.fractions(min_value=-5, max_value=5, max_denominator=6),
+                   st.sampled_from([Fraction(2), 0, POS_INF, BIG, Fraction(1, BIG), WIDE, 2 ** 70]))
+DISTANCES = st.one_of(st.integers(1, 6), st.fractions(min_value=Fraction(1, 4), max_value=6,
+                                                      max_denominator=5),
+                      st.sampled_from([Fraction(2), 1.5, 2.0, 3 ** 0.5, BIG, WIDE, 2 ** 70]))
+LEVELS = st.one_of(VALUES, st.sampled_from([NEAR_THIRD, 0.5, NEG_INF]))
+
+
+@st.composite
+def descent_cases(draw):
+    n = draw(st.integers(1, 6))
+    matrix = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            matrix[a][b] = matrix[b][a] = draw(DISTANCES)
+    values = draw(st.lists(VALUES | st.sampled_from([0.25, NEG_INF]), min_size=n, max_size=n))
+    levels = draw(st.lists(LEVELS, min_size=1, max_size=5, unique_by=lambda t: (type(t), t)))
+    return matrix, values, levels, draw(st.sampled_from(["sup", "inf"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(descent_cases())
+# zero quotients at an int and a Fraction distance tie as 0 and Fraction(0)
+@example(([[0, 1, Fraction(1)], [1, 0, 1], [Fraction(1), 1, 0]], [0, 3, 3], [1], "sup"))
+@example(([[0, 1, 2], [1, 0, 1], [2, 1, 0]], [0, 2 ** 70, 1], [2], "sup"))  # past int64
+@example(([[0, WIDE, 2], [WIDE, 0, 1], [2, 1, 0]], [0, 1 / WIDE, 3], [WIDE], "sup"))
+@example(([[0, BIG, 2], [BIG, 0, 1], [2, 1, 0]], [0, 1, Fraction(1, BIG)], [3], "inf"))
+@example(([[0, 1.5, 2], [1.5, 0, 1], [2, 1, 0]], [0, 1, POS_INF], [2, POS_INF], "sup"))
+@example(([[0, 2.0, 2], [2.0, 0, 1], [2, 1, 0]], [0, 1, 1], [3], "sup"))  # 1.0 ties 1
+@example(([[0, 1, 1], [1, 0, 1], [1, 1, 0]], [0, 0.25, NEG_INF], [1, POS_INF], "inf"))
+def test_descent_rankings_match_the_per_element_reference(case):
+    matrix, values, levels, mode = case
+    space = FiniteMetricSpace([Point(f"p{k}") for k in range(len(values))], matrix)
+    f = FunctionOracle("f", lambda p: values[int(p.id[1:])])
+    rankings = _Rankings(f, space)
+    for i in range(len(space)):
+        got = rankings.descents(i, levels, mode)
+        assert [got_descent(rankings, g) for g in got] == \
+            [reference_descent(values, space, i, t, mode) for t in levels]
+        # a second read of any one level is a memo hit of the same object
+        assert rankings.descents(i, levels[-1:], mode)[0] is got[-1]
+
+
+# the GOLDEN configs of tests/test_harness.py
+SLOPE_GOLDEN = {"thm-4.2": (3, (5, 7, 9)), "thm-4.3": (2, (6, 9))}
+
+
+def test_golden_descents_take_the_int64_pass_once_per_batch(monkeypatch):
+    kernel, descents = functionals._descent_parts, functionals._Rankings.descents
+    by_python = functionals._rank_or_none  # the per-element route, also the points' and pairs'
+    batches, passes, fallbacks = [], [], []
+
+    def counted_kernel(levels, *rest):
+        passes.append(len(levels))
+        return kernel(levels, *rest)
+
+    def counted_fallback(score_all, mode):
+        fallbacks.append(mode)
+        return by_python(score_all, mode)
+
+    def counted_descents(self, i, levels, mode):
+        before, passes[:] = len(self.memo), []
+        monkeypatch.setattr(functionals, "_rank_or_none", counted_fallback)
+        try:  # only the calls descents makes count as fallbacks
+            got = descents(self, i, levels, mode)
+        finally:
+            monkeypatch.setattr(functionals, "_rank_or_none", by_python)
+        batches.append((len(self.memo) - before, list(passes)))  # levels ranked, passes
+        return got
+
+    monkeypatch.setattr(functionals, "_descent_parts", counted_kernel)
+    monkeypatch.setattr(functionals._Rankings, "descents", counted_descents)
+    for name, (instances, sizes) in SLOPE_GOLDEN.items():
+        for eps, cap in ((0, 1), (Fraction(1, 2), 3)):
+            assert run_suite(name, SuiteConfig(instances=instances, sizes=sizes,
+                                               eps=eps, cap=cap)).ok
+    assert batches and fallbacks == []
+    assert all(ranked == (sum(made) if made else 0) and len(made) == (ranked > 0)
+               for ranked, made in batches)
+    sizes = Counter(ranked for ranked, _ in batches)
+    assert sum(k * c for k, c in sizes.items() if k > 1) > sizes[1]  # most levels in batches
+
+
+# ---------------------------------------------------------------------------
+# A witness slack of +inf
+
+
+@pytest.fixture
+def path4():
+    points = [Point(pid) for pid in "abcd"]
+    space = FiniteMetricSpace.from_matrix(points, [[abs(i - j) for j in range(4)]
+                                                   for i in range(4)])
+    f = FunctionOracle.from_table({"a": 0, "b": Fraction(1, 2), "c": 2, "d": POS_INF})
+    return space, f
+
+
+def test_infinite_eps_is_rejected_by_name(path4):
+    # best - eps at a +inf best is NaN, which selected no witness at all
+    space, f = path4
+    problem, seed = punctured_ball_problem(space, f, "sup"), [space.point("a")]
+    assert {p.id for p in closure_iterate(problem, seed, eps=10 ** 9).union} == set("abcd")
+    for run in (lambda: closure_iterate(problem, seed, eps=math.inf),
+                lambda: witness_select(problem, (seed[0], 1), eps=math.inf),
+                lambda: SuiteConfig(eps=math.inf)):
+        with pytest.raises(ValueError, match="eps must be finite"):
+            run()
+
+
+@pytest.mark.parametrize("verb", [["check", "--x", "a"], ["reduce", "--x", "a"], ["suite"]])
+def test_infinite_eps_exits_two_at_the_cli(verb, path4, tmp_path, capsys):
+    # check used to exit 1 with failed checks, its closure stopping at {a, b}
+    space, f = path4
+    space_path, fn_path = tmp_path / "space.json", tmp_path / "fn.json"
+    space_path.write_text(json.dumps(space_to_descriptor(space)))
+    fn_path.write_text(json.dumps(f.to_descriptor(space)))
+    inputs = (["--name", "thm-2.1"] if verb == ["suite"] else
+              ["--space", str(space_path), "--fn", str(fn_path), "--name", "punctured-ball"])
+    assert run_cli(verb + inputs + ["--eps", "inf"]) == 2
+    assert "--eps: eps must be finite" in capsys.readouterr().err
