@@ -10,6 +10,7 @@ emitted as sorted-key JSON so identical inputs produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -238,6 +239,7 @@ def _parse_eps(raw: str):
 # Argument grammar
 
 
+@functools.cache  # built on first use and kept: parsing leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=PROG,

@@ -6,15 +6,15 @@ radius grid, the pairwise Lipschitz supremum over a ball, the torus supremum
 shells.  Each operation takes an optional Y argument; when given, the
 regions are intersected with Y, which is all the restriction identities need.
 
-On a finite space without a budget the formulas read f's rankings, memoised
-on the function oracle per space and shared with the optimum tables of the
-families built on f.  The pair and shell formulas read the center's optimum
-table of their family, every parameter of one center at once
-(lip_local_sups, torus_sups; the slope folds the shell optima of level
-f(x) by outer radius), through the builders the families use.  A limit is a
-running minimum or maximum of f's codes along the center's punctured row.
-Lazy or budgeted spaces, centers outside the space, declined rankings and
-functions that raise take the region scan.
+On a finite space without a budget every formula reads its family's optimum
+table of the center, every parameter at once, through _table, the one path
+the families' closures and sweeps take: a table is built once per (function,
+truncation, center) on f's rankings (memoised on the function oracle per
+space) and kept on the prepared truncation.  The limits read the
+punctured-ball [inf] and [sup] tables, lip_local_sups the ball-pairs table,
+torus_sups the torus-slope table, and the slope folds the shell optima of
+level f(x) by outer radius.  Lazy or budgeted spaces, centers outside the
+space, declined rankings and functions that raise take the region scan.
 
 The module also ships the three registered witness-problem families
 (punctured-ball, ball-pairs, torus-slope), each with a per-center optimum
@@ -24,7 +24,6 @@ from a space's realized distances.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import weakref
 from bisect import bisect_left, bisect_right
@@ -41,8 +40,8 @@ from .errors import (
     UnknownPoint,
 )
 from .extreal import FLOAT_TOL, POS_INF, Num, close, fmt, is_exact, is_finite, parse, pos_part, sub
-from .scheme import (Optima, Radii, Region, ShellGrid, Shells, WitnessProblem, _image,
-                     rank_rows, rank_scores)
+from .scheme import (Optima, ParamSpace, Radii, Region, ShellGrid, Shells, WitnessProblem,
+                     _image, rank_rows, rank_scores)
 from .spaces import (
     FiniteMetricSpace,
     MetricSpace,
@@ -387,14 +386,18 @@ def _rankings(f: FunctionOracle, space: MetricSpace,
     return got
 
 
-def _table_at(f: FunctionOracle, space: MetricSpace, x: Point, budget: Optional[int],
-              build: Callable[[_Rankings, int], Optional[Optima]]) -> Optional[Optima]:
-    """x's table of a family, built on f's rankings; None leaves x to the scan
-    (lazy or budgeted spaces, a center outside the space, a declined build)."""
+def _table(f: FunctionOracle, space: MetricSpace, x: Point, budget: Optional[int],
+           builder: Callable[..., Optional[Optima]], params: ParamSpace, *key) -> Optional[Optima]:
+    """x's table from builder(f's rankings, x's index, params, *key), built once
+    and kept on params; None leaves x to the scan (lazy or budgeted spaces, an
+    empty truncation, a center outside the space, a declined ranking)."""
     rankings = _rankings(f, space, budget)
-    if rankings is None or x not in space:
+    if rankings is None or not params or x not in space:
         return None
-    return build(rankings, space.index_of(x))
+    at = (rankings, builder, *key, space.index_of(x))
+    if at not in params.tables:
+        params.tables[at] = builder(rankings, at[-1], params, *key)
+    return params.tables[at]
 
 
 def _mask(space: FiniteMetricSpace, allowed: set) -> np.ndarray:
@@ -437,27 +440,18 @@ def _allowed(x: Point, Y: Optional[Iterable[Point]]) -> Optional[set]:
 def _limit(f: FunctionOracle, space: MetricSpace, x: Point, radii: Radii,
            allowed: Optional[set], budget: Optional[int],
            inner: Callable, outer: Callable) -> Num:
-    """outer over the radii of inner of f over the nonempty punctured balls.
-
-    With f's sup ranking, inner is a running min or max of f's codes along
-    x's punctured row within allowed, and a ball is a prefix of it.
-    """
-    rankings = _rankings(f, space, budget)
-    ranked = None if rankings is None or x not in space else rankings.points("sup")
-    if ranked is None:
+    """outer over the radii of inner of f over the nonempty punctured balls,
+    read off x's punctured-ball table in inner's mode (min: inf, max: sup)."""
+    table = _table(f, space, x, budget, _points_table, radii, "inf" if inner is min else "sup")
+    if table is None:
         vals = []
         for r in radii:
             pts = _restricted(punctured_ball_points(space, x, r, budget), allowed)
             if pts:
                 vals.append(inner(f.value(u) for u in pts))
     else:
-        points, dists = _sorted_row(space, space.index_of(x), True)
-        if allowed is not None:
-            keep = _mask(space, allowed)[points]
-            points, dists = points[keep], [d for d, k in zip(dists, keep.tolist()) if k]
-        keys, _, values = ranked
-        run = (np.minimum if inner is min else np.maximum).accumulate(keys[points] // len(space))
-        vals = [values[run[k - 1]] for k in _ball_ends(dists, radii)[0].tolist() if k]
+        best = _read(table, space, allowed)[0].tolist()
+        vals = [table.value(k, key) for k, key in enumerate(best) if key >= 0]
     if not vals:
         raise IsolatedPoint(f"every punctured ball at {x.id!r} along the grid is empty")
     return outer(vals)
@@ -469,8 +463,8 @@ def liminf_at(f: FunctionOracle, space: MetricSpace, x: Point, grid,
     """sup over grid radii of inf of f over the punctured ball (within Y).
 
     Monotone under grid refinement.  Raises IsolatedPoint when every
-    punctured ball along the grid is empty.  Reads f's sup ranking where one
-    applies and scans the balls otherwise.
+    punctured ball along the grid is empty.  Reads x's punctured-ball [inf]
+    table where f's inf ranking applies and scans the balls otherwise.
     """
     return _limit(f, space, x, *_radii_at(grid, x, Y), budget, min, max)
 
@@ -479,7 +473,7 @@ def limsup_at(f: FunctionOracle, space: MetricSpace, x: Point, grid,
               Y: Optional[Iterable[Point]] = None,
               budget: Optional[int] = None) -> Num:
     """inf over grid radii of sup of f over the punctured ball (within Y),
-    read off f's sup ranking as liminf_at is."""
+    read off x's punctured-ball [sup] table as liminf_at reads the [inf] one."""
     return _limit(f, space, x, *_radii_at(grid, x, Y), budget, max, min)
 
 
@@ -518,7 +512,7 @@ def lip_local_sups(f: FunctionOracle, space: MetricSpace, x: Point, radii: Seque
     """
     allowed = _allowed(x, Y)
     radii = Radii.of(radii, repeats=True)
-    table = _table_at(f, space, x, budget, lambda rk, i: _pairs_table(rk, i, radii, "sup"))
+    table = _table(f, space, x, budget, _pairs_table, radii, "sup")
     if table is None:
         sups = []
         for r in radii:
@@ -568,6 +562,17 @@ def _descent_quotient(t: Num, f: FunctionOracle, space: MetricSpace,
     return _exact_div(num, space.distance(x, u))
 
 
+def _shell_scan(f: FunctionOracle, space: MetricSpace, x: Point, params: Iterable[tuple],
+                allowed: Optional[set], budget: Optional[int]) -> list:
+    """Each (t, r, s) shell's first maximal descent quotient in enumeration
+    order, None where the (restricted) shell is empty."""
+    sups = []
+    for t, r, s in params:
+        pts = _restricted(torus_points(space, x, r, s, budget), allowed)
+        sups.append(max((_descent_quotient(t, f, space, x, u) for u in pts), default=None))
+    return sups
+
+
 def torus_sups(f: FunctionOracle, space: MetricSpace, x: Point, params: Sequence[tuple],
                Y: Optional[Iterable[Point]] = None,
                budget: Optional[int] = None) -> list:
@@ -580,14 +585,9 @@ def torus_sups(f: FunctionOracle, space: MetricSpace, x: Point, params: Sequence
     """
     allowed = _allowed(x, Y)
     params = Shells.of(params, repeats=True)
-    table = params and _table_at(  # an empty truncation has no level to rank
-        f, space, x, budget, lambda rk, i: _torus_table(rk, i, params.levels, params, "sup"))
-    if not table:
-        sups = []
-        for t, r, s in params:
-            pts = _restricted(torus_points(space, x, r, s, budget), allowed)
-            sups.append(max((_descent_quotient(t, f, space, x, u) for u in pts), default=None))
-        return sups
+    table = _table(f, space, x, budget, _torus_table, params, "sup")
+    if table is None:
+        return _shell_scan(f, space, x, params, allowed, budget)
     return [table.value(k, key) if key >= 0 else None
             for k, key in enumerate(_read(table, space, allowed)[0].tolist())]
 
@@ -628,12 +628,10 @@ def slope_at(f: FunctionOracle, space: MetricSpace, x: Point,
     allowed = _allowed(x, Y)
     t = f.value(x)
     shells = ShellGrid.of(shells, repeats=True)
-    table = _table_at(f, space, x, budget, lambda rk, i: _torus_table(rk, i, [t], shells, "sup"))
+    table = _table(f, space, x, budget, _torus_table, shells, "sup", (type(t), t))
     if table is None:
         inner: dict = {}
-        level = Shells(((t, r, s) for r, s in shells), repeats=True, layout=(
-            [t], shells.radii, shells.rows, shells.inner, shells.outer))
-        scanned = torus_sups(f, space, x, level, allowed, budget)
+        scanned = _shell_scan(f, space, x, ((t, r, s) for r, s in shells), allowed, budget)
         for s, sup in zip(shells.outer.tolist(), scanned):  # s by its radius index
             if sup is not None and (s not in inner or sup > inner[s]):
                 inner[s] = sup
@@ -751,20 +749,8 @@ def shell_truncation(space, t_values: Sequence[Num],
 
 # Optimum tables: each family reads the scores its regions can meet, ranked
 # once per function (_Rankings), and every region's optimum off the center's
-# sorted distance row.
-
-
-def _optimum_tables(f: FunctionOracle, space: MetricSpace, budget: Optional[int],
-                    trunc: Sequence, build: Callable[[_Rankings, int], Optional[Optima]]):
-    """Memoized per-center optimum tables, or None where only the scan applies.
-
-    Lazy spaces, budgeted regions and empty truncations are left to the
-    scan, and so is a center whose build returns None.
-    """
-    if budget is not None or not isinstance(space, FiniteMetricSpace) or not trunc:
-        return None
-    tables = functools.cache(lambda i: build(_rankings(f, space), i))
-    return lambda x: tables(space.index_of(x)) if x in space else None
+# sorted distance row.  _table builds one per (function, truncation, center)
+# and keeps it on the truncation, for the closures, sweeps and formulas alike.
 
 
 def _rank_or_none(score_all: Callable[[], list], mode: str) -> Optional[tuple]:
@@ -910,13 +896,13 @@ def _pairs_table(rankings: _Rankings, i: int, radii: Sequence[Num],
                   lambda k: (space.points[ids[k // n]], space.points[ids[k % n]]), floats, pairs)
 
 
-def _torus_table(rankings: _Rankings, i: int, levels: list, shells: ShellGrid,
-                 mode: str) -> Optional[Optima]:
-    """Shells r < d(x_i, u) < s at each level t (shell k at levels[shells.rows[k]]):
-    one ranking of the descent quotients per level, laid out along the
-    punctured sorted row, where a shell is a slice."""
+def _torus_table(rankings: _Rankings, i: int, shells: ShellGrid, mode: str,
+                 level: Optional[tuple] = None) -> Optional[Optima]:
+    """Shells r < d(x_i, u) < s, shell k at shells.levels[shells.rows[k]] or at the
+    one level (type(t), t) given: one ranking of the descent quotients per level,
+    laid out along the punctured sorted row, where a shell is a slice."""
     rows, radii, inner, outer = shells.rows, shells.radii, shells.inner, shells.outer
-    ranked = rankings.descents(i, levels, mode)
+    ranked = rankings.descents(i, shells.levels if level is None else level[1:], mode)
     if None in ranked:
         return None
     space = rankings.space
@@ -934,8 +920,8 @@ def punctured_ball_problem(space: MetricSpace, f: FunctionOracle,
                            budget: Optional[int] = None) -> WitnessProblem:
     """Arity-1 problem: region B(x, r) \\ {x}, score f(u).
 
-    Scores do not depend on x, so the table reads f's ranking in mode (in
-    sup mode the one liminf_at and limsup_at read).
+    Scores do not depend on x, so the table reads f's ranking in mode (the
+    [inf] table is the one liminf_at reads, the [sup] table limsup_at's).
     """
     trunc = Radii.of(radius_truncation(space) if truncation is None else truncation)
 
@@ -952,8 +938,7 @@ def punctured_ball_problem(space: MetricSpace, f: FunctionOracle,
         name=f"punctured-ball[{mode}]", space=space,
         params=trunc, arity=1, mode=mode,
         region=region, member=member, score=score,
-        optima=_optimum_tables(f, space, budget, trunc,
-                               lambda rk, i: _points_table(rk, i, trunc, mode)))
+        optima=lambda x: _table(f, space, x, budget, _points_table, trunc, mode))
 
 
 def ball_pairs_problem(space: MetricSpace, f: FunctionOracle,
@@ -981,8 +966,7 @@ def ball_pairs_problem(space: MetricSpace, f: FunctionOracle,
         name=f"ball-pairs[{mode}]", space=space,
         params=trunc, arity=2, mode=mode,
         region=region, member=member, score=score,
-        optima=_optimum_tables(f, space, budget, trunc,
-                               lambda rk, i: _pairs_table(rk, i, trunc, mode)))
+        optima=lambda x: _table(f, space, x, budget, _pairs_table, trunc, mode))
 
 
 def torus_slope_problem(space: MetricSpace, f: FunctionOracle,
@@ -1015,8 +999,7 @@ def torus_slope_problem(space: MetricSpace, f: FunctionOracle,
         name=f"torus-slope[{mode}]", space=space,
         params=trunc, arity=1, mode=mode,
         region=region, member=member, score=score,
-        optima=_optimum_tables(f, space, budget, trunc,
-                               lambda rk, i: _torus_table(rk, i, trunc.levels, trunc, mode)))
+        optima=lambda x: _table(f, space, x, budget, _torus_table, trunc, mode))
 
 
 PROBLEM_FAMILIES = {

@@ -59,14 +59,16 @@ class ParamSpace(tuple):
     ParamSpace is that sequence.  The shipped families prepare theirs as one
     of the kinds below, which checks each parameter once, lays the
     truncation out for the optimum tables and finds repeats from that layout
-    (_keys).  A formula's grid may repeat a parameter (repeats=True).
+    (_keys).  A formula's grid may repeat a parameter (repeats=True).  The
+    optimum tables over it are kept on it (tables): each built once per
+    function, family, mode, level and center, and freed with it.
     """
 
     def __new__(cls, truncation: Iterable = (), *args, **kwargs):
         return super().__new__(cls, truncation)
 
     def __init__(self, truncation: Iterable = (), repeats: bool = False):
-        self.repeats = repeats
+        self.repeats, self.tables = repeats, {}
         seen: dict = {}  # each key hashed once
         twin = None if repeats else next(
             (i for i, k in enumerate(self._keys()) if seen.setdefault(k, i) != i), None)
@@ -159,7 +161,8 @@ class WitnessProblem:
     scans with.  In sup mode scores live in R ∪ {+inf}, in inf mode in
     R ∪ {-inf}; a score outside the range is an error.  optima(x), when the
     family supplies it, returns the exact optima of every G(x, p) at once, or
-    None for a center left to the region scan.
+    None for a center left to the region scan (the shipped families keep
+    their tables on params, where the formulas read them too).
     """
 
     name: str

@@ -503,6 +503,26 @@ def test_the_option_surface_is_pinned():
         ["--help", "-h"]
 
 
+def test_two_calls_build_one_parser(line3_path, capsys):
+    _build_parser.cache_clear()
+    for verb in ("validate", "reduce"):
+        assert run_cli([verb, "--space", line3_path, "--fn", "coord", "--x", "p0"]) == 0
+    info = _build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_an_argparse_error_leaves_the_kept_parser_as_it_was(line3_path, capsys):
+    # the same valid call on a fresh parser and after an error on the kept one
+    call = ["reduce", "--space", line3_path, "--fn", "coord", "--x", "p0", "--cap", "2"]
+    _build_parser.cache_clear()
+    assert run_cli(call) == 0
+    first = capsys.readouterr().out
+    assert run_cli(["reduce", "--space", line3_path, "--cap", "two"]) == 2
+    assert "--cap" in capsys.readouterr().err
+    assert run_cli(call) == 0
+    assert capsys.readouterr().out == first and _build_parser.cache_info().misses == 1
+
+
 def test_descriptor_cli_batch_0_keeps_its_pinned_digest(tmp_path, monkeypatch):
     # the seed-0 descriptor-cli batch 0 of the benchmark, run through run_cli:
     # every byte of its reports (slack closures included) is pinned in

@@ -31,6 +31,7 @@ from sepdet import (
     torus_slope_problem,
     witness_dump,
 )
+import sepdet.functionals as functionals
 import sepdet.harness as harness
 import sepdet.scheme as scheme
 import sepdet.spaces as spaces
@@ -420,6 +421,45 @@ def test_the_shell_suites_prepare_each_truncation_once(suite, monkeypatch):
     assert not any(laid_out for _, _, laid_out, _ in built)
     assert counts["checks"] <= sum(n for kind, n, *_ in built if kind is Radii)
     assert counts["grids"] <= sum(kind is Shells for kind, *_ in built)
+
+
+# the formulas of each suite that read the closure's own tables; a slope reads
+# the one-level table of its grid, which no closure builds
+CLOSURE_READS = {"prop-3.2": ("lip_local_sups",), "thm-3.3": ("lip_modulus",),
+                 "thm-3.1": ("liminf_at", "limsup_at", "continuity_check"),
+                 "prop-4.1": ("torus_sups",), "thm-4.2": ("slope_at",),
+                 "thm-4.3": ("partial_slope",)}
+
+
+@pytest.mark.parametrize("suite", sorted(CLOSURE_READS))
+def test_each_optimum_table_is_built_once(suite, monkeypatch):
+    # a table is built once per (function, truncation object, mode, level,
+    # center), and the comparisons that the closure's tables serve build none
+    built, inside = [], [None]
+    for name in ("_points_table", "_pairs_table", "_torus_table"):
+        def builder(rankings, i, params, *key, name=name, real=getattr(functionals, name)):
+            # params is kept in the record, so its id is not reused during the run
+            built.append(((name, rankings, id(params), *key, i), params, inside[0]))
+            return real(rankings, i, params, *key)
+        monkeypatch.setattr(functionals, name, builder)
+    for name in CLOSURE_READS[suite]:
+        def formula(*args, name=name, real=getattr(harness, name), **kwargs):
+            inside[0] = name
+            try:
+                return real(*args, **kwargs)
+            finally:
+                inside[0] = None
+        monkeypatch.setattr(harness, name, formula)
+    report = run_suite(suite, SuiteConfig(instances=4, sizes=(5, 8)))
+    assert report.ok and report.checks_passed > 0
+    keys = Counter(key for key, *_ in built)
+    assert keys and max(keys.values()) == 1
+    by_formulas = [key for key, _, name in built if name is not None]
+    if suite in ("thm-4.2", "thm-4.3"):  # one level each: (name, rankings, grid, mode, level, i)
+        assert by_formulas and all(len(key) == 6 for key in by_formulas)
+    else:
+        assert by_formulas == []
+    assert sum(name is None for *_, name in built) > 0  # the closures build theirs
 
 
 # sha256 of the sorted-key JSON report of every suite at a small config, under
