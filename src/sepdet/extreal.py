@@ -2,9 +2,9 @@
 
 Values are plain Python numbers: int, Fraction, or float, with the two float
 infinities standing in for +/-inf.  Fraction mixes exactly with the float
-infinities under comparison, max/min and arithmetic, so no wrapper type is
-needed.  The helpers below pin down the two conventions the variational
-formulas rely on:
+infinities under comparison and max/min, and sub subtracts them without a
+float() that overflows past the floats, so no wrapper type is needed.  The
+helpers below pin down the two conventions the variational formulas rely on:
 
   * pos_part(s) is s for s > 0 and 0 otherwise (so pos_part(+inf) = +inf),
   * sub(a, b) is a - b except that inf - inf = 0 for same-signed infinities.
@@ -48,11 +48,11 @@ def pos_part(s: Num) -> Num:
 
 
 def sub(a: Num, b: Num) -> Num:
-    """a - b with the convention inf - inf = 0 (either sign)."""
-    if is_pos_inf(a) and is_pos_inf(b):
-        return 0
-    if is_neg_inf(a) and is_neg_inf(b):
-        return 0
+    """a - b with inf - inf = 0 (either sign); +-inf against any number skips float()."""
+    if isinstance(a, float) and math.isinf(a) and b == b:
+        return 0 if a == b else a
+    if isinstance(b, float) and math.isinf(b) and a == a:
+        return -b
     return a - b
 
 

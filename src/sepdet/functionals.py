@@ -7,7 +7,7 @@ shells.  Each operation takes an optional Y argument; when given, the
 regions are intersected with Y, which is all the restriction identities need.
 
 On a finite space without a budget every formula reads its family's optimum
-table of the center, every parameter at once, through _table, the one path
+table of the center, every parameter at once, through _tables, the one path
 the families' closures and sweeps take: a table is built once per (function,
 truncation, center) on f's rankings (memoised on the function oracle per
 space) and kept on the prepared truncation.  The limits read the
@@ -37,6 +37,7 @@ from .errors import (
     EmptyRegion,
     IsolatedPoint,
     NoCoordinates,
+    ScoreRangeError,
     UnknownPoint,
 )
 from .extreal import FLOAT_TOL, POS_INF, Num, close, fmt, is_exact, is_finite, parse, pos_part, sub
@@ -260,7 +261,10 @@ def _exact_div(num: Num, den: Num) -> Num:
     if isinstance(num, int) and isinstance(den, int):
         q = Fraction(num, den)
         return int(q) if q.denominator == 1 else q
-    return num / den
+    try:
+        return num / den
+    except OverflowError:  # an exact num past the float range over a float den
+        raise ScoreRangeError(f"exact quotient by the float {den!r} is past the floats") from None
 
 
 class _Rankings:
@@ -271,10 +275,12 @@ class _Rankings:
     gives one key per point; the pair quotients |f(a) - f(b)| / d(a, b) give
     an n x n key matrix (-1 on the diagonal); the descent quotients
     (t - f(u))^+ / d(x, u) of a center x and level t give one key per point,
-    -1 at distance 0 from x, where no shell reaches, every missing level of x
-    ranked in one pass (descents).  None (f raises, or the ranking declines)
-    leaves the scores to the scan.
+    -1 at distance 0 from x, where no shell reaches, the missing levels of a
+    request's centers ranked together (descents).  None (f raises, or the
+    ranking declines) leaves the scores to the scan.
     """
+
+    PASS_BOUND = 2 ** 15  # the most descent quotients one ranking pass holds
 
     def __init__(self, f: FunctionOracle, space: FiniteMetricSpace):
         self.space = space
@@ -288,11 +294,9 @@ class _Rankings:
         self.parts = None if self.fv is None else _parts(self.fv)
 
     def _get(self, key: tuple, make: Callable):
-        try:
-            return self.memo[key]
-        except KeyError:
-            got = self.memo[key] = None if self.fv is None else make()
-            return got
+        if key not in self.memo:
+            self.memo[key] = None if self.fv is None else make()
+        return self.memo[key]
 
     def points(self, mode: str) -> Optional[tuple]:
         def make():
@@ -322,39 +326,46 @@ class _Rankings:
 
         return self._get(("pairs", mode), make)
 
-    def descents(self, i: int, levels: Sequence[Num], mode: str) -> list:
-        """The descent ranking of center i at each level, memoised per level.
-        The missing levels are ranked together, their quotients made at once
-        by _descent_parts where it holds the inputs and one Python number at a
-        time otherwise."""
-        keys = [("descent", i, mode, type(t), t) for t in levels]
-        got = [self.memo.get(key, keys) for key in keys]  # keys marks a missing level
-        missing = [r for r, g in enumerate(got) if g is keys]
-        if not missing or self.fv is None:
-            return [None if g is keys else g for g in got]
-        fv, n, k, levels = self.fv, len(self.space), len(missing), [levels[r] for r in missing]
-        order, dists = self.space.sorted_row(i)
-        a = bisect_right(dists, 0)
-        points, dists = np.array(order[a:], dtype=np.int64), dists[a:]
-        q = None if self.parts is None else _descent_parts(levels, self.parts[:, points], dists)
-        codes, floats = np.zeros((k, len(points)), dtype=np.int64), np.zeros((k, n), dtype=bool)
-        ranked: list = [None] * k
-        if q is None:
-            for r, t in enumerate(levels):
-                one = _rank_or_none(lambda: [_exact_div(pos_part(sub(t, fv[j])), d)
-                                             for j, d in zip(points.tolist(), dists)], mode)
-                if one is not None:
-                    codes[r], floats[r, points] = one[1], [_is_float(v) for v in one[0]]
-                    ranked[r] = one[2]
-        else:
+    def descents(self, centers: Sequence[int], levels: Sequence[Num], mode: str) -> list:
+        """The descent ranking of each center at each level, memoised per (center,
+        level); the missing rows of the n - 1 points at positive distance that
+        _descent_parts holds take one pass per block of at most PASS_BOUND quotients."""
+        wanted = {i: [("descent", i, mode, type(t), t) for t in levels] for i in centers}
+        todo = [(key, i, r) for i, row in wanted.items() for r, key in enumerate(row)
+                if self.fv is not None and key not in self.memo]
+        fv, n, rows, held = self.fv, len(self.space), {}, []
+        parts = [_parts([t]) for t in levels] if todo else []
+        for key, i, r in todo:
+            if i not in rows:
+                order, dists = self.space.sorted_row(i)
+                a = bisect_right(dists, 0)  # no shell reaches a point at distance 0
+                rows[i] = order[a:], dists[a:], _parts(dists[a:], floats=True)
+            points, dists, d = rows[i]
+            if len(points) == n - 1 and not any(v is None for v in (self.parts, d, parts[r])):
+                held.append((key, *rows[i], parts[r]))
+                continue
+            one = _rank_or_none(lambda: [_exact_div(pos_part(sub(levels[r], fv[j])), e)
+                                         for j, e in zip(points, dists)], mode)
+            keys, floats, at = np.full(n, -1, dtype=np.int64), np.zeros(n, dtype=bool), list(points)
+            if one is not None:  # one Python number at a time
+                keys[at] = _arity1_keys(one[1], self.rank[at], n)
+                floats[at] = [_is_float(v) for v in one[0]]
+            self.memo[key] = None if one is None else (keys, floats, one[2])
+        step = max(1, self.PASS_BOUND // max(n - 1, 1))
+        for block in (held[a:a + step] for a in range(0, len(held), step)):
+            names, points, dists, d, t = zip(*block)  # k (center, level) rows
+            k, points = len(block), np.array(points, dtype=np.int64).reshape(len(block), n - 1)
+            q = _descent_parts(np.concatenate(t, 1)[:, :, None], self.parts[:, points],
+                               np.stack(d, 1), dists)
             codes, ranked = rank_rows(q[0], q[1:3], q[3],
                                       lambda r, js: _Quotients(q[:, r, js]), mode)
-            floats[:, points] = (q[3] == 2) & np.isfinite(q[0])
-        table = np.full((k, n), -1, dtype=np.int64)
-        table[:, points] = _arity1_keys(codes, self.rank[points], n)
-        for r, one in zip(missing, zip(table, floats, ranked)):
-            got[r] = self.memo[keys[r]] = None if one[2] is None else one
-        return got
+            keys, floats = np.full((k, n), -1, dtype=np.int64), np.zeros((k, n), dtype=bool)
+            at = np.arange(k)[:, None], points
+            keys[at] = _arity1_keys(codes, self.rank[points], n)
+            floats[at] = (q[3] == 2) & np.isfinite(q[0])
+            for key, one in zip(names, zip(keys, floats, ranked)):
+                self.memo[key] = None if one[2] is None else one
+        return [[self.memo.get(key) for key in wanted[i]] for i in centers]
 
 
 class _Quotients:
@@ -386,18 +397,19 @@ def _rankings(f: FunctionOracle, space: MetricSpace,
     return got
 
 
-def _table(f: FunctionOracle, space: MetricSpace, x: Point, budget: Optional[int],
-           builder: Callable[..., Optional[Optima]], params: ParamSpace, *key) -> Optional[Optima]:
-    """x's table from builder(f's rankings, x's index, params, *key), built once
-    and kept on params; None leaves x to the scan (lazy or budgeted spaces, an
-    empty truncation, a center outside the space, a declined ranking)."""
+def _tables(f: FunctionOracle, space: MetricSpace, xs: Sequence[Point], budget: Optional[int],
+            builder: Callable[..., list], params: ParamSpace, *key) -> list:
+    """Each x's table, kept on params, the missing ones built by one builder(f's
+    rankings, their indices, params, *key); None leaves x to the scan (lazy or
+    budgeted spaces, no parameters, x outside the space, a declined ranking)."""
     rankings = _rankings(f, space, budget)
-    if rankings is None or not params or x not in space:
-        return None
-    at = (rankings, builder, *key, space.index_of(x))
-    if at not in params.tables:
-        params.tables[at] = builder(rankings, at[-1], params, *key)
-    return params.tables[at]
+    if rankings is None or not params:
+        return [None] * len(xs)
+    at = [(rankings, builder, *key, space.index_of(x)) if x in space else None for x in xs]
+    new = list(dict.fromkeys(k for k in at if k is not None and k not in params.tables))
+    if new:
+        params.tables.update(zip(new, builder(rankings, [k[-1] for k in new], params, *key)))
+    return [k and params.tables[k] for k in at]
 
 
 def _mask(space: FiniteMetricSpace, allowed: set) -> np.ndarray:
@@ -442,7 +454,7 @@ def _limit(f: FunctionOracle, space: MetricSpace, x: Point, radii: Radii,
            inner: Callable, outer: Callable) -> Num:
     """outer over the radii of inner of f over the nonempty punctured balls,
     read off x's punctured-ball table in inner's mode (min: inf, max: sup)."""
-    table = _table(f, space, x, budget, _points_table, radii, "inf" if inner is min else "sup")
+    [table] = _tables(f, space, [x], budget, _points_table, radii, "inf" if inner is min else "sup")
     if table is None:
         vals = []
         for r in radii:
@@ -512,7 +524,7 @@ def lip_local_sups(f: FunctionOracle, space: MetricSpace, x: Point, radii: Seque
     """
     allowed = _allowed(x, Y)
     radii = Radii.of(radii, repeats=True)
-    table = _table(f, space, x, budget, _pairs_table, radii, "sup")
+    [table] = _tables(f, space, [x], budget, _pairs_table, radii, "sup")
     if table is None:
         sups = []
         for r in radii:
@@ -585,7 +597,7 @@ def torus_sups(f: FunctionOracle, space: MetricSpace, x: Point, params: Sequence
     """
     allowed = _allowed(x, Y)
     params = Shells.of(params, repeats=True)
-    table = _table(f, space, x, budget, _torus_table, params, "sup")
+    [table] = _tables(f, space, [x], budget, _torus_table, params, "sup")
     if table is None:
         return _shell_scan(f, space, x, params, allowed, budget)
     return [table.value(k, key) if key >= 0 else None
@@ -628,7 +640,7 @@ def slope_at(f: FunctionOracle, space: MetricSpace, x: Point,
     allowed = _allowed(x, Y)
     t = f.value(x)
     shells = ShellGrid.of(shells, repeats=True)
-    table = _table(f, space, x, budget, _torus_table, shells, "sup", (type(t), t))
+    [table] = _tables(f, space, [x], budget, _torus_table, shells, "sup", (type(t), t))
     if table is None:
         inner: dict = {}
         scanned = _shell_scan(f, space, x, ((t, r, s) for r, s in shells), allowed, budget)
@@ -749,7 +761,7 @@ def shell_truncation(space, t_values: Sequence[Num],
 
 # Optimum tables: each family reads the scores its regions can meet, ranked
 # once per function (_Rankings), and every region's optimum off the center's
-# sorted distance row.  _table builds one per (function, truncation, center)
+# sorted distance row.  _tables builds one per (function, truncation, center)
 # and keeps it on the truncation, for the closures, sweeps and formulas alike.
 
 
@@ -782,18 +794,15 @@ def _parts(values: Sequence[Num], floats: bool = False) -> Optional[np.ndarray]:
     return np.array(rows, dtype=np.int64).reshape(-1, 3).T
 
 
-def _descent_parts(levels: list, f: np.ndarray, dists: Sequence[Num]) -> Optional[np.ndarray]:
+def _descent_parts(t: np.ndarray, f: np.ndarray, d: np.ndarray, dists: Sequence) -> np.ndarray:
     """Images, reduced numerators and denominators, and kinds (0 int, 1
-    Fraction, 2 float) of the descent quotients (t - f(u))^+ / d(x, u) as
-    _exact_div gives them, a row per level t and a column per row point u (f
-    holds its _parts), stacked as floats.  A float's value is its image: +inf
-    (t = +inf, as 1 / 0), or a quotient by a float distance, keyed 0 / 0 as
-    no exact one is.  Inputs within 2**17 keep every part within 2**53, so
-    the images are correctly rounded; None where _parts declines the inputs."""
-    t, d = _parts(levels), _parts(dists, floats=True)
-    if t is None or d is None:
-        return None
-    (tn, td, tf), (fn, fd, ff), (dn, dd, dk) = t[:, :, None], f[:, None, :], d[:, None, :]
+    Fraction, 2 float) of the descent quotients (t - f(u))^+ / d(x, u) of a
+    block's rows as _exact_div gives them, stacked as floats, from the _parts
+    t, f, d of their levels, values and distances (dists, read at a float
+    one).  A float's value is its image: +inf (t = +inf, as 1 / 0), or a
+    quotient by a float distance, keyed 0 / 0 as no exact one is.  Inputs
+    within 2**17 keep every part within 2**53: the images round correctly."""
+    (tn, td, tf), (fn, fd, ff), (dn, dd, dk) = t, f, d
     num, den = tn * fd - fn * td, td * fd
     pos = num > 0  # pos_part gives the int 0 elsewhere
     qn, qd = np.where(pos, num * dd, 0), np.where(pos, den * dn, 1)
@@ -842,10 +851,15 @@ def _ball_ends(dists: list, radii: Sequence[Num],
 
 
 # The table builders, one per family, shared by the factories and the
-# formulas: (f's rankings on a finite space, a center index, the prepared
-# parameters) to the center's Optima, or None when a ranking is declined.
+# formulas: (f's rankings on a finite space, center indices, the prepared
+# parameters) to each center's Optima, or None where a ranking is declined.
 
 
+def _per_center(build: Callable) -> Callable:  # points and pairs rank once per function
+    return lambda rankings, centers, *args: [build(rankings, i, *args) for i in centers]
+
+
+@_per_center
 def _points_table(rankings: _Rankings, i: int, radii: Sequence[Num],
                   mode: str) -> Optional[Optima]:
     """Punctured balls B(x_i, r) \\ {x_i}: prefixes of the punctured sorted row."""
@@ -861,6 +875,7 @@ def _points_table(rankings: _Rankings, i: int, radii: Sequence[Num],
                   lambda k: (space.points[space.id_order[k]],), floats[points][None, :])
 
 
+@_per_center
 def _pairs_table(rankings: _Rankings, i: int, radii: Sequence[Num],
                  mode: str) -> Optional[Optima]:
     """Pairs of balls B(x_i, r): a ball is a prefix of the sorted row, and each
@@ -896,22 +911,25 @@ def _pairs_table(rankings: _Rankings, i: int, radii: Sequence[Num],
                   lambda k: (space.points[ids[k // n]], space.points[ids[k % n]]), floats, pairs)
 
 
-def _torus_table(rankings: _Rankings, i: int, shells: ShellGrid, mode: str,
-                 level: Optional[tuple] = None) -> Optional[Optima]:
+def _torus_table(rankings: _Rankings, centers: Sequence[int], shells: ShellGrid, mode: str,
+                 level: Optional[tuple] = None) -> list:
     """Shells r < d(x_i, u) < s, shell k at shells.levels[shells.rows[k]] or at the
-    one level (type(t), t) given: one ranking of the descent quotients per level,
-    laid out along the punctured sorted row, where a shell is a slice."""
+    one level (type(t), t) given: one ranking of the descent quotients per level
+    (descents), laid out along the punctured sorted row, where a shell is a slice."""
     rows, radii, inner, outer = shells.rows, shells.radii, shells.inner, shells.outer
-    ranked = rankings.descents(i, shells.levels if level is None else level[1:], mode)
-    if None in ranked:
-        return None
-    space = rankings.space
-    points, dists = _sorted_row(space, i, True)
-    keys, floats, values = zip(*ranked)
-    ends, starts = _ball_ends(dists, radii, shells.images)
-    return Optima(points, _masked(np.stack(keys)[:, points], points), rows, starts[inner],
-                  ends[outer], list(values), len(space), 1,
-                  lambda k: (space.points[space.id_order[k]],), np.stack(floats)[:, points])
+    space, tables, levels = rankings.space, [], shells.levels if level is None else level[1:]
+    for i, ranked in zip(centers, rankings.descents(centers, levels, mode)):
+        if None in ranked:
+            tables.append(None)
+            continue
+        points, dists = _sorted_row(space, i, True)
+        keys, floats, values = zip(*ranked)
+        ends, starts = _ball_ends(dists, radii, shells.images)
+        tables.append(Optima(points, _masked(np.stack(keys)[:, points], points), rows,
+                             starts[inner], ends[outer], list(values), len(space), 1,
+                             lambda k: (space.points[space.id_order[k]],),
+                             np.stack(floats)[:, points]))
+    return tables
 
 
 def punctured_ball_problem(space: MetricSpace, f: FunctionOracle,
@@ -938,7 +956,7 @@ def punctured_ball_problem(space: MetricSpace, f: FunctionOracle,
         name=f"punctured-ball[{mode}]", space=space,
         params=trunc, arity=1, mode=mode,
         region=region, member=member, score=score,
-        optima=lambda x: _table(f, space, x, budget, _points_table, trunc, mode))
+        optima=lambda xs: _tables(f, space, xs, budget, _points_table, trunc, mode))
 
 
 def ball_pairs_problem(space: MetricSpace, f: FunctionOracle,
@@ -966,7 +984,7 @@ def ball_pairs_problem(space: MetricSpace, f: FunctionOracle,
         name=f"ball-pairs[{mode}]", space=space,
         params=trunc, arity=2, mode=mode,
         region=region, member=member, score=score,
-        optima=lambda x: _table(f, space, x, budget, _pairs_table, trunc, mode))
+        optima=lambda xs: _tables(f, space, xs, budget, _pairs_table, trunc, mode))
 
 
 def torus_slope_problem(space: MetricSpace, f: FunctionOracle,
@@ -999,7 +1017,7 @@ def torus_slope_problem(space: MetricSpace, f: FunctionOracle,
         name=f"torus-slope[{mode}]", space=space,
         params=trunc, arity=1, mode=mode,
         region=region, member=member, score=score,
-        optima=lambda x: _table(f, space, x, budget, _torus_table, trunc, mode))
+        optima=lambda xs: _tables(f, space, xs, budget, _torus_table, trunc, mode))
 
 
 PROBLEM_FAMILIES = {

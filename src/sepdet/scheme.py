@@ -159,10 +159,10 @@ class WitnessProblem:
     region(x, p) materializes G(x, p); member(x, p, u) decides membership of
     a candidate tuple independently, which is what the brute-force oracle
     scans with.  In sup mode scores live in R ∪ {+inf}, in inf mode in
-    R ∪ {-inf}; a score outside the range is an error.  optima(x), when the
-    family supplies it, returns the exact optima of every G(x, p) at once, or
-    None for a center left to the region scan (the shipped families keep
-    their tables on params, where the formulas read them too).
+    R ∪ {-inf}; a score outside the range is an error.  optima(xs), if given,
+    returns per center x of xs the exact optima of every G(x, p), or None for
+    x left to the region scan; a closure round asks with its frontier, a sweep
+    with its Y (the shipped families keep the tables on params for formulas).
     """
 
     name: str
@@ -173,7 +173,7 @@ class WitnessProblem:
     region: Callable[[Point, object], Region]
     member: Callable[[Point, object, tuple], bool]
     score: Callable[[tuple, tuple], Num]
-    optima: Optional[Callable[[Point], Optional["Optima"]]] = None
+    optima: Optional[Callable[[Sequence[Point]], Sequence[Optional["Optima"]]]] = None
 
     def __post_init__(self):
         if self.mode not in ("sup", "inf"):
@@ -492,11 +492,11 @@ def _select(problem: WitnessProblem, x: Point, p: object, region: Region,
 
 
 def validate_selection(eps: Num, cap: int) -> None:
-    """Reject a witness slack below 0, NaN or +inf, or a cap below 1: a +inf
-    slack would cut at best - eps = NaN at a +inf best, which keeps nothing."""
+    """Reject a witness slack below 0, NaN or past the float range (best - inf at
+    a +inf best is NaN, which keeps nothing), or a cap below 1."""
     if not eps >= 0:
         raise ValueError("eps must be nonnegative")
-    if eps == POS_INF:
+    if _image(eps) == POS_INF:
         raise ValueError("eps must be finite")
     if not cap >= 1:
         raise ValueError("cap must be at least 1")
@@ -570,10 +570,10 @@ def closure_round(problems: Sequence[WitnessProblem], current: Iterable[Point],
     argmax = eps == 0 and cap == 1
     new: dict[Point, Provenance] = {}
     skipped = 0
-    for x in todo:
-        for prob in problems:
+    tables = [prob.optima(todo) if prob.optima else [None] * len(todo) for prob in problems]
+    for x, row in zip(todo, zip(*tables)):
+        for prob, table in zip(problems, row):
             trunc = prob.params.truncation
-            table = prob.optima(x) if prob.optima is not None else None
             picks = []
             if table is not None:
                 empty = np.flatnonzero(table.best < 0)
@@ -770,12 +770,9 @@ def _sweep_centers(problem: WitnessProblem, Y: Iterable[Point],
     validate_tolerance(tol)
     Y = tuple(Y)
     Yset = set(Y)
-    mask = None
-    for x in Y:
-        table = problem.optima(x) if problem.optima is not None else None
-        if table is not None and mask is None:
-            mask = np.zeros(len(problem.space), dtype=bool)
-            mask[[problem.space.index_of(y) for y in Yset if y in problem.space]] = True
+    tables = problem.optima(Y) if problem.optima else [None] * len(Y)
+    mask = np.array([u in Yset for u in problem.space.points]) if any(tables) else None
+    for x, table in zip(Y, tables):
         yield x, *_center_verdicts(problem, x, Yset, table, mask, tol)
 
 

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sepdet import SuiteConfig, cli
+from sepdet import FunctionOracle, SuiteConfig, cli, lip_local_sup, space_from_descriptor
+from sepdet.errors import ScoreRangeError
 from sepdet.cli import _build_parser, run_cli
 
 LINE3 = {
@@ -479,6 +480,42 @@ class TestMalformedDescriptors:
                 code = run_cli(argv)
         assert code == 2, err.getvalue()
         assert field in err.getvalue() and "Traceback" not in err.getvalue()
+
+
+# Values past the float range next to an infinity, and over a float distance
+PAST_FLOATS = {"kind": "table", "values": {"a": "0", "b": "1e999", "c": "inf"}}
+BY_FLOAT = {"kind": "table", "values": {"a": "0", "b": "1e999", "c": "1"}}
+PLANE3 = {"kind": "finite", "metric": "euclidean", "points": [
+    {"id": "a", "coords": [0.0, 0.0]}, {"id": "b", "coords": [1.0, 0.5]},
+    {"id": "c", "coords": [2.0, 0.0]}]}
+
+
+def write_inputs(tmp_path, space, fn):
+    space_path, fn_path = tmp_path / "space.json", tmp_path / "fn.json"
+    space_path.write_text(json.dumps(space))
+    fn_path.write_text(json.dumps(fn))
+    return ["--space", str(space_path), "--fn", str(fn_path)]
+
+
+@pytest.mark.parametrize("verb", ["check", "reduce", "slope"])
+def test_an_infinity_beside_a_value_past_the_floats_is_exact(verb, tmp_path, capsys):
+    # (t - f(u))^+ at t = +inf, f(u) = 1e999 raised OverflowError in extreal.sub
+    space = {"kind": "finite", "metric": "matrix", "points": ["a", "b", "c"],
+             "matrix": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}
+    argv = [verb, *write_inputs(tmp_path, space, PAST_FLOATS), "--x", "a"]
+    assert run_cli(argv + ["--name", "torus-slope:sup:full"] * (verb != "slope")) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", [["lip", "--x", "a"], ["check", "--name", "ball-pairs:sup"]])
+def test_a_quotient_past_the_floats_by_a_float_distance_exits_two(verb, tmp_path, capsys):
+    # 1e999 / d(a, b) with a float distance raised OverflowError in _exact_div
+    assert run_cli(verb[:1] + write_inputs(tmp_path, PLANE3, BY_FLOAT) + verb[1:]) == 2
+    err = capsys.readouterr().err
+    assert "is past the floats" in err and "Traceback" not in err
+    space, f = space_from_descriptor(PLANE3), FunctionOracle.from_descriptor(BY_FLOAT)
+    with pytest.raises(ScoreRangeError, match="exact quotient by the float 1.118033988749895"):
+        lip_local_sup(f, space, space.point("a"), 3)
 
 
 # Every knob a run can take.  A field or flag added later fails here first,

@@ -1,5 +1,6 @@
 """Extended-real arithmetic: sign conventions, formatting, parsing."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,14 @@ class TestConventions:
         assert sub(3, POS_INF) == NEG_INF
         assert sub(POS_INF, NEG_INF) == POS_INF
         assert sub(Fraction(5, 2), 1) == Fraction(3, 2)
+
+    @pytest.mark.parametrize("big", [10 ** 400, -10 ** 400, Fraction(10 ** 400, 3)],
+                             ids=["int", "negative int", "fraction"])
+    def test_sub_keeps_an_infinity_against_an_exact_value_of_any_size(self, big):
+        # a - b turns big into a float first, which overflows
+        assert sub(POS_INF, big) == POS_INF and sub(NEG_INF, big) == NEG_INF
+        assert sub(big, POS_INF) == NEG_INF and sub(big, NEG_INF) == POS_INF
+        assert math.isnan(sub(POS_INF, math.nan)) and math.isnan(sub(math.nan, NEG_INF))
 
     @given(rationals, rationals)
     def test_sub_finite_agrees_with_minus(self, a, b):

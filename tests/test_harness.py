@@ -437,10 +437,11 @@ def test_each_optimum_table_is_built_once(suite, monkeypatch):
     # center), and the comparisons that the closure's tables serve build none
     built, inside = [], [None]
     for name in ("_points_table", "_pairs_table", "_torus_table"):
-        def builder(rankings, i, params, *key, name=name, real=getattr(functionals, name)):
+        def builder(rankings, centers, params, *key, name=name, real=getattr(functionals, name)):
             # params is kept in the record, so its id is not reused during the run
-            built.append(((name, rankings, id(params), *key, i), params, inside[0]))
-            return real(rankings, i, params, *key)
+            built.extend(((name, rankings, id(params), *key, i), params, inside[0])
+                         for i in centers)
+            return real(rankings, centers, params, *key)
         monkeypatch.setattr(functionals, name, builder)
     for name in CLOSURE_READS[suite]:
         def formula(*args, name=name, real=getattr(harness, name), **kwargs):

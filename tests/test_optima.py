@@ -138,7 +138,7 @@ def test_tables_agree_with_the_scan_and_the_oracle(case):
     rng = Random(case["seed"])
     for prob in problems(space, f, case["mode"]):
         if case["palette"] == "fraction" and not case["inf"]:
-            assert all(prob.optima(x) is not None for x in space.points)
+            assert all(table is not None for table in prob.optima(space.points))
         scan = dataclasses.replace(prob, optima=None)
         seed = [rng.choice(space.points)]
         for eps in (0, Fraction(1, 2)):
@@ -160,8 +160,7 @@ def check_both_routes(prob, scan, Y, space):
         slow = outcome(lambda: [check_reduction(scan, Y, (x, p), tol).to_json()
                                 for x in Y for p in prob.params.truncation])
         assert fast == slow
-    for x in Y:
-        table = prob.optima(x)
+    for x, table in zip(Y, prob.optima(Y)):
         if table is None:
             continue
         rbest, _ = table.read(np.array([p in Y for p in space.points]))
@@ -223,7 +222,7 @@ def test_duplicate_points_stay_in_the_punctured_ball():
                     typed(lambda: slope_at(f, space, x, grid, Y, budget=scan))
     trunc = shell_truncation(space, level_grid(f, space, "full"))
     prob = torus_slope_problem(space, f, truncation=trunc)
-    assert all(prob.optima(x) is not None for x in space.points)
+    assert all(table is not None for table in prob.optima(space.points))
     by_scan = torus_slope_problem(space, f, truncation=trunc, budget=scan)
     for Y in ([a, c], [b, c], space.points):
         assert [chk.to_json() for chk in check_sweep(prob, Y)] == \
@@ -720,7 +719,7 @@ def test_a_restricted_key_above_the_full_key_raises():
     f = make_function(space, 1, "fraction", 0.0)
     prob = ball_pairs_problem(space, f, "sup")
     x = space.points[0]
-    table = prob.optima(x)
+    [table] = prob.optima([x])
     read = table.read
 
     def corrupted(mask=None):
@@ -790,8 +789,7 @@ def test_slack_selections_read_from_the_tables_agree_with_the_scan(case, eps, ca
             return closure_iterate(problem, seed, eps=eps, cap=cap, strict_empty=strict).to_json()
 
         assert outcome(lambda: closure(prob)) == outcome(lambda: closure(scan))
-        for x in space.points:
-            table = prob.optima(x)
+        for x, table in zip(space.points, prob.optima(space.points)):
             for i, kept in table.select(eps, cap, sup) if table is not None else ():
                 assert kept == witness_select(scan, (x, prob.params[i]), eps, cap)
 
@@ -817,7 +815,7 @@ def test_slack_selections_take_the_scans_cut():
     for values, family, mode, eps, cap, expected in cases:
         f = FunctionOracle.from_table({"a": 0, "d": 0} | values)
         prob = family(space, f, mode, truncation=[r])
-        [(_, got)] = prob.optima(a).select(eps, cap, mode == "sup")
+        [(_, got)] = prob.optima([a])[0].select(eps, cap, mode == "sup")
         assert got == witness_select(dataclasses.replace(prob, optima=None), (a, r), eps, cap)
         assert ["".join(p.id for p in u) for u in got] == expected
 

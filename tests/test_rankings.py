@@ -5,9 +5,10 @@ rounded float images and compare exactly only inside runs of equal images
 (scheme.rank_rows).  The reference below is the former rank_scores, a Python
 sort with the same declines; the new routes must give the same codes, the
 same values of the same types, and decline the same rows.  The descent
-rankings of a center are checked level by level against that reference over
-the former per-element quotients, on rows the int64 pass holds and on rows
-it leaves to Python numbers.
+rankings are asked for in batches of centers, as a closure round or a sweep
+asks, and checked center by center and level by level against that
+reference over the former per-element quotients, on rows the int64 pass
+holds and on rows it leaves to Python numbers.
 """
 
 import json
@@ -30,12 +31,13 @@ from sepdet import (
     punctured_ball_problem,
     run_suite,
     space_to_descriptor,
+    torus_slope_problem,
     witness_select,
 )
 from sepdet import functionals
 from sepdet.cli import run_cli
 from sepdet.extreal import NEG_INF, POS_INF, pos_part, sub
-from sepdet.functionals import _exact_div, _is_float, _Rankings
+from sepdet.functionals import _exact_div, _is_float, _Rankings, level_grid, shell_truncation
 from sepdet.scheme import rank_rows, rank_scores
 
 NAN = float("nan")
@@ -163,27 +165,73 @@ def descent_cases(draw):
     return matrix, values, levels, draw(st.sampled_from(["sup", "inf"]))
 
 
+REQUESTS = st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=4), min_size=1, max_size=4)
+SOME = [[2, 0], [1, 2, 1, 0]]  # overlapping requests, one with a repeated center
+
+
+def check_requests(values, space, levels, mode, requests):
+    """Each request asks for its centers (taken mod n), the k-th at levels[k % len:],
+    then one asks for every center; each (center, level) must equal the
+    reference, and a second read of it must be the same object."""
+    f = FunctionOracle("f", lambda p: values[int(p.id[1:])])
+    rankings, n, seen = _Rankings(f, space), len(space), {}
+    for k, request in enumerate(requests + [list(range(n))]):
+        centers, asked = [i % n for i in request], levels[k % len(levels):]
+        for i, row in zip(centers, rankings.descents(centers, asked, mode)):
+            assert [got_descent(rankings, g) for g in row] == \
+                [reference_descent(values, space, i, t, mode) for t in asked]
+            assert all(seen.setdefault((i, type(t), t), g) is g for t, g in zip(asked, row))
+
+
 @settings(max_examples=300, deadline=None)
-@given(descent_cases())
+@given(descent_cases(), REQUESTS)
 # zero quotients at an int and a Fraction distance tie as 0 and Fraction(0)
-@example(([[0, 1, Fraction(1)], [1, 0, 1], [Fraction(1), 1, 0]], [0, 3, 3], [1], "sup"))
-@example(([[0, 1, 2], [1, 0, 1], [2, 1, 0]], [0, 2 ** 70, 1], [2], "sup"))  # past int64
-@example(([[0, WIDE, 2], [WIDE, 0, 1], [2, 1, 0]], [0, 1 / WIDE, 3], [WIDE], "sup"))
-@example(([[0, BIG, 2], [BIG, 0, 1], [2, 1, 0]], [0, 1, Fraction(1, BIG)], [3], "inf"))
-@example(([[0, 1.5, 2], [1.5, 0, 1], [2, 1, 0]], [0, 1, POS_INF], [2, POS_INF], "sup"))
-@example(([[0, 2.0, 2], [2.0, 0, 1], [2, 1, 0]], [0, 1, 1], [3], "sup"))  # 1.0 ties 1
-@example(([[0, 1, 1], [1, 0, 1], [1, 1, 0]], [0, 0.25, NEG_INF], [1, POS_INF], "inf"))
-def test_descent_rankings_match_the_per_element_reference(case):
+@example(([[0, 1, Fraction(1)], [1, 0, 1], [Fraction(1), 1, 0]], [0, 3, 3], [1], "sup"), SOME)
+@example(([[0, 1, 2], [1, 0, 1], [2, 1, 0]], [0, 2 ** 70, 1], [2], "sup"), SOME)  # past int64
+@example(([[0, WIDE, 2], [WIDE, 0, 1], [2, 1, 0]], [0, 1 / WIDE, 3], [WIDE], "sup"), SOME)
+@example(([[0, BIG, 2], [BIG, 0, 1], [2, 1, 0]], [0, 1, Fraction(1, BIG)], [3], "inf"), SOME)
+@example(([[0, 1.5, 2], [1.5, 0, 1], [2, 1, 0]], [0, 1, POS_INF], [2, POS_INF], "sup"), SOME)
+@example(([[0, 2.0, 2], [2.0, 0, 1], [2, 1, 0]], [0, 1, 1], [3], "sup"), SOME)  # 1.0 ties 1
+@example(([[0, 1, 1], [1, 0, 1], [1, 1, 0]], [0, 0.25, NEG_INF], [1, POS_INF], "inf"), SOME)
+# a level past what the int64 pass holds next to one it holds, at two centers
+@example(([[0, 1, 2], [1, 0, 1], [2, 1, 0]], [0, 1, 2], [BIG, 1], "sup"), [[0, 1]])
+def test_descent_rankings_match_the_per_element_reference(case, requests):
     matrix, values, levels, mode = case
     space = FiniteMetricSpace([Point(f"p{k}") for k in range(len(values))], matrix)
-    f = FunctionOracle("f", lambda p: values[int(p.id[1:])])
-    rankings = _Rankings(f, space)
-    for i in range(len(space)):
-        got = rankings.descents(i, levels, mode)
-        assert [got_descent(rankings, g) for g in got] == \
-            [reference_descent(values, space, i, t, mode) for t in levels]
-        # a second read of any one level is a memo hit of the same object
-        assert rankings.descents(i, levels[-1:], mode)[0] is got[-1]
+    check_requests(values, space, levels, mode, requests)
+
+
+def test_a_request_past_the_pass_bound_is_ranked_in_blocks(monkeypatch):
+    # 45 centers at 47 full levels: 2,115 rows of 44 quotients, 93,060 in all
+    n = 45
+    space = FiniteMetricSpace([Point(f"p{k}") for k in range(n)],
+                              [[abs(a - b) for b in range(n)] for a in range(n)])
+    values = [(7 * k) % n for k in range(n)]
+    levels = [-1] + sorted(values) + [n]
+    kernel, blocks = functionals._descent_parts, []
+
+    def counted_kernel(t, f, *rest):
+        blocks.append(f.shape[1:])  # (rows, points per row)
+        return kernel(t, f, *rest)
+
+    monkeypatch.setattr(functionals, "_descent_parts", counted_kernel)
+    check_requests(values, space, levels, "sup", [])
+    per_block = functionals._Rankings.PASS_BOUND // (n - 1)
+    assert [rows for rows, _ in blocks] == [per_block] * (len(blocks) - 1) + [
+        n * len(levels) - per_block * (len(blocks) - 1)]
+    assert len(blocks) > 1 and all(rows * m <= per_block * (n - 1) for rows, m in blocks)
+
+
+def test_a_closure_ranks_no_center_outside_its_union():
+    # coarse shells on a line: the closure from p0 stops at 6 of 10 points
+    points = [Point(f"p{k}", (k,)) for k in range(10)]
+    space = FiniteMetricSpace.from_coords(points)
+    f = FunctionOracle.from_table({p.id: (3 * k) % 10 for k, p in enumerate(points)})
+    trunc = shell_truncation(space, level_grid(f, space, "full"), 2)
+    union = closure_iterate(torus_slope_problem(space, f, truncation=trunc), points[:1]).union
+    assert len(union) < len(space)
+    ranked = {key[1] for key in functionals._rankings(f, space).memo if key[0] == "descent"}
+    assert ranked == {space.index_of(p) for p in union}
 
 
 # the GOLDEN configs of tests/test_harness.py
@@ -193,24 +241,26 @@ SLOPE_GOLDEN = {"thm-4.2": (3, (5, 7, 9)), "thm-4.3": (2, (6, 9))}
 def test_golden_descents_take_the_int64_pass_once_per_batch(monkeypatch):
     kernel, descents = functionals._descent_parts, functionals._Rankings.descents
     by_python = functionals._rank_or_none  # the per-element route, also the points' and pairs'
-    batches, passes, fallbacks = [], [], []
+    requests, passes, fallbacks = [], [], []
 
-    def counted_kernel(levels, *rest):
-        passes.append(len(levels))
-        return kernel(levels, *rest)
+    def counted_kernel(t, *rest):
+        passes.append(t.shape[1])  # the rows of the pass
+        return kernel(t, *rest)
 
     def counted_fallback(score_all, mode):
         fallbacks.append(mode)
         return by_python(score_all, mode)
 
-    def counted_descents(self, i, levels, mode):
-        before, passes[:] = len(self.memo), []
+    def counted_descents(self, centers, levels, mode):
+        missing = {(i, type(t), t) for i in centers for t in levels
+                   if ("descent", i, mode, type(t), t) not in self.memo}
+        passes[:] = []
         monkeypatch.setattr(functionals, "_rank_or_none", counted_fallback)
         try:  # only the calls descents makes count as fallbacks
-            got = descents(self, i, levels, mode)
+            got = descents(self, centers, levels, mode)
         finally:
             monkeypatch.setattr(functionals, "_rank_or_none", by_python)
-        batches.append((len(self.memo) - before, list(passes)))  # levels ranked, passes
+        requests.append((missing, list(passes)))
         return got
 
     monkeypatch.setattr(functionals, "_descent_parts", counted_kernel)
@@ -219,11 +269,12 @@ def test_golden_descents_take_the_int64_pass_once_per_batch(monkeypatch):
         for eps, cap in ((0, 1), (Fraction(1, 2), 3)):
             assert run_suite(name, SuiteConfig(instances=instances, sizes=sizes,
                                                eps=eps, cap=cap)).ok
-    assert batches and fallbacks == []
-    assert all(ranked == (sum(made) if made else 0) and len(made) == (ranked > 0)
-               for ranked, made in batches)
-    sizes = Counter(ranked for ranked, _ in batches)
-    assert sum(k * c for k, c in sizes.items() if k > 1) > sizes[1]  # most levels in batches
+    assert requests and fallbacks == []
+    # every request within the bound: its missing rows in one pass, or none
+    assert all(made == ([len(missing)] if missing else []) for missing, made in requests)
+    rows = Counter(len({i for i, *_ in missing}) > 1 for missing, _ in requests
+                   for _ in missing)
+    assert rows[True] > rows[False]  # most rows ranked in passes over several centers
 
 
 # ---------------------------------------------------------------------------
@@ -244,15 +295,18 @@ def test_infinite_eps_is_rejected_by_name(path4):
     space, f = path4
     problem, seed = punctured_ball_problem(space, f, "sup"), [space.point("a")]
     assert {p.id for p in closure_iterate(problem, seed, eps=10 ** 9).union} == set("abcd")
-    for run in (lambda: closure_iterate(problem, seed, eps=math.inf),
-                lambda: witness_select(problem, (seed[0], 1), eps=math.inf),
-                lambda: SuiteConfig(eps=math.inf)):
-        with pytest.raises(ValueError, match="eps must be finite"):
-            run()
+    # an exact slack past the float range met a float best in best - eps: OverflowError
+    for eps in (math.inf, 10 ** 999, Fraction(10 ** 400, 3)):
+        for run in (lambda: closure_iterate(problem, seed, eps=eps),
+                    lambda: witness_select(problem, (seed[0], 1), eps=eps),
+                    lambda: SuiteConfig(eps=eps)):
+            with pytest.raises(ValueError, match="eps must be finite"):
+                run()
 
 
+@pytest.mark.parametrize("eps", ["inf", "1e999"])
 @pytest.mark.parametrize("verb", [["check", "--x", "a"], ["reduce", "--x", "a"], ["suite"]])
-def test_infinite_eps_exits_two_at_the_cli(verb, path4, tmp_path, capsys):
+def test_infinite_eps_exits_two_at_the_cli(verb, eps, path4, tmp_path, capsys):
     # check used to exit 1 with failed checks, its closure stopping at {a, b}
     space, f = path4
     space_path, fn_path = tmp_path / "space.json", tmp_path / "fn.json"
@@ -260,5 +314,5 @@ def test_infinite_eps_exits_two_at_the_cli(verb, path4, tmp_path, capsys):
     fn_path.write_text(json.dumps(f.to_descriptor(space)))
     inputs = (["--name", "thm-2.1"] if verb == ["suite"] else
               ["--space", str(space_path), "--fn", str(fn_path), "--name", "punctured-ball"])
-    assert run_cli(verb + inputs + ["--eps", "inf"]) == 2
+    assert run_cli(verb + inputs + ["--eps", eps]) == 2
     assert "--eps: eps must be finite" in capsys.readouterr().err
