@@ -62,7 +62,10 @@ def close(a: Num, b: Num, tol: Num = 0) -> bool:
         return is_pos_inf(a) and is_pos_inf(b)
     if is_neg_inf(a) or is_neg_inf(b):
         return is_neg_inf(a) and is_neg_inf(b)
-    return abs(a - b) <= tol
+    try:
+        return abs(a - b) <= tol
+    except OverflowError:  # an exact side past the floats: a finite float is a Fraction exactly
+        return abs(Fraction(a) - Fraction(b)) <= tol
 
 
 def fmt(v: Num):

@@ -307,21 +307,35 @@ class _Rankings:
         return self._get(("points", mode), make)
 
     def pairs(self, mode: str) -> Optional[tuple]:
+        """The pair quotients |f(a) - f(b)| / d(a, b) in one int64 pass where
+        _parts holds f's values and the distances, all positive; one Python
+        number at a time otherwise."""
         def make():
-            fv, mat, n, rank = self.fv, self.space.matrix, len(self.space), self.rank
+            fv, n, rank = self.fv, len(self.space), self.rank
             a, b = np.triu_indices(n, 1)
-            got = _rank_or_none(lambda: [_exact_div(abs(sub(fv[i], fv[j])), mat[i][j])
-                                         for i, j in zip(a.tolist(), b.tolist())], mode)
-            if got is None:
-                return None
-            scores, codes, values = got
+            dists = [self.space.matrix[i][j] for i, j in zip(a.tolist(), b.tolist())]
+            d = _parts(dists, floats=True)
+            if self.parts is None or d is None or not (np.array(dists, dtype=float) > 0).all():
+                got = _rank_or_none(lambda: [_exact_div(abs(sub(fv[i], fv[j])), e) for i, j, e
+                                             in zip(a.tolist(), b.tolist(), dists)], mode)
+                if got is None:
+                    return None
+                scores, codes, values = got
+                flags = [_is_float(v) for v in scores]
+            else:
+                q = _quotient_parts(self.parts[:, a], self.parts[:, b], d, dists, True)[:, None]
+                (codes,), (values,) = rank_rows(q[0], q[1:3], q[3],
+                                                lambda r, js: _Quotients(q[:, r, js]), mode)
+                if values is None:
+                    return None
+                flags = (q[3, 0] == 2) & np.isfinite(q[0, 0])
             first, second = np.minimum(rank[a], rank[b]), np.maximum(rank[a], rank[b])
             width = n * n
             keys = np.full((n, n), -1, dtype=np.int64)
             keys[a, b] = keys[b, a] = (np.array(codes, dtype=np.int64) * width
                                        + (width - 1 - (first * n + second)))
             floats = np.zeros((n, n), dtype=bool)
-            floats[a, b] = floats[b, a] = [_is_float(v) for v in scores]
+            floats[a, b] = floats[b, a] = flags
             return keys, floats, values
 
         return self._get(("pairs", mode), make)
@@ -329,7 +343,7 @@ class _Rankings:
     def descents(self, centers: Sequence[int], levels: Sequence[Num], mode: str) -> list:
         """The descent ranking of each center at each level, memoised per (center,
         level); the missing rows of the n - 1 points at positive distance that
-        _descent_parts holds take one pass per block of at most PASS_BOUND quotients."""
+        _quotient_parts holds take one pass per block of at most PASS_BOUND quotients."""
         wanted = {i: [("descent", i, mode, type(t), t) for t in levels] for i in centers}
         todo = [(key, i, r) for i, row in wanted.items() for r, key in enumerate(row)
                 if self.fv is not None and key not in self.memo]
@@ -355,8 +369,8 @@ class _Rankings:
         for block in (held[a:a + step] for a in range(0, len(held), step)):
             names, points, dists, d, t = zip(*block)  # k (center, level) rows
             k, points = len(block), np.array(points, dtype=np.int64).reshape(len(block), n - 1)
-            q = _descent_parts(np.concatenate(t, 1)[:, :, None], self.parts[:, points],
-                               np.stack(d, 1), dists)
+            q = _quotient_parts(np.concatenate(t, 1)[:, :, None], self.parts[:, points],
+                                np.stack(d, 1), dists)
             codes, ranked = rank_rows(q[0], q[1:3], q[3],
                                       lambda r, js: _Quotients(q[:, r, js]), mode)
             keys, floats = np.full((k, n), -1, dtype=np.int64), np.zeros((k, n), dtype=bool)
@@ -369,8 +383,8 @@ class _Rankings:
 
 
 class _Quotients:
-    """The value of each code of a descent row, from its (image, numerator,
-    denominator, kind) columns of _descent_parts, built on its first read and
+    """The value of each code of a quotient row, from its (image, numerator,
+    denominator, kind) columns of _quotient_parts, built on its first read and
     kept, so that a code reads one object."""
 
     def __init__(self, parts: np.ndarray):
@@ -794,16 +808,19 @@ def _parts(values: Sequence[Num], floats: bool = False) -> Optional[np.ndarray]:
     return np.array(rows, dtype=np.int64).reshape(-1, 3).T
 
 
-def _descent_parts(t: np.ndarray, f: np.ndarray, d: np.ndarray, dists: Sequence) -> np.ndarray:
+def _quotient_parts(a: np.ndarray, b: np.ndarray, d: np.ndarray, dists: Sequence,
+                    absolute: bool = False) -> np.ndarray:
     """Images, reduced numerators and denominators, and kinds (0 int, 1
-    Fraction, 2 float) of the descent quotients (t - f(u))^+ / d(x, u) of a
-    block's rows as _exact_div gives them, stacked as floats, from the _parts
-    t, f, d of their levels, values and distances (dists, read at a float
-    one).  A float's value is its image: +inf (t = +inf, as 1 / 0), or a
-    quotient by a float distance, keyed 0 / 0 as no exact one is.  Inputs
-    within 2**17 keep every part within 2**53: the images round correctly."""
-    (tn, td, tf), (fn, fd, ff), (dn, dd, dk) = t, f, d
-    num, den = tn * fd - fn * td, td * fd
+    Fraction, 2 float) of the quotients (a - b)^+ / d, or |a - b| / d where
+    absolute, as _exact_div(pos_part (or abs) of sub(a, b), d) gives them,
+    stacked as floats, from the _parts a, b, d of a block's rows (dists, read
+    at a float d).  A float's value is its image: +inf (an a or b of +inf, as
+    1 / 0), or a quotient by a float distance, keyed 0 / 0 as no exact one
+    is.  Inputs within 2**17 keep every part within 2**53: the images round
+    correctly."""
+    (an, ad, af), (bn, bd, bf), (dn, dd, dk) = a, b, d
+    num, den = an * bd - bn * ad, ad * bd
+    num = np.abs(num) if absolute else num
     pos = num > 0  # pos_part gives the int 0 elsewhere
     qn, qd = np.where(pos, num * dd, 0), np.where(pos, den * dn, 1)
     g = np.gcd(qn, qd)
@@ -814,7 +831,8 @@ def _descent_parts(t: np.ndarray, f: np.ndarray, d: np.ndarray, dists: Sequence)
         if by_float.any():
             by_d = np.where(pos, num / den, 0) / np.array(dists, dtype=float)
             images = np.where(by_float, by_d, images)
-    return np.stack([images, qn, qd, np.where(qd == 0, 2, (pos & (tf | ff)) | dk | (qd != 1))])
+    kinds = ((pos | absolute) & (af | bf)) | dk | (qd != 1)  # abs keeps a zero's type
+    return np.stack([images, qn, qd, np.where(qd == 0, 2, kinds)])
 
 
 def _is_float(v: Num) -> bool:

@@ -249,26 +249,27 @@ def _range_max(keys: np.ndarray, rows: np.ndarray, lo: np.ndarray,
                hi: np.ndarray) -> np.ndarray:
     """max(keys[rows[i], lo[i]:hi[i]]) for every i, -1 where the slice is empty.
 
-    A sparse table of maxima over power-of-two windows answers each query
-    with two lookups (Bender & Farach-Colton, The LCA Problem Revisited).
+    Where every slice is a prefix (balls), a running maximum along each row
+    answers it.  Otherwise (shells) a sparse table of maxima over power-of-two
+    windows, built in one array, answers each slice with two lookups (Bender &
+    Farach-Colton, The LCA Problem Revisited).
     """
     out = np.full(len(rows), -1, dtype=np.int64)
     ok = hi > lo
     if not ok.any():
         return out
-    m = keys.shape[1]
-    table = [keys]
-    step = 1
-    while 2 * step <= m:
-        prev = table[-1]
-        level = np.full_like(keys, -1)
-        level[:, :m - step] = np.maximum(prev[:, :m - step], prev[:, step:])
-        table.append(level)
-        step *= 2
-    stack = np.stack(table)
     r, a, b = rows[ok], lo[ok], hi[ok]
+    if not a.any():
+        out[ok] = np.maximum.accumulate(keys, axis=1)[r, b - 1]
+        return out
+    m = keys.shape[1]
+    table = np.empty((m.bit_length(), *keys.shape), dtype=keys.dtype)
+    table[0] = keys
+    for k in range(1, len(table)):  # window 2**k at j: only j <= m - 2**k is read
+        step = 1 << (k - 1)
+        np.maximum(table[k - 1, :, :m - step], table[k - 1, :, step:], out=table[k, :, :m - step])
     k = np.frexp(b - a)[1] - 1  # floor(log2(b - a))
-    out[ok] = np.maximum(stack[k, r, a], stack[k, r, b - np.left_shift(1, k)])
+    out[ok] = np.maximum(table[k, r, a], table[k, r, b - np.left_shift(1, k)])
     return out
 
 

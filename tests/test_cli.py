@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import sepdet
 from sepdet import FunctionOracle, SuiteConfig, cli, lip_local_sup, space_from_descriptor
 from sepdet.errors import ScoreRangeError
 from sepdet.cli import _build_parser, run_cli
@@ -572,3 +573,16 @@ def test_descriptor_cli_batch_0_keeps_its_pinned_digest(tmp_path, monkeypatch):
     assert [o.problems for o in outcomes if o.failed] == []
     pinned = json.loads((bench / "digests.json").read_text(encoding="utf-8"))
     assert wl.batch_digest(outcomes) == pinned["descriptor-cli"]
+
+
+@pytest.mark.parametrize("workload", ["closure-exact", "slope-full"])
+def test_suite_workload_batch_0_keeps_its_pinned_digest(workload, monkeypatch):
+    # the seed-0 batch 0 of a suite workload of the benchmark, run through
+    # run_suite: every byte of its reports is pinned in bench/digests.json
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    wl = importlib.import_module("workloads")
+    outcomes = [wl.run_suite_op(sepdet, op) for op in wl.suite_ops(workload, 0, 0)]
+    assert [o.problems for o in outcomes if o.failed] == []
+    pinned = json.loads((bench / "digests.json").read_text(encoding="utf-8"))
+    assert wl.batch_digest(outcomes) == pinned[workload]

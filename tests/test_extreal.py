@@ -86,6 +86,13 @@ class TestClose:
         assert not close(POS_INF, NEG_INF)
         assert not close(POS_INF, 10**9, 10**9)
 
+    def test_an_exact_value_past_the_floats_compares_exactly_with_a_float(self):
+        # a - b would convert the exact side to float, which overflows
+        assert not close(10**999, 0.5)
+        assert not close(0.25, Fraction(-10**400, 3), 1e308)
+        assert close(10**400, 1.5, 10**400) and not close(10**400, 1.5, 10**400 - 2)
+        assert close(Fraction(10**400 + 1, 2), 0.5, Fraction(10**400, 2))
+
 
 class TestFormatRoundtrip:
     @pytest.mark.parametrize("v,expect", [

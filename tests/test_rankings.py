@@ -8,7 +8,8 @@ same values of the same types, and decline the same rows.  The descent
 rankings are asked for in batches of centers, as a closure round or a sweep
 asks, and checked center by center and level by level against that
 reference over the former per-element quotients, on rows the int64 pass
-holds and on rows it leaves to Python numbers.
+holds and on rows it leaves to Python numbers; the pair rankings are checked
+the same way against the former per-pair quotients.
 """
 
 import json
@@ -208,13 +209,13 @@ def test_a_request_past_the_pass_bound_is_ranked_in_blocks(monkeypatch):
                               [[abs(a - b) for b in range(n)] for a in range(n)])
     values = [(7 * k) % n for k in range(n)]
     levels = [-1] + sorted(values) + [n]
-    kernel, blocks = functionals._descent_parts, []
+    kernel, blocks = functionals._quotient_parts, []
 
     def counted_kernel(t, f, *rest):
         blocks.append(f.shape[1:])  # (rows, points per row)
         return kernel(t, f, *rest)
 
-    monkeypatch.setattr(functionals, "_descent_parts", counted_kernel)
+    monkeypatch.setattr(functionals, "_quotient_parts", counted_kernel)
     check_requests(values, space, levels, "sup", [])
     per_block = functionals._Rankings.PASS_BOUND // (n - 1)
     assert [rows for rows, _ in blocks] == [per_block] * (len(blocks) - 1) + [
@@ -239,7 +240,7 @@ SLOPE_GOLDEN = {"thm-4.2": (3, (5, 7, 9)), "thm-4.3": (2, (6, 9))}
 
 
 def test_golden_descents_take_the_int64_pass_once_per_batch(monkeypatch):
-    kernel, descents = functionals._descent_parts, functionals._Rankings.descents
+    kernel, descents = functionals._quotient_parts, functionals._Rankings.descents
     by_python = functionals._rank_or_none  # the per-element route, also the points' and pairs'
     requests, passes, fallbacks = [], [], []
 
@@ -263,7 +264,7 @@ def test_golden_descents_take_the_int64_pass_once_per_batch(monkeypatch):
         requests.append((missing, list(passes)))
         return got
 
-    monkeypatch.setattr(functionals, "_descent_parts", counted_kernel)
+    monkeypatch.setattr(functionals, "_quotient_parts", counted_kernel)
     monkeypatch.setattr(functionals._Rankings, "descents", counted_descents)
     for name, (instances, sizes) in SLOPE_GOLDEN.items():
         for eps, cap in ((0, 1), (Fraction(1, 2), 3)):
@@ -275,6 +276,113 @@ def test_golden_descents_take_the_int64_pass_once_per_batch(monkeypatch):
     rows = Counter(len({i for i, *_ in missing}) > 1 for missing, _ in requests
                    for _ in missing)
     assert rows[True] > rows[False]  # most rows ranked in passes over several centers
+
+
+def reference_pairs(f_values, space, mode):
+    """The former per-pair ranking: (code and float flag of each pair a < b, values)."""
+    n = len(space)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    try:
+        scores = [_exact_div(abs(sub(f_values[a], f_values[b])), space.matrix[a][b])
+                  for a, b in pairs]
+        ranked = reference_rank_scores(scores, mode)
+    except Exception:
+        return None
+    if ranked is None:
+        return None
+    codes, values = ranked
+    return codes, [_is_float(v) for v in scores], [(type(v).__name__, repr(v)) for v in values]
+
+
+def got_pairs(rankings, got):
+    if got is None:
+        return None
+    keys, floats, values = got
+    n = len(rankings.space)
+    a, b = np.triu_indices(n, 1)
+    assert (keys == keys.T).all() and (keys.diagonal() == -1).all()
+    return ((keys[a, b] // (n * n)).tolist(), floats[a, b].tolist(),
+            [(type(v).__name__, repr(v)) for v in values])
+
+
+@st.composite
+def pair_cases(draw):
+    n = draw(st.integers(1, 7))
+    matrix = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            matrix[a][b] = matrix[b][a] = draw(DISTANCES)
+    values = draw(st.lists(VALUES | st.sampled_from([0.25, NEG_INF]), min_size=n, max_size=n))
+    return matrix, values, draw(st.sampled_from(["sup", "inf"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_cases())
+# both +inf (the int 0) beside equal Fractions (Fraction(0)): declined, as in thm-2.1
+@example(([[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]],
+          [POS_INF, POS_INF, Fraction(1, 2), Fraction(1, 2)], "sup"))
+@example(([[0, 3 ** 0.5, 2], [3 ** 0.5, 0, 1], [2, 1, 0]], [0, Fraction(1, 3), 1], "sup"))
+@example(([[0, 2.0, 2], [2.0, 0, 1], [2, 1, 0]], [POS_INF, POS_INF, 1], "inf"))
+@example(([[0, 1, 2], [1, 0, 1], [2, 1, 0]], [0, BIG, 1], "sup"))  # past the int64 pass
+@example(([[0, 1, 2], [1, 0, 1], [2, 1, 0]], [0, 0.25, 1], "sup"))  # a finite float value
+# an unvalidated space: a zero and a negative distance between distinct points
+@example(([[0, 0, 1], [0, 0, 2], [1, 2, 0]], [0, 1, 3], "sup"))
+@example(([[0, -1, 1], [-1, 0, 2], [1, 2, 0]], [0, 1, 3], "inf"))
+@example(([[0, Fraction(0), 1], [Fraction(0), 0, 2], [1, 2, 0]], [0, 0, 3], "sup"))
+@example(([[0, 0.0, 1], [0.0, 0, 2], [1, 2, 0]], [0, 1, 3], "sup"))
+def test_pair_rankings_match_the_per_pair_reference(case):
+    matrix, values, mode = case
+    n = len(values)
+    space = FiniteMetricSpace([Point(f"p{k}") for k in range(n)], matrix)
+    rankings = _Rankings(FunctionOracle("f", lambda p: values[int(p.id[1:])]), space)
+    dists = [matrix[a][b] for a in range(n) for b in range(a + 1, n)]
+    held = (functionals._parts(values) is not None and all(float(d) > 0 for d in dists)
+            and functionals._parts(dists, floats=True) is not None)
+    by_python, calls = functionals._exact_div, []
+
+    def counted(*args):
+        calls.append(args)
+        return by_python(*args)
+
+    functionals._exact_div = counted
+    try:
+        got = rankings.pairs(mode)
+    finally:
+        functionals._exact_div = by_python
+    assert got_pairs(rankings, got) == reference_pairs(values, space, mode)
+    assert rankings.pairs(mode) is got
+    # the int64 pass where it holds the inputs, one Python number at a time otherwise
+    assert bool(calls) == (not held and bool(dists))
+
+
+PAIR_SUITES = ("thm-2.1", "thm-2.2", "prop-3.2", "thm-3.3")  # GOLDEN: 4 instances, 5-11 points
+
+
+def test_golden_pair_rankings_take_the_int64_pass(monkeypatch):
+    pairs, by_python = functionals._Rankings.pairs, functionals._exact_div
+    made, calls = Counter(), Counter()
+
+    def counted(*args):
+        calls[name] += 1
+        return by_python(*args)
+
+    def counted_pairs(self, mode):
+        fresh = ("pairs", mode) not in self.memo
+        monkeypatch.setattr(functionals, "_exact_div", counted)
+        try:  # only the quotients pairs makes count
+            got = pairs(self, mode)
+        finally:
+            monkeypatch.setattr(functionals, "_exact_div", by_python)
+        made[name] += fresh
+        return got
+
+    monkeypatch.setattr(functionals._Rankings, "pairs", counted_pairs)
+    for name in PAIR_SUITES:
+        for eps, cap in ((0, 1), (Fraction(1, 2), 3)):
+            assert run_suite(name, SuiteConfig(instances=4, sizes=(5, 7, 9, 11),
+                                               eps=eps, cap=cap)).ok
+    assert all(made[name] > 0 for name in PAIR_SUITES)
+    assert calls == Counter()
 
 
 # ---------------------------------------------------------------------------

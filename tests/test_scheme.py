@@ -5,12 +5,14 @@ import math
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sepdet import (
     EmptyRegion,
+    FiniteMetricSpace,
     FunctionOracle,
     NoCoordinates,
     ParamSpace,
@@ -393,6 +395,53 @@ class TestAgree:
         chk = check_reduction(prob, line3.points, (line3.point("p0"), Fraction(4)))
         assert chk.lhs is chk.rhs is NAN
         assert chk.region_hit and chk.verdict == "fail"
+
+
+@st.composite
+def range_queries(draw):
+    """(keys, rows, lo, hi): keys of -1 and up, as the tables hold, and slices
+    that are all prefixes or start anywhere, empty ones included."""
+    m = draw(st.integers(1, 40) | st.sampled_from([1, 2, 4, 8, 16, 32]))
+    k, q = draw(st.integers(1, 3)), draw(st.integers(0, 16))
+    keys = draw(st.lists(st.lists(st.integers(-1, 99), min_size=m, max_size=m),
+                         min_size=k, max_size=k))
+    ends = draw(st.lists(st.tuples(st.integers(0, m), st.integers(0, m)), min_size=q, max_size=q))
+    if draw(st.booleans()):  # mostly nonempty slices
+        ends = [sorted(e) for e in ends]
+    lo, hi = [a for a, _ in ends], [b for _, b in ends]
+    if draw(st.booleans()):
+        lo = [0] * q
+    return keys, draw(st.lists(st.integers(0, k - 1), min_size=q, max_size=q)), lo, hi
+
+
+@settings(max_examples=300)
+@given(range_queries())
+@example(([[5]], [0, 0], [0, 0], [1, 0]))  # m = 1, prefixes, one empty
+@example(([[5], [-1]], [1, 0, 0], [0, 1, 0], [1, 1, 1]))  # m = 1, one slice from 1
+@example(([[3, 1, 4, 1, 5, 9, 2, 6]], [0] * 4, [0] * 4, [8, 6, 0, 1]))  # m = 2**3, prefixes
+@example(([[3, 1, 4, 1, 5, 9, 2, 6], [-1] * 8], [0, 0, 1, 0, 0], [2, 5, 0, 7, 3],
+          [6, 5, 8, 8, 4]))  # mixed starts, an empty slice
+@example(([[-1, 7, -1, 2]], [0, 0], [3, 0], [2, 4]))  # an empty slice beside prefixes
+@example(([list(range(16))], [0, 0], [1, 3], [16, 12]))  # the largest key last in a slice
+def test_range_max_matches_the_brute_force(query):
+    keys, rows, lo, hi = query
+    keys = np.array(keys, dtype=np.int64)
+    got = scheme._range_max(keys, *(np.array(v, dtype=np.int64) for v in (rows, lo, hi)))
+    assert got.tolist() == [max(keys[r, a:b].tolist(), default=-1)
+                            for r, a, b in zip(rows, lo, hi)]
+
+
+def test_a_failing_check_beside_a_value_past_the_floats_reports_fail():
+    # close(1e999, 0.5) raised OverflowError from abs(a - b) instead of a verdict
+    space = FiniteMetricSpace.from_coords([Point(pid, (c,)) for pid, c in
+                                           (("a", 0.0), ("b", 1.0), ("c", 2.5))])
+    f = FunctionOracle.from_table({"a": "1e999", "b": 0.5, "c": 0.25})
+    problem, Y = punctured_ball_problem(space, f, "sup"), [space.point("b"), space.point("c")]
+    chk = check_reduction(problem, Y, (space.point("c"), 3))
+    assert chk.verdict == "fail" and chk.lhs == 10**999 and chk.rhs == 0.5
+    # the ball of radius 3.5 (the last of the truncation) at c holds a
+    verdicts = {(c.x.id, c.param): c.verdict for c in check_sweep(problem, Y)}
+    assert verdicts[("c", 3.5)] == verdicts[("b", 3.5)] == "fail"
 
 
 class TestProductClosure:
