@@ -94,7 +94,10 @@ def _parse_param(raw: str, shell: bool = False):
 def _emit(obj: dict, out: Optional[str]) -> None:
     text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:  # a missing directory, a directory, no permission
+            raise SepdetError(f"cannot write {out!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

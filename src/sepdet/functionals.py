@@ -270,10 +270,11 @@ def _exact_div(num: Num, den: Num) -> Num:
 class _Rankings:
     """One function's values, computed once, and rankings on one finite space.
 
-    A ranking is (keys, float flags, value of each code) by point index; keys
-    are Optima keys, so a key's code is key // width.  Ranked in a mode, f
-    gives one key per point; the pair quotients |f(a) - f(b)| / d(a, b) give
-    an n x n key matrix (-1 on the diagonal); the descent quotients
+    A ranking is (keys, float flags, Fraction flags, value of each code) by
+    point index, the Fraction flags None unless an int and a Fraction share a
+    code; keys are Optima keys, so a key's code is key // width.  Ranked in a
+    mode, f gives one key per point; the pair quotients |f(a) - f(b)| / d(a, b)
+    give an n x n key matrix (-1 on the diagonal); the descent quotients
     (t - f(u))^+ / d(x, u) of a center x and level t give one key per point,
     -1 at distance 0 from x, where no shell reaches, the missing levels of a
     request's centers ranked together (descents).  None (f raises, or the
@@ -301,8 +302,7 @@ class _Rankings:
     def points(self, mode: str) -> Optional[tuple]:
         def make():
             got = _rank_or_none(lambda: self.fv, mode)
-            return got and (_arity1_keys(got[1], self.rank, len(self.space)),
-                            np.array([_is_float(v) for v in got[0]]), got[2])
+            return got and (_arity1_keys(got[0], self.rank, len(self.space)), *got[1:])
 
         return self._get(("points", mode), make)
 
@@ -320,23 +320,24 @@ class _Rankings:
                                              in zip(a.tolist(), b.tolist(), dists)], mode)
                 if got is None:
                     return None
-                scores, codes, values = got
-                flags = [_is_float(v) for v in scores]
+                codes, flags, fractions, values = got
             else:
                 q = _quotient_parts(self.parts[:, a], self.parts[:, b], d, dists, True)[:, None]
-                (codes,), (values,) = rank_rows(q[0], q[1:3], q[3],
+                (codes,), (values,) = rank_rows(q[0], q[1:3], q[3] > 1,
                                                 lambda r, js: _Quotients(q[:, r, js]), mode)
                 if values is None:
                     return None
                 flags = (q[3, 0] == 2) & np.isfinite(q[0, 0])
+                fractions = q[3, 0] == 1 if _shared([codes], q[3])[0] else None
             first, second = np.minimum(rank[a], rank[b]), np.maximum(rank[a], rank[b])
             width = n * n
             keys = np.full((n, n), -1, dtype=np.int64)
             keys[a, b] = keys[b, a] = (np.array(codes, dtype=np.int64) * width
                                        + (width - 1 - (first * n + second)))
-            floats = np.zeros((n, n), dtype=bool)
-            floats[a, b] = floats[b, a] = flags
-            return keys, floats, values
+            shared = fractions is not None
+            both = np.zeros((2, n, n), dtype=bool)  # float flags, Fraction flags
+            both[:, a, b] = both[:, b, a] = flags, fractions if shared else np.zeros_like(flags)
+            return keys, both[0], both[1] if shared else None, values
 
         return self._get(("pairs", mode), make)
 
@@ -360,25 +361,27 @@ class _Rankings:
                 continue
             one = _rank_or_none(lambda: [_exact_div(pos_part(sub(levels[r], fv[j])), e)
                                          for j, e in zip(points, dists)], mode)
-            keys, floats, at = np.full(n, -1, dtype=np.int64), np.zeros(n, dtype=bool), list(points)
             if one is not None:  # one Python number at a time
-                keys[at] = _arity1_keys(one[1], self.rank[at], n)
-                floats[at] = [_is_float(v) for v in one[0]]
-            self.memo[key] = None if one is None else (keys, floats, one[2])
+                keys, at = np.full(n, -1, dtype=np.int64), list(points)
+                keys[at], both = _arity1_keys(one[0], self.rank[at], n), np.zeros((2, n), bool)
+                both[0, at], both[1, at] = one[1], False if one[2] is None else one[2]
+                one = keys, both[0], None if one[2] is None else both[1], one[3]
+            self.memo[key] = one
         step = max(1, self.PASS_BOUND // max(n - 1, 1))
         for block in (held[a:a + step] for a in range(0, len(held), step)):
             names, points, dists, d, t = zip(*block)  # k (center, level) rows
             k, points = len(block), np.array(points, dtype=np.int64).reshape(len(block), n - 1)
             q = _quotient_parts(np.concatenate(t, 1)[:, :, None], self.parts[:, points],
                                 np.stack(d, 1), dists)
-            codes, ranked = rank_rows(q[0], q[1:3], q[3],
+            codes, ranked = rank_rows(q[0], q[1:3], q[3] > 1,
                                       lambda r, js: _Quotients(q[:, r, js]), mode)
-            keys, floats = np.full((k, n), -1, dtype=np.int64), np.zeros((k, n), dtype=bool)
+            keys, both = np.full((k, n), -1, dtype=np.int64), np.zeros((2, k, n), dtype=bool)
             at = np.arange(k)[:, None], points
             keys[at] = _arity1_keys(codes, self.rank[points], n)
-            floats[at] = (q[3] == 2) & np.isfinite(q[0])
-            for key, one in zip(names, zip(keys, floats, ranked)):
-                self.memo[key] = None if one[2] is None else one
+            both[0][at], both[1][at] = (q[3] == 2) & np.isfinite(q[0]), q[3] == 1
+            for r, (key, one, shared) in enumerate(zip(names, ranked, _shared(codes, q[3]))):
+                self.memo[key] = None if one is None else (
+                    keys[r], both[0, r], both[1, r] if shared else None, one)
         return [[self.memo.get(key) for key in wanted[i]] for i in centers]
 
 
@@ -426,13 +429,9 @@ def _tables(f: FunctionOracle, space: MetricSpace, xs: Sequence[Point], budget: 
     return [k and params.tables[k] for k in at]
 
 
-def _mask(space: FiniteMetricSpace, allowed: set) -> np.ndarray:
-    return np.fromiter((u in allowed for u in space.points), bool, len(space))
-
-
-def _read(table: Optima, space: FiniteMetricSpace, allowed: Optional[set]) -> tuple:
-    """The best key and the size of each region of table within allowed."""
-    return (table.best, table.size) if allowed is None else table.read(_mask(space, allowed))
+def _mask(space: FiniteMetricSpace, allowed: Optional[set]) -> Optional[np.ndarray]:
+    return None if allowed is None else np.fromiter(
+        (u in allowed for u in space.points), bool, len(space))
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +475,7 @@ def _limit(f: FunctionOracle, space: MetricSpace, x: Point, radii: Radii,
             if pts:
                 vals.append(inner(f.value(u) for u in pts))
     else:
-        best = _read(table, space, allowed)[0].tolist()
-        vals = [table.value(k, key) for k, key in enumerate(best) if key >= 0]
+        vals = [v for v in table.optima(_mask(space, allowed))[0] if v is not None]
     if not vals:
         raise IsolatedPoint(f"every punctured ball at {x.id!r} along the grid is empty")
     return outer(vals)
@@ -547,9 +545,8 @@ def lip_local_sups(f: FunctionOracle, space: MetricSpace, x: Point, radii: Seque
             best = max(itertools.chain((0,), (_pair_quotient(f, space, a, b) for a, b in pairs)))
             sups.append(PairSup(best, len(pts) * (len(pts) - 1) // 2))
         return sups
-    best, sizes = _read(table, space, allowed)
-    tops = [table.value(k, key) if key >= 0 else 0 for k, key in enumerate(best.tolist())]
-    return [PairSup(v if v > 0 else 0, size // 2) for v, size in zip(tops, sizes)]
+    tops, sizes = table.optima(_mask(space, allowed))
+    return [PairSup(v if v and v > 0 else 0, size // 2) for v, size in zip(tops, sizes)]
 
 
 def lip_local_sup(f: FunctionOracle, space: MetricSpace, x: Point, r: Num,
@@ -614,8 +611,7 @@ def torus_sups(f: FunctionOracle, space: MetricSpace, x: Point, params: Sequence
     [table] = _tables(f, space, [x], budget, _torus_table, params, "sup")
     if table is None:
         return _shell_scan(f, space, x, params, allowed, budget)
-    return [table.value(k, key) if key >= 0 else None
-            for k, key in enumerate(_read(table, space, allowed)[0].tolist())]
+    return table.optima(_mask(space, allowed))[0]
 
 
 def torus_sup(f: FunctionOracle, space: MetricSpace, x: Point, t: Num, r: Num, s: Num,
@@ -642,10 +638,10 @@ def slope_at(f: FunctionOracle, space: MetricSpace, x: Point,
     +inf - +inf = 0, the value is well defined for proper f, and is +inf
     exactly when every realized inner supremum is.  Empty shells contribute
     nothing; if every shell in the grid (default: every shell of x's
-    realized radii) is empty the point is isolated.  Where the descent
-    quotients of (x, f(x)) rank, x's torus-slope table gives every shell's
-    best key, folded by outer radius; otherwise the shells are scanned and
-    each s keeps its first maximal shell in grid order.
+    realized radii) is empty the point is isolated.  Each s keeps its first
+    maximal shell in grid order, and the first least of those is the slope:
+    by the shells' codes where x's torus-slope table of the level f(x)
+    exists, by the scanned shell values otherwise.
     """
     shells = grid if type(grid) is ShellGrid else tuple(grid or ())
     shells = shells or default_shell_grid(space, x)
@@ -656,20 +652,19 @@ def slope_at(f: FunctionOracle, space: MetricSpace, x: Point,
     shells = ShellGrid.of(shells, repeats=True)
     [table] = _tables(f, space, [x], budget, _torus_table, shells, "sup", (type(t), t))
     if table is None:
-        inner: dict = {}
         scanned = _shell_scan(f, space, x, ((t, r, s) for r, s in shells), allowed, budget)
-        for s, sup in zip(shells.outer.tolist(), scanned):  # s by its radius index
-            if sup is not None and (s not in inner or sup > inner[s]):
-                inner[s] = sup
-        sups = list(inner.values())
-    else:
-        tops = np.full(len(shells.radii), -1, dtype=np.int64)  # best key per outer radius
-        np.maximum.at(tops, shells.outer, _read(table, space, allowed)[0])
-        tops = tops[tops >= 0]
-        sups = [table.value(0, int(tops.min()))] if tops.size else []
-    if not sups:
+    else:  # codes order as the values do
+        mask = _mask(space, allowed)
+        best = (table.best if mask is None else table.read(mask)[0]).tolist()
+        scanned = [key // table.width if key >= 0 else None for key in best]
+    inner: dict = {}  # per outer radius (by index), its first shell of the greatest score
+    for k, (s, sup) in enumerate(zip(shells.outer.tolist(), scanned)):
+        if sup is not None and (s not in inner or sup > scanned[inner[s]]):
+            inner[s] = k
+    if not inner:
         raise IsolatedPoint(f"every shell at {x.id!r} is empty")
-    return min(sups)
+    k = min(inner.values(), key=scanned.__getitem__)
+    return scanned[k] if table is None else table.value(k, best[k], mask)
 
 
 # ---------------------------------------------------------------------------
@@ -780,7 +775,8 @@ def shell_truncation(space, t_values: Sequence[Num],
 
 
 def _rank_or_none(score_all: Callable[[], list], mode: str) -> Optional[tuple]:
-    """(scores, codes, values) of score_all(), or None to leave them to the scan.
+    """(codes, float flags, Fraction flags, values) of score_all() as _Rankings
+    keeps them, or None to leave the scores to the scan.
 
     None when rank_scores rejects the scores, or when computing or comparing
     them raises: the scan then raises that error at the (x, p) that meets it.
@@ -790,7 +786,17 @@ def _rank_or_none(score_all: Callable[[], list], mode: str) -> Optional[tuple]:
         ranked = rank_scores(scores, mode)
     except Exception:  # re-raised by the scan where it belongs
         return None
-    return None if ranked is None else (scores, *ranked)
+    kinds = np.array([[{int: 0, Fraction: 1}.get(type(v), 2) for v in scores]], dtype=np.int64)
+    return ranked and (ranked[0], np.array([_is_float(v) for v in scores], dtype=bool),
+                       kinds[0] == 1 if _shared([ranked[0]], kinds)[0] else None, ranked[1])
+
+
+def _shared(codes: Sequence, kinds: np.ndarray) -> list:
+    """Per row of a ranking's codes and its members' kinds (0 int, 1 Fraction,
+    2 another type), whether an int and a Fraction share a code."""
+    seen = np.zeros((*np.shape(codes), 3), dtype=bool)
+    seen[np.arange(len(codes))[:, None], codes, kinds.astype(np.int64)] = True
+    return (seen[..., 0] & seen[..., 1]).any(axis=1).tolist()
 
 
 def _parts(values: Sequence[Num], floats: bool = False) -> Optional[np.ndarray]:
@@ -852,10 +858,6 @@ def _arity1_keys(codes: Sequence[int], ranks: np.ndarray, width: int) -> np.ndar
     return np.array(codes, dtype=np.int64) * width + (width - 1 - ranks)
 
 
-def _masked(keys: np.ndarray, points: np.ndarray):
-    return lambda mask: keys if mask is None else np.where(mask[points], keys, -1)
-
-
 def _ball_ends(dists: list, radii: Sequence[Num],
                images: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
     """bisect_left and bisect_right of every radius into the sorted dists:
@@ -884,13 +886,9 @@ def _points_table(rankings: _Rankings, i: int, radii: Sequence[Num],
     got = rankings.points(mode)
     if got is None:
         return None
-    keys, floats, values = got
-    space = rankings.space
-    points, dists = _sorted_row(space, i, True)
+    points, dists = _sorted_row(rankings.space, i, True)
     zeros = np.zeros(len(radii), dtype=np.int64)
-    return Optima(points, _masked(keys[points][None, :], points), zeros, zeros,
-                  _ball_ends(dists, radii)[0], [values], len(space), 1,
-                  lambda k: (space.points[space.id_order[k]],), floats[points][None, :])
+    return Optima(rankings.space, points, zeros, zeros, _ball_ends(dists, radii)[0], [got])
 
 
 @_per_center
@@ -902,9 +900,8 @@ def _pairs_table(rankings: _Rankings, i: int, radii: Sequence[Num],
     got = rankings.pairs(mode)
     if got is None:
         return None
-    pair_keys, pair_floats, values = got
-    space = rankings.space
-    n, ids = len(space), space.id_order
+    pair_keys, pair_floats = got[:2]
+    space, n = rankings.space, len(rankings.space)
     points, dists = _sorted_row(space, i, False)
     block = np.ix_(points, points)
 
@@ -925,8 +922,8 @@ def _pairs_table(rankings: _Rankings, i: int, radii: Sequence[Num],
 
     zeros = np.zeros(len(radii), dtype=np.int64)
     floats = np.tril(pair_floats[block], -1).any(axis=1)[None, :]
-    return Optima(points, keys_for, zeros, zeros, _ball_ends(dists, radii)[0], [values], n * n, 2,
-                  lambda k: (space.points[ids[k // n]], space.points[ids[k % n]]), floats, pairs)
+    return Optima(space, points, zeros, zeros, _ball_ends(dists, radii)[0], [got],
+                  (keys_for, floats, pairs))
 
 
 def _torus_table(rankings: _Rankings, centers: Sequence[int], shells: ShellGrid, mode: str,
@@ -941,12 +938,8 @@ def _torus_table(rankings: _Rankings, centers: Sequence[int], shells: ShellGrid,
             tables.append(None)
             continue
         points, dists = _sorted_row(space, i, True)
-        keys, floats, values = zip(*ranked)
         ends, starts = _ball_ends(dists, radii, shells.images)
-        tables.append(Optima(points, _masked(np.stack(keys)[:, points], points), rows,
-                             starts[inner], ends[outer], list(values), len(space), 1,
-                             lambda k: (space.points[space.id_order[k]],),
-                             np.stack(floats)[:, points]))
+        tables.append(Optima(space, points, rows, starts[inner], ends[outer], ranked))
     return tables
 
 
@@ -1058,6 +1051,8 @@ def problem_from_descriptor(space: MetricSpace, f: FunctionOracle,
     if mode not in ("sup", "inf"):
         raise DescriptorError(f"mode must be 'sup' or 'inf', got {mode!r}")
     kwargs: dict = {"mode": mode}
+    if "t_mode" in obj and family != "torus-slope":
+        raise DescriptorError(f"t_mode applies to torus-slope only, not to {family!r}")
     if family == "torus-slope":
         t_mode = kwargs["t_mode"] = obj.get("t_mode", "sample")
         if t_mode not in ("sample", "full"):

@@ -186,13 +186,14 @@ def rank_scores(scores: Sequence[Num], mode: str) -> Optional[tuple[list[int], l
     """Integer codes of scores, larger for better in mode, and the score of each code.
 
     None when a score is NaN or lies outside the mode's range, or when two
-    equal scores differ in type (int 2 and Fraction(2)) or in the sign of a
-    float zero: the scan reports the first optimal member, so such rows are
-    left to it.
+    equal scores differ in type (2 and 2.0, where an int and a Fraction share
+    a code: Optima.value) or in the sign of a float zero: the scan reports
+    the first optimal member, so such rows are left to it.
     """
     images = np.array([_image(v) for v in scores], dtype=float)
-    labels: dict = {}
-    kinds = np.array([labels.setdefault(type(v), len(labels)) for v in scores], dtype=np.int64)
+    labels: dict = {}  # int and Fraction one kind
+    kinds = np.array([labels.setdefault({int: Fraction}.get(type(v), type(v)), len(labels))
+                      for v in scores], dtype=np.int64)
     codes, (values,) = rank_rows(images[None], [np.array(scores, dtype=object)[None]],
                                  (2 * kinds + np.signbit(images))[None],
                                  lambda r, js: [scores[j] for j in js], mode)
@@ -216,7 +217,7 @@ def rank_rows(images: np.ndarray, keys: Sequence[np.ndarray], kinds: np.ndarray,
     Scores with equal images are equal exactly when every key agrees on them;
     a run of equal images whose keys differ is ordered by the scores
     themselves, which exact(row, columns) gives, as it gives each code's
-    value.  Equal scores must share their kind (type, sign of a float zero).
+    value, its first score's.  Equal scores of different kinds decline their row.
     """
     sup = mode != "inf"
     rows, m = images.shape
@@ -279,39 +280,60 @@ class Optima:
     A family lays x's regions out along x's sorted distance row: position j
     holds point index points[j] and brings in the tuples whose last point in
     row order is that point.  Region i is the slice lo[i]:hi[i] of score row
-    rows[i] (one row per distinct score function of x, such as a level t).
-    keys_for(mask) gives, per row and position, the best key among the tuples
-    brought in there whose points all lie in mask (all of them for None), or
-    -1.  A key is code * width + (width - 1 - rank): code ranks the score as
-    rank_scores does (values[row][code] is the score) and rank orders the
-    tuple's point ids, decoded by witness_of.  A region's optimum is then a
+    rows[i] (one distinct score function of x, such as a level t), whose
+    ranking by point index is ranked[row] (see _Rankings).  keys_for(mask)
+    gives, per row and position, the best key among the tuples brought in
+    there whose points all lie in mask (all of them for None), or -1.  A key
+    is code * width + (width - 1 - rank): code ranks the score as rank_scores
+    does and rank orders the tuple's point ids.  A region's optimum is then a
     range maximum whose code names the value and whose rest names the optimal
     tuple with the least ids.  floats marks positions bringing in a finite
-    float score.  A slack selection reads every tuple in id order (pairs()
-    lists them for arity 2): its code per row, its index for witness_of, and
-    the least and greatest positions of its points.
+    float score.  A slack selection reads every tuple in id order: its code
+    per row, its index, and the least and greatest positions of its points.
+    Single points are laid out from ranked; pairs bring (keys_for, floats,
+    that listing).
     """
 
-    def __init__(self, points: np.ndarray, keys_for: Callable, rows: np.ndarray,
-                 lo: np.ndarray, hi: np.ndarray, values: list, width: int, arity: int,
-                 witness_of: Callable[[int], tuple], floats: np.ndarray,
-                 pairs: Optional[Callable[[], tuple]] = None):
-        self.points = points
-        self._keys_for = keys_for
-        self._slices = (rows, lo, hi)
-        self._values = values
-        self._rows = rows.tolist()
-        self.width = width
-        self._arity = arity
-        self._witness_of = witness_of
-        self._pairs = pairs
+    def __init__(self, space: FiniteMetricSpace, points: np.ndarray, rows: np.ndarray,
+                 lo: np.ndarray, hi: np.ndarray, ranked: list, pairs: Optional[tuple] = None):
+        self.points, self._slices, self._rows = points, (rows, lo, hi), rows.tolist()
+        n, ids, self._arity = len(space), space.id_order, 1 if pairs is None else 2
+        self.width = n ** self._arity
+        self._witness_of = (lambda k: (space.points[ids[k]],)) if pairs is None else (
+            lambda k: (space.points[ids[k // n]], space.points[ids[k % n]]))
+        if pairs is None:
+            keys, floats = (np.array([r[j] for r in ranked])[:, points] for j in (0, 1))
+            self._keys_for = lambda m: keys if m is None else np.where(m[points], keys, -1)
+        else:
+            self._keys_for, floats, self._pairs = pairs
+        self._values = [r[3] for r in ranked]
+        self._shared = {  # each code an int and a Fraction share: its ranking, its two values
+            (row, code): (by_point, fractions, (int(values[code]), Fraction(values[code])))
+            for row, (by_point, _, fractions, values) in enumerate(ranked) if fractions is not None
+            for code in np.intersect1d(*(by_point[kind & (by_point >= 0)] // self.width
+                                         for kind in (fractions, ~fractions))).tolist()}
         self.best, self.size = self.read()
         counts = np.zeros((floats.shape[0], floats.shape[1] + 1), dtype=np.int64)
         np.cumsum(floats, axis=1, out=counts[:, 1:])
         self.floaty = (counts[rows, hi] > counts[rows, lo]).tolist()
 
-    def value(self, i: int, key: int) -> Num:
-        return self._values[self._rows[i]][key // self.width]
+    def value(self, i: int, key: int, mask: Optional[np.ndarray] = None) -> Num:
+        """The score of key, region i's best (within mask), of the type of the
+        region's first member of its code in point index order, as scanned."""
+        row, code = self._rows[i], key // self.width
+        if not self._shared or (row, code) not in self._shared:
+            return self._values[row][code]
+        by_point, fractions, typed = self._shared[row, code]
+        members = np.sort(self.points[self._slices[1][i]:self._slices[2][i]])
+        members = members[mask[members]] if mask is not None else members
+        first = np.argwhere(by_point[np.ix_(*[members] * self._arity)] // self.width == code)[0]
+        return typed[int(fractions[tuple(members[first])])]
+
+    def optima(self, mask: Optional[np.ndarray] = None) -> tuple[list, list]:
+        """The optimum of every region (within mask), None where it is empty, and its size."""
+        best, size = (self.best, self.size) if mask is None else self.read(mask)
+        return [None if key < 0 else self.value(i, key, mask)
+                for i, key in enumerate(best.tolist())], size
 
     def witness(self, i: int) -> tuple:
         """The optimal tuple of region i with the least ids (region nonempty)."""
@@ -330,8 +352,8 @@ class Optima:
         """(i, the cap least-id tuples of region i that _select keeps) for every
         nonempty region i, in truncation order.  A region keeps the codes from
         the least one within eps of its best, found once per (row, best code)
-        by bisection in the row's values, which rank_scores orders without NaN
-        or mixed-type ties."""
+        by bisection in the row's values, which rank_scores orders without NaN;
+        the cut compares values, so a code an int and a Fraction share is one."""
         rows, lo, hi = self._slices
         regions = np.flatnonzero(self.best >= 0)
         bests = list(zip(rows[regions].tolist(), (self.best[regions] // self.width).tolist()))
@@ -755,7 +777,7 @@ def _center_verdicts(problem: WitnessProblem, x: Point, Yset: set, table: Option
     def check(i: int) -> DeterminacyCheck:
         if skipped[i]:
             return _skipped(problem, x, trunc[i], tol)
-        rhs = table.value(i, rbest[i]) if rbest[i] >= 0 else unhit
+        rhs = table.value(i, rbest[i], mask) if rbest[i] >= 0 else unhit
         return _compare(problem, x, trunc[i], tol, table.value(i, best[i]), rhs,
                         table.size[i], rsize[i], table.floaty[i])
 

@@ -530,6 +530,29 @@ VERB_FLAGS = {verb: sorted(COMMON_FLAGS + ["--fn", "--space"])
     "suite": COMMON_FLAGS}
 
 
+@pytest.mark.parametrize("verb", [
+    ["reduce", "--fn", "coord"],
+    ["check", "--fn", "coord"],
+    ["suite", "--name", "thm-2.1", "--n", "5", "--instances", "1"],
+])
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_an_out_path_that_cannot_be_written_exits_two(verb, where, line3_path, tmp_path, capsys):
+    out = tmp_path / "no" / "such" / "o.json" if where == "missing directory" else tmp_path
+    space = [] if verb[0] == "suite" else ["--space", line3_path]
+    assert run_cli(verb + space + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {str(out)!r}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["ball-pairs:sup:bogus", "ball-pairs:sup:full",
+                                  "punctured-ball:inf:full", "punctured-ball:sup:sample"])
+def test_a_t_mode_on_a_family_without_levels_exits_two(name, line3_path, capsys):
+    # a t_mode used to be dropped silently on the families without shells
+    assert run_cli(["reduce", "--space", line3_path, "--fn", "coord", "--name", name]) == 2
+    family = name.split(":")[0]
+    assert f"t_mode applies to torus-slope only, not to {family!r}" in capsys.readouterr().err
+
+
 def test_the_option_surface_is_pinned():
     assert [field.name for field in dataclasses.fields(SuiteConfig)] == SUITE_CONFIG_FIELDS
     parser = _build_parser()
@@ -571,6 +594,22 @@ def test_descriptor_cli_batch_0_keeps_its_pinned_digest(tmp_path, monkeypatch):
     ops = wl.write_cli_inputs(0, tmp_path / "inputs", tmp_path / "outs")[0]
     outcomes = [wl.run_cli_op(cli, op) for op in ops]
     assert [o.problems for o in outcomes if o.failed] == []
+    pinned = json.loads((bench / "digests.json").read_text(encoding="utf-8"))
+    assert wl.batch_digest(outcomes) == pinned["descriptor-cli"]
+
+
+def test_descriptor_cli_batch_0_reads_every_region_from_a_table(tmp_path, monkeypatch):
+    # its ball-pair functions hold +inf pairs (the int 0) beside equal Fractions
+    # (Fraction(0)); ranked, not declined, they leave no region to the scan
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    wl = importlib.import_module("workloads")
+    ops = wl.write_cli_inputs(0, tmp_path / "inputs", tmp_path / "outs")[0]
+    scans, score_region = [], sepdet.scheme._score_region
+    monkeypatch.setattr(sepdet.scheme, "_score_region",
+                        lambda *args: scans.append(args[1]) or score_region(*args))
+    outcomes = [wl.run_cli_op(cli, op) for op in ops]
+    assert scans == []
     pinned = json.loads((bench / "digests.json").read_text(encoding="utf-8"))
     assert wl.batch_digest(outcomes) == pinned["descriptor-cli"]
 

@@ -72,8 +72,8 @@ from sepdet.functionals import _rankings
 from sepdet.scheme import Radii, ShellGrid, Shells, agree, rank_scores, sweep_tally
 
 # Function values; "mixed" holds equal scores of different types (2, 2.0,
-# Fraction(2)), which the tables must leave to the scan.  Finite "fraction"
-# values give every center a table.
+# Fraction(2)): the tables leave a float tie to the scan and give an int and
+# a Fraction one code.  Finite "fraction" values give every center a table.
 PALETTES = {
     "fraction": (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-3, 2), Fraction(7, 4)),
     "exact": (0, 1, 3, Fraction(1, 2), Fraction(-3, 2), Fraction(7, 4)),
@@ -130,6 +130,15 @@ instances = st.fixed_dictionaries({
 
 
 @given(instances)
+# codes an int and a Fraction share, with ids out of enumeration order: shells
+# (at 2 and Fraction(2)), pair quotients (2 and Fraction(2); two +inf values'
+# int 0 beside Fraction(0))
+@example({"kind": "int", "n": 4, "seed": 39, "shuffle_ids": True, "palette": "mixed",
+          "inf": 0.0, "mode": "sup"})
+@example({"kind": "int", "n": 4, "seed": 3, "shuffle_ids": True, "palette": "exact",
+          "inf": 0.0, "mode": "sup"})
+@example({"kind": "int", "n": 4, "seed": 8, "shuffle_ids": True, "palette": "fraction",
+          "inf": 0.3, "mode": "sup"})
 def test_tables_agree_with_the_scan_and_the_oracle(case):
     space = make_space(case["kind"], case["n"], case["seed"], case["shuffle_ids"])
     f = make_function(space, case["seed"], case["palette"], case["inf"])
@@ -246,6 +255,9 @@ def typed(run):
     "palette": st.sampled_from(sorted(PALETTES)),
     "inf": st.sampled_from((0.0, 0.3)),
 }))
+# descent codes an int and a Fraction share
+@example({"kind": "int", "n": 4, "seed": 39, "shuffle_ids": True, "palette": "mixed", "inf": 0.0})
+@example({"kind": "int", "n": 5, "seed": 4, "shuffle_ids": True, "palette": "mixed", "inf": 0.3})
 def test_descent_rows_agree_with_the_shell_scan(case):
     space = make_space(case["kind"], case["n"], case["seed"], case["shuffle_ids"])
     f = make_function(space, case["seed"], case["palette"], case["inf"])
@@ -302,6 +314,10 @@ def each_empty_as_none(run):
 # a level 3 of one read and Fraction(3) of another make equal truncations whose
 # quotients differ in type: a table memo keyed by the truncation's value fails here
 @example({"kind": "int", "n": 4, "seed": 0, "shuffle_ids": False, "palette": "mixed",
+          "inf": 0.0})
+@example({"kind": "int", "n": 4, "seed": 39, "shuffle_ids": True, "palette": "mixed",
+          "inf": 0.0})
+@example({"kind": "int", "n": 4, "seed": 3, "shuffle_ids": True, "palette": "exact",
           "inf": 0.0})
 def test_per_center_reads_agree_with_the_one_parameter_forms_and_the_scan(case):
     space = make_space(case["kind"], case["n"], case["seed"], case["shuffle_ids"])
@@ -467,6 +483,10 @@ def oracle_or_none(prob, x, r, Y):
     "shuffle_ids": st.booleans(),
     "inf": st.sampled_from((0.0, 0.3)),
 }))
+# on the int space, pair and point codes an int and a Fraction share
+@example({"n": 4, "seed": 3, "shuffle_ids": True, "inf": 0.0})
+@example({"n": 4, "seed": 8, "shuffle_ids": True, "inf": 0.3})
+@example({"n": 3, "seed": 4, "shuffle_ids": True, "inf": 0.0})
 def test_pair_and_limit_reads_agree_with_the_scan_and_the_oracle(kind, palette, case):
     space = make_space(kind, case["n"], case["seed"], case["shuffle_ids"])
     f = make_function(space, case["seed"], palette, case["inf"])
@@ -559,6 +579,92 @@ def routes_agree(prob, space, Y):
         assert json.dumps(outcome(lambda: [c.to_json() for c in check_sweep(prob, Y, tol)])) == \
             json.dumps(outcome(lambda: [check_reduction(scan, Y, (x, p), tol).to_json()
                                         for x in Y for p in prob.params.truncation]))
+
+
+def unit_space(ids):
+    points = [Point(pid) for pid in ids]
+    return FiniteMetricSpace.from_matrix(
+        points, [[0 if p == q else 1 for q in points] for p in points])
+
+
+# An int and an equal Fraction share one code; a table gives it in the type of
+# the region's first member of it in enumeration order, as the scan does.
+SCAN = {"budget": 4}  # a budget covering the space leaves the formulas the scan
+
+
+@pytest.mark.parametrize("ids", ["dcba", "abcd"])
+def test_a_pair_code_of_an_int_and_a_fraction_reads_the_first_pair(ids):
+    # unit distances: |1 - 3| is the int 2 at (a, b) and Fraction(2) at (c, d),
+    # (a, d) and (b, c); the least ids make the int pair the witness, but in
+    # the order d, c, b, a the first optimal pair is (d, c)
+    values = {"a": 1, "b": 3, "c": Fraction(1), "d": Fraction(3)}
+    space = unit_space(ids)
+    f = FunctionOracle.from_table({pid: values[pid] for pid in ids})
+    prob = ball_pairs_problem(space, f, truncation=(2,))
+    assert None not in prob.optima(space.points)  # ranked, not left to the scan
+    a, b, c, d = map(space.point, "abcd")
+    first = Fraction if ids[0] == "d" else int
+    assert [type(chk.lhs) for chk in check_sweep(prob, [a])] == [first]
+    assert type(lip_local_sup(f, space, a, 2).value) is first
+    for Y in (space.points, [a, b], [a, c, d]):  # the int pair, then the Fraction pairs alone
+        routes_agree(prob, space, Y)
+        for x in Y:
+            assert typed(lambda: lip_local_sup(f, space, x, 2, Y)) == \
+                typed(lambda: lip_local_sup(f, space, x, 2, Y, **SCAN))
+
+
+@pytest.mark.parametrize("ids", ["abc", "acb"])
+def test_a_point_code_of_an_int_and_a_fraction_reads_the_first_point(ids):
+    values = {"a": 0, "b": 2, "c": Fraction(2)}
+    space = unit_space(ids)
+    f = FunctionOracle.from_table({pid: values[pid] for pid in ids})
+    a, b, c = map(space.point, "abc")
+    first = int if ids[1] == "b" else Fraction
+    assert type(limsup_at(f, space, a, (2,))) is first
+    for mode in ("sup", "inf"):
+        prob = punctured_ball_problem(space, f, mode, truncation=(2,))
+        assert None not in prob.optima(space.points)
+        for Y in (space.points, [a, b], [a, c]):
+            routes_agree(prob, space, Y)
+            for limit in (liminf_at, limsup_at):
+                assert typed(lambda: limit(f, space, a, (2,), Y)) == \
+                    typed(lambda: limit(f, space, a, (2,), Y, **SCAN))
+
+
+@pytest.mark.parametrize("ids", ["abc", "acb"])
+def test_a_descent_code_of_an_int_and_a_fraction_reads_the_first_point(ids):
+    # from a at level 3 over unit distances: 3 - 1 = 2 at b, 3 - Fraction(1) at c
+    values = {"a": 3, "b": 1, "c": Fraction(1)}
+    space = unit_space(ids)
+    f = FunctionOracle.from_table({pid: values[pid] for pid in ids})
+    a, b, c = map(space.point, "abc")
+    first = int if ids[1] == "b" else Fraction
+    shell = (Fraction(1, 2), 2)
+    assert type(torus_sup(f, space, a, 3, *shell)) is first
+    assert type(slope_at(f, space, a, (shell,))) is first
+    prob = torus_slope_problem(space, f, truncation=shell_truncation(
+        space, level_grid(f, space, "full")))
+    assert None not in prob.optima(space.points)
+    for Y in (space.points, [a, b], [a, c]):
+        routes_agree(prob, space, Y)
+        assert typed(lambda: slope_at(f, space, a, (shell,), Y)) == \
+            typed(lambda: slope_at(f, space, a, (shell,), Y, **SCAN))
+
+
+def test_a_slope_keeps_the_scans_first_outer_radius():
+    # on the line a, b, c, d = 0, 1, 2, 3 at level f(a) = 4 the quotients are the
+    # int 2 at b, Fraction(2) at c and 0 at d.  s = 4 comes first (its shell
+    # holding d alone), and its best shell holds c; s = 3 ties it by value with
+    # the int at b, so the slope is the scan's Fraction(2)
+    points = [Point(pid) for pid in "abcd"]
+    space = FiniteMetricSpace.from_matrix(points, [[abs(i - j) for j in range(4)]
+                                                   for i in range(4)])
+    f = FunctionOracle.from_table({"a": 4, "b": 2, "c": Fraction(0), "d": 4})
+    grid = ((Fraction(5, 2), 4), (Fraction(1, 2), 3), (Fraction(3, 2), 4))
+    a = space.point("a")
+    assert typed(lambda: slope_at(f, space, a, grid)) == ("ok", "Fraction", "Fraction(2, 1)")
+    assert typed(lambda: slope_at(f, space, a, grid, **SCAN)) == \
+        ("ok", "Fraction", "Fraction(2, 1)")
 
 
 @pytest.mark.parametrize("mode", ["sup", "inf"])

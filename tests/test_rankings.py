@@ -3,8 +3,9 @@
 rank_scores and the descent rankings order scores by their correctly
 rounded float images and compare exactly only inside runs of equal images
 (scheme.rank_rows).  The reference below is the former rank_scores, a Python
-sort with the same declines; the new routes must give the same codes, the
-same values of the same types, and decline the same rows.  The descent
+sort with the same declines, where an int and an equal Fraction share one
+code whose value is the first of them; the new routes must give the same
+codes, the same values of the same types, and decline the same rows.  The descent
 rankings are asked for in batches of centers, as a closure round or a sweep
 asks, and checked center by center and level by level against that
 reference over the former per-element quotients, on rows the int64 pass
@@ -35,7 +36,7 @@ from sepdet import (
     torus_slope_problem,
     witness_select,
 )
-from sepdet import functionals
+from sepdet import functionals, scheme
 from sepdet.cli import run_cli
 from sepdet.extreal import NEG_INF, POS_INF, pos_part, sub
 from sepdet.functionals import _exact_div, _is_float, _Rankings, level_grid, shell_truncation
@@ -54,7 +55,7 @@ def reference_rank_scores(scores, mode):
         v = scores[j]
         if values and v == values[-1]:
             w = values[-1]
-            if type(v) is not type(w) or (type(v) is float and str(v) != str(w)):
+            if kind(v) is not kind(w) or (type(v) is float and str(v) != str(w)):
                 return None
         elif v != v:  # NaN orders nothing, so the scan's answer depends on its order
             return None
@@ -65,6 +66,18 @@ def reference_rank_scores(scores, mode):
     if values and type(values[0]) is float and values[0] == bad:
         return None
     return codes, values
+
+
+def kind(v):
+    """int and Fraction share a code when equal; any other two types do not."""
+    return Fraction if type(v) is int else type(v)
+
+
+def reference_fractions(scores, codes):
+    """The Fraction flags of ranked scores where an int and a Fraction share a code, else None."""
+    seen = {(c, type(v)) for c, v in zip(codes, scores)}
+    shared = any((c, int) in seen and (c, Fraction) in seen for c, _ in seen)
+    return [type(v) is Fraction for v in scores] if shared else None
 
 
 def typed(ranked):
@@ -117,7 +130,8 @@ def test_rank_rows_orders_int64_fractions_exactly(rows, mode):
 
 
 def reference_descent(f_values, space, i, t, mode):
-    """The former per-level descent ranking: (codes by point, float flags, values)."""
+    """The former per-level descent ranking: (codes by point, float flags,
+    Fraction flags or None, values)."""
     order, dists = space.sorted_row(i)
     a = bisect_right(dists, 0)
     try:
@@ -129,18 +143,23 @@ def reference_descent(f_values, space, i, t, mode):
     if ranked is None:
         return None
     codes, values = ranked
+    fractions = reference_fractions(scores, codes)
     by_point, floats = [-1] * len(space), [False] * len(space)
-    for j, c, v in zip(order[a:], codes, scores):
+    by_fraction = None if fractions is None else [False] * len(space)
+    for k, (j, c, v) in enumerate(zip(order[a:], codes, scores)):
         by_point[j], floats[j] = c, _is_float(v)
-    return by_point, floats, [(type(v).__name__, repr(v)) for v in values]
+        if fractions is not None:
+            by_fraction[j] = fractions[k]
+    return by_point, floats, by_fraction, [(type(v).__name__, repr(v)) for v in values]
 
 
 def got_descent(rankings, got):
     if got is None:
         return None
-    keys, floats, values = got
+    keys, floats, fractions, values = got
     n = len(rankings.space)
     return ([-1 if k < 0 else k // n for k in keys.tolist()], floats.tolist(),
+            None if fractions is None else fractions.tolist(),
             [(type(v).__name__, repr(v)) for v in values])
 
 
@@ -279,7 +298,8 @@ def test_golden_descents_take_the_int64_pass_once_per_batch(monkeypatch):
 
 
 def reference_pairs(f_values, space, mode):
-    """The former per-pair ranking: (code and float flag of each pair a < b, values)."""
+    """The former per-pair ranking: (code, float flag and Fraction flag (or None)
+    of each pair a < b, values)."""
     n = len(space)
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     try:
@@ -291,17 +311,21 @@ def reference_pairs(f_values, space, mode):
     if ranked is None:
         return None
     codes, values = ranked
-    return codes, [_is_float(v) for v in scores], [(type(v).__name__, repr(v)) for v in values]
+    return (codes, [_is_float(v) for v in scores], reference_fractions(scores, codes),
+            [(type(v).__name__, repr(v)) for v in values])
 
 
 def got_pairs(rankings, got):
     if got is None:
         return None
-    keys, floats, values = got
+    keys, floats, fractions, values = got
     n = len(rankings.space)
     a, b = np.triu_indices(n, 1)
     assert (keys == keys.T).all() and (keys.diagonal() == -1).all()
+    if fractions is not None:
+        assert (fractions == fractions.T).all() and not fractions.diagonal().any()
     return ((keys[a, b] // (n * n)).tolist(), floats[a, b].tolist(),
+            None if fractions is None else fractions[a, b].tolist(),
             [(type(v).__name__, repr(v)) for v in values])
 
 
@@ -318,7 +342,7 @@ def pair_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(pair_cases())
-# both +inf (the int 0) beside equal Fractions (Fraction(0)): declined, as in thm-2.1
+# both +inf (the int 0) beside equal Fractions (Fraction(0)): one code, as in thm-2.1
 @example(([[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]],
           [POS_INF, POS_INF, Fraction(1, 2), Fraction(1, 2)], "sup"))
 @example(([[0, 3 ** 0.5, 2], [3 ** 0.5, 0, 1], [2, 1, 0]], [0, Fraction(1, 3), 1], "sup"))
@@ -383,6 +407,25 @@ def test_golden_pair_rankings_take_the_int64_pass(monkeypatch):
                                                eps=eps, cap=cap)).ok
     assert all(made[name] > 0 for name in PAIR_SUITES)
     assert calls == Counter()
+
+
+def test_default_thm_2_1_ranks_every_pair_function(monkeypatch):
+    # its +inf instances give the int 0 (two +inf values) beside Fraction(0)
+    # (two equal Fractions): one code, so no ranking declines and no region is scanned
+    pairs, made, scans = functionals._Rankings.pairs, [], []
+
+    def counted_pairs(self, mode):
+        fresh = ("pairs", mode) not in self.memo
+        got = pairs(self, mode)
+        made.extend([got is not None] if fresh else [])
+        return got
+
+    monkeypatch.setattr(functionals._Rankings, "pairs", counted_pairs)
+    score_region = scheme._score_region
+    monkeypatch.setattr(scheme, "_score_region",
+                        lambda *args: scans.append(args[1]) or score_region(*args))
+    assert run_suite("thm-2.1").ok
+    assert made and all(made) and scans == []
 
 
 # ---------------------------------------------------------------------------
