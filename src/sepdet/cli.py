@@ -308,11 +308,12 @@ def run_cli(argv: Optional[list[str]] = None) -> int:
     try:
         if args.verb == "suite" and not args.name:
             raise SepdetError("--name is required for suite")
+        out = args.out and Path(args.out)  # checked before any work; _emit maps what a write shows
+        if out and (out.is_dir() or not out.parent.is_dir()):
+            what = "is a directory" if out.is_dir() else "no such directory"
+            raise SepdetError(f"cannot write {args.out!r}: {what}")
         return args.handler(args)
-    except SepdetError as exc:
-        print(f"{PROG}: error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (SepdetError, ValueError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
 

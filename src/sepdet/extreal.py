@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 Num = Union[int, float, Fraction]
 
@@ -54,6 +54,13 @@ def sub(a: Num, b: Num) -> Num:
     if isinstance(b, float) and math.isinf(b) and a == a:
         return -b
     return a - b
+
+
+def resolve_tolerance(tol: Optional[Num], *values: Num) -> Num:
+    """tol when set; unset, FLOAT_TOL when a compared value is a finite float, else 0."""
+    if tol is not None:
+        return tol
+    return FLOAT_TOL if any(not is_exact(v) and is_finite(v) for v in values) else 0
 
 
 def close(a: Num, b: Num, tol: Num = 0) -> bool:

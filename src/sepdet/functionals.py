@@ -40,7 +40,8 @@ from .errors import (
     ScoreRangeError,
     UnknownPoint,
 )
-from .extreal import FLOAT_TOL, POS_INF, Num, close, fmt, is_exact, is_finite, parse, pos_part, sub
+from .extreal import (POS_INF, Num, close, fmt, is_exact, is_finite, parse, pos_part,
+                      resolve_tolerance, sub)
 from .scheme import (Optima, ParamSpace, Radii, Region, ShellGrid, Shells, WitnessProblem,
                      _image, rank_rows, rank_scores)
 from .spaces import (
@@ -270,11 +271,11 @@ def _exact_div(num: Num, den: Num) -> Num:
 class _Rankings:
     """One function's values, computed once, and rankings on one finite space.
 
-    A ranking is (keys, float flags, Fraction flags, value of each code) by
-    point index, the Fraction flags None unless an int and a Fraction share a
-    code; keys are Optima keys, so a key's code is key // width.  Ranked in a
-    mode, f gives one key per point; the pair quotients |f(a) - f(b)| / d(a, b)
-    give an n x n key matrix (-1 on the diagonal); the descent quotients
+    A ranking is (keys, Fraction flags, value of each code) by point index,
+    the Fraction flags None unless an int and a Fraction share a code; keys
+    are Optima keys, so a key's code is key // width.  Ranked in a mode, f
+    gives one key per point; the pair quotients |f(a) - f(b)| / d(a, b) give
+    an n x n key matrix (-1 on the diagonal); the descent quotients
     (t - f(u))^+ / d(x, u) of a center x and level t give one key per point,
     -1 at distance 0 from x, where no shell reaches, the missing levels of a
     request's centers ranked together (descents).  None (f raises, or the
@@ -320,24 +321,23 @@ class _Rankings:
                                              in zip(a.tolist(), b.tolist(), dists)], mode)
                 if got is None:
                     return None
-                codes, flags, fractions, values = got
+                codes, fractions, values = got
             else:
                 q = _quotient_parts(self.parts[:, a], self.parts[:, b], d, dists, True)[:, None]
                 (codes,), (values,) = rank_rows(q[0], q[1:3], q[3] > 1,
                                                 lambda r, js: _Quotients(q[:, r, js]), mode)
                 if values is None:
                     return None
-                flags = (q[3, 0] == 2) & np.isfinite(q[0, 0])
                 fractions = q[3, 0] == 1 if _shared([codes], q[3])[0] else None
             first, second = np.minimum(rank[a], rank[b]), np.maximum(rank[a], rank[b])
             width = n * n
             keys = np.full((n, n), -1, dtype=np.int64)
             keys[a, b] = keys[b, a] = (np.array(codes, dtype=np.int64) * width
                                        + (width - 1 - (first * n + second)))
-            shared = fractions is not None
-            both = np.zeros((2, n, n), dtype=bool)  # float flags, Fraction flags
-            both[:, a, b] = both[:, b, a] = flags, fractions if shared else np.zeros_like(flags)
-            return keys, both[0], both[1] if shared else None, values
+            if fractions is not None:
+                by_pair, fractions = fractions, np.zeros((n, n), dtype=bool)
+                fractions[a, b] = fractions[b, a] = by_pair
+            return keys, fractions, values
 
         return self._get(("pairs", mode), make)
 
@@ -363,9 +363,11 @@ class _Rankings:
                                          for j, e in zip(points, dists)], mode)
             if one is not None:  # one Python number at a time
                 keys, at = np.full(n, -1, dtype=np.int64), list(points)
-                keys[at], both = _arity1_keys(one[0], self.rank[at], n), np.zeros((2, n), bool)
-                both[0, at], both[1, at] = one[1], False if one[2] is None else one[2]
-                one = keys, both[0], None if one[2] is None else both[1], one[3]
+                keys[at] = _arity1_keys(one[0], self.rank[at], n)
+                fractions = None if one[1] is None else np.zeros(n, dtype=bool)
+                if fractions is not None:
+                    fractions[at] = one[1]
+                one = keys, fractions, one[2]
             self.memo[key] = one
         step = max(1, self.PASS_BOUND // max(n - 1, 1))
         for block in (held[a:a + step] for a in range(0, len(held), step)):
@@ -375,13 +377,12 @@ class _Rankings:
                                 np.stack(d, 1), dists)
             codes, ranked = rank_rows(q[0], q[1:3], q[3] > 1,
                                       lambda r, js: _Quotients(q[:, r, js]), mode)
-            keys, both = np.full((k, n), -1, dtype=np.int64), np.zeros((2, k, n), dtype=bool)
+            keys, fractions = np.full((k, n), -1, dtype=np.int64), np.zeros((k, n), dtype=bool)
             at = np.arange(k)[:, None], points
-            keys[at] = _arity1_keys(codes, self.rank[points], n)
-            both[0][at], both[1][at] = (q[3] == 2) & np.isfinite(q[0]), q[3] == 1
+            keys[at], fractions[at] = _arity1_keys(codes, self.rank[points], n), q[3] == 1
             for r, (key, one, shared) in enumerate(zip(names, ranked, _shared(codes, q[3]))):
                 self.memo[key] = None if one is None else (
-                    keys[r], both[0, r], both[1, r] if shared else None, one)
+                    keys[r], fractions[r] if shared else None, one)
         return [[self.memo.get(key) for key in wanted[i]] for i in centers]
 
 
@@ -693,8 +694,8 @@ def lipschitz_second_witness(f2: Callable[[Point, Point], Num],
     """First triple (x, y1, y2) violating |f(x,y1) - f(x,y2)| <= k d2(y1,y2).
 
     Scans points in enumeration order, at most budget triples; None when no
-    violation is found.  Exact values compare exactly; float chains get the
-    1e-12 slack.
+    violation is found.  gap and bound compare at resolve_tolerance's
+    tolerance for the two: exactly, unless one is a finite float (1e-12).
     """
     count = 0
     for x in space1.iter_points(budget):
@@ -706,8 +707,7 @@ def lipschitz_second_witness(f2: Callable[[Point, Point], Num],
                     return None
                 gap = abs(f2(x, y1) - f2(x, y2))
                 bound = k * space2.distance(y1, y2)
-                slack = 0 if is_exact(gap) and is_exact(bound) else FLOAT_TOL
-                if gap > bound + slack:
+                if gap > bound + resolve_tolerance(None, gap, bound):
                     return (x, y1, y2)
     return None
 
@@ -717,9 +717,8 @@ def verify_lipschitz_second(f2: Callable[[Point, Point], Num],
                             budget: Optional[int] = None) -> bool:
     """True when no scanned triple violates the k-Lipschitz bound in y.
 
-    Exact triples compare exactly; a gap or bound that passed through floats
-    may exceed the bound by FLOAT_TOL (1e-12), as lipschitz_second_witness
-    allows."""
+    Exact triples compare exactly; a finite float gap or bound may exceed
+    the bound by FLOAT_TOL (1e-12), as lipschitz_second_witness allows."""
     return lipschitz_second_witness(f2, space1, space2, k, budget) is None
 
 
@@ -775,8 +774,8 @@ def shell_truncation(space, t_values: Sequence[Num],
 
 
 def _rank_or_none(score_all: Callable[[], list], mode: str) -> Optional[tuple]:
-    """(codes, float flags, Fraction flags, values) of score_all() as _Rankings
-    keeps them, or None to leave the scores to the scan.
+    """(codes, Fraction flags, values) of score_all() as _Rankings keeps
+    them, or None to leave the scores to the scan.
 
     None when rank_scores rejects the scores, or when computing or comparing
     them raises: the scan then raises that error at the (x, p) that meets it.
@@ -787,8 +786,8 @@ def _rank_or_none(score_all: Callable[[], list], mode: str) -> Optional[tuple]:
     except Exception:  # re-raised by the scan where it belongs
         return None
     kinds = np.array([[{int: 0, Fraction: 1}.get(type(v), 2) for v in scores]], dtype=np.int64)
-    return ranked and (ranked[0], np.array([_is_float(v) for v in scores], dtype=bool),
-                       kinds[0] == 1 if _shared([ranked[0]], kinds)[0] else None, ranked[1])
+    return ranked and (ranked[0], kinds[0] == 1 if _shared([ranked[0]], kinds)[0] else None,
+                       ranked[1])
 
 
 def _shared(codes: Sequence, kinds: np.ndarray) -> list:
@@ -839,10 +838,6 @@ def _quotient_parts(a: np.ndarray, b: np.ndarray, d: np.ndarray, dists: Sequence
             images = np.where(by_float, by_d, images)
     kinds = ((pos | absolute) & (af | bf)) | dk | (qd != 1)  # abs keeps a zero's type
     return np.stack([images, qn, qd, np.where(qd == 0, 2, kinds)])
-
-
-def _is_float(v: Num) -> bool:
-    return type(v) is float and is_finite(v)
 
 
 def _sorted_row(space: FiniteMetricSpace, i: int,
@@ -900,7 +895,7 @@ def _pairs_table(rankings: _Rankings, i: int, radii: Sequence[Num],
     got = rankings.pairs(mode)
     if got is None:
         return None
-    pair_keys, pair_floats = got[:2]
+    pair_keys = got[0]
     space, n = rankings.space, len(rankings.space)
     points, dists = _sorted_row(space, i, False)
     block = np.ix_(points, points)
@@ -921,9 +916,8 @@ def _pairs_table(rankings: _Rankings, i: int, radii: Sequence[Num],
                 first.ravel(), last.ravel())
 
     zeros = np.zeros(len(radii), dtype=np.int64)
-    floats = np.tril(pair_floats[block], -1).any(axis=1)[None, :]
     return Optima(space, points, zeros, zeros, _ball_ends(dists, radii)[0], [got],
-                  (keys_for, floats, pairs))
+                  (keys_for, pairs))
 
 
 def _torus_table(rankings: _Rankings, centers: Sequence[int], shells: ShellGrid, mode: str,

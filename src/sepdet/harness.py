@@ -88,13 +88,13 @@ def _shortest_path_complete(mat: list[list[int]]) -> list[list[int]]:
 
 
 def random_finite_metric(n: int, seed, method: str = "shortest-path", *,
-                         dim: int = 1, weights: tuple[int, int] = (1, 8)) -> FiniteMetricSpace:
+                         dim: int = 1) -> FiniteMetricSpace:
     """A random n-point metric space.
 
     method "euclidean": distinct rational points on a line (dim=1, exact
     half-integer coordinates) or an integer grid (dim=2, float distances).
-    method "shortest-path": a random symmetric integer matrix repaired into a
-    metric by all-pairs shortest paths; few distinct distances, all exact.
+    method "shortest-path": a random symmetric matrix of weights 1..8 repaired
+    into a metric by all-pairs shortest paths; few distinct distances, all exact.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -113,27 +113,26 @@ def random_finite_metric(n: int, seed, method: str = "shortest-path", *,
             raise ValueError("dim must be 1 or 2")
         return FiniteMetricSpace.from_coords(pts)
     if method == "shortest-path":
-        lo, hi = weights
         mat = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                mat[i][j] = mat[j][i] = rng.randint(lo, hi)
+                mat[i][j] = mat[j][i] = rng.randint(1, 8)
         mat = _shortest_path_complete(mat)
         return FiniteMetricSpace([Point(pid) for pid in ids], mat, metric_name="matrix")
     raise ValueError(f"unknown method {method!r}")
 
 
 def random_table_function(space: FiniteMetricSpace, seed, *,
-                          inf_share: float = 0.0,
-                          denominators: Sequence[int] = (1, 2, 4)) -> FunctionOracle:
-    """Random proper function: rational values in [-10, 10], optional +inf set."""
+                          inf_share: float = 0.0) -> FunctionOracle:
+    """Random proper function: values in [-10, 10] over denominators 1, 2 or 4,
+    optional +inf set."""
     rng = Random(f"fn:{seed}")
     values: dict = {}
     for p in space.points:
         if inf_share and rng.random() < inf_share:
             values[p.id] = POS_INF
         else:
-            den = rng.choice(list(denominators))
+            den = rng.choice([1, 2, 4])
             values[p.id] = Fraction(rng.randint(-10 * den, 10 * den), den)
     if all(not is_finite(v) for v in values.values()):
         values[space.points[0].id] = Fraction(0)
@@ -211,8 +210,8 @@ class SuiteConfig:
     eps: Num = 0
     cap: int = 1
     max_depth: Optional[int] = None
-    # None: closure checks compare at 0 for exact scores and 1e-12 for float
-    # ones; formula comparisons compare at 0
+    # None: closure checks compare at 1e-12 where an optimum is a finite float
+    # and at 0 otherwise (resolve_tolerance); formula comparisons compare at 0
     tolerance: Optional[Num] = None
     q_density: Optional[int] = None
 
@@ -388,7 +387,7 @@ class Instance:
         self.local = index if self.n is not None else index - len(sizes)
         self.rng = Random(f"pick:{name}:{cfg.seed}:{index}")
         # formulas compare at 0 when unset; sweeps pass cfg.tolerance on, and
-        # sweep_tally resolves None by score type
+        # sweep_tally resolves None from the two optima
         self.tol = 0 if cfg.tolerance is None else cfg.tolerance
         self.opts = {"eps": cfg.eps, "cap": cfg.cap, "max_depth": cfg.max_depth}
         self.notes: list[str] = []

@@ -39,15 +39,7 @@ from .errors import (
     SpaceMismatch,
     UnknownPoint,
 )
-from .extreal import (
-    FLOAT_TOL,
-    NEG_INF,
-    POS_INF,
-    Num,
-    close,
-    fmt,
-    is_finite,
-)
+from .extreal import NEG_INF, POS_INF, Num, close, fmt, resolve_tolerance
 from .spaces import FiniteMetricSpace, MetricSpace, Point, Region, _check_radius, _check_shell
 
 
@@ -287,11 +279,10 @@ class Optima:
     is code * width + (width - 1 - rank): code ranks the score as rank_scores
     does and rank orders the tuple's point ids.  A region's optimum is then a
     range maximum whose code names the value and whose rest names the optimal
-    tuple with the least ids.  floats marks positions bringing in a finite
-    float score.  A slack selection reads every tuple in id order: its code
-    per row, its index, and the least and greatest positions of its points.
-    Single points are laid out from ranked; pairs bring (keys_for, floats,
-    that listing).
+    tuple with the least ids.  A slack selection reads every tuple in id
+    order: its code per row, its index, and the least and greatest positions
+    of its points.  Single points are laid out from ranked; pairs bring
+    (keys_for, that listing).
     """
 
     def __init__(self, space: FiniteMetricSpace, points: np.ndarray, rows: np.ndarray,
@@ -302,20 +293,17 @@ class Optima:
         self._witness_of = (lambda k: (space.points[ids[k]],)) if pairs is None else (
             lambda k: (space.points[ids[k // n]], space.points[ids[k % n]]))
         if pairs is None:
-            keys, floats = (np.array([r[j] for r in ranked])[:, points] for j in (0, 1))
+            keys = np.array([r[0] for r in ranked])[:, points]
             self._keys_for = lambda m: keys if m is None else np.where(m[points], keys, -1)
         else:
-            self._keys_for, floats, self._pairs = pairs
-        self._values = [r[3] for r in ranked]
+            self._keys_for, self._pairs = pairs
+        self._values = [r[2] for r in ranked]
         self._shared = {  # each code an int and a Fraction share: its ranking, its two values
             (row, code): (by_point, fractions, (int(values[code]), Fraction(values[code])))
-            for row, (by_point, _, fractions, values) in enumerate(ranked) if fractions is not None
+            for row, (by_point, fractions, values) in enumerate(ranked) if fractions is not None
             for code in np.intersect1d(*(by_point[kind & (by_point >= 0)] // self.width
                                          for kind in (fractions, ~fractions))).tolist()}
         self.best, self.size = self.read()
-        counts = np.zeros((floats.shape[0], floats.shape[1] + 1), dtype=np.int64)
-        np.cumsum(floats, axis=1, out=counts[:, 1:])
-        self.floaty = (counts[rows, hi] > counts[rows, lo]).tolist()
 
     def value(self, i: int, key: int, mask: Optional[np.ndarray] = None) -> Num:
         """The score of key, region i's best (within mask), of the type of the
@@ -526,7 +514,7 @@ def validate_selection(eps: Num, cap: int) -> None:
 
 
 def validate_tolerance(tol: Optional[Num]) -> None:
-    """Reject a negative or NaN tolerance (None picks one by score type)."""
+    """Reject a negative or NaN tolerance (None: resolve_tolerance picks one)."""
     if tol is not None and not tol >= 0:
         raise ValueError("tolerance must be nonnegative")
 
@@ -706,19 +694,14 @@ def _skipped(problem: WitnessProblem, x: Point, p: object,
         problem=problem.name, x=x, param=p, mode=problem.mode,
         lhs=None, rhs=None, region_hit=False,
         verdict="skipped-empty-region",
-        tolerance=0 if tol is None else tol)
+        tolerance=resolve_tolerance(tol))
 
 
 def _compare(problem: WitnessProblem, x: Point, p: object, tol: Optional[Num],
-             lhs: Num, rhs: Num, region_size: int, restricted_size: int,
-             floaty: bool) -> DeterminacyCheck:
-    """Verdict on the full optimum lhs against the restricted optimum rhs.
-
-    floaty: the region holds a finite float score, which resolves tol=None
-    to the float tolerance (infinities compare exactly, so they do not).
-    """
-    if tol is None:
-        tol = FLOAT_TOL if floaty else 0
+             lhs: Num, rhs: Num, region_size: int, restricted_size: int) -> DeterminacyCheck:
+    """Verdict on the full optimum lhs against the restricted optimum rhs, at
+    tol or, unset, at the tolerance resolve_tolerance reads from the two."""
+    tol = resolve_tolerance(tol, lhs, rhs)
     if restricted_size:
         if problem.mode == "sup" and rhs > lhs:
             raise InvariantViolation(
@@ -745,14 +728,13 @@ def _check(problem: WitnessProblem, Yset: set, z: tuple,
         return _skipped(problem, x, p, tol)
     scored = _score_region(problem, z, region)
     restricted = [sc for sc, u in scored if all(c in Yset for c in u)]
-    floaty = tol is None and any(type(sc) is float and is_finite(sc) for sc, _ in scored)
     if problem.mode == "sup":
         lhs = max(sc for sc, _ in scored)
         rhs = max(restricted) if restricted else NEG_INF
     else:
         lhs = min(sc for sc, _ in scored)
         rhs = min(restricted) if restricted else POS_INF
-    return _compare(problem, x, p, tol, lhs, rhs, len(region), len(restricted), floaty)
+    return _compare(problem, x, p, tol, lhs, rhs, len(region), len(restricted))
 
 
 def _center_verdicts(problem: WitnessProblem, x: Point, Yset: set, table: Optional[Optima],
@@ -779,7 +761,7 @@ def _center_verdicts(problem: WitnessProblem, x: Point, Yset: set, table: Option
             return _skipped(problem, x, trunc[i], tol)
         rhs = table.value(i, rbest[i], mask) if rbest[i] >= 0 else unhit
         return _compare(problem, x, trunc[i], tol, table.value(i, best[i]), rhs,
-                        table.size[i], rsize[i], table.floaty[i])
+                        table.size[i], rsize[i])
 
     failed = np.zeros(len(trunc), dtype=bool)
     for i in np.flatnonzero(~skipped & (best // table.width != rbest // table.width)).tolist():
@@ -826,9 +808,10 @@ def check_reduction(problem: WitnessProblem, Y: Iterable[Point], z: tuple,
     """Compare the optimum over G(z) with the optimum over tuples of Y inside G(z).
 
     In the problem's mode the restricted optimum can never beat the full one
-    (raised as an internal invariant if it ever did).  tol=None resolves to 0
-    when every score is exact (int/Fraction) and to 1e-12 otherwise.  An empty
-    region yields the verdict "skipped-empty-region".
+    (raised as an internal invariant if it ever did).  tol=None resolves to
+    1e-12 when either optimum is a finite float and to 0 otherwise, so exact
+    optima compare exactly whatever else the region holds.  An empty region
+    yields the verdict "skipped-empty-region".
     """
     return _check(problem, set(Y), z, tol)
 

@@ -544,6 +544,18 @@ def test_an_out_path_that_cannot_be_written_exits_two(verb, where, line3_path, t
     assert f"cannot write {str(out)!r}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_a_suite_checks_its_out_path_before_it_runs(where, tmp_path, capsys, monkeypatch):
+    def run_suite(*args, **kwargs):
+        raise AssertionError("the suite ran before --out was checked")
+
+    monkeypatch.setattr(sepdet.harness, "run_suite", run_suite)
+    out = tmp_path / "no" / "o.json" if where == "missing directory" else tmp_path
+    assert run_cli(["suite", "--name", "thm-2.1", "--out", str(out)]) == 2
+    got = capsys.readouterr()
+    assert got.out == "" and f"cannot write {str(out)!r}" in got.err
+
+
 @pytest.mark.parametrize("name", ["ball-pairs:sup:bogus", "ball-pairs:sup:full",
                                   "punctured-ball:inf:full", "punctured-ball:sup:sample"])
 def test_a_t_mode_on_a_family_without_levels_exits_two(name, line3_path, capsys):

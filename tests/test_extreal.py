@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sepdet.extreal import (
+    FLOAT_TOL,
     NEG_INF,
     POS_INF,
     close,
@@ -18,6 +19,7 @@ from sepdet.extreal import (
     is_pos_inf,
     parse,
     pos_part,
+    resolve_tolerance,
     sub,
 )
 
@@ -37,6 +39,24 @@ class TestPredicates:
     def test_is_exact(self):
         assert is_exact(3) and is_exact(Fraction(1, 3))
         assert not is_exact(0.5) and not is_exact(True)
+
+
+class TestResolveTolerance:
+    @pytest.mark.parametrize("tol, values, want", [
+        (None, (3, Fraction(3)), 0),  # an exact pair compares exactly
+        (None, (2.5, 3), FLOAT_TOL),  # a finite float on either side
+        (None, (3, 2.5), FLOAT_TOL),
+        (None, (POS_INF, NEG_INF), 0),  # infinities alone compare exactly
+        (None, (POS_INF, Fraction(1, 3)), 0),
+        (None, (NEG_INF, 0.5), FLOAT_TOL),
+        (None, (), 0),  # a skipped check compares nothing
+        (Fraction(1, 10), (2.5, 3), Fraction(1, 10)),  # a set tolerance wins
+        (0, (2.5, 3.5), 0),
+        (0.5, (1, 2), 0.5),
+    ])
+    def test_the_rule_table(self, tol, values, want):
+        got = resolve_tolerance(tol, *values)
+        assert got == want and type(got) is type(want)
 
 
 class TestConventions:

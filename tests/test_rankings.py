@@ -39,7 +39,7 @@ from sepdet import (
 from sepdet import functionals, scheme
 from sepdet.cli import run_cli
 from sepdet.extreal import NEG_INF, POS_INF, pos_part, sub
-from sepdet.functionals import _exact_div, _is_float, _Rankings, level_grid, shell_truncation
+from sepdet.functionals import _exact_div, _Rankings, level_grid, shell_truncation
 from sepdet.scheme import rank_rows, rank_scores
 
 NAN = float("nan")
@@ -130,8 +130,8 @@ def test_rank_rows_orders_int64_fractions_exactly(rows, mode):
 
 
 def reference_descent(f_values, space, i, t, mode):
-    """The former per-level descent ranking: (codes by point, float flags,
-    Fraction flags or None, values)."""
+    """The former per-level descent ranking: (codes by point, Fraction flags
+    or None, values)."""
     order, dists = space.sorted_row(i)
     a = bisect_right(dists, 0)
     try:
@@ -144,21 +144,21 @@ def reference_descent(f_values, space, i, t, mode):
         return None
     codes, values = ranked
     fractions = reference_fractions(scores, codes)
-    by_point, floats = [-1] * len(space), [False] * len(space)
+    by_point = [-1] * len(space)
     by_fraction = None if fractions is None else [False] * len(space)
-    for k, (j, c, v) in enumerate(zip(order[a:], codes, scores)):
-        by_point[j], floats[j] = c, _is_float(v)
+    for k, (j, c) in enumerate(zip(order[a:], codes)):
+        by_point[j] = c
         if fractions is not None:
             by_fraction[j] = fractions[k]
-    return by_point, floats, by_fraction, [(type(v).__name__, repr(v)) for v in values]
+    return by_point, by_fraction, [(type(v).__name__, repr(v)) for v in values]
 
 
 def got_descent(rankings, got):
     if got is None:
         return None
-    keys, floats, fractions, values = got
+    keys, fractions, values = got
     n = len(rankings.space)
-    return ([-1 if k < 0 else k // n for k in keys.tolist()], floats.tolist(),
+    return ([-1 if k < 0 else k // n for k in keys.tolist()],
             None if fractions is None else fractions.tolist(),
             [(type(v).__name__, repr(v)) for v in values])
 
@@ -298,8 +298,8 @@ def test_golden_descents_take_the_int64_pass_once_per_batch(monkeypatch):
 
 
 def reference_pairs(f_values, space, mode):
-    """The former per-pair ranking: (code, float flag and Fraction flag (or None)
-    of each pair a < b, values)."""
+    """The former per-pair ranking: (code and Fraction flag (or None) of each
+    pair a < b, values)."""
     n = len(space)
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     try:
@@ -311,20 +311,20 @@ def reference_pairs(f_values, space, mode):
     if ranked is None:
         return None
     codes, values = ranked
-    return (codes, [_is_float(v) for v in scores], reference_fractions(scores, codes),
+    return (codes, reference_fractions(scores, codes),
             [(type(v).__name__, repr(v)) for v in values])
 
 
 def got_pairs(rankings, got):
     if got is None:
         return None
-    keys, floats, fractions, values = got
+    keys, fractions, values = got
     n = len(rankings.space)
     a, b = np.triu_indices(n, 1)
     assert (keys == keys.T).all() and (keys.diagonal() == -1).all()
     if fractions is not None:
         assert (fractions == fractions.T).all() and not fractions.diagonal().any()
-    return ((keys[a, b] // (n * n)).tolist(), floats[a, b].tolist(),
+    return ((keys[a, b] // (n * n)).tolist(),
             None if fractions is None else fractions[a, b].tolist(),
             [(type(v).__name__, repr(v)) for v in values])
 
