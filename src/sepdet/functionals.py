@@ -693,22 +693,26 @@ def lipschitz_second_witness(f2: Callable[[Point, Point], Num],
                              budget: Optional[int] = None) -> Optional[tuple]:
     """First triple (x, y1, y2) violating |f(x,y1) - f(x,y2)| <= k d2(y1,y2).
 
-    Scans points in enumeration order, at most budget triples; None when no
-    violation is found.  gap and bound compare at resolve_tolerance's
-    tolerance for the two: exactly, unless one is a finite float (1e-12).
+    Scans points in enumeration order, at most budget triples, each counted
+    before any of its values is read; None when no violation is found.  It
+    enumerates space2 once and reads each f2(x, y) and each k d2(y1, y2) at
+    most once.  gap and bound compare at resolve_tolerance's tolerance for
+    the two: exactly, unless one is a finite float (1e-12).
     """
-    count = 0
+    count, pts2, bounds = 0, None, []  # bounds in pair order, filled at the first x
     for x in space1.iter_points(budget):
-        pts2 = list(space2.iter_points(budget))
-        for i, y1 in enumerate(pts2):
-            for y2 in pts2[i + 1:]:
-                count += 1
-                if budget is not None and count > budget:
-                    return None
-                gap = abs(f2(x, y1) - f2(x, y2))
-                bound = k * space2.distance(y1, y2)
-                if gap > bound + resolve_tolerance(None, gap, bound):
-                    return (x, y1, y2)
+        pts2 = list(space2.iter_points(budget)) if pts2 is None else pts2
+        row: list = []  # f2(x, y) along pts2, read up to the furthest y paired yet
+        for n, (i, j) in enumerate(itertools.combinations(range(len(pts2)), 2)):
+            count += 1
+            if budget is not None and count > budget:
+                return None
+            row.extend(f2(x, y) for y in pts2[len(row):j + 1])
+            if n == len(bounds):
+                bounds.append(k * space2.distance(pts2[i], pts2[j]))
+            gap, bound = abs(row[i] - row[j]), bounds[n]
+            if gap > bound + resolve_tolerance(None, gap, bound):
+                return (x, pts2[i], pts2[j])
     return None
 
 

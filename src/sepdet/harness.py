@@ -33,7 +33,6 @@ from .functionals import (
     continuity_check,
     level_grid,
     lip_local_sup,  # kept bound here: bench/tracing.py patches the harness's names
-    lip_local_sups,
     lip_modulus,
     liminf_at,
     limsup_at,
@@ -45,7 +44,6 @@ from .functionals import (
     slope_at,
     torus_slope_problem,
     torus_sup,  # kept bound here, as lip_local_sup
-    torus_sups,
     verify_lipschitz_second,
 )
 from .scheme import (
@@ -336,8 +334,8 @@ class Comparison(NamedTuple):
 
     At each tuple from `points(Y)`, whose entries `keys` names, `at(Y, point)`
     returns an outcome: (full, restricted), or a note naming why the point is
-    skipped.  With `params`, a point is one center (x,), `at` returns one
-    outcome per parameter, and the last key names the parameter.
+    skipped.  A formula that is a family's optimum at every parameter is no
+    Comparison: its stage checks the family's problem (Stage.problems).
     """
 
     name: str
@@ -346,26 +344,21 @@ class Comparison(NamedTuple):
     at: Callable
     counted: bool = True  # a pass adds to checks_passed
     note: Optional[str] = None  # noted on every pass
-    params: Optional[tuple] = None
-
-    def outcomes(self, Y, point: tuple) -> Iterable[tuple]:
-        """(point with its parameter, outcome) at every parameter of point."""
-        if self.params is None:
-            return [(point, self.at(Y, point))]
-        return zip(((*point, p) for p in self.params), self.at(Y, point))
 
 
 class Stage(NamedTuple):
     """A closure and what must hold over it: the comparisons, then each
     (function, problem) from `problems()` checked at every (x in Y, parameter)
-    and, with `oracle`, by brute force at one drawn (x, p).  A stage without
-    a closure gates the instance: its failure ends it."""
+    and, with `oracle`, by brute force at one drawn (x, p).  A parameter whose
+    region is empty is skipped under `skip_note`.  A stage without a closure
+    gates the instance: its failure ends it."""
 
     label: str
     close: Optional[Callable[[], GeneratedSubspace]]
     comparisons: tuple = ()
     problems: Callable = tuple
     oracle: bool = False
+    skip_note: str = "skipped_empty_region"
 
 
 class Spec(NamedTuple):
@@ -453,7 +446,7 @@ def _sweep(report: SuiteReport, inst: Instance, stage: Stage, f: FunctionOracle,
         drawn = (inst.rng.choice(Y), inst.rng.choice(problem.params.truncation))
     passed, skipped, failures, picked = sweep_tally(problem, Y, inst.cfg.tolerance, drawn)
     report.check_pass(passed)
-    report.check_skip("skipped_empty_region", skipped)
+    report.check_skip(stage.skip_note, skipped)
     for chk in failures:
         report.fail(dump("closure-check", chk, chk.rhs))
     if picked is not None and picked.verdict != "skipped-empty-region":
@@ -476,8 +469,8 @@ def _run_stage(report: SuiteReport, inst: Instance, stage: Stage) -> bool:
             return False
         Y = gen.union
     for comp in stage.comparisons:
-        for at, out in itertools.chain.from_iterable(
-                comp.outcomes(Y, point) for point in comp.points(Y)):
+        for at in comp.points(Y):
+            out = comp.at(Y, at)
             if isinstance(out, str):
                 report.check_skip(out)
             elif agree(out[0], out[1], inst.tol):
@@ -553,7 +546,7 @@ def replay_check(dump: dict):
     comp = next(c for s in stages for c in s.comparisons if c.name == dump["comparison"])
     decode = {"x": inst.space.point, "y": lambda v: inst.second.point(v), "family": str}
     at = tuple(decode.get(k, _dec)(dump["at"][k]) for k in comp.keys)
-    out = dict(comp.outcomes(Y, at if comp.params is None else at[:-1]))[at]
+    out = comp.at(Y, at)
     if isinstance(out, str):
         return Outcome(out, None, None, inst.tol)
     return Outcome("pass" if agree(out[0], out[1], inst.tol) else "fail", *out, inst.tol)
@@ -675,25 +668,21 @@ def _limits(inst: Instance) -> list[Stage]:
                   (Comparison("limits", ("x",), _each, limits),))]
 
 
-def _lip(comparison: Callable) -> Callable:
-    """prop-3.2/thm-3.3: closed under ball pairs, one pairwise Lipschitz formula."""
+def _lip(comparison: Optional[Callable] = None) -> Callable:
+    """prop-3.2/thm-3.3: closed under ball pairs, then checked as that family's
+    sweep (the pairwise sup at each radius is its optimum) or by one formula."""
 
     def build(inst: Instance) -> list[Stage]:
         space, f = inst.table()
         radii = radius_truncation(space, inst.cfg.q_density)
-        close = inst.closing(closure_iterate, ball_pairs_problem(space, f, "sup", truncation=radii))
+        problem = ball_pairs_problem(space, f, "sup", truncation=radii)
+        close = inst.closing(closure_iterate, problem)
+        if comparison is None:
+            return [Stage("closure", close, problems=lambda: [(f, problem)],
+                          skip_note="skipped_no_pairs")]
         return [Stage("closure", close, (comparison(space, f, radii),))]
 
     return build
-
-
-def _pair_sup(space, f: FunctionOracle, radii: tuple) -> Comparison:
-    def at(Y, at):
-        full, rest = (lip_local_sups(f, space, *at, radii, Y=y) for y in (None, Y))
-        return ["skipped_no_pairs" if a.pairs == b.pairs == 0 else (a.value, b.value)
-                for a, b in zip(full, rest)]
-
-    return Comparison("pair-sup", ("x", "param"), _each, at, params=radii)
 
 
 def _lip_modulus(space, f: FunctionOracle, radii: tuple) -> Comparison:
@@ -703,27 +692,23 @@ def _lip_modulus(space, f: FunctionOracle, radii: tuple) -> Comparison:
     return Comparison("modulus", ("x",), _each, at)
 
 
-def _shelled(t_mode: str, comparison: Callable) -> Callable:
-    """prop-4.1/thm-4.2: closed under descent shells, one descent formula."""
+def _shelled(t_mode: str, comparison: Optional[Callable] = None) -> Callable:
+    """prop-4.1/thm-4.2: closed under descent shells, then checked as that
+    family's sweep (each shell sup is its optimum) or by one descent formula."""
 
     def build(inst: Instance) -> list[Stage]:
         space, f = inst.table(INF_SHARE if inst.index % 4 == 1 else 0.0)
         shells = inst.shells(f, t_mode)
-        close = inst.closing(closure_iterate,
-                             torus_slope_problem(space, f, "sup", truncation=shells))
+        problem = torus_slope_problem(space, f, "sup", truncation=shells)
+        close = inst.closing(closure_iterate, problem)
         if any(not f.is_finite_at(p) for p in space.points):
             inst.notes.append("inf_function_instances")
+        if comparison is None:
+            return [Stage("closure", close, problems=lambda: [(f, problem)],
+                          skip_note="skipped_empty_shell")]
         return [Stage("closure", close, (comparison(inst, space, f, shells),))]
 
     return build
-
-
-def _torus_sup(inst: Instance, space, f: FunctionOracle, shells: tuple) -> Comparison:
-    def at(Y, at):
-        full, rest = (torus_sups(f, space, *at, shells, Y=y) for y in (None, Y))
-        return ["skipped_empty_shell" if a is None else (a, b) for a, b in zip(full, rest)]
-
-    return Comparison("torus-sup", ("x", "param"), _each, at, params=shells)
 
 
 def _slope(inst: Instance, space, f: FunctionOracle, shells: tuple) -> Comparison:
@@ -798,11 +783,11 @@ SUITES: dict[str, tuple[Spec, str]] = {
                 "product closure: slice identities at every sampled second factor"),
     "thm-3.1": (Spec(102, _SMALL, (40, 30, 25), _limits),
                 "grid liminf/limsup and continuity verdicts survive restriction"),
-    "prop-3.2": (Spec(102, _SMALL, (60, 50, 40, 30, 25), _lip(_pair_sup)),
+    "prop-3.2": (Spec(102, _SMALL, (60, 50, 40, 30, 25), _lip()),
                  "pairwise sup over balls survives restriction at every radius"),
     "thm-3.3": (Spec(102, _SMALL, (60, 50, 40, 30, 25), _lip(_lip_modulus)),
                 "local Lipschitz modulus survives restriction"),
-    "prop-4.1": (Spec(102, _SMALL[:8], (40, 40, 30, 25), _shelled("sample", _torus_sup)),
+    "prop-4.1": (Spec(102, _SMALL[:8], (40, 40, 30, 25), _shelled("sample")),
                  "shell descent supremum survives restriction at every parameter"),
     "thm-4.2": (Spec(102, _SMALL[:8], (30, 25, 20, 20), _shelled("full", _slope)),
                 "descent slope survives restriction (convention branch logged)"),

@@ -7,10 +7,13 @@ value passed through floats.  Expect a few minutes of total runtime; the only
 criterion with its own time budget is the first.
 """
 
+import functools
+import hashlib
 import json
 from random import Random
 
 from sepdet import (
+    SUITES,
     SuiteConfig,
     ball_pairs_problem,
     check_reduction,
@@ -37,6 +40,7 @@ def record(number: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {number}: {detail}"
 
 
+@functools.cache  # each suite runs once per session; the tests only read its report
 def run_default(name: str):
     report = run_suite(name, SuiteConfig())
     assert report.seed == 0  # pinned so reruns are byte-identical
@@ -226,3 +230,27 @@ class TestCriterion9Structural:
         record(9, replays >= 100 and bound_checks > 0,
                f"structural: {replays} closure replays byte-identical and "
                f"idempotent, monotone bound held on {bound_checks} checks")
+
+
+# sha256 of each default seed-0 report as sorted-key JSON (runtime is kept out
+# of it): a change that claims the same results must leave every one in place
+DEFAULT_DIGESTS = {
+    "prop-1.1": "1484950f7ef65acc678d28f94d594e884fb4ebba81829e6d24b0285c02aeb2ad",
+    "prop-3.2": "54c776d5dfd9a69b689f1b79a960f7c69bf032da7ffe9e0797740fac361517c8",
+    "prop-4.1": "3ca44ae6ab45b286c0cd9a0f0ce5a9c48ca0d5bb1bee37192e3d7ed90289eab3",
+    "thm-2.1": "25847620c164ce2aed446a8ab138df9f020f89a8d18f30f56154dedb816abf3c",
+    "thm-2.2": "67de62d70bdc10bc382a70039e653fa860c86d6ea979103985cd0350bb78d9f6",
+    "thm-2.3": "3af103fb7f8cd844cf30e7afb5136c4384b6e1402ccc5a3b54333d03e9cc9dd4",
+    "thm-3.1": "8bf1614b2d17d6047c5a69dcf4e1f9d031750f6acdbb9c836ea92c89b03c3564",
+    "thm-3.3": "2668bca84de8287135290606f2c472a6a7564e4c6ed8a418bc170c04b60c4ce4",
+    "thm-4.2": "e26fb351b81d7154c426a7f407a1d3d464d2ed16b81fe2b5ff4a9ab656a15ac0",
+    "thm-4.3": "9ba3d0afa626b15abbb1fb27d0a4d6864bcf68f71854dcbc2fd4a6a5ea02c615",
+}
+
+
+def test_default_reports_are_byte_identical():
+    assert sorted(DEFAULT_DIGESTS) == sorted(SUITES)
+    got = {name: hashlib.sha256(json.dumps(run_default(name).to_json(),
+                                            sort_keys=True).encode()).hexdigest()
+           for name in DEFAULT_DIGESTS}
+    assert got == DEFAULT_DIGESTS

@@ -363,6 +363,19 @@ class TestProductSlices:
 
         assert lipschitz_second_witness(f2, s1, s2, k=1)[0].id == "a4"
 
+    def test_a_holding_bound_reads_each_value_once(self):
+        s1, s2 = self.make_pair()
+        y0 = s2.point("b0")
+        calls = []
+
+        def f2(x, y):
+            calls.append((x, y))
+            return x.coords[0] + Fraction(1, 2) * s2.distance(y, y0)
+
+        assert verify_lipschitz_second(f2, s1, s2, k=Fraction(1, 2))
+        assert len(calls) == 15  # 5 x 3 points, where a read per triple end takes 30
+        assert set(calls) == {(x, y) for x in s1.points for y in s2.points}
+
     def test_witness_stops_at_the_budget(self):
         s1, s2 = self.make_pair()
         calls = []

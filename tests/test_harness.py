@@ -352,29 +352,47 @@ class TestRunSuite:
         assert "OK" in report.summary()
 
 
-@pytest.mark.parametrize("suite,per_center,one_parameter", [
-    ("prop-3.2", "lip_local_sups", "lip_local_sup"), ("prop-4.1", "torus_sups", "torus_sup")])
-def test_per_center_comparisons_read_each_center_twice(suite, per_center, one_parameter,
-                                                       monkeypatch):
-    # one read over the whole space and one restricted to Y per center, and
-    # no one-parameter call
-    calls = []
-    real = getattr(harness, per_center)
+def typed(v):
+    return [typed(u) for u in v] if type(v) is tuple else (v, type(v))
 
-    def counted(f, space, x, params, Y=None, budget=None):
-        calls.append((x, Y))
-        return real(f, space, x, params, Y, budget)
 
-    monkeypatch.setattr(harness, per_center, counted)
-    monkeypatch.setattr(harness, one_parameter, None)
-    report = run_suite(suite, SuiteConfig(instances=4, sizes=(1, 5, 7, 9)))
+@pytest.mark.parametrize("suite,formula", [("prop-3.2", "lip_local_sups"),
+                                           ("prop-4.1", "torus_sups")])
+def test_pair_and_torus_sweeps_give_the_per_center_formulas(suite, formula, monkeypatch):
+    # at the GOLDEN configs, each sweep check's (lhs, rhs) is the formula over
+    # the whole space and over Y, in value and type, and the sweep skips where
+    # the formula's whole-space side is empty; the suite then reads neither formula
+    read = getattr(functionals, formula)
+    spec = SUITES[suite][0]
+    instances, sizes = GOLDEN_SIZES.get(suite, (4, (5, 7, 9, 11)))
+    for eps, cap in ((0, 1), (Fraction(1, 2), 3)):
+        cfg = SuiteConfig(instances=instances, sizes=sizes, eps=eps, cap=cap)
+        plan = _plan_sizes(cfg, spec)
+        for i in range(len(plan)):
+            [stage] = spec.build(Instance(suite, cfg, i, plan))
+            Y = stage.close().union
+            [(f, problem)] = stage.problems()
+            checks = scheme.check_sweep(problem, Y, cfg.tolerance)
+            for x in Y:
+                sides = (read(f, problem.space, x, problem.params, y) for y in (None, Y))
+                for full, rest in zip(*sides):
+                    if formula == "lip_local_sups":
+                        skipped, full, rest = full.pairs == 0, full.value, rest.value
+                    else:
+                        skipped = full is None
+                    chk = next(checks)
+                    assert (chk.x, chk.verdict == "skipped-empty-region") == (x, skipped)
+                    if not skipped:
+                        assert typed((chk.lhs, chk.rhs)) == typed((full, rest))
+            assert next(checks, None) is None
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a suite read a per-center formula")
+
+    for name in ("lip_local_sups", "torus_sups"):
+        monkeypatch.setattr(functionals, name, forbidden)
+    report = run_suite(suite, SuiteConfig())
     assert report.ok and report.checks_passed > 0
-    fulls, rests = calls[0::2], calls[1::2]
-    assert all(Y is None for _, Y in fulls) and all(Y is not None for _, Y in rests)
-    assert [x for x, _ in fulls] == [x for x, _ in rests]
-    closures = list({id(Y): Y for _, Y in rests}.values())
-    assert len(closures) == 4
-    assert [x for x, _ in rests] == [x for Y in closures for x in Y]
 
 
 @pytest.mark.parametrize("suite", ["prop-4.1", "thm-4.2", "thm-4.3"])
@@ -407,7 +425,7 @@ def test_the_shell_suites_prepare_each_truncation_once(suite, monkeypatch):
 
     for kind in inits:
         monkeypatch.setattr(kind, "__init__", recorded)
-    for name in ("torus_sups", "slope_at", "partial_slope"):
+    for name in ("slope_at", "partial_slope"):
         def formula(*args, real=getattr(harness, name), **kwargs):
             depth[0] += 1
             try:
@@ -423,11 +441,12 @@ def test_the_shell_suites_prepare_each_truncation_once(suite, monkeypatch):
     assert counts["grids"] <= sum(kind is Shells for kind, *_ in built)
 
 
-# the formulas of each suite that read the closure's own tables; a slope reads
-# the one-level table of its grid, which no closure builds
-CLOSURE_READS = {"prop-3.2": ("lip_local_sups",), "thm-3.3": ("lip_modulus",),
+# the formulas of each suite that read the closure's own tables (prop-3.2 and
+# prop-4.1 check their families' sweeps, which read them with no formula); a
+# slope reads the one-level table of its grid, which no closure builds
+CLOSURE_READS = {"prop-3.2": (), "thm-3.3": ("lip_modulus",),
                  "thm-3.1": ("liminf_at", "limsup_at", "continuity_check"),
-                 "prop-4.1": ("torus_sups",), "thm-4.2": ("slope_at",),
+                 "prop-4.1": (), "thm-4.2": ("slope_at",),
                  "thm-4.3": ("partial_slope",)}
 
 
@@ -529,11 +548,17 @@ def test_table_comparisons_at_the_golden_configs_compare_no_value(monkeypatch):
         assert not calls
 
 
+# the sweep stages that replaced a per-parameter comparison, by skip note, and
+# that comparison's name: their checks' (lhs, rhs) are its (full, restricted)
+SWEPT = {"skipped_no_pairs": "pair-sup", "skipped_empty_shell": "torus-sup"}
+
+
 def compared_values(name: str, cfg: SuiteConfig) -> list:
     """Every value each comparison of the suite computes, as (fmt, type name).
 
     A report keeps no value of a passing check, so this pins what the
-    formulas compute, not only their verdicts.
+    formulas compute, not only their verdicts.  The pair and torus sweeps
+    enter under their old comparisons' names and skip notes.
     """
 
     def enc(v):
@@ -549,9 +574,13 @@ def compared_values(name: str, cfg: SuiteConfig) -> list:
             Y = None if stage.close is None else stage.close().union
             for comp in stage.comparisons:
                 for at in comp.points(Y):
-                    out = comp.at(Y, at)  # one outcome per parameter with params
-                    for one in (out if comp.params is not None else [out]):
-                        got.append([i, comp.name, one if isinstance(one, str) else enc(one)])
+                    out = comp.at(Y, at)
+                    got.append([i, comp.name, out if isinstance(out, str) else enc(out)])
+            for _, problem in stage.problems() if stage.skip_note in SWEPT else ():
+                for chk in scheme.check_sweep(problem, Y, cfg.tolerance):
+                    skipped = chk.verdict == "skipped-empty-region"
+                    got.append([i, SWEPT[stage.skip_note],
+                                stage.skip_note if skipped else enc((chk.lhs, chk.rhs))])
     return got
 
 

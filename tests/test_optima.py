@@ -771,8 +771,10 @@ def shell_sups(f, space, x, grids, Y, tol, budget):
     return [None if a is None else (a, b) for a, b in zip(full, rest)]
 
 
-# Each suite comparison at a center x: the (full, restricted) pairs it
-# compares, None where it skips one; grids is (radii, shells).
+# Each formula comparison at a center x: the (full, restricted) pairs it
+# compares, None where it skips one; grids is (radii, shells).  The pair and
+# shell sups are the library formulas whose values prop-3.2's and prop-4.1's
+# sweeps give (tests/test_harness.py).
 COMPARISONS = {
     "pair-sup": pair_sups,
     "modulus": lambda f, space, x, grids, Y, tol, budget: sides(

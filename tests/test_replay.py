@@ -13,8 +13,10 @@ from fractions import Fraction
 
 import pytest
 
+import sepdet.functionals as functionals
 import sepdet.harness as harness
 from sepdet import (
+    NEG_INF,
     DeterminacyCheck,
     GeneratedSubspace,
     SuiteConfig,
@@ -68,9 +70,9 @@ FORCED = {
     "oracle": ("thm-2.2", shifted_oracle, {}),
     "membership": ("prop-1.1", tiny_closures, {}),
     "limits": ("thm-3.1", tiny_closures, {}),
-    "pair-sup": ("prop-3.2", tiny_closures, {}),
+    "closure-check (pairs)": ("prop-3.2", tiny_closures, {}),
     "modulus": ("thm-3.3", tiny_closures, {}),
-    "torus-sup": ("prop-4.1", tiny_closures, {}),
+    "closure-check (torus)": ("prop-4.1", tiny_closures, {}),
     "slope": ("thm-4.2", tiny_closures, {}),
     "partial-slope": ("thm-4.3", tiny_closures, {}),
     "lipschitz (valid instance rejected)": ("thm-4.3", lipschitz_answers(False), {}),
@@ -102,30 +104,34 @@ def test_forced_failures_replay_to_the_same_verdict_and_values(label, monkeypatc
 
 
 def test_an_empty_restricted_shell_fails_and_replays(monkeypatch):
+    # a shell with no point in Y records the sweep's restricted sup, -inf
     tiny_closures(monkeypatch)
     report = run_suite("prop-4.1", SuiteConfig(**SMALL))
-    dumps = [d for d in report.failures if d["restricted"] is None]
-    assert dumps and all(d["comparison"] == "torus-sup" for d in dumps)
-    assert replay_check(dumps[0]).rhs is None
+    dumps = [d for d in report.failures if d["restricted"] == fmt(NEG_INF)]
+    assert dumps and all(d["comparison"] == "closure-check" for d in dumps)
+    replayed = replay_check(json.loads(json.dumps(dumps[0])))
+    assert isinstance(replayed, DeterminacyCheck)
+    assert (replayed.verdict, replayed.rhs) == ("fail", NEG_INF)
 
 
-def test_a_torus_sup_dump_names_one_parameter_and_replays_per_center(monkeypatch):
-    # the comparison reads whole centers; its dumps keep the (x, param) of the
-    # failing parameter, and replay reads that center once per side
+def test_a_torus_sweep_dump_names_one_parameter_and_replays_from_its_descriptors(monkeypatch):
+    # the sweep checks whole centers; its dumps are witness dumps of the
+    # failing (x, param), which replay rebuilds without the suite or a formula
     tiny_closures(monkeypatch)
     report = run_suite("prop-4.1", SuiteConfig(**SMALL))
-    dumps = [d for d in report.failures if d["comparison"] == "torus-sup"]
+    dumps = [d for d in report.failures if d["comparison"] == "closure-check"]
     assert dumps and all(set(d["at"]) == {"x", "param"} and len(d["at"]["param"]) == 3
                          for d in dumps)
-    reads = []
-    real = harness.torus_sups
-    monkeypatch.setattr(harness, "torus_sups", lambda *a, **kw: reads.append(a) or real(*a, **kw))
-    monkeypatch.setattr(harness, "torus_sup", None)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("replay rebuilt the suite or read a formula")
+
+    monkeypatch.setattr(harness, "SUITES", {})
+    monkeypatch.setattr(functionals, "torus_sups", forbidden)
     for dump in dumps:
-        reads.clear()
+        assert dump["problem"]["family"] == "torus-slope" and dump["at"] == dump["z"]
         replayed = replay_check(json.loads(json.dumps(dump)))
-        assert [a[2].id for a in reads] == [dump["at"]["x"]] * 2
-        assert replayed.verdict == "fail"
+        assert isinstance(replayed, DeterminacyCheck) and replayed.verdict == "fail"
         assert (enc(replayed.lhs), enc(replayed.rhs)) == (dump["full"], dump["restricted"])
 
 
