@@ -7,6 +7,8 @@ the closed subset.  See README.md for the tour; the `sepdet` console script
 exposes the same operations on JSON descriptors.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BadShell,
     DepthExceeded,
@@ -107,98 +109,6 @@ from .spaces import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BUILTIN_FUNCTIONS",
-    "BadShell",
-    "DepthExceeded",
-    "DescriptorError",
-    "DeterminacyCheck",
-    "EmptyRegion",
-    "FLOAT_TOL",
-    "FamilyHandle",
-    "FiniteMetricSpace",
-    "FunctionOracle",
-    "GeneratedSubspace",
-    "InvariantViolation",
-    "IsolatedPoint",
-    "LazyMetricSpace",
-    "MetricSpace",
-    "NEG_INF",
-    "NoCoordinates",
-    "NonPositiveRadius",
-    "NotAChain",
-    "Num",
-    "POS_INF",
-    "PROBLEM_FAMILIES",
-    "PairSup",
-    "ParamSpace",
-    "Point",
-    "Provenance",
-    "Region",
-    "SUITES",
-    "ScoreRangeError",
-    "SepdetError",
-    "SpaceMismatch",
-    "SuiteConfig",
-    "SuiteReport",
-    "UnknownPoint",
-    "UnknownSuite",
-    "WitnessProblem",
-    "ball_pairs",
-    "ball_pairs_problem",
-    "ball_points",
-    "brute_force_optimum",
-    "builtin_function",
-    "check_reduction",
-    "check_sweep",
-    "close",
-    "closure_iterate",
-    "closure_round",
-    "cofinal_extend",
-    "continuity_check",
-    "default_radius_grid",
-    "default_shell_grid",
-    "dyadic_interval_space",
-    "family_for",
-    "fmt",
-    "intersect",
-    "intersect_problems",
-    "is_member",
-    "level_grid",
-    "liminf_at",
-    "limsup_at",
-    "lip_local_sup",
-    "lip_local_sups",
-    "lip_modulus",
-    "lipschitz_second_witness",
-    "midpoint_grid",
-    "parse",
-    "partial_slope",
-    "pos_part",
-    "problem_from_descriptor",
-    "product_closure",
-    "punctured_ball_points",
-    "punctured_ball_problem",
-    "radius_truncation",
-    "random_finite_metric",
-    "random_table_function",
-    "rational_span_close",
-    "replay_check",
-    "run_suite",
-    "shell_truncation",
-    "sigma_union",
-    "slice_oracle",
-    "slope_at",
-    "sort_points",
-    "space_from_descriptor",
-    "space_to_descriptor",
-    "step_function",
-    "sub",
-    "torus_points",
-    "torus_slope_problem",
-    "torus_sup",
-    "torus_sups",
-    "verify_lipschitz_second",
-    "witness_dump",
-    "witness_select",
-]
+# every public name imported above: the imports are the one list of them
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

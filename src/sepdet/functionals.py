@@ -10,7 +10,8 @@ On a finite space without a budget every formula reads its family's optimum
 table of the center, every parameter at once, through _tables, the one path
 the families' closures and sweeps take: a table is built once per (function,
 truncation, center) on f's rankings (memoised on the function oracle per
-space) and kept on the prepared truncation.  The limits read the
+space), with the other missing tables of its request as one block, and kept
+on the prepared truncation.  The limits read the
 punctured-ball [inf] and [sup] tables, lip_local_sups the ball-pairs table,
 torus_sups the torus-slope table, and the slope folds the shell optima of
 level f(x) by outer radius.  Lazy or budgeted spaces, centers outside the
@@ -42,8 +43,8 @@ from .errors import (
 )
 from .extreal import (POS_INF, Num, close, fmt, is_exact, is_finite, parse, pos_part,
                       resolve_tolerance, sub)
-from .scheme import (Optima, ParamSpace, Radii, Region, ShellGrid, Shells, WitnessProblem,
-                     _image, rank_rows, rank_scores)
+from .scheme import (Optima, OptimaBlock, ParamSpace, Radii, Region, ShellGrid, Shells,
+                     WitnessProblem, _image, rank_rows, rank_scores)
 from .spaces import (
     FiniteMetricSpace,
     MetricSpace,
@@ -508,9 +509,13 @@ def continuity_check(f: FunctionOracle, space: MetricSpace, x: Point, grid,
     """True when grid liminf and limsup both agree with f(x) up to tol."""
     fx = f.value(x)
     radii, allowed = _radii_at(grid, x, Y)  # both limits read them
-    lo = _limit(f, space, x, radii, allowed, budget, min, max)
-    hi = _limit(f, space, x, radii, allowed, budget, max, min)
-    return close(lo, fx, tol) and close(hi, fx, tol)
+    return continuous(fx, _limit(f, space, x, radii, allowed, budget, min, max),
+                      _limit(f, space, x, radii, allowed, budget, max, min), tol)
+
+
+def continuous(fx: Num, liminf: Num, limsup: Num, tol: Num = 0) -> bool:
+    """continuity_check's rule on limits already read: both agree with fx up to tol."""
+    return close(liminf, fx, tol) and close(limsup, fx, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -844,101 +849,97 @@ def _quotient_parts(a: np.ndarray, b: np.ndarray, d: np.ndarray, dists: Sequence
     return np.stack([images, qn, qd, np.where(qd == 0, 2, kinds)])
 
 
-def _sorted_row(space: FiniteMetricSpace, i: int,
-                punctured: bool) -> tuple[np.ndarray, list]:
-    """Point indices and distances of the sorted row of point i, without i when punctured."""
-    order, dists = space.sorted_row(i)
-    keep = [k for k, j in enumerate(order) if j != i or not punctured]
-    return np.array([order[k] for k in keep], dtype=np.int64), [dists[k] for k in keep]
-
-
 def _arity1_keys(codes: Sequence[int], ranks: np.ndarray, width: int) -> np.ndarray:
     """Keys of single points: score code first, then the least id rank."""
     return np.array(codes, dtype=np.int64) * width + (width - 1 - ranks)
 
 
-def _ball_ends(dists: list, radii: Sequence[Num],
-               images: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
-    """bisect_left and bisect_right of every radius into the sorted dists:
-    numpy places the radii's float images, and bisection compares exactly
+def _rows(rankings: _Rankings, centers: np.ndarray, params: ParamSpace,
+          punctured: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The centers' sorted rows stacked (each without its center when punctured),
+    and bisect_left and bisect_right of each of params.radii into each row's
+    distances: numpy counts the distances whose float images lie below, or at
+    or below, each radius's, every row at once, and bisection compares exactly
     only among distances whose images tie with a radius's."""
-    row = np.array([_image(d) for d in dists])
-    images = np.array([_image(r) for r in radii]) if images is None else images
-    at = [np.searchsorted(row, images, side).tolist() for side in ("left", "right")]
-    return tuple(np.array([cut(dists, r, a, b) for r, a, b in zip(radii, *at)], dtype=np.int64)
-                 for cut in (bisect_left, bisect_right))
+    space, k = rankings.space, len(centers)
+    rows = [space.sorted_row(i) for i in centers.tolist()]
+    points = np.array([order for order, _ in rows], dtype=np.int64)
+    dists = np.array([[_image(d) for d in row] for _, row in rows])[:, :, None]
+    ends = np.array([(dists < params.images).sum(axis=1), (dists <= params.images).sum(axis=1)])
+    for c, j in zip(*(a.tolist() for a in np.nonzero(ends[0] != ends[1]))):
+        a = ends[0][c, j]
+        tied = [space.matrix[centers[c]][u] for u in points[c, a:ends[1][c, j]].tolist()]
+        ends[0][c, j], ends[1][c, j] = (a + cut(tied, params.radii[j])
+                                        for cut in (bisect_left, bisect_right))
+    if punctured:  # each center leaves its row, and every end past its position
+        own = points == centers[:, None]
+        return points[~own].reshape(k, -1), *(ends - (np.argmax(own, axis=1)[:, None] < ends))
+    return points, *ends
 
 
 # The table builders, one per family, shared by the factories and the
 # formulas: (f's rankings on a finite space, center indices, the prepared
 # parameters) to each center's Optima, or None where a ranking is declined.
+# A request's centers share one OptimaBlock per run of at most
+# PASS_BOUND // (entries per center) of them, so every stacked array (the
+# keys, a pair block's n x n gathers, the n x radii placements and each
+# level of a shell block's sparse table) stays within PASS_BOUND entries.
 
 
-def _per_center(build: Callable) -> Callable:  # points and pairs rank once per function
-    return lambda rankings, centers, *args: [build(rankings, i, *args) for i in centers]
+def _blocks(centers: list, per_center: int, build: Callable[[list], OptimaBlock]) -> list:
+    step = max(1, _Rankings.PASS_BOUND // per_center)
+    blocks = (build(centers[a:a + step]) for a in range(0, len(centers), step))
+    return [Optima(block, c) for block in blocks for c in range(len(block.points))]
 
 
-@_per_center
-def _points_table(rankings: _Rankings, i: int, radii: Sequence[Num],
-                  mode: str) -> Optional[Optima]:
-    """Punctured balls B(x_i, r) \\ {x_i}: prefixes of the punctured sorted row."""
-    got = rankings.points(mode)
+def _balls(rankings: _Rankings, centers: list, radii: Radii, got: Optional[tuple],
+           arity: int) -> list:
+    """Balls B(x_i, r): prefixes of the sorted rows, punctured for single points.
+    A point joining a ball brings the pairs it forms with the points before it,
+    so one running maximum serves every radius of a pair table too."""
     if got is None:
-        return None
-    points, dists = _sorted_row(rankings.space, i, True)
-    zeros = np.zeros(len(radii), dtype=np.int64)
-    return Optima(rankings.space, points, zeros, zeros, _ball_ends(dists, radii)[0], [got])
+        return [None] * len(centers)
+
+    def build(cs: list) -> OptimaBlock:
+        points, ends, _ = _rows(rankings, np.array(cs), radii, arity == 1)
+        keys = got[0][points][:, None] if arity == 1 else got[0]
+        return OptimaBlock(rankings.space, points, np.zeros(len(radii), dtype=np.int64),
+                           np.zeros_like(ends), ends, [[got]] * len(cs), keys, arity)
+
+    n = len(rankings.space)
+    return _blocks(centers, n * max(n ** (arity - 1), len(radii)), build)
 
 
-@_per_center
-def _pairs_table(rankings: _Rankings, i: int, radii: Sequence[Num],
-                 mode: str) -> Optional[Optima]:
-    """Pairs of balls B(x_i, r): a ball is a prefix of the sorted row, and each
-    point joining it brings the pairs it forms with the points before it, so
-    one range maximum serves every radius."""
-    got = rankings.pairs(mode)
-    if got is None:
-        return None
-    pair_keys = got[0]
-    space, n = rankings.space, len(rankings.space)
-    points, dists = _sorted_row(space, i, False)
-    block = np.ix_(points, points)
-
-    def keys_for(mask):
-        keys = pair_keys[block]
-        if mask is not None:
-            inside = mask[points]
-            keys = np.where(inside[:, None] & inside[None, :], keys, -1)
-        return (np.tril(keys + 1, -1).max(axis=1) - 1)[None, :]
-
-    def pairs():  # the ordered pairs of the block, by (rank a, rank b)
-        order = np.argsort(rankings.rank[points])
-        rank = rankings.rank[points[order]]
-        codes = pair_keys[np.ix_(points[order], points[order])] // (n * n)
-        first, last = np.minimum.outer(order, order), np.maximum.outer(order, order)
-        return (codes.reshape(1, -1), np.add.outer(rank * n, rank).ravel(),
-                first.ravel(), last.ravel())
-
-    zeros = np.zeros(len(radii), dtype=np.int64)
-    return Optima(space, points, zeros, zeros, _ball_ends(dists, radii)[0], [got],
-                  (keys_for, pairs))
+def _points_table(rankings: _Rankings, centers: list, radii: Radii, mode: str) -> list:
+    """Punctured balls B(x_i, r) \\ {x_i}, scored by f's ranking in mode."""
+    return _balls(rankings, centers, radii, rankings.points(mode), 1)
 
 
-def _torus_table(rankings: _Rankings, centers: Sequence[int], shells: ShellGrid, mode: str,
+def _pairs_table(rankings: _Rankings, centers: list, radii: Radii, mode: str) -> list:
+    """Pairs of balls B(x_i, r), scored by f's ranked pair quotients in mode."""
+    return _balls(rankings, centers, radii, rankings.pairs(mode), 2)
+
+
+def _torus_table(rankings: _Rankings, centers: list, shells: ShellGrid, mode: str,
                  level: Optional[tuple] = None) -> list:
     """Shells r < d(x_i, u) < s, shell k at shells.levels[shells.rows[k]] or at the
     one level (type(t), t) given: one ranking of the descent quotients per level
-    (descents), laid out along the punctured sorted row, where a shell is a slice."""
-    rows, radii, inner, outer = shells.rows, shells.radii, shells.inner, shells.outer
-    space, tables, levels = rankings.space, [], shells.levels if level is None else level[1:]
-    for i, ranked in zip(centers, rankings.descents(centers, levels, mode)):
-        if None in ranked:
-            tables.append(None)
-            continue
-        points, dists = _sorted_row(space, i, True)
-        ends, starts = _ball_ends(dists, radii, shells.images)
-        tables.append(Optima(space, points, rows, starts[inner], ends[outer], ranked))
-    return tables
+    (descents), laid out along the punctured sorted rows, where a shell is a slice."""
+    levels = shells.levels if level is None else level[1:]
+    ranked = rankings.descents(centers, levels, mode)
+    ok = [a for a, one in enumerate(ranked) if None not in one]
+
+    def build(at: list) -> OptimaBlock:
+        points, ends, starts = _rows(rankings, np.array([centers[a] for a in at]), shells, True)
+        by_point = np.array([[one[0] for one in ranked[a]] for a in at])
+        keys = by_point[np.arange(len(at))[:, None, None], np.arange(len(levels))[:, None],
+                        points[:, None]]
+        return OptimaBlock(rankings.space, points, shells.rows, starts[:, shells.inner],
+                           ends[:, shells.outer], [ranked[a] for a in at], keys)
+
+    per_center = len(rankings.space) * max(len(levels), len(shells.radii))
+    got = dict(zip(ok, _blocks(ok, per_center, build)))
+    return [got.get(a) for a in range(len(centers))]
 
 
 def punctured_ball_problem(space: MetricSpace, f: FunctionOracle,

@@ -30,7 +30,8 @@ from .functionals import (
     PROBLEM_FAMILIES,
     FunctionOracle,
     ball_pairs_problem,
-    continuity_check,
+    continuity_check,  # kept bound here, as lip_local_sup
+    continuous,
     level_grid,
     lip_local_sup,  # kept bound here: bench/tracing.py patches the harness's names
     lip_modulus,
@@ -659,10 +660,10 @@ def _limits(inst: Instance) -> list[Stage]:
     radii = radius_truncation(space, inst.cfg.q_density)
     probs = [punctured_ball_problem(space, f, mode, truncation=radii) for mode in ("sup", "inf")]
 
-    def limits(Y, at):
+    def limits(Y, at):  # each limit read once, continuity decided from the two
         return _sides(space, lambda y: (
-            liminf_at(f, space, *at, radii, Y=y), limsup_at(f, space, *at, radii, Y=y),
-            continuity_check(f, space, *at, radii, Y=y, tol=inst.tol)), Y)
+            lo := liminf_at(f, space, *at, radii, Y=y), hi := limsup_at(f, space, *at, radii, Y=y),
+            continuous(f.value(*at), lo, hi, inst.tol)), Y)
 
     return [Stage("closure", inst.closing(intersect_problems, probs),
                   (Comparison("limits", ("x",), _each, limits),))]

@@ -10,10 +10,12 @@ over tuples of the generated set, which never beats it and on a fixed point
 equals it; `sweep_tally` counts the verdicts.
 
 Closures and check sweeps read a problem's per-center optimum table
-(`Optima`) where the family supplies one: a closure round reads an exact
-argmax once per distinct key, and a slack selection (eps > 0 or cap > 1) as
-the least-id tuples whose codes reach the cut's.  Lazy spaces, budgeted
-regions, declined rankings and single selections or checks scan the regions.
+(`Optima`, a row of the `OptimaBlock` built for a whole request) where the
+family supplies one: a closure round reads an exact argmax once per distinct
+key, and a slack selection (eps > 0 or cap > 1) as the least-id tuples whose
+codes reach the cut's; a sweep reads each block once within Y.  Lazy spaces,
+budgeted regions, declined rankings and single selections or checks scan the
+regions.
 Every full-vs-restricted verdict follows `agree`: a shared table code is one
 value object, which passes unread, and anything else is compared by value.
 """
@@ -69,6 +71,11 @@ class ParamSpace(tuple):
 
     truncation = property(lambda self: self)
 
+    @cached_property
+    def images(self) -> np.ndarray:
+        """The float images of a kind's radii, for placing them in sorted rows."""
+        return np.array([_image(r) for r in self.radii])
+
     def _keys(self) -> Iterable:  # one per parameter, equal where the parameters are
         return self
 
@@ -89,6 +96,8 @@ class Radii(ParamSpace):
         for r in self:
             _check_radius(r)
         super().__init__(radii, repeats)
+
+    radii = property(lambda self: self)
 
 
 class ShellGrid(ParamSpace):
@@ -118,11 +127,6 @@ class ShellGrid(ParamSpace):
         self.levels, self.radii = layout[:2]
         self.rows, self.inner, self.outer = (np.asarray(a, dtype=np.int64) for a in layout[2:])
         super().__init__(params, repeats)
-
-    @cached_property
-    def images(self) -> np.ndarray:
-        """The radii's float images, for placing them in sorted rows."""
-        return np.array([_image(r) for r in self.radii])
 
     def _keys(self) -> Iterable:
         same: dict = {}  # each level's first level equal to it by value
@@ -266,55 +270,91 @@ def _range_max(keys: np.ndarray, rows: np.ndarray, lo: np.ndarray,
     return out
 
 
-class Optima:
-    """Exact optima of every region G(x, p) of one center, in truncation order.
+class OptimaBlock:
+    """Exact optima of every region G(x, p) of a request's centers, one array each.
 
-    A family lays x's regions out along x's sorted distance row: position j
-    holds point index points[j] and brings in the tuples whose last point in
-    row order is that point.  Region i is the slice lo[i]:hi[i] of score row
-    rows[i] (one distinct score function of x, such as a level t), whose
-    ranking by point index is ranked[row] (see _Rankings).  keys_for(mask)
-    gives, per row and position, the best key among the tuples brought in
-    there whose points all lie in mask (all of them for None), or -1.  A key
-    is code * width + (width - 1 - rank): code ranks the score as rank_scores
-    does and rank orders the tuple's point ids.  A region's optimum is then a
-    range maximum whose code names the value and whose rest names the optimal
-    tuple with the least ids.  A slack selection reads every tuple in id
-    order: its code per row, its index, and the least and greatest positions
-    of its points.  Single points are laid out from ranked; pairs bring
-    (keys_for, that listing).
+    Center c's regions lie along its sorted distance row: points[c, j] brings
+    in the tuples whose last point in row order is that point, and region i is
+    the slice lo[c, i]:hi[c, i] of score row rows[i] (one score function of a
+    center, such as a level t), ranked by point index in ranked[c][row] (see
+    _Rankings).  keys[c, row, j] is a single point's key, or keys is the n x n
+    pair-key matrix.  A key is code * width + (width - 1 - rank): code ranks the
+    score as rank_scores does, rank orders the tuple's point ids, so a range
+    maximum names a region's optimum and its least-id optimal tuple.
     """
 
     def __init__(self, space: FiniteMetricSpace, points: np.ndarray, rows: np.ndarray,
-                 lo: np.ndarray, hi: np.ndarray, ranked: list, pairs: Optional[tuple] = None):
-        self.points, self._slices, self._rows = points, (rows, lo, hi), rows.tolist()
-        n, ids, self._arity = len(space), space.id_order, 1 if pairs is None else 2
-        self.width = n ** self._arity
-        self._witness_of = (lambda k: (space.points[ids[k]],)) if pairs is None else (
-            lambda k: (space.points[ids[k // n]], space.points[ids[k % n]]))
-        if pairs is None:
-            keys = np.array([r[0] for r in ranked])[:, points]
-            self._keys_for = lambda m: keys if m is None else np.where(m[points], keys, -1)
-        else:
-            self._keys_for, self._pairs = pairs
-        self._values = [r[2] for r in ranked]
-        self._shared = {  # each code an int and a Fraction share: its ranking, its two values
-            (row, code): (by_point, fractions, (int(values[code]), Fraction(values[code])))
-            for row, (by_point, fractions, values) in enumerate(ranked) if fractions is not None
-            for code in np.intersect1d(*(by_point[kind & (by_point >= 0)] // self.width
-                                         for kind in (fractions, ~fractions))).tolist()}
-        self.best, self.size = self.read()
+                 lo: np.ndarray, hi: np.ndarray, ranked: list, keys: np.ndarray, arity: int = 1):
+        self.space, self.points, self.rows, self.lo, self.hi = space, points, rows, lo, hi
+        self.ranked, self.keys, self.arity = ranked, keys, arity
+        n, at, ids = len(space), space.points, space.id_order
+        self.width, self.row_of = n ** arity, rows.tolist()
+        self.witness = (lambda rest: (at[ids[rest]],)) if arity == 1 else (  # by a key's rest
+            lambda rest: (at[ids[rest // n]], at[ids[rest % n]]))
+        self.best, self.size = self.read(None, slice(None))
+
+    def _keys(self, inside: Optional[np.ndarray], cs) -> np.ndarray:
+        """Per center of cs, row and position, the best key among the tuples
+        brought in there whose points are all inside (all for None), or -1."""
+        if self.arity == 1:
+            keys = self.keys[cs]
+            return keys if inside is None else np.where(inside[:, None], keys, -1)
+        points = self.points[cs]
+        keys = self.keys[points[:, :, None], points[:, None, :]]  # one gather, cut in place
+        keys[:, np.triu(np.ones(keys.shape[1:], dtype=bool))] = -1  # j < i: pairs closed at i
+        if inside is not None:
+            keys[~(inside[:, :, None] & inside[:, None, :])] = -1
+        return keys.max(axis=2)[:, None]
+
+    def read(self, mask: Optional[np.ndarray], cs) -> tuple[np.ndarray, np.ndarray]:
+        """Best key and size of every region of the centers cs (a slice or a
+        list of rows), a row each, whole or cut down to tuples of points in mask
+        (booleans by point index)."""
+        lo, hi = self.lo[cs], self.hi[cs]
+        inside = None if mask is None else mask[self.points[cs]]
+        keys = self._keys(inside, cs)
+        k, levels, m = keys.shape
+        count = hi - lo
+        if inside is not None:  # points of mask before each position
+            before = np.zeros((k, m + 1), dtype=np.int64)
+            np.cumsum(inside, axis=1, out=before[:, 1:])
+            at = np.arange(k)[:, None]
+            count = before[at, hi] - before[at, lo]
+        rows = (np.arange(k)[:, None] * levels + self.rows).ravel()
+        best = _range_max(keys.reshape(k * levels, m), rows, lo.ravel(), hi.ravel())
+        # a slice of k points holds k tuples of arity 1, k(k - 1) ordered pairs
+        return best.reshape(k, -1), count if self.arity == 1 else count * (count - 1)
+
+
+class Optima:
+    """Exact optima of every region G(x, p) of one center, in truncation order:
+    row c of its OptimaBlock (which holds no reference back)."""
+
+    def __init__(self, block: OptimaBlock, c: int):
+        self.block, self.c, self.width, self.best = block, c, block.width, block.best[c]
+
+    size = cached_property(lambda self: self.block.size[self.c].tolist())
+
+    @cached_property
+    def _shared(self) -> dict:
+        """Each code an int and a Fraction share: its ranking, its two values."""
+        return {(row, code): (by_point, fractions, (int(values[code]), Fraction(values[code])))
+                for row, (by_point, fractions, values) in enumerate(self.block.ranked[self.c])
+                if fractions is not None
+                for code in np.intersect1d(*(by_point[kind & (by_point >= 0)] // self.width
+                                             for kind in (fractions, ~fractions))).tolist()}
 
     def value(self, i: int, key: int, mask: Optional[np.ndarray] = None) -> Num:
         """The score of key, region i's best (within mask), of the type of the
         region's first member of its code in point index order, as scanned."""
-        row, code = self._rows[i], key // self.width
-        if not self._shared or (row, code) not in self._shared:
-            return self._values[row][code]
+        b, c = self.block, self.c
+        row, code = b.row_of[i], key // self.width
+        if (row, code) not in self._shared:
+            return b.ranked[c][row][2][code]
         by_point, fractions, typed = self._shared[row, code]
-        members = np.sort(self.points[self._slices[1][i]:self._slices[2][i]])
+        members = np.sort(b.points[c, b.lo[c, i]:b.hi[c, i]])
         members = members[mask[members]] if mask is not None else members
-        first = np.argwhere(by_point[np.ix_(*[members] * self._arity)] // self.width == code)[0]
+        first = np.argwhere(by_point[np.ix_(*[members] * b.arity)] // self.width == code)[0]
         return typed[int(fractions[tuple(members[first])])]
 
     def optima(self, mask: Optional[np.ndarray] = None) -> tuple[list, list]:
@@ -325,16 +365,20 @@ class Optima:
 
     def witness(self, i: int) -> tuple:
         """The optimal tuple of region i with the least ids (region nonempty)."""
-        return self._witness_of(self.width - 1 - int(self.best[i]) % self.width)
+        return self.block.witness(self.width - 1 - int(self.best[i]) % self.width)
 
     @cached_property
     def _by_id(self) -> tuple:
-        if self._arity == 2:
-            return self._pairs()
-        keys = self._keys_for(None)  # the rest of a point's key is its id rank
-        rank = self.width - 1 - keys.max(axis=0) % self.width  # a key of -1 is never kept
+        """Every tuple in id order: its code per row, its key's rest, and the
+        least and greatest positions of its points."""
+        b, points = self.block, self.block.points[self.c]
+        rank = np.argsort(b.space.id_order)[points]  # the id rank of each row position
         order = np.argsort(rank)
-        return keys[:, order] // self.width, rank[order], order, order
+        if b.arity == 1:
+            return b.keys[self.c][:, order] // self.width, rank[order], order, order
+        codes = b.keys[np.ix_(points[order], points[order])] // self.width  # every pair of a row
+        first, last = np.minimum.outer(order, order), np.maximum.outer(order, order)
+        return codes.reshape(1, -1), np.arange(self.width), first.ravel(), last.ravel()
 
     def select(self, eps: Num, cap: int, sup: bool) -> list[tuple[int, tuple]]:
         """(i, the cap least-id tuples of region i that _select keeps) for every
@@ -342,33 +386,25 @@ class Optima:
         the least one within eps of its best, found once per (row, best code)
         by bisection in the row's values, which rank_scores orders without NaN;
         the cut compares values, so a code an int and a Fraction share is one."""
-        rows, lo, hi = self._slices
+        b, values = self.block, [r[2] for r in self.block.ranked[self.c]]
         regions = np.flatnonzero(self.best >= 0)
-        bests = list(zip(rows[regions].tolist(), (self.best[regions] // self.width).tolist()))
-        least = {(row, code): bisect_left(self._values[row], True,
-                                          key=_within(self._values[row][code], eps, sup))
+        bests = list(zip(b.rows[regions].tolist(), (self.best[regions] // self.width).tolist()))
+        least = {(row, code): bisect_left(values[row], True,
+                                          key=_within(values[row][code], eps, sup))
                  for row, code in set(bests)}
         codes, index, lows, highs = self._by_id
-        least_code = np.array([least[b] for b in bests], dtype=np.int64)[:, None]
-        ok = ((codes[rows[regions]] >= least_code) & (lows >= lo[regions][:, None])
-              & (highs < hi[regions][:, None]))
+        least_code = np.array([least[r] for r in bests], dtype=np.int64)[:, None]
+        ok = ((codes[b.rows[regions]] >= least_code) & (lows >= b.lo[self.c, regions][:, None])
+              & (highs < b.hi[self.c, regions][:, None]))
         hit, col = np.nonzero(ok & (np.cumsum(ok, axis=1) <= cap))
-        kept = list(map(self._witness_of, index[col].tolist()))
+        kept = list(map(b.witness, index[col].tolist()))
         ends = np.cumsum(np.bincount(hit, minlength=len(regions))).tolist()
-        return [(i, tuple(kept[a:b])) for i, a, b in zip(regions.tolist(), [0] + ends, ends)]
+        return [(i, tuple(kept[a:c])) for i, a, c in zip(regions.tolist(), [0] + ends, ends)]
 
     def read(self, mask: Optional[np.ndarray] = None) -> tuple[np.ndarray, list]:
-        """Best key and size of every region, whole or cut down to tuples of
-        points in mask (a boolean array over the space's point indices)."""
-        rows, lo, hi = self._slices
-        count = hi - lo
-        if mask is not None:
-            inside = np.zeros(len(self.points) + 1, dtype=np.int64)
-            np.cumsum(mask[self.points], out=inside[1:])
-            count = inside[hi] - inside[lo]
-        # a slice of k points holds k tuples of arity 1, k(k - 1) ordered pairs
-        sizes = count if self._arity == 1 else count * (count - 1)
-        return _range_max(self._keys_for(mask), rows, lo, hi), sizes.tolist()
+        """Best key and size of every region, whole or cut down to tuples of points in mask."""
+        best, size = self.block.read(mask, slice(self.c, self.c + 1))
+        return best[0], size[0].tolist()
 
 
 @dataclass(frozen=True)
@@ -737,48 +773,62 @@ def _check(problem: WitnessProblem, Yset: set, z: tuple,
     return _compare(problem, x, p, tol, lhs, rhs, len(region), len(restricted))
 
 
-def _center_verdicts(problem: WitnessProblem, x: Point, Yset: set, table: Optional[Optima],
-                     mask: Optional[np.ndarray], tol: Optional[Num]) -> tuple:
-    """Per-parameter skipped and failed flags at x, and check(i), by the scan or
-    by the table, where agree's rule runs over arrays: keys sharing a code pass
-    under any tolerance, and only the others go to check(i)."""
-    trunc = problem.params.truncation
-    if table is None:
-        checks = [_check(problem, Yset, (x, p), tol) for p in trunc]
-        verdicts = np.array([c.verdict for c in checks], dtype=object)
-        return verdicts == "skipped-empty-region", verdicts == "fail", checks.__getitem__
-    best, (rbest, rsize) = table.best, table.read(mask)
-    above = np.flatnonzero(rbest > best)
-    if above.size:
-        i = above[0]
-        raise InvariantViolation(f"{problem.name}: restricted key {rbest[i]} beats full key "
-                                 f"{best[i]} at x={x.id}, p={fmt_param(trunc[i])}")
-    skipped = best < 0
+def _block_read(block: OptimaBlock, at: dict, mask: np.ndarray) -> tuple:
+    """The full and restricted (within mask) best keys and the restricted sizes
+    of the block's centers at, a row each, and per row whether a restricted key
+    beats the full one, the skipped count and the parameters whose codes differ."""
+    best, (rbest, rsize) = block.best[list(at)], block.read(mask, list(at))
+    differ: list = [[] for _ in at]
+    for j, i in zip(*(a.tolist() for a in np.nonzero(
+            (best >= 0) & (best // block.width != rbest // block.width)))):
+        differ[j].append(i)
+    return best, rbest, rsize, (rbest > best).any(axis=1), (best < 0).sum(axis=1).tolist(), differ
+
+
+def _table_verdicts(problem: WitnessProblem, x: Point, table: Optima, read: tuple, j: int,
+                    mask: np.ndarray, tol: Optional[Num]) -> tuple:
+    """x's skipped count, failing checks and check(i) from row j of its block's
+    read: keys sharing a code pass under any tolerance (agree's rule over the
+    block's arrays), and only the others go to check(i)."""
+    trunc, (best, rbest, rsize, above, skips, differ) = problem.params.truncation, read
+    if above[j]:
+        i = int(np.argmax(rbest[j] > best[j]))
+        raise InvariantViolation(f"{problem.name}: restricted key {rbest[j, i]} beats full key "
+                                 f"{best[j, i]} at x={x.id}, p={fmt_param(trunc[i])}")
     unhit = NEG_INF if problem.mode == "sup" else POS_INF  # rhs when no tuple lies in Y
 
     def check(i: int) -> DeterminacyCheck:
-        if skipped[i]:
+        if best[j, i] < 0:
             return _skipped(problem, x, trunc[i], tol)
-        rhs = table.value(i, rbest[i], mask) if rbest[i] >= 0 else unhit
-        return _compare(problem, x, trunc[i], tol, table.value(i, best[i]), rhs,
-                        table.size[i], rsize[i])
+        rhs = table.value(i, rbest[j, i], mask) if rbest[j, i] >= 0 else unhit
+        return _compare(problem, x, trunc[i], tol, table.value(i, best[j, i]), rhs,
+                        table.size[i], int(rsize[j, i]))
 
-    failed = np.zeros(len(trunc), dtype=bool)
-    for i in np.flatnonzero(~skipped & (best // table.width != rbest // table.width)).tolist():
-        failed[i] = check(i).verdict == "fail"
-    return skipped, failed, check
+    return skips[j], [c for c in map(check, differ[j]) if c.verdict == "fail"], check
 
 
 def _sweep_centers(problem: WitnessProblem, Y: Iterable[Point],
                    tol: Optional[Num]) -> Iterator[tuple]:
-    """(x, skipped, failed, check) for every x in Y, x-major; Y's membership is built once."""
+    """(x, skipped count, failing checks, check) for every x in Y, x-major: Y's
+    membership is built once, each block that Y's tables come from is read
+    within it by one call, and centers without a table are scanned."""
     validate_tolerance(tol)
     Y = tuple(Y)
     Yset = set(Y)
     tables = problem.optima(Y) if problem.optima else [None] * len(Y)
     mask = np.array([u in Yset for u in problem.space.points]) if any(tables) else None
+    rows: dict = {}  # per block, the row of each of its centers in its read
+    for table in filter(None, tables):
+        rows.setdefault(table.block, {}).setdefault(table.c, len(rows[table.block]))
+    reads = {block: _block_read(block, at, mask) for block, at in rows.items()}
     for x, table in zip(Y, tables):
-        yield x, *_center_verdicts(problem, x, Yset, table, mask, tol)
+        if table is not None:
+            yield x, *_table_verdicts(problem, x, table, reads[table.block],
+                                      rows[table.block][table.c], mask, tol)
+            continue
+        checks = [_check(problem, Yset, (x, p), tol) for p in problem.params.truncation]
+        yield (x, sum(c.verdict == "skipped-empty-region" for c in checks),
+               [c for c in checks if c.verdict == "fail"], checks.__getitem__)
 
 
 def check_sweep(problem: WitnessProblem, Y: Iterable[Point],
@@ -794,10 +844,10 @@ def sweep_tally(problem: WitnessProblem, Y: Iterable[Point], tol: Optional[Num] 
     its check at drawn (an (x, p), or None); no other check is built."""
     trunc = problem.params.truncation
     passed, skipped, failures, picked = 0, 0, [], None
-    for x, skip, fail, check in _sweep_centers(problem, Y, tol):
-        skipped += int(skip.sum())
-        passed += len(trunc) - int(skip.sum()) - int(fail.sum())
-        failures.extend(map(check, np.flatnonzero(fail).tolist()))
+    for x, skip, failing, check in _sweep_centers(problem, Y, tol):
+        skipped += skip
+        passed += len(trunc) - skip - len(failing)
+        failures.extend(failing)
         if drawn is not None and x is drawn[0]:
             picked = check(trunc.index(drawn[1]))
     return passed, skipped, failures, picked

@@ -21,6 +21,7 @@ import json
 from collections import Counter
 from fractions import Fraction
 from random import Random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -68,6 +69,7 @@ from sepdet import (
     witness_select,
 )
 from sepdet.extreal import NEG_INF, POS_INF, close
+import sepdet.functionals as functionals
 from sepdet.functionals import _rankings
 from sepdet.scheme import Radii, ShellGrid, Shells, agree, rank_scores, sweep_tally
 
@@ -828,13 +830,13 @@ def test_a_restricted_key_above_the_full_key_raises():
     prob = ball_pairs_problem(space, f, "sup")
     x = space.points[0]
     [table] = prob.optima([x])
-    read = table.read
+    block, read = table.block, table.block.read  # a sweep reads each block once
 
-    def corrupted(mask=None):
-        best, size = read(mask)
-        return np.where(table.best >= 0, table.best + 1, best), size
+    def corrupted(mask, cs):
+        best, size = read(mask, cs)
+        return np.where(block.best[cs] >= 0, block.best[cs] + 1, best), size
 
-    table.read = corrupted
+    block.read = corrupted
     with pytest.raises(InvariantViolation, match="restricted key"):
         sweep_tally(prob, space.points)
     with pytest.raises(InvariantViolation, match="restricted key"):
@@ -963,3 +965,96 @@ def test_slack_closures_and_memberships_make_no_region_or_score_call(mode):
     assert calls == {}
     closure_iterate(dataclasses.replace(probs[0], optima=None), space.points[:1], cap=3)
     assert calls["region"] > 0 and calls["score"] > 0  # the scan is counted
+
+
+# A request's centers share one table block: each center's table, read from
+# its block, must be the table built for that center alone, and the oracle's.
+
+TIE = Fraction(6004799503160661, 2 ** 54)  # float(Fraction(1, 3)): the two tie as floats
+
+
+def tied_space() -> FiniteMetricSpace:
+    """From t0, the distances TIE and 1/3 share one float image but differ, and
+    the midpoint grid puts a radius between them."""
+    coords = (0, TIE, Fraction(1, 3), Fraction(1), Fraction(3, 2))
+    return FiniteMetricSpace.from_coords([Point(f"t{k}", (c,)) for k, c in enumerate(coords)])
+
+
+def same_table(table, alone, mask, sup):
+    def typed(values):
+        return [(type(v), v) for v in values]
+
+    assert (table.width, table.best.tolist(), table.size) == (
+        alone.width, alone.best.tolist(), alone.size)
+    for m in (None, mask):
+        (best, size), (best1, size1) = table.read(m), alone.read(m)
+        assert (best.tolist(), size) == (best1.tolist(), size1)
+        (tops, size), (tops1, size1) = table.optima(m), alone.optima(m)
+        assert (typed(tops), size) == (typed(tops1), size1)
+    for i in np.flatnonzero(table.best >= 0).tolist():
+        assert table.witness(i) == alone.witness(i)
+    for eps, cap in ((0, 1), (Fraction(1, 2), 3)):
+        assert table.select(eps, cap, sup) == alone.select(eps, cap, sup)
+
+
+def oracle_agrees(prob, table, x, Y, mask):
+    """Every region's optimum and size, whole and within Y, as the member scan finds them."""
+    rbest, rsize = table.read(mask)
+    tuples = list(itertools.product(prob.space.points, repeat=prob.arity))
+    for i, p in enumerate(prob.params.truncation):
+        members = [u for u in tuples if prob.member(x, p, u)]
+        assert table.size[i] == len(members)
+        assert rsize[i] == sum(all(c in Y for c in u) for u in members)
+        for key, restrict, m in ((table.best[i], None, None), (rbest[i], Y, mask)):
+            got = outcome(lambda: brute_force_optimum(prob, (x, p), restrict=restrict))
+            assert got[0] == "EmptyRegion" if key < 0 else got == ("ok", table.value(i, key, m))
+
+
+@given(st.fixed_dictionaries({
+    "kind": st.sampled_from(SPACES + ("tied",)),
+    "n": st.integers(2, 5),
+    "seed": st.integers(0, 10**6),
+    "palette": st.sampled_from(sorted(PALETTES)),
+    "mode": st.sampled_from(("sup", "inf")),
+    "request": st.sampled_from(("one", "some", "all")),
+    "bound": st.sampled_from((2 ** 15, 1)),  # 1 splits a request into one block per center
+}))
+# tied images, every center asked, split and whole
+@example({"kind": "tied", "n": 5, "seed": 1, "palette": "exact", "mode": "sup",
+          "request": "all", "bound": 2 ** 15})
+@example({"kind": "tied", "n": 5, "seed": 2, "palette": "fraction", "mode": "inf",
+          "request": "all", "bound": 1})
+# a float quotient beside an equal int declines one center's descents; float distances
+@example({"kind": "int", "n": 5, "seed": 5, "palette": "mixed", "mode": "sup",
+          "request": "all", "bound": 2 ** 15})
+@example({"kind": "float-2d", "n": 5, "seed": 3, "palette": "exact", "mode": "inf",
+          "request": "some", "bound": 1})
+def test_a_block_gives_each_center_its_own_table_and_the_oracles(case):
+    space = tied_space() if case["kind"] == "tied" else make_space(
+        case["kind"], case["n"], case["seed"], True)
+    f = make_function(space, case["seed"], case["palette"], 0.0)
+    rng, n, mode = Random(case["seed"]), len(space), case["mode"]
+    order = rng.sample(range(n), n)  # unsorted, and the first center asked twice
+    request = {"one": order[:1], "some": order[:max(2, n // 2)], "all": order}[case["request"]]
+    request = request + request[:1]
+    Y = rng.sample(space.points, rng.randint(1, n))
+    mask = np.array([p in Y for p in space.points])
+    radii = radius_truncation(space)
+    shells = shell_truncation(space, level_grid(f, space, "sample"))
+    rankings = _rankings(f, space)
+    for name, params, prob in (
+            ("_points_table", radii, punctured_ball_problem(space, f, mode, truncation=radii)),
+            ("_pairs_table", radii, ball_pairs_problem(space, f, mode, truncation=radii)),
+            ("_torus_table", shells, torus_slope_problem(space, f, mode, truncation=shells))):
+        build = getattr(functionals, name)
+        with mock.patch.object(functionals._Rankings, "PASS_BOUND", case["bound"]):
+            tables = build(rankings, request, params, mode)
+        assert len(tables) == len(request)
+        for i, table in zip(request, tables):
+            alone = build(rankings, [i], params, mode)[0]
+            assert (table is None) == (alone is None)
+            if table is not None:
+                same_table(table, alone, mask, mode == "sup")
+        for i, table in dict(zip(request, tables)).items():
+            if table is not None:
+                oracle_agrees(prob, table, space.points[i], Y, mask)

@@ -19,21 +19,25 @@ from sepdet import (
     Point,
     ScoreRangeError,
     SpaceMismatch,
+    ball_pairs_problem,
     builtin_function,
     check_reduction,
     check_sweep,
     closure_iterate,
     closure_round,
     intersect_problems,
+    level_grid,
     product_closure,
     punctured_ball_problem,
+    random_finite_metric,
+    random_table_function,
     rational_span_close,
     shell_truncation,
     torus_slope_problem,
     witness_select,
 )
 import sepdet.scheme as scheme
-from sepdet.scheme import Radii, ShellGrid, Shells, agree
+from sepdet.scheme import Radii, ShellGrid, Shells, agree, sweep_tally
 from sepdet.extreal import NEG_INF
 from conftest import coord_space
 
@@ -441,6 +445,29 @@ def test_range_max_matches_the_brute_force(query):
     got = scheme._range_max(keys, *(np.array(v, dtype=np.int64) for v in (rows, lo, hi)))
     assert got.tolist() == [max(keys[r, a:b].tolist(), default=-1)
                             for r, a, b in zip(rows, lo, hi)]
+
+
+def test_a_request_builds_one_block_and_a_sweep_reads_each_block_once(monkeypatch):
+    # every center's full best comes from one _range_max call per builder call,
+    # and a sweep makes one masked call per block its Y's tables come from
+    calls, real = [], scheme._range_max
+    monkeypatch.setattr(scheme, "_range_max", lambda *args: calls.append(args) or real(*args))
+    space = random_finite_metric(9, 4, "euclidean", dim=1)
+    f = random_table_function(space, 4)
+    shells = shell_truncation(space, level_grid(f, space, "sample"))
+    for prob in (punctured_ball_problem(space, f, "inf"), ball_pairs_problem(space, f, "sup"),
+                 torus_slope_problem(space, f, "sup", truncation=shells)):
+        calls.clear()
+        first = prob.optima(space.points[6:1:-1])  # k = 5 centers, unsorted
+        assert None not in first and len(calls) == 1
+        assert None not in prob.optima(space.points) and len(calls) == 2  # the 4 missing ones
+        calls.clear()
+        Y = space.points[::-2] + space.points[1::2]  # centers of both blocks
+        sweep_tally(prob, Y)
+        assert 1 <= len(calls) <= 2
+        calls.clear()
+        sweep_tally(prob, space.points[3:6])  # centers of the first block only
+        assert len(calls) == 1
 
 
 def test_a_failing_check_beside_a_value_past_the_floats_reports_fail():
