@@ -11,10 +11,13 @@ table of the center, every parameter at once, through _tables, the one path
 the families' closures and sweeps take: a table is built once per (function,
 truncation, center) on f's rankings (memoised on the function oracle per
 space), with the other missing tables of its request as one block, and kept
-on the prepared truncation.  The limits read the
-punctured-ball [inf] and [sup] tables, lip_local_sups the ball-pairs table,
-torus_sups the torus-slope table, and the slope folds the shell optima of
-level f(x) by outer radius.  Lazy or budgeted spaces, centers outside the
+on the prepared truncation.  The limits read the punctured-ball [inf] and
+[sup] tables, the pair formulas the ball-pairs table, the shell formulas the
+torus-slope table (the slope its level f(x)), each through one reader
+(_regions): an order per region of x (its optimum's code, or on the scan its
+first optimum) and a region's value built only when asked.  The limits, the
+modulus and the slope fold the orders into one value (_fold; the slope groups
+its shells by outer radius).  Lazy or budgeted spaces, centers outside the
 space, declined rankings and functions that raise take the region scan.
 
 The module also ships the three registered witness-problem families
@@ -431,23 +434,56 @@ def _tables(f: FunctionOracle, space: MetricSpace, xs: Sequence[Point], budget: 
     return [k and params.tables[k] for k in at]
 
 
-def _mask(space: FiniteMetricSpace, allowed: Optional[set]) -> Optional[np.ndarray]:
-    return None if allowed is None else np.fromiter(
-        (u in allowed for u in space.points), bool, len(space))
+def _regions(f: FunctionOracle, space: MetricSpace, x: Point, params: ParamSpace,
+             allowed: Optional[set], budget: Optional[int], builder: Callable[..., list],
+             mode: str, *level) -> tuple[list, Callable[[int], int], Callable[[int], Num]]:
+    """Every region of x within allowed, read by one _tables call: per region
+    an order (larger for better in mode, None where empty), and size(k) and
+    value(k), region k's size in tuples (a pair once) and its optimum, built
+    only when asked.  The order is the optimum's code off x's table, else the
+    scanned (_SCANS) first optimum in enumeration order, negated in inf mode."""
+    [table] = _tables(f, space, [x], budget, builder, params, mode, *level)
+    if table is not None:
+        mask = None if allowed is None else np.fromiter(
+            (u in allowed for u in space.points), bool, len(space))
+        best, size = (table.best, table.size) if mask is None else table.read(mask)
+        keys = best.tolist()
+        return ([key // table.width if key >= 0 else None for key in keys],
+                lambda k: size[k] // table.block.arity,  # a pair table counts both orders
+                lambda k: table.value(k, keys[k], mask))
+    optimum, sign = (max, 1) if mode == "sup" else (min, -1)
+    values, sizes = [], []
+    for p in params:
+        got = _SCANS[builder](f, space, x, p, allowed, budget, *level)
+        values.append(optimum(got, default=None))
+        sizes.append(len(got))
+    return [None if v is None else sign * v for v in values], sizes.__getitem__, values.__getitem__
+
+
+def _fold(orders: list, groups: Iterable, isolated: str) -> int:
+    """The index of the first least order among each group's first greatest,
+    groups in order of first nonempty region; IsolatedPoint(isolated) if none."""
+    best: dict = {}
+    for k, (order, group) in enumerate(zip(orders, groups)):
+        if order is not None and (group not in best or order > orders[best[group]]):
+            best[group] = k
+    if not best:
+        raise IsolatedPoint(isolated)
+    return min(best.values(), key=orders.__getitem__)
 
 
 # ---------------------------------------------------------------------------
 # Limit values along a grid
 
 
-def _radii_at(grid, x: Point, Y: Optional[Iterable[Point]]) -> tuple[Radii, Optional[set]]:
-    """(grid as Radii, Y as a set) for a limit or modulus at x: an empty grid
-    raises first, then a center outside Y, then a bad radius."""
-    radii = grid if type(grid) is Radii else tuple(grid)
-    if not radii:
-        raise ValueError("radius grid is empty")
+def _grid_at(kind: type, grid, x: Point, Y: Optional[Iterable[Point]]) -> tuple:
+    """(grid as kind, Radii or ShellGrid, and Y as a set) for a formula at x:
+    an empty grid raises first, then a center outside Y, then a bad parameter."""
+    params = grid if type(grid) is kind else tuple(grid)
+    if not params:
+        raise ValueError(f"{'radius' if kind is Radii else 'shell'} grid is empty")
     allowed = _allowed(x, Y)
-    return Radii.of(radii, repeats=True), allowed
+    return kind.of(params, repeats=True), allowed
 
 
 def _restricted(points: Iterable[Point], allowed: Optional[set]) -> list:
@@ -465,22 +501,12 @@ def _allowed(x: Point, Y: Optional[Iterable[Point]]) -> Optional[set]:
 
 
 def _limit(f: FunctionOracle, space: MetricSpace, x: Point, radii: Radii,
-           allowed: Optional[set], budget: Optional[int],
-           inner: Callable, outer: Callable) -> Num:
-    """outer over the radii of inner of f over the nonempty punctured balls,
-    read off x's punctured-ball table in inner's mode (min: inf, max: sup)."""
-    [table] = _tables(f, space, [x], budget, _points_table, radii, "inf" if inner is min else "sup")
-    if table is None:
-        vals = []
-        for r in radii:
-            pts = _restricted(punctured_ball_points(space, x, r, budget), allowed)
-            if pts:
-                vals.append(inner(f.value(u) for u in pts))
-    else:
-        vals = [v for v in table.optima(_mask(space, allowed))[0] if v is not None]
-    if not vals:
-        raise IsolatedPoint(f"every punctured ball at {x.id!r} along the grid is empty")
-    return outer(vals)
+           allowed: Optional[set], budget: Optional[int], mode: str) -> Num:
+    """The first least along the radii of x's punctured-ball optima in mode: in
+    inf mode the greatest inf (liminf), in sup mode the least sup (limsup)."""
+    orders, _, value = _regions(f, space, x, radii, allowed, budget, _points_table, mode)
+    return value(_fold(orders, range(len(orders)),
+                       f"every punctured ball at {x.id!r} along the grid is empty"))
 
 
 def liminf_at(f: FunctionOracle, space: MetricSpace, x: Point, grid,
@@ -492,7 +518,7 @@ def liminf_at(f: FunctionOracle, space: MetricSpace, x: Point, grid,
     punctured ball along the grid is empty.  Reads x's punctured-ball [inf]
     table where f's inf ranking applies and scans the balls otherwise.
     """
-    return _limit(f, space, x, *_radii_at(grid, x, Y), budget, min, max)
+    return _limit(f, space, x, *_grid_at(Radii, grid, x, Y), budget, "inf")
 
 
 def limsup_at(f: FunctionOracle, space: MetricSpace, x: Point, grid,
@@ -500,7 +526,7 @@ def limsup_at(f: FunctionOracle, space: MetricSpace, x: Point, grid,
               budget: Optional[int] = None) -> Num:
     """inf over grid radii of sup of f over the punctured ball (within Y),
     read off x's punctured-ball [sup] table as liminf_at reads the [inf] one."""
-    return _limit(f, space, x, *_radii_at(grid, x, Y), budget, max, min)
+    return _limit(f, space, x, *_grid_at(Radii, grid, x, Y), budget, "sup")
 
 
 def continuity_check(f: FunctionOracle, space: MetricSpace, x: Point, grid,
@@ -508,9 +534,9 @@ def continuity_check(f: FunctionOracle, space: MetricSpace, x: Point, grid,
                      budget: Optional[int] = None) -> bool:
     """True when grid liminf and limsup both agree with f(x) up to tol."""
     fx = f.value(x)
-    radii, allowed = _radii_at(grid, x, Y)  # both limits read them
-    return continuous(fx, _limit(f, space, x, radii, allowed, budget, min, max),
-                      _limit(f, space, x, radii, allowed, budget, max, min), tol)
+    radii, allowed = _grid_at(Radii, grid, x, Y)  # both limits read them
+    return continuous(fx, _limit(f, space, x, radii, allowed, budget, "inf"),
+                      _limit(f, space, x, radii, allowed, budget, "sup"), tol)
 
 
 def continuous(fx: Num, liminf: Num, limsup: Num, tol: Num = 0) -> bool:
@@ -537,22 +563,14 @@ def lip_local_sups(f: FunctionOracle, space: MetricSpace, x: Point, radii: Seque
     """lip_local_sup of B(x, r) ∩ Y for every r in radii, in one read of x.
 
     Reads x's ball-pairs [sup] table where f's pair quotients rank, and scans
-    the pairs otherwise.  The scan starts at int 0 and keeps the first larger
-    quotient, so both routes give int 0 where no quotient is positive.
+    the pairs otherwise.  Both routes give int 0 where no quotient is
+    positive: max(0, sup) keeps the int 0 unless sup exceeds it.
     """
     allowed = _allowed(x, Y)
     radii = Radii.of(radii, repeats=True)
-    [table] = _tables(f, space, [x], budget, _pairs_table, radii, "sup")
-    if table is None:
-        sups = []
-        for r in radii:
-            pts = _restricted(ball_points(space, x, r, budget), allowed)
-            pairs = itertools.combinations(pts, 2)
-            best = max(itertools.chain((0,), (_pair_quotient(f, space, a, b) for a, b in pairs)))
-            sups.append(PairSup(best, len(pts) * (len(pts) - 1) // 2))
-        return sups
-    tops, sizes = table.optima(_mask(space, allowed))
-    return [PairSup(v if v and v > 0 else 0, size // 2) for v, size in zip(tops, sizes)]
+    orders, size, value = _regions(f, space, x, radii, allowed, budget, _pairs_table, "sup")
+    return [PairSup(0 if order is None else max(0, value(k)), size(k))
+            for k, order in enumerate(orders)]
 
 
 def lip_local_sup(f: FunctionOracle, space: MetricSpace, x: Point, r: Num,
@@ -572,13 +590,12 @@ def lip_modulus(f: FunctionOracle, space: MetricSpace, x: Point, grid,
     """min of the local pairwise supremum at x over grid radii whose ball holds a pair.
 
     The least Lipschitz constant valid on some ball around x, discretely,
-    folded from one lip_local_sups read of x.  Raises IsolatedPoint when no
-    ball (within Y) holds a pair."""
-    radii, allowed = _radii_at(grid, x, Y)
-    sups = [v for v, pairs in lip_local_sups(f, space, x, radii, allowed, budget) if pairs]
-    if not sups:
-        raise IsolatedPoint(f"no ball at {x.id!r} along the grid holds a pair")
-    return min(sups)
+    folded from one read of x's balls.  Raises IsolatedPoint when no ball
+    (within Y) holds a pair."""
+    radii, allowed = _grid_at(Radii, grid, x, Y)
+    orders, _, value = _regions(f, space, x, radii, allowed, budget, _pairs_table, "sup")
+    return max(0, value(_fold(orders, range(len(orders)),
+                              f"no ball at {x.id!r} along the grid holds a pair")))
 
 
 # ---------------------------------------------------------------------------
@@ -589,17 +606,6 @@ def _descent_quotient(t: Num, f: FunctionOracle, space: MetricSpace,
                       x: Point, u: Point) -> Num:
     num = pos_part(sub(t, f.value(u)))
     return _exact_div(num, space.distance(x, u))
-
-
-def _shell_scan(f: FunctionOracle, space: MetricSpace, x: Point, params: Iterable[tuple],
-                allowed: Optional[set], budget: Optional[int]) -> list:
-    """Each (t, r, s) shell's first maximal descent quotient in enumeration
-    order, None where the (restricted) shell is empty."""
-    sups = []
-    for t, r, s in params:
-        pts = _restricted(torus_points(space, x, r, s, budget), allowed)
-        sups.append(max((_descent_quotient(t, f, space, x, u) for u in pts), default=None))
-    return sups
 
 
 def torus_sups(f: FunctionOracle, space: MetricSpace, x: Point, params: Sequence[tuple],
@@ -614,10 +620,8 @@ def torus_sups(f: FunctionOracle, space: MetricSpace, x: Point, params: Sequence
     """
     allowed = _allowed(x, Y)
     params = Shells.of(params, repeats=True)
-    [table] = _tables(f, space, [x], budget, _torus_table, params, "sup")
-    if table is None:
-        return _shell_scan(f, space, x, params, allowed, budget)
-    return table.optima(_mask(space, allowed))[0]
+    orders, _, value = _regions(f, space, x, params, allowed, budget, _torus_table, "sup")
+    return [None if order is None else value(k) for k, order in enumerate(orders)]
 
 
 def torus_sup(f: FunctionOracle, space: MetricSpace, x: Point, t: Num, r: Num, s: Num,
@@ -643,34 +647,21 @@ def slope_at(f: FunctionOracle, space: MetricSpace, x: Point,
     The level is t = f(x); by the sign conventions (t - f(u))^+ with
     +inf - +inf = 0, the value is well defined for proper f, and is +inf
     exactly when every realized inner supremum is.  Empty shells contribute
-    nothing; if every shell in the grid (default: every shell of x's
-    realized radii) is empty the point is isolated.  Each s keeps its first
-    maximal shell in grid order, and the first least of those is the slope:
-    by the shells' codes where x's torus-slope table of the level f(x)
-    exists, by the scanned shell values otherwise.
+    nothing; if every shell in the grid (None: every shell of x's realized
+    radii) is empty the point is isolated, and an empty grid raises.  Each s
+    keeps its first maximal shell in grid order, and the first least of
+    those is the slope: by the shells' codes where x's torus-slope table of
+    the level f(x) exists, by the scanned shell values otherwise.
     """
-    shells = grid if type(grid) is ShellGrid else tuple(grid or ())
-    shells = shells or default_shell_grid(space, x)
-    if not shells:
-        raise IsolatedPoint(f"no shells realized at {x.id!r}")
-    allowed = _allowed(x, Y)
+    if grid is None:
+        grid = default_shell_grid(space, x)
+        if not grid:
+            raise IsolatedPoint(f"no shells realized at {x.id!r}")
+    shells, allowed = _grid_at(ShellGrid, grid, x, Y)
     t = f.value(x)
-    shells = ShellGrid.of(shells, repeats=True)
-    [table] = _tables(f, space, [x], budget, _torus_table, shells, "sup", (type(t), t))
-    if table is None:
-        scanned = _shell_scan(f, space, x, ((t, r, s) for r, s in shells), allowed, budget)
-    else:  # codes order as the values do
-        mask = _mask(space, allowed)
-        best = (table.best if mask is None else table.read(mask)[0]).tolist()
-        scanned = [key // table.width if key >= 0 else None for key in best]
-    inner: dict = {}  # per outer radius (by index), its first shell of the greatest score
-    for k, (s, sup) in enumerate(zip(shells.outer.tolist(), scanned)):
-        if sup is not None and (s not in inner or sup > scanned[inner[s]]):
-            inner[s] = k
-    if not inner:
-        raise IsolatedPoint(f"every shell at {x.id!r} is empty")
-    k = min(inner.values(), key=scanned.__getitem__)
-    return scanned[k] if table is None else table.value(k, best[k], mask)
+    orders, _, value = _regions(f, space, x, shells, allowed, budget, _torus_table, "sup",
+                                (type(t), t))
+    return value(_fold(orders, shells.outer.tolist(), f"every shell at {x.id!r} is empty"))
 
 
 # ---------------------------------------------------------------------------
@@ -940,6 +931,21 @@ def _torus_table(rankings: _Rankings, centers: list, shells: ShellGrid, mode: st
     per_center = len(rankings.space) * max(len(levels), len(shells.radii))
     got = dict(zip(ok, _blocks(ok, per_center, build)))
     return [got.get(a) for a in range(len(centers))]
+
+
+# The formulas' region scans by table builder: the scores of region p of x
+# within allowed, in enumeration order; a one-level shell grid's (r, s) scans
+# at its level.
+_SCANS = {
+    _points_table: lambda f, space, x, r, allowed, budget: [
+        f.value(u) for u in _restricted(punctured_ball_points(space, x, r, budget), allowed)],
+    _pairs_table: lambda f, space, x, r, allowed, budget: [
+        _pair_quotient(f, space, a, b) for a, b in itertools.combinations(
+            _restricted(ball_points(space, x, r, budget), allowed), 2)],
+    _torus_table: lambda f, space, x, p, allowed, budget, level=None: [
+        _descent_quotient(p[0] if level is None else level[1], f, space, x, u)
+        for u in _restricted(torus_points(space, x, *p[-2:], budget), allowed)],
+}
 
 
 def punctured_ball_problem(space: MetricSpace, f: FunctionOracle,

@@ -357,12 +357,6 @@ class Optima:
         first = np.argwhere(by_point[np.ix_(*[members] * b.arity)] // self.width == code)[0]
         return typed[int(fractions[tuple(members[first])])]
 
-    def optima(self, mask: Optional[np.ndarray] = None) -> tuple[list, list]:
-        """The optimum of every region (within mask), None where it is empty, and its size."""
-        best, size = (self.best, self.size) if mask is None else self.read(mask)
-        return [None if key < 0 else self.value(i, key, mask)
-                for i, key in enumerate(best.tolist())], size
-
     def witness(self, i: int) -> tuple:
         """The optimal tuple of region i with the least ids (region nonempty)."""
         return self.block.witness(self.width - 1 - int(self.best[i]) % self.width)

@@ -55,6 +55,7 @@ from sepdet import (
     witness_select,
 )
 from sepdet import functionals
+from sepdet.scheme import ShellGrid
 from sepdet.extreal import POS_INF, is_pos_inf
 from conftest import coord_space
 
@@ -274,6 +275,19 @@ class TestSlope:
         grid = ((Fraction(1, 4), Fraction(1, 2)),)
         with pytest.raises(IsolatedPoint):
             slope_at(COORD, grid5, grid5.point("g2"), grid)
+
+    def test_an_explicit_empty_grid_raises_and_none_keeps_the_default(self, grid5):
+        # as the limits' empty radius grid does, before the center check
+        x, y = grid5.point("g2"), grid5.point("g0")
+        for grid in ((), [], ShellGrid(()), iter(())):
+            for Y in (None, [y]):
+                with pytest.raises(ValueError, match="^shell grid is empty$"):
+                    slope_at(COORD, grid5, x, grid, Y)
+                with pytest.raises(ValueError, match="^shell grid is empty$"):
+                    partial_slope(lambda u, v: u.coords[0], grid5, x, x, grid=grid, Y1=Y)
+        default = default_shell_grid(grid5, x)
+        assert slope_at(COORD, grid5, x, None) == slope_at(COORD, grid5, x, default) == 1
+        assert partial_slope(lambda u, v: u.coords[0], grid5, x, x, grid=None) == 1
 
     @given(table_values, st.fractions(min_value=0, max_value=4, max_denominator=4))
     def test_positive_homogeneity(self, values, c):

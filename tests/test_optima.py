@@ -12,7 +12,9 @@ The pair and shell formulas read their family's table of the center, one
 read for every parameter (lip_local_sups, torus_sups), and the limits read
 the punctured-ball [inf] and [sup] tables; a budget covering the whole space leaves them the scan, and
 both must give the same value of the same type, or raise the same error, as
-must the one-parameter forms.
+must the one-parameter forms.  The limits, the modulus and the slope fold the
+regions' codes and build one value: the fold of the brute-force oracle's
+optima must give it, and a read off a table builds no other.
 """
 
 import dataclasses
@@ -43,6 +45,7 @@ from sepdet import (
     check_sweep,
     closure_iterate,
     continuity_check,
+    default_shell_grid,
     family_for,
     intersect_problems,
     is_member,
@@ -71,7 +74,7 @@ from sepdet import (
 from sepdet.extreal import NEG_INF, POS_INF, close
 import sepdet.functionals as functionals
 from sepdet.functionals import _rankings
-from sepdet.scheme import Radii, ShellGrid, Shells, agree, rank_scores, sweep_tally
+from sepdet.scheme import Optima, Radii, ShellGrid, Shells, agree, rank_scores, sweep_tally
 
 # Function values; "mixed" holds equal scores of different types (2, 2.0,
 # Fraction(2)): the tables leave a float tie to the scan and give an int and
@@ -528,12 +531,37 @@ def test_pair_and_limit_reads_agree_with_the_scan_and_the_oracle(kind, palette, 
             lip = [best for best in sups if best is not None]
             assert outcome(lambda: lip_modulus(f, space, x, radii, Y)) == (
                 ("ok", min(lip)) if lip else ("IsolatedPoint", no_pair(x)))
-            low = [v for v in (oracle_or_none(lows, x, r, Y) for r in radii) if v is not None]
-            high = [v for v in (oracle_or_none(highs, x, r, Y) for r in radii) if v is not None]
-            assert outcome(lambda: liminf_at(f, space, x, radii, Y)) == (
-                ("ok", max(low)) if low else ("IsolatedPoint", isolated(x)))
-            assert outcome(lambda: limsup_at(f, space, x, radii, Y)) == (
-                ("ok", min(high)) if high else ("IsolatedPoint", isolated(x)))
+            # the limits and the slope against the same fold of the oracle's optima,
+            # typed where the oracle scans Y in enumeration order (it scans by id)
+            same = typed if Y is None or not case["shuffle_ids"] else outcome
+            for formula, prob, least in ((liminf_at, lows, False), (limsup_at, highs, True)):
+                optima = {r: oracle_or_none(prob, x, r, Y) for r in radii}
+                for grid in (radii, picked):
+                    best = oracle_fold([optima[r] for r in grid], range(len(grid)), least)
+                    assert same(lambda: formula(f, space, x, grid, Y)) == (
+                        same(lambda: best) if best is not None else ("IsolatedPoint", isolated(x)))
+            t, shells = f.value(x), default_shell_grid(space, x)
+            slopes = torus_slope_problem(space, f, truncation=[(t, r, s) for r, s in shells])
+            optima = {(r, s): oracle_or_none(slopes, x, (t, r, s), Y) for r, s in shells}
+            for grid in [None, rng.sample(shells, min(6, len(shells)))] if shells else [None]:
+                at = shells if grid is None else grid
+                best = oracle_fold([optima[p] for p in at], [s for _, s in at], True)
+                assert same(lambda: slope_at(f, space, x, grid, Y)) == (
+                    same(lambda: best) if best is not None else ("IsolatedPoint", (
+                        f"every shell at {x.id!r} is empty" if at else
+                        f"no shells realized at {x.id!r}")))
+
+
+def oracle_fold(optima, groups, least):
+    """The formulas' fold over oracle optima (None for an empty region): each
+    group's first greatest, in the order the groups first hold an optimum,
+    and the first least of those (least) or the first greatest; None when
+    every region is empty."""
+    inner = {}
+    for v, group in zip(optima, groups):
+        if v is not None and (group not in inner or v > inner[group]):
+            inner[group] = v
+    return (min if least else max)(inner.values(), default=None)
 
 
 def isolated(x):
@@ -667,6 +695,58 @@ def test_a_slope_keeps_the_scans_first_outer_radius():
     assert typed(lambda: slope_at(f, space, a, grid)) == ("ok", "Fraction", "Fraction(2, 1)")
     assert typed(lambda: slope_at(f, space, a, grid, **SCAN)) == \
         ("ok", "Fraction", "Fraction(2, 1)")
+
+
+def test_a_formula_read_off_a_table_builds_one_value(monkeypatch):
+    # the limits, the modulus and the slope fold the regions' codes and build
+    # the value of the region that answers alone
+    calls, real = [], Optima.value
+    monkeypatch.setattr(Optima, "value", lambda *args: calls.append(args) or real(*args))
+    space = FiniteMetricSpace.from_coords([Point(f"p{k}", (k,)) for k in range(5)])
+    f = FunctionOracle.from_table({"p0": 0, "p1": 3, "p2": Fraction(1, 2), "p3": 2, "p4": -1})
+    x = space.point("p1")  # at distances 1, 1, 2, 3 from p0, p2, p3, p4
+    radii = (Fraction(3, 2), Fraction(5, 2), Fraction(7, 2), 5)
+    shells = ((Fraction(1, 2), Fraction(3, 2)), (Fraction(3, 2), Fraction(5, 2)),
+              (Fraction(5, 2), Fraction(7, 2)), (Fraction(1, 2), Fraction(5, 2)))
+    for Y in (None, space.points[:4]):  # without p4: the shell (5/2, 7/2) is empty
+        for formula, grid in ((liminf_at, radii), (limsup_at, radii), (lip_modulus, radii),
+                              (slope_at, shells)):
+            calls.clear()
+            formula(f, space, x, grid, Y)
+            assert len(calls) == 1
+        # over at least three nonempty regions each, every one read off a table
+        assert sum(s.pairs > 0 for s in lip_local_sups(f, space, x, radii, Y)) >= 3
+        levels = torus_sups(f, space, x, [(3, r, s) for r, s in shells], Y)
+        assert sum(v is not None for v in levels) >= 3
+        assert all(prob.optima([x]) != [None] for prob in (
+            punctured_ball_problem(space, f, "inf", truncation=radii),
+            punctured_ball_problem(space, f, "sup", truncation=radii),
+            ball_pairs_problem(space, f, "sup", truncation=radii),
+            torus_slope_problem(space, f, "sup", truncation=[(3, r, s) for r, s in shells])))
+
+
+@pytest.mark.parametrize("budget", [None, 3])  # 3 covers the space: the scan
+def test_equal_optima_of_two_types_across_radii_keep_the_first_radius(budget):
+    # a, c, b in that index order at 0, 2, 1.  From a, B(a, 3/2) \ {a} holds b
+    # alone, and B(a, 5/2) \ {a} holds c first and then b: with f(b) = 2 and
+    # f(c) = Fraction(2) both balls' inf and sup are 2, the int at 3/2 and the
+    # Fraction at 5/2, and the first radius in grid order gives the limit's type
+    space = FiniteMetricSpace.from_coords([Point("a", (0,)), Point("c", (2,)),
+                                           Point("b", (1,))])
+    a = space.point("a")
+    f = FunctionOracle.from_table({"a": 5, "c": Fraction(2), "b": 2})
+    # from a the pair quotients are 2 at (a, b) and Fraction(2) at (a, c) and
+    # (c, b): B(a, 3/2) holds the int pair alone, and (a, c) comes first in B(a, 5/2)
+    g = FunctionOracle.from_table({"a": 0, "c": Fraction(4), "b": 2})
+    if budget is None:  # the tables are read
+        assert None not in (_rankings(f, space).points("inf"), _rankings(f, space).points("sup"),
+                            _rankings(g, space).pairs("sup"))
+    low, high = Fraction(3, 2), Fraction(5, 2)
+    for grid, first in (((low, high), "int"), ((high, low), "Fraction")):
+        two = ("ok", first, repr(2 if first == "int" else Fraction(2)))
+        for formula, h in ((liminf_at, f), (limsup_at, f), (lip_modulus, g)):
+            assert typed(lambda: formula(h, space, a, grid, budget=budget)) == two
+            assert typed(lambda: formula(h, space, a, grid, space.points, budget)) == two
 
 
 @pytest.mark.parametrize("mode", ["sup", "inf"])
@@ -981,16 +1061,15 @@ def tied_space() -> FiniteMetricSpace:
 
 
 def same_table(table, alone, mask, sup):
-    def typed(values):
-        return [(type(v), v) for v in values]
-
     assert (table.width, table.best.tolist(), table.size) == (
         alone.width, alone.best.tolist(), alone.size)
     for m in (None, mask):
         (best, size), (best1, size1) = table.read(m), alone.read(m)
         assert (best.tolist(), size) == (best1.tolist(), size1)
-        (tops, size), (tops1, size1) = table.optima(m), alone.optima(m)
-        assert (typed(tops), size) == (typed(tops1), size1)
+        for i, key in enumerate(best.tolist()):  # each region's optimum, of the same type
+            if key >= 0:
+                got, alone_got = table.value(i, key, m), alone.value(i, key, m)
+                assert (type(got), got) == (type(alone_got), alone_got)
     for i in np.flatnonzero(table.best >= 0).tolist():
         assert table.witness(i) == alone.witness(i)
     for eps, cap in ((0, 1), (Fraction(1, 2), 3)):
