@@ -177,23 +177,24 @@ def _cmd_check(args) -> int:
     return 0 if failed == 0 and gen.fixed_point else 1
 
 
-def _cmd_slope(args) -> int:
+def _at_point(args) -> tuple:
+    """The space, function and point --x of slope and lip."""
     space = _load_space(args.space)
     f = _load_function(args.fn)
     if not args.x:
-        raise SepdetError("--x is required for slope")
-    x = space.point(args.x)
+        raise SepdetError(f"--x is required for {args.verb}")
+    return space, f, space.point(args.x)
+
+
+def _cmd_slope(args) -> int:
+    space, f, x = _at_point(args)
     value = slope_at(f, space, x)
     _emit({"verb": "slope", "x": x.id, "value": fmt(value)}, args.out)
     return 0
 
 
 def _cmd_lip(args) -> int:
-    space = _load_space(args.space)
-    f = _load_function(args.fn)
-    if not args.x:
-        raise SepdetError("--x is required for lip")
-    x = space.point(args.x)
+    space, f, x = _at_point(args)
     if args.param:
         r = _parse_param(args.param)
         got = lip_local_sup(f, space, x, r)

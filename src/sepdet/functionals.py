@@ -6,19 +6,22 @@ radius grid, the pairwise Lipschitz supremum over a ball, the torus supremum
 shells.  Each operation takes an optional Y argument; when given, the
 regions are intersected with Y, which is all the restriction identities need.
 
-On a finite space without a budget every formula reads its family's optimum
-table of the center, every parameter at once, through _tables, the one path
-the families' closures and sweeps take: a table is built once per (function,
-truncation, center) on f's rankings (memoised on the function oracle per
-space), with the other missing tables of its request as one block, and kept
-on the prepared truncation.  The limits read the punctured-ball [inf] and
-[sup] tables, the pair formulas the ball-pairs table, the shell formulas the
-torus-slope table (the slope its level f(x)), each through one reader
-(_regions): an order per region of x (its optimum's code, or on the scan its
-first optimum) and a region's value built only when asked.  The limits, the
-modulus and the slope fold the orders into one value (_fold; the slope groups
-its shells by outer radius).  Lazy or budgeted spaces, centers outside the
-space, declined rankings and functions that raise take the region scan.
+Every formula is a fold over the optima of its family's witness problem,
+built on its grid: the limits over the punctured-ball [inf] and [sup]
+problems, the pair formulas over the ball-pairs problem, the shell formulas
+over the torus-slope problem (the slope's grid of (r, s) shells at each
+center's level f(x)).  One reader (_regions) reads x's regions as the closures
+and sweeps read them: on a finite space without a budget off the problem's
+optimum table of x (problem.optima), every parameter at once, and otherwise
+by scanning problem.region and problem.score; it gives an order per region
+(its optimum's code, or on the scan its first optimum) and a region's value
+built only when asked.  A table is built once per (function, truncation,
+center) on f's rankings (memoised on the function oracle per space), with the
+other missing tables of its request as one block, and kept on the prepared
+truncation.  The limits, the modulus and the slope fold the orders into one
+value (_fold; the slope groups its shells by outer radius).  Lazy or budgeted
+spaces, centers outside the space, declined rankings and functions that
+raise take the region scan.
 
 The module also ships the three registered witness-problem families
 (punctured-ball, ball-pairs, torus-slope), each with a per-center optimum
@@ -53,7 +56,7 @@ from .spaces import (
     MetricSpace,
     Point,
     ball_pairs,
-    ball_points,
+    ball_points,  # kept bound here: bench/tracing.py patches this module's region names
     punctured_ball_points,
     torus_points,
 )
@@ -282,8 +285,9 @@ class _Rankings:
     an n x n key matrix (-1 on the diagonal); the descent quotients
     (t - f(u))^+ / d(x, u) of a center x and level t give one key per point,
     -1 at distance 0 from x, where no shell reaches, the missing levels of a
-    request's centers ranked together (descents).  None (f raises, or the
-    ranking declines) leaves the scores to the scan.
+    request's centers ranked together (descents).  None (the ranking
+    declines) leaves the scores to the scan; where f raises, fv is None and
+    _tables asks for no ranking.
     """
 
     PASS_BOUND = 2 ** 15  # the most descent quotients one ranking pass holds
@@ -301,7 +305,7 @@ class _Rankings:
 
     def _get(self, key: tuple, make: Callable):
         if key not in self.memo:
-            self.memo[key] = None if self.fv is None else make()
+            self.memo[key] = make()
         return self.memo[key]
 
     def points(self, mode: str) -> Optional[tuple]:
@@ -345,25 +349,30 @@ class _Rankings:
 
         return self._get(("pairs", mode), make)
 
-    def descents(self, centers: Sequence[int], levels: Sequence[Num], mode: str) -> list:
-        """The descent ranking of each center at each level, memoised per (center,
-        level); the missing rows of the n - 1 points at positive distance that
-        _quotient_parts holds take one pass per block of at most PASS_BOUND quotients."""
-        wanted = {i: [("descent", i, mode, type(t), t) for t in levels] for i in centers}
-        todo = [(key, i, r) for i, row in wanted.items() for r, key in enumerate(row)
-                if self.fv is not None and key not in self.memo]
-        fv, n, rows, held = self.fv, len(self.space), {}, []
-        parts = [_parts([t]) for t in levels] if todo else []
-        for key, i, r in todo:
+    def descents(self, centers: Sequence[int], levels: Sequence[Sequence[Num]],
+                 mode: str) -> list:
+        """The descent ranking of each center at each of its levels, memoised per
+        (center, level); the missing rows of the n - 1 points at positive distance
+        that _quotient_parts holds take one pass per block of at most PASS_BOUND
+        quotients."""
+        wanted = [[("descent", i, mode, type(t), t) for t in ts] for i, ts in zip(centers, levels)]
+        todo = [(key, ts, r) for row, ts in zip(wanted, levels) for r, key in enumerate(row)
+                if key not in self.memo]
+        fv, n, rows, held, parts = self.fv, len(self.space), {}, [], {}
+        for key, ts, r in todo:
+            _, i, _, _, t = key
+            if id(ts) not in parts:  # the _parts of a list of levels, which centers may share
+                parts[id(ts)] = [_parts([v]) for v in ts]
             if i not in rows:
                 order, dists = self.space.sorted_row(i)
                 a = bisect_right(dists, 0)  # no shell reaches a point at distance 0
                 rows[i] = order[a:], dists[a:], _parts(dists[a:], floats=True)
             points, dists, d = rows[i]
-            if len(points) == n - 1 and not any(v is None for v in (self.parts, d, parts[r])):
-                held.append((key, *rows[i], parts[r]))
+            level = parts[id(ts)][r]
+            if len(points) == n - 1 and not any(v is None for v in (self.parts, d, level)):
+                held.append((key, *rows[i], level))
                 continue
-            one = _rank_or_none(lambda: [_exact_div(pos_part(sub(levels[r], fv[j])), e)
+            one = _rank_or_none(lambda: [_exact_div(pos_part(sub(t, fv[j])), e)
                                          for j, e in zip(points, dists)], mode)
             if one is not None:  # one Python number at a time
                 keys, at = np.full(n, -1, dtype=np.int64), list(points)
@@ -387,7 +396,7 @@ class _Rankings:
             for r, (key, one, shared) in enumerate(zip(names, ranked, _shared(codes, q[3]))):
                 self.memo[key] = None if one is None else (
                     keys[r], fractions[r] if shared else None, one)
-        return [[self.memo.get(key) for key in wanted[i]] for i in centers]
+        return [[self.memo[key] for key in row] for row in wanted]
 
 
 class _Quotients:
@@ -420,43 +429,45 @@ def _rankings(f: FunctionOracle, space: MetricSpace,
 
 
 def _tables(f: FunctionOracle, space: MetricSpace, xs: Sequence[Point], budget: Optional[int],
-            builder: Callable[..., list], params: ParamSpace, *key) -> list:
+            builder: Callable[..., list], params: ParamSpace, mode: str) -> list:
     """Each x's table, kept on params, the missing ones built by one builder(f's
-    rankings, their indices, params, *key); None leaves x to the scan (lazy or
-    budgeted spaces, no parameters, x outside the space, a declined ranking)."""
+    rankings, their indices, params, mode); None leaves x to the scan (lazy or
+    budgeted spaces, f raising on the space, no parameters, x outside the
+    space, a declined ranking)."""
     rankings = _rankings(f, space, budget)
-    if rankings is None or not params:
+    if rankings is None or rankings.fv is None or not params:
         return [None] * len(xs)
-    at = [(rankings, builder, *key, space.index_of(x)) if x in space else None for x in xs]
+    at = [(rankings, builder, mode, space.index_of(x)) if x in space else None for x in xs]
     new = list(dict.fromkeys(k for k in at if k is not None and k not in params.tables))
     if new:
-        params.tables.update(zip(new, builder(rankings, [k[-1] for k in new], params, *key)))
+        params.tables.update(zip(new, builder(rankings, [k[-1] for k in new], params, mode)))
     return [k and params.tables[k] for k in at]
 
 
-def _regions(f: FunctionOracle, space: MetricSpace, x: Point, params: ParamSpace,
-             allowed: Optional[set], budget: Optional[int], builder: Callable[..., list],
-             mode: str, *level) -> tuple[list, Callable[[int], int], Callable[[int], Num]]:
-    """Every region of x within allowed, read by one _tables call: per region
-    an order (larger for better in mode, None where empty), and size(k) and
-    value(k), region k's size in tuples (a pair once) and its optimum, built
-    only when asked.  The order is the optimum's code off x's table, else the
-    scanned (_SCANS) first optimum in enumeration order, negated in inf mode."""
-    [table] = _tables(f, space, [x], budget, builder, params, mode, *level)
+def _regions(problem: WitnessProblem, x: Point,
+             allowed: Optional[set]) -> tuple[list, Callable[[int], int], Callable[[int], Num]]:
+    """Every region of x within allowed, read as the closures and sweeps read
+    the problem: per region an order (larger for better in its mode, None
+    where empty), and size(k) and value(k), region k's size in tuples (a pair
+    once) and its optimum, built only when asked.  The order is the optimum's
+    code off x's table (problem.optima), else the first optimum in
+    enumeration order of the scanned region, negated in inf mode."""
+    [table] = problem.optima([x])
     if table is not None:
         mask = None if allowed is None else np.fromiter(
-            (u in allowed for u in space.points), bool, len(space))
+            (u in allowed for u in problem.space.points), bool, len(problem.space))
         best, size = (table.best, table.size) if mask is None else table.read(mask)
         keys = best.tolist()
         return ([key // table.width if key >= 0 else None for key in keys],
-                lambda k: size[k] // table.block.arity,  # a pair table counts both orders
+                lambda k: size[k] // problem.arity,  # pair regions hold both orders
                 lambda k: table.value(k, keys[k], mask))
-    optimum, sign = (max, 1) if mode == "sup" else (min, -1)
+    optimum, sign = (max, 1) if problem.mode == "sup" else (min, -1)
     values, sizes = [], []
-    for p in params:
-        got = _SCANS[builder](f, space, x, p, allowed, budget, *level)
+    for p in problem.params:
+        got = [problem.score((x, p), u) for u in problem.region(x, p)
+               if allowed is None or all(c in allowed for c in u)]
         values.append(optimum(got, default=None))
-        sizes.append(len(got))
+        sizes.append(len(got) // problem.arity)
     return [None if v is None else sign * v for v in values], sizes.__getitem__, values.__getitem__
 
 
@@ -486,12 +497,6 @@ def _grid_at(kind: type, grid, x: Point, Y: Optional[Iterable[Point]]) -> tuple:
     return kind.of(params, repeats=True), allowed
 
 
-def _restricted(points: Iterable[Point], allowed: Optional[set]) -> list:
-    if allowed is None:
-        return list(points)
-    return [u for u in points if u in allowed]
-
-
 def _allowed(x: Point, Y: Optional[Iterable[Point]]) -> Optional[set]:
     """Y as a set, None for the whole space; x must lie in it."""
     allowed = None if Y is None else set(Y)
@@ -504,7 +509,8 @@ def _limit(f: FunctionOracle, space: MetricSpace, x: Point, radii: Radii,
            allowed: Optional[set], budget: Optional[int], mode: str) -> Num:
     """The first least along the radii of x's punctured-ball optima in mode: in
     inf mode the greatest inf (liminf), in sup mode the least sup (limsup)."""
-    orders, _, value = _regions(f, space, x, radii, allowed, budget, _points_table, mode)
+    problem = punctured_ball_problem(space, f, mode, radii, budget)
+    orders, _, value = _regions(problem, x, allowed)
     return value(_fold(orders, range(len(orders)),
                        f"every punctured ball at {x.id!r} along the grid is empty"))
 
@@ -567,8 +573,8 @@ def lip_local_sups(f: FunctionOracle, space: MetricSpace, x: Point, radii: Seque
     positive: max(0, sup) keeps the int 0 unless sup exceeds it.
     """
     allowed = _allowed(x, Y)
-    radii = Radii.of(radii, repeats=True)
-    orders, size, value = _regions(f, space, x, radii, allowed, budget, _pairs_table, "sup")
+    problem = ball_pairs_problem(space, f, "sup", Radii.of(radii, repeats=True), budget)
+    orders, size, value = _regions(problem, x, allowed)
     return [PairSup(0 if order is None else max(0, value(k)), size(k))
             for k, order in enumerate(orders)]
 
@@ -593,7 +599,7 @@ def lip_modulus(f: FunctionOracle, space: MetricSpace, x: Point, grid,
     folded from one read of x's balls.  Raises IsolatedPoint when no ball
     (within Y) holds a pair."""
     radii, allowed = _grid_at(Radii, grid, x, Y)
-    orders, _, value = _regions(f, space, x, radii, allowed, budget, _pairs_table, "sup")
+    orders, _, value = _regions(ball_pairs_problem(space, f, "sup", radii, budget), x, allowed)
     return max(0, value(_fold(orders, range(len(orders)),
                               f"no ball at {x.id!r} along the grid holds a pair")))
 
@@ -619,8 +625,8 @@ def torus_sups(f: FunctionOracle, space: MetricSpace, x: Point, params: Sequence
     enumeration order gives a shell's value.
     """
     allowed = _allowed(x, Y)
-    params = Shells.of(params, repeats=True)
-    orders, _, value = _regions(f, space, x, params, allowed, budget, _torus_table, "sup")
+    problem = torus_slope_problem(space, f, "sup", Shells.of(params, repeats=True), budget=budget)
+    orders, _, value = _regions(problem, x, allowed)
     return [None if order is None else value(k) for k, order in enumerate(orders)]
 
 
@@ -650,17 +656,18 @@ def slope_at(f: FunctionOracle, space: MetricSpace, x: Point,
     nothing; if every shell in the grid (None: every shell of x's realized
     radii) is empty the point is isolated, and an empty grid raises.  Each s
     keeps its first maximal shell in grid order, and the first least of
-    those is the slope: by the shells' codes where x's torus-slope table of
-    the level f(x) exists, by the scanned shell values otherwise.
+    those is the slope, read off the torus-slope problem on the grid, which
+    scores each center at its own level: by the shells' codes where it has
+    x's table, by the scanned shell values otherwise.
     """
     if grid is None:
         grid = default_shell_grid(space, x)
         if not grid:
             raise IsolatedPoint(f"no shells realized at {x.id!r}")
     shells, allowed = _grid_at(ShellGrid, grid, x, Y)
-    t = f.value(x)
-    orders, _, value = _regions(f, space, x, shells, allowed, budget, _torus_table, "sup",
-                                (type(t), t))
+    f.value(x)  # an error of f at x comes first
+    problem = torus_slope_problem(space, f, "sup", shells, budget=budget)
+    orders, _, value = _regions(problem, x, allowed)
     return value(_fold(orders, shells.outer.tolist(), f"every shell at {x.id!r} is empty"))
 
 
@@ -868,9 +875,9 @@ def _rows(rankings: _Rankings, centers: np.ndarray, params: ParamSpace,
     return points, *ends
 
 
-# The table builders, one per family, shared by the factories and the
-# formulas: (f's rankings on a finite space, center indices, the prepared
-# parameters) to each center's Optima, or None where a ranking is declined.
+# The table builders, one per family, behind each factory's optima: (f's
+# rankings on a finite space, center indices, the prepared parameters, the
+# mode) to each center's Optima, or None where a ranking is declined.
 # A request's centers share one OptimaBlock per run of at most
 # PASS_BOUND // (entries per center) of them, so every stacked array (the
 # keys, a pair block's n x n gathers, the n x radii placements and each
@@ -911,41 +918,25 @@ def _pairs_table(rankings: _Rankings, centers: list, radii: Radii, mode: str) ->
     return _balls(rankings, centers, radii, rankings.pairs(mode), 2)
 
 
-def _torus_table(rankings: _Rankings, centers: list, shells: ShellGrid, mode: str,
-                 level: Optional[tuple] = None) -> list:
-    """Shells r < d(x_i, u) < s, shell k at shells.levels[shells.rows[k]] or at the
-    one level (type(t), t) given: one ranking of the descent quotients per level
+def _torus_table(rankings: _Rankings, centers: list, shells: ShellGrid, mode: str) -> list:
+    """Shells r < d(x_i, u) < s, shell k at shells.levels[shells.rows[k]], or on a
+    grid (no levels) at f(x_i): one ranking of the descent quotients per level
     (descents), laid out along the punctured sorted rows, where a shell is a slice."""
-    levels = shells.levels if level is None else level[1:]
-    ranked = rankings.descents(centers, levels, mode)
+    ranked = rankings.descents(
+        centers, [shells.levels or [rankings.fv[c]] for c in centers], mode)
     ok = [a for a, one in enumerate(ranked) if None not in one]
 
     def build(at: list) -> OptimaBlock:
         points, ends, starts = _rows(rankings, np.array([centers[a] for a in at]), shells, True)
         by_point = np.array([[one[0] for one in ranked[a]] for a in at])
-        keys = by_point[np.arange(len(at))[:, None, None], np.arange(len(levels))[:, None],
+        keys = by_point[np.arange(len(at))[:, None, None], np.arange(by_point.shape[1])[:, None],
                         points[:, None]]
         return OptimaBlock(rankings.space, points, shells.rows, starts[:, shells.inner],
                            ends[:, shells.outer], [ranked[a] for a in at], keys)
 
-    per_center = len(rankings.space) * max(len(levels), len(shells.radii))
+    per_center = len(rankings.space) * max(len(shells.levels), 1, len(shells.radii))
     got = dict(zip(ok, _blocks(ok, per_center, build)))
     return [got.get(a) for a in range(len(centers))]
-
-
-# The formulas' region scans by table builder: the scores of region p of x
-# within allowed, in enumeration order; a one-level shell grid's (r, s) scans
-# at its level.
-_SCANS = {
-    _points_table: lambda f, space, x, r, allowed, budget: [
-        f.value(u) for u in _restricted(punctured_ball_points(space, x, r, budget), allowed)],
-    _pairs_table: lambda f, space, x, r, allowed, budget: [
-        _pair_quotient(f, space, a, b) for a, b in itertools.combinations(
-            _restricted(ball_points(space, x, r, budget), allowed), 2)],
-    _torus_table: lambda f, space, x, p, allowed, budget, level=None: [
-        _descent_quotient(p[0] if level is None else level[1], f, space, x, u)
-        for u in _restricted(torus_points(space, x, *p[-2:], budget), allowed)],
-}
 
 
 def punctured_ball_problem(space: MetricSpace, f: FunctionOracle,
@@ -1011,23 +1002,24 @@ def torus_slope_problem(space: MetricSpace, f: FunctionOracle,
     """Arity-1 problem: shells r < d(x,u) < s, score (t - f(u))^+ / d(x,u).
 
     At x each level t gives one ranking of the descent quotients (shared
-    with torus_sups and slope_at through f).
+    with torus_sups and slope_at through f).  A prepared ShellGrid, a
+    slope's grid of (r, s) shells, scores each center x at its own level f(x).
     """
     if truncation is None:
         truncation = shell_truncation(space, level_grid(f, space, t_mode))
-    trunc = Shells.of(truncation)
+    trunc = truncation if type(truncation) is ShellGrid else Shells.of(truncation)
 
     def region(x: Point, p: tuple) -> Region:
-        _, r, s = p
+        r, s = p[-2:]
         return Region(1, tuple((u,) for u in torus_points(space, x, r, s, budget)))
 
     def member(x: Point, p: tuple, u: tuple) -> bool:
-        _, r, s = p
+        r, s = p[-2:]
         return r < space.distance(x, u[0]) < s
 
     def score(z: tuple, u: tuple) -> Num:
         x, p = z
-        return _descent_quotient(p[0], f, space, x, u[0])
+        return _descent_quotient(p[0] if len(p) == 3 else f.value(x), f, space, x, u[0])
 
     return WitnessProblem(
         name=f"torus-slope[{mode}]", space=space,

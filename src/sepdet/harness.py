@@ -178,11 +178,15 @@ def brute_force_optimum(problem: WitnessProblem, z: tuple,
     """Optimum of the score over all |X|^l tuples filtered by membership.
 
     Independent of the problem's region enumeration: scans the full tuple
-    product and asks the membership predicate.  Raises EmptyRegion when no
-    tuple qualifies.
+    product (of the points in restrict, if given) in the space's enumeration
+    order and asks the membership predicate, so the first optimum is the one
+    the regions give.  Raises EmptyRegion when no tuple qualifies.
     """
     x, p = z
-    pool = sort_points(restrict) if restrict is not None else problem.space.enumerate_points()
+    pool = problem.space.enumerate_points()
+    if restrict is not None:
+        keep = set(restrict)
+        pool = [u for u in pool if u in keep]
     best: Optional[Num] = None
     for u in itertools.product(pool, repeat=problem.arity):
         if not problem.member(x, p, u):
@@ -560,23 +564,27 @@ INF_SHARE = 0.3  # chance of +inf per value, in the instances that draw some
 _SMALL = (5, 6, 8, 9, 10, 12, 14, 16, 18, 20)
 
 
-def _each(Y):
-    return ((x,) for x in Y)
+def _per_center(name: str, inst: Instance, f: FunctionOracle, formula: Callable) -> Comparison:
+    """formula(x, None) against formula(x, Y) at every x of Y, None for Y's side
+    where it raises IsolatedPoint; skipped as isolated where the full side does,
+    or the space has one point.  A check at an infinite f(x) is noted."""
 
+    def at(Y, at):
+        x, = at
+        if len(inst.space) == 1:
+            return "skipped_isolated"
+        try:
+            full = formula(x, None)
+        except IsolatedPoint:
+            return "skipped_isolated"
+        if not f.is_finite_at(x):
+            inst.notes.append("convention_branch_checks")
+        try:
+            return full, formula(x, Y)
+        except IsolatedPoint:
+            return full, None
 
-def _sides(space, formula: Callable, Y):
-    """(formula(None), formula(Y)), None for Y's side where it raises IsolatedPoint;
-    skipped as isolated where the full side does, or space has one point."""
-    if len(space) == 1:
-        return "skipped_isolated"
-    try:
-        full = formula(None)
-    except IsolatedPoint:
-        return "skipped_isolated"
-    try:
-        return full, formula(Y)
-    except IsolatedPoint:
-        return full, None
+    return Comparison(name, ("x",), lambda Y: ((x,) for x in Y), at)
 
 
 def _closure(mode: str) -> Callable:
@@ -659,67 +667,37 @@ def _limits(inst: Instance) -> list[Stage]:
         space, f = inst.table()
     radii = radius_truncation(space, inst.cfg.q_density)
     probs = [punctured_ball_problem(space, f, mode, truncation=radii) for mode in ("sup", "inf")]
-
-    def limits(Y, at):  # each limit read once, continuity decided from the two
-        return _sides(space, lambda y: (
-            lo := liminf_at(f, space, *at, radii, Y=y), hi := limsup_at(f, space, *at, radii, Y=y),
-            continuous(f.value(*at), lo, hi, inst.tol)), Y)
-
-    return [Stage("closure", inst.closing(intersect_problems, probs),
-                  (Comparison("limits", ("x",), _each, limits),))]
+    limits = _per_center("limits", inst, f, lambda x, Y: (  # continuity from the two limits
+        lo := liminf_at(f, space, x, radii, Y=Y), hi := limsup_at(f, space, x, radii, Y=Y),
+        continuous(f.value(x), lo, hi, inst.tol)))
+    return [Stage("closure", inst.closing(intersect_problems, probs), (limits,))]
 
 
-def _lip(comparison: Optional[Callable] = None) -> Callable:
-    """prop-3.2/thm-3.3: closed under ball pairs, then checked as that family's
-    sweep (the pairwise sup at each radius is its optimum) or by one formula."""
+def _one_family(t_mode: Optional[str], formula: Optional[str] = None) -> Callable:
+    """prop-3.2/thm-3.3 (ball pairs, no t_mode) and prop-4.1/thm-4.2 (descent
+    shells at t_mode's levels): closed under the family's problem, then checked
+    as its sweep (the pairwise sup at each radius and each shell sup are its
+    optima) or by one formula at every center (the modulus, the slope)."""
 
     def build(inst: Instance) -> list[Stage]:
-        space, f = inst.table()
-        radii = radius_truncation(space, inst.cfg.q_density)
-        problem = ball_pairs_problem(space, f, "sup", truncation=radii)
-        close = inst.closing(closure_iterate, problem)
-        if comparison is None:
-            return [Stage("closure", close, problems=lambda: [(f, problem)],
-                          skip_note="skipped_no_pairs")]
-        return [Stage("closure", close, (comparison(space, f, radii),))]
-
-    return build
-
-
-def _lip_modulus(space, f: FunctionOracle, radii: tuple) -> Comparison:
-    def at(Y, at):
-        return _sides(space, lambda y: lip_modulus(f, space, *at, radii, Y=y), Y)
-
-    return Comparison("modulus", ("x",), _each, at)
-
-
-def _shelled(t_mode: str, comparison: Optional[Callable] = None) -> Callable:
-    """prop-4.1/thm-4.2: closed under descent shells, then checked as that
-    family's sweep (each shell sup is its optimum) or by one descent formula."""
-
-    def build(inst: Instance) -> list[Stage]:
-        space, f = inst.table(INF_SHARE if inst.index % 4 == 1 else 0.0)
-        shells = inst.shells(f, t_mode)
-        problem = torus_slope_problem(space, f, "sup", truncation=shells)
+        space, f = inst.table(INF_SHARE if t_mode and inst.index % 4 == 1 else 0.0)
+        if t_mode is None:
+            trunc = radius_truncation(space, inst.cfg.q_density)
+            problem, skip = ball_pairs_problem(space, f, "sup", truncation=trunc), "skipped_no_pairs"
+        else:
+            trunc = inst.shells(f, t_mode)
+            problem = torus_slope_problem(space, f, "sup", truncation=trunc)
+            skip = "skipped_empty_shell"
         close = inst.closing(closure_iterate, problem)
         if any(not f.is_finite_at(p) for p in space.points):
             inst.notes.append("inf_function_instances")
-        if comparison is None:
-            return [Stage("closure", close, problems=lambda: [(f, problem)],
-                          skip_note="skipped_empty_shell")]
-        return [Stage("closure", close, (comparison(inst, space, f, shells),))]
+        if formula is None:
+            return [Stage("closure", close, problems=lambda: [(f, problem)], skip_note=skip)]
+        read = {"modulus": lambda x, Y: lip_modulus(f, space, x, trunc, Y=Y),
+                "slope": lambda x, Y: slope_at(f, space, x, trunc.grid, Y=Y)}[formula]
+        return [Stage("closure", close, (_per_center(formula, inst, f, read),))]
 
     return build
-
-
-def _slope(inst: Instance, space, f: FunctionOracle, shells: tuple) -> Comparison:
-    def at(Y, at):
-        out = _sides(space, lambda y: slope_at(f, space, *at, shells.grid, Y=y), Y)
-        if not isinstance(out, str) and not f.is_finite_at(at[0]):
-            inst.notes.append("convention_branch_checks")
-        return out
-
-    return Comparison("slope", ("x",), _each, at)
 
 
 def _lipschitz(f2: Callable, s1, s2, k: Num, expected: bool, **kw) -> Stage:
@@ -784,13 +762,13 @@ SUITES: dict[str, tuple[Spec, str]] = {
                 "product closure: slice identities at every sampled second factor"),
     "thm-3.1": (Spec(102, _SMALL, (40, 30, 25), _limits),
                 "grid liminf/limsup and continuity verdicts survive restriction"),
-    "prop-3.2": (Spec(102, _SMALL, (60, 50, 40, 30, 25), _lip()),
+    "prop-3.2": (Spec(102, _SMALL, (60, 50, 40, 30, 25), _one_family(None)),
                  "pairwise sup over balls survives restriction at every radius"),
-    "thm-3.3": (Spec(102, _SMALL, (60, 50, 40, 30, 25), _lip(_lip_modulus)),
+    "thm-3.3": (Spec(102, _SMALL, (60, 50, 40, 30, 25), _one_family(None, "modulus")),
                 "local Lipschitz modulus survives restriction"),
-    "prop-4.1": (Spec(102, _SMALL[:8], (40, 40, 30, 25), _shelled("sample")),
+    "prop-4.1": (Spec(102, _SMALL[:8], (40, 40, 30, 25), _one_family("sample")),
                  "shell descent supremum survives restriction at every parameter"),
-    "thm-4.2": (Spec(102, _SMALL[:8], (30, 25, 20, 20), _shelled("full", _slope)),
+    "thm-4.2": (Spec(102, _SMALL[:8], (30, 25, 20, 20), _one_family("full", "slope")),
                 "descent slope survives restriction (convention branch logged)"),
     "thm-4.3": (Spec(32, (4, 5, 6, 8, 10, 12), (20, 16), _partial_slope,
                      extra=lambda cfg: max(10, (cfg.instances or 32) // 3)),

@@ -55,14 +55,14 @@ class ParamSpace(tuple):
     truncation out for the optimum tables and finds repeats from that layout
     (_keys).  A formula's grid may repeat a parameter (repeats=True).  The
     optimum tables over it are kept on it (tables): each built once per
-    function, family, mode, level and center, and freed with it.
+    function, family, mode and center, and freed with it.
     """
 
     def __new__(cls, truncation: Iterable = (), *args, **kwargs):
         return super().__new__(cls, truncation)
 
     def __init__(self, truncation: Iterable = (), repeats: bool = False):
-        self.repeats, self.tables = repeats, {}
+        self.tables = {}
         seen: dict = {}  # each key hashed once
         twin = None if repeats else next(
             (i for i, k in enumerate(self._keys()) if seen.setdefault(k, i) != i), None)
@@ -83,10 +83,8 @@ class ParamSpace(tuple):
     def of(cls, params: Iterable, repeats: bool = False) -> "ParamSpace":
         """params as cls: as given when so prepared, else checked and laid out.
         A formula's grid may repeat a parameter (repeats=True); a problem's
-        truncation may not."""
-        if type(params) is cls and (repeats or not params.repeats):
-            return params
-        return cls(params, repeats)
+        truncation may not, unless a formula prepared it as its grid."""
+        return params if type(params) is cls else cls(params, repeats)
 
 
 class Radii(ParamSpace):

@@ -443,7 +443,8 @@ def test_the_shell_suites_prepare_each_truncation_once(suite, monkeypatch):
 
 # the formulas of each suite that read the closure's own tables (prop-3.2 and
 # prop-4.1 check their families' sweeps, which read them with no formula); a
-# slope reads the one-level table of its grid, which no closure builds
+# slope reads the table of its grid's problem, each center at its own f(x),
+# which no closure builds
 CLOSURE_READS = {"prop-3.2": (), "thm-3.3": ("lip_modulus",),
                  "thm-3.1": ("liminf_at", "limsup_at", "continuity_check"),
                  "prop-4.1": (), "thm-4.2": ("slope_at",),
@@ -452,8 +453,8 @@ CLOSURE_READS = {"prop-3.2": (), "thm-3.3": ("lip_modulus",),
 
 @pytest.mark.parametrize("suite", sorted(CLOSURE_READS))
 def test_each_optimum_table_is_built_once(suite, monkeypatch):
-    # a table is built once per (function, truncation object, mode, level,
-    # center), and the comparisons that the closure's tables serve build none
+    # a table is built once per (function, truncation object, mode, center),
+    # and the comparisons that the closure's tables serve build none
     built, inside = [], [None]
     for name in ("_points_table", "_pairs_table", "_torus_table"):
         def builder(rankings, centers, params, *key, name=name, real=getattr(functionals, name)):
@@ -475,8 +476,8 @@ def test_each_optimum_table_is_built_once(suite, monkeypatch):
     keys = Counter(key for key, *_ in built)
     assert keys and max(keys.values()) == 1
     by_formulas = [key for key, _, name in built if name is not None]
-    if suite in ("thm-4.2", "thm-4.3"):  # one level each: (name, rankings, grid, mode, level, i)
-        assert by_formulas and all(len(key) == 6 for key in by_formulas)
+    if suite in ("thm-4.2", "thm-4.3"):  # on the slope's grid: (name, rankings, grid, mode, i)
+        assert by_formulas and all(len(key) == 5 for key in by_formulas)
     else:
         assert by_formulas == []
     assert sum(name is None for *_, name in built) > 0  # the closures build theirs

@@ -371,6 +371,32 @@ def test_equal_levels_of_two_types_each_read_their_own_quotients():
                 assert got == [2] and type(got[0]) is type(t)
 
 
+@pytest.mark.parametrize("budget", [None, 6])
+def test_a_shell_grid_problem_scores_each_center_at_its_own_level(budget):
+    # f(x) is the int 4 at p0, Fraction(3) at p1 and +inf at p2: each (x, (r, s))
+    # of one grid must be torus_sup at x's own level f(x), in value and type
+    space = FiniteMetricSpace.from_coords([Point(f"p{k}", (c,)) for k, c in
+                                          enumerate((0, 1, 3, 4, 6, 7))])
+    f = FunctionOracle.from_table({"p0": 4, "p1": Fraction(3), "p2": POS_INF, "p3": 0,
+                                   "p4": Fraction(1, 2), "p5": 3})
+    grid = ShellGrid(default_shell_grid(space))
+    problem = torus_slope_problem(space, f, truncation=grid, budget=budget)
+    assert problem.params is grid
+    assert all((table is None) == (budget is not None) for table in problem.optima(space.points))
+    checks = {(c.x, c.param): c for c in check_sweep(problem, space.points)}
+    for x in space.points:
+        for r, s in grid:
+            got = checks[x, (r, s)].lhs
+            want = typed(lambda: torus_sup(f, space, x, f.value(x), r, s))
+            assert (want[0] == "EmptyRegion") if got is None else typed(lambda: got) == want
+    # p3 alone in the shell: (4 - 0) / 4 from p0, (Fraction(3) - 0) / 3 from p1
+    lhs = {pid: checks[space.point(pid), shell].lhs for pid, shell in (
+        ("p0", (Fraction(7, 2), Fraction(9, 2))), ("p1", (Fraction(5, 2), Fraction(7, 2))),
+        ("p2", (Fraction(1, 2), Fraction(3, 2))))}
+    assert [typed(lambda: v) for v in lhs.values()] == [
+        ("ok", "int", "1"), ("ok", "Fraction", "Fraction(1, 1)"), ("ok", "float", "inf")]
+
+
 @pytest.mark.parametrize("far", [POS_INF, NEG_INF])
 def test_limits_of_a_function_with_an_infinite_value_match_the_scan(far):
     # +inf declines the [inf] ranking, so liminf scans while limsup reads its
@@ -492,6 +518,9 @@ def oracle_or_none(prob, x, r, Y):
 @example({"n": 4, "seed": 3, "shuffle_ids": True, "inf": 0.0})
 @example({"n": 4, "seed": 8, "shuffle_ids": True, "inf": 0.3})
 @example({"n": 3, "seed": 4, "shuffle_ids": True, "inf": 0.0})
+# on the int space, a restricted ball where the mixed palette's int and equal
+# Fraction follow the enumeration order but not the ids
+@example({"n": 7, "seed": 1, "shuffle_ids": True, "inf": 0.0})
 def test_pair_and_limit_reads_agree_with_the_scan_and_the_oracle(kind, palette, case):
     space = make_space(kind, case["n"], case["seed"], case["shuffle_ids"])
     f = make_function(space, case["seed"], palette, case["inf"])
@@ -527,27 +556,26 @@ def test_pair_and_limit_reads_agree_with_the_scan_and_the_oracle(kind, palette, 
             for r, best in zip(radii, sups):
                 got = lip_local_sup(f, space, x, r, Y)
                 assert (got.pairs > 0) == (best is not None)
-                assert got.value == (best or 0)
+                assert typed(lambda: got.value) == typed(lambda: 0 if best is None else max(0, best))
             lip = [best for best in sups if best is not None]
-            assert outcome(lambda: lip_modulus(f, space, x, radii, Y)) == (
-                ("ok", min(lip)) if lip else ("IsolatedPoint", no_pair(x)))
+            assert typed(lambda: lip_modulus(f, space, x, radii, Y)) == (
+                typed(lambda: max(0, min(lip))) if lip else ("IsolatedPoint", no_pair(x)))
             # the limits and the slope against the same fold of the oracle's optima,
-            # typed where the oracle scans Y in enumeration order (it scans by id)
-            same = typed if Y is None or not case["shuffle_ids"] else outcome
+            # in value and type: the oracle scans Y in enumeration order
             for formula, prob, least in ((liminf_at, lows, False), (limsup_at, highs, True)):
                 optima = {r: oracle_or_none(prob, x, r, Y) for r in radii}
                 for grid in (radii, picked):
                     best = oracle_fold([optima[r] for r in grid], range(len(grid)), least)
-                    assert same(lambda: formula(f, space, x, grid, Y)) == (
-                        same(lambda: best) if best is not None else ("IsolatedPoint", isolated(x)))
+                    assert typed(lambda: formula(f, space, x, grid, Y)) == (
+                        typed(lambda: best) if best is not None else ("IsolatedPoint", isolated(x)))
             t, shells = f.value(x), default_shell_grid(space, x)
             slopes = torus_slope_problem(space, f, truncation=[(t, r, s) for r, s in shells])
             optima = {(r, s): oracle_or_none(slopes, x, (t, r, s), Y) for r, s in shells}
             for grid in [None, rng.sample(shells, min(6, len(shells)))] if shells else [None]:
                 at = shells if grid is None else grid
                 best = oracle_fold([optima[p] for p in at], [s for _, s in at], True)
-                assert same(lambda: slope_at(f, space, x, grid, Y)) == (
-                    same(lambda: best) if best is not None else ("IsolatedPoint", (
+                assert typed(lambda: slope_at(f, space, x, grid, Y)) == (
+                    typed(lambda: best) if best is not None else ("IsolatedPoint", (
                         f"every shell at {x.id!r} is empty" if at else
                         f"no shells realized at {x.id!r}")))
 

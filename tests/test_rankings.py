@@ -197,7 +197,7 @@ def check_requests(values, space, levels, mode, requests):
     rankings, n, seen = _Rankings(f, space), len(space), {}
     for k, request in enumerate(requests + [list(range(n))]):
         centers, asked = [i % n for i in request], levels[k % len(levels):]
-        for i, row in zip(centers, rankings.descents(centers, asked, mode)):
+        for i, row in zip(centers, rankings.descents(centers, [asked] * len(centers), mode)):
             assert [got_descent(rankings, g) for g in row] == \
                 [reference_descent(values, space, i, t, mode) for t in asked]
             assert all(seen.setdefault((i, type(t), t), g) is g for t, g in zip(asked, row))
@@ -272,7 +272,7 @@ def test_golden_descents_take_the_int64_pass_once_per_batch(monkeypatch):
         return by_python(score_all, mode)
 
     def counted_descents(self, centers, levels, mode):
-        missing = {(i, type(t), t) for i in centers for t in levels
+        missing = {(i, type(t), t) for i, ts in zip(centers, levels) for t in ts
                    if ("descent", i, mode, type(t), t) not in self.memo}
         passes[:] = []
         monkeypatch.setattr(functionals, "_rank_or_none", counted_fallback)

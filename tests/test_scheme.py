@@ -107,9 +107,11 @@ class TestParamSpace:
     def test_a_prepared_value_is_passed_on_as_it_is(self, kind, params):
         prepared = kind(params)
         assert kind.of(prepared) is prepared and kind.of(prepared, repeats=True) is prepared
-        grid = kind(params, repeats=True)
-        assert kind.of(grid, repeats=True) is grid and kind.of(grid) is not grid
+        grid = kind(list(params) * 2, repeats=True)
+        assert kind.of(grid, repeats=True) is grid and kind.of(grid) is grid
         assert kind.of(list(params)) == prepared
+        with pytest.raises(ValueError, match="duplicate"):  # a plain repeated sequence
+            kind.of(list(params) * 2)
 
 
 
