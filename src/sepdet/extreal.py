@@ -48,12 +48,16 @@ def pos_part(s: Num) -> Num:
 
 
 def sub(a: Num, b: Num) -> Num:
-    """a - b with inf - inf = 0 (either sign); +-inf against any number skips float()."""
+    """a - b with inf - inf = 0 (either sign); +-inf against any number skips
+    float(), and an exact side past the floats against a float subtracts exactly."""
     if isinstance(a, float) and math.isinf(a) and b == b:
         return 0 if a == b else a
     if isinstance(b, float) and math.isinf(b) and a == a:
         return -b
-    return a - b
+    try:
+        return a - b
+    except OverflowError:  # an exact side past the floats: a finite float is a Fraction exactly
+        return Fraction(a) - Fraction(b)
 
 
 def resolve_tolerance(tol: Optional[Num], *values: Num) -> Num:

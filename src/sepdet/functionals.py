@@ -19,9 +19,10 @@ built only when asked.  A table is built once per (function, truncation,
 center) on f's rankings (memoised on the function oracle per space), with the
 other missing tables of its request as one block, and kept on the prepared
 truncation.  The limits, the modulus and the slope fold the orders into one
-value (_fold; the slope groups its shells by outer radius).  Lazy or budgeted
-spaces, centers outside the space, declined rankings and functions that
-raise take the region scan.
+value (_fold; the slope groups its shells by outer radius).  Every ranking is
+one int64 pass (_Rankings); lazy or budgeted spaces, centers outside the
+space, functions that raise or whose values the pass does not hold (a finite
+float, -inf, a part past 2**17) and declined rankings take the region scan.
 
 The module also ships the three registered witness-problem families
 (punctured-ball, ball-pairs, torus-slope), each with a per-center optimum
@@ -50,7 +51,7 @@ from .errors import (
 from .extreal import (POS_INF, Num, close, fmt, is_exact, is_finite, parse, pos_part,
                       resolve_tolerance, sub)
 from .scheme import (Optima, OptimaBlock, ParamSpace, Radii, Region, ShellGrid, Shells,
-                     WitnessProblem, _image, rank_rows, rank_scores)
+                     WitnessProblem, _image, rank_rows)
 from .spaces import (
     FiniteMetricSpace,
     MetricSpace,
@@ -82,11 +83,10 @@ class FunctionOracle:
         return is_finite(self.value(p))
 
     def check_proper(self, space: MetricSpace, budget: Optional[int] = None) -> None:
-        """Raise unless some enumerated point has a finite value."""
-        for p in space.iter_points(budget):
-            if self.is_finite_at(p):
-                return
-        raise ValueError(f"function {self.name!r} has no finite value on the space")
+        """Raise unless some enumerated point has a finite value; f is read at
+        every one, so an error of f at any point raises."""
+        if not any([self.is_finite_at(p) for p in space.iter_points(budget)]):
+            raise ValueError(f"function {self.name!r} has no finite value on the space")
 
     def tabulate(self, space: MetricSpace, budget: Optional[int] = None) -> dict:
         return {p.id: self.value(p) for p in space.iter_points(budget)}
@@ -123,7 +123,10 @@ class FunctionOracle:
         def wrapped(p: Point) -> Num:
             if p.coords is None:
                 raise NoCoordinates(f"function {name!r} needs coordinates at {p.id!r}")
-            return fn(p.coords)
+            try:
+                return fn(p.coords)
+            except OverflowError:  # an exact value past the floats met a float
+                raise ScoreRangeError(f"function {name!r} at {p.id!r} is past the floats") from None
 
         return cls(name, wrapped)
 
@@ -278,16 +281,20 @@ def _exact_div(num: Num, den: Num) -> Num:
 class _Rankings:
     """One function's values, computed once, and rankings on one finite space.
 
-    A ranking is (keys, Fraction flags, value of each code) by point index,
-    the Fraction flags None unless an int and a Fraction share a code; keys
-    are Optima keys, so a key's code is key // width.  Ranked in a mode, f
-    gives one key per point; the pair quotients |f(a) - f(b)| / d(a, b) give
-    an n x n key matrix (-1 on the diagonal); the descent quotients
-    (t - f(u))^+ / d(x, u) of a center x and level t give one key per point,
-    -1 at distance 0 from x, where no shell reaches, the missing levels of a
-    request's centers ranked together (descents).  None (the ranking
-    declines) leaves the scores to the scan; where f raises, fv is None and
-    _tables asks for no ranking.
+    Every ranking is one int64 pass (rank_rows) over the _parts of f's values
+    (+inf as 1 / 0, valued as a float), of the distances and of the levels:
+    (keys, Fraction flags, value of each code) by point index, the Fraction
+    flags None unless an int and a Fraction share a code; keys are Optima
+    keys, so a key's code is key // width.  Ranked in a mode, f gives one key
+    per point; the pair quotients |f(a) - f(b)| / d(a, b) give an n x n key
+    matrix (-1 on the diagonal); the descent quotients (t - f(u))^+ / d(x, u)
+    of a center x and level t give one key per point, -1 at x, the missing
+    levels of a request's centers ranked together (descents).  None (the
+    ranking declines) leaves the scores to the scan: where _parts holds no
+    value of f (parts is None: f raises, or takes a finite float, -inf or a
+    part past 2**17) _tables asks for no ranking, and a pair or descent
+    ranking declines where it holds no distance or level, or where two points
+    lie at distance 0.
     """
 
     PASS_BOUND = 2 ** 15  # the most descent quotients one ranking pass holds
@@ -309,58 +316,55 @@ class _Rankings:
         return self.memo[key]
 
     def points(self, mode: str) -> Optional[tuple]:
+        """f's values, where _parts holds them."""
         def make():
-            got = _rank_or_none(lambda: self.fv, mode)
-            return got and (_arity1_keys(got[0], self.rank, len(self.space)), *got[1:])
+            if self.parts is None:
+                return None
+            num, den, kind = self.parts
+            with np.errstate(divide="ignore"):  # +inf is 1 / 0
+                q = np.stack([num / den, num, den, np.where(den == 0, 2, kind)])[:, None]
+            codes, (values,), (shared,) = _rank(q, mode)
+            return None if values is None else (
+                _arity1_keys(codes[0], self.rank, len(self.space)),
+                q[3, 0] == 1 if shared else None, values)
 
         return self._get(("points", mode), make)
 
     def pairs(self, mode: str) -> Optional[tuple]:
-        """The pair quotients |f(a) - f(b)| / d(a, b) in one int64 pass where
-        _parts holds f's values and the distances, all positive; one Python
-        number at a time otherwise."""
+        """The pair quotients |f(a) - f(b)| / d(a, b), where _parts holds f's
+        values and the distances, all positive."""
         def make():
-            fv, n, rank = self.fv, len(self.space), self.rank
+            n, rank = len(self.space), self.rank
             a, b = np.triu_indices(n, 1)
             dists = [self.space.matrix[i][j] for i, j in zip(a.tolist(), b.tolist())]
             d = _parts(dists, floats=True)
             if self.parts is None or d is None or not (np.array(dists, dtype=float) > 0).all():
-                got = _rank_or_none(lambda: [_exact_div(abs(sub(fv[i], fv[j])), e) for i, j, e
-                                             in zip(a.tolist(), b.tolist(), dists)], mode)
-                if got is None:
-                    return None
-                codes, fractions, values = got
-            else:
-                q = _quotient_parts(self.parts[:, a], self.parts[:, b], d, dists, True)[:, None]
-                (codes,), (values,) = rank_rows(q[0], q[1:3], q[3] > 1,
-                                                lambda r, js: _Quotients(q[:, r, js]), mode)
-                if values is None:
-                    return None
-                fractions = q[3, 0] == 1 if _shared([codes], q[3])[0] else None
+                return None
+            q = _quotient_parts(self.parts[:, a], self.parts[:, b], d, dists, True)[:, None]
+            codes, (values,), (shared,) = _rank(q, mode)
+            if values is None:
+                return None
             first, second = np.minimum(rank[a], rank[b]), np.maximum(rank[a], rank[b])
             width = n * n
-            keys = np.full((n, n), -1, dtype=np.int64)
-            keys[a, b] = keys[b, a] = (np.array(codes, dtype=np.int64) * width
-                                       + (width - 1 - (first * n + second)))
-            if fractions is not None:
-                by_pair, fractions = fractions, np.zeros((n, n), dtype=bool)
-                fractions[a, b] = fractions[b, a] = by_pair
-            return keys, fractions, values
+            keys, fractions = np.full((n, n), -1, dtype=np.int64), np.zeros((n, n), dtype=bool)
+            keys[a, b] = keys[b, a] = codes[0] * width + (width - 1 - (first * n + second))
+            fractions[a, b] = fractions[b, a] = q[3, 0] == 1
+            return keys, fractions if shared else None, values
 
         return self._get(("pairs", mode), make)
 
     def descents(self, centers: Sequence[int], levels: Sequence[Sequence[Num]],
                  mode: str) -> list:
         """The descent ranking of each center at each of its levels, memoised per
-        (center, level); the missing rows of the n - 1 points at positive distance
-        that _quotient_parts holds take one pass per block of at most PASS_BOUND
-        quotients."""
+        (center, level); the missing rows, where _parts holds the level and the
+        distances from the center, all positive, take one pass per block of at
+        most PASS_BOUND quotients."""
         wanted = [[("descent", i, mode, type(t), t) for t in ts] for i, ts in zip(centers, levels)]
         todo = [(key, ts, r) for row, ts in zip(wanted, levels) for r, key in enumerate(row)
                 if key not in self.memo]
-        fv, n, rows, held, parts = self.fv, len(self.space), {}, [], {}
+        n, rows, held, parts = len(self.space), {}, [], {}
         for key, ts, r in todo:
-            _, i, _, _, t = key
+            i = key[1]
             if id(ts) not in parts:  # the _parts of a list of levels, which centers may share
                 parts[id(ts)] = [_parts([v]) for v in ts]
             if i not in rows:
@@ -371,32 +375,30 @@ class _Rankings:
             level = parts[id(ts)][r]
             if len(points) == n - 1 and not any(v is None for v in (self.parts, d, level)):
                 held.append((key, *rows[i], level))
-                continue
-            one = _rank_or_none(lambda: [_exact_div(pos_part(sub(t, fv[j])), e)
-                                         for j, e in zip(points, dists)], mode)
-            if one is not None:  # one Python number at a time
-                keys, at = np.full(n, -1, dtype=np.int64), list(points)
-                keys[at] = _arity1_keys(one[0], self.rank[at], n)
-                fractions = None if one[1] is None else np.zeros(n, dtype=bool)
-                if fractions is not None:
-                    fractions[at] = one[1]
-                one = keys, fractions, one[2]
-            self.memo[key] = one
+            else:
+                self.memo[key] = None
         step = max(1, self.PASS_BOUND // max(n - 1, 1))
         for block in (held[a:a + step] for a in range(0, len(held), step)):
             names, points, dists, d, t = zip(*block)  # k (center, level) rows
             k, points = len(block), np.array(points, dtype=np.int64).reshape(len(block), n - 1)
             q = _quotient_parts(np.concatenate(t, 1)[:, :, None], self.parts[:, points],
                                 np.stack(d, 1), dists)
-            codes, ranked = rank_rows(q[0], q[1:3], q[3] > 1,
-                                      lambda r, js: _Quotients(q[:, r, js]), mode)
+            codes, ranked, shared = _rank(q, mode)
             keys, fractions = np.full((k, n), -1, dtype=np.int64), np.zeros((k, n), dtype=bool)
             at = np.arange(k)[:, None], points
             keys[at], fractions[at] = _arity1_keys(codes, self.rank[points], n), q[3] == 1
-            for r, (key, one, shared) in enumerate(zip(names, ranked, _shared(codes, q[3]))):
+            for r, (key, one, flags) in enumerate(zip(names, ranked, shared)):
                 self.memo[key] = None if one is None else (
-                    keys[r], fractions[r] if shared else None, one)
+                    keys[r], fractions[r] if flags else None, one)
         return [[self.memo[key] for key in row] for row in wanted]
+
+
+def _rank(q: np.ndarray, mode: str) -> tuple[np.ndarray, list, list]:
+    """rank_rows of the rows of q (image, numerator, denominator, kind, as
+    _quotient_parts stacks them): the codes, each row's values (None where
+    declined), and whether an int and a Fraction share one of its codes."""
+    codes, values = rank_rows(q[0], q[1:3], q[3] > 1, lambda r, js: _Quotients(q[:, r, js]), mode)
+    return codes, values, _shared(codes, q[3])
 
 
 class _Quotients:
@@ -432,10 +434,10 @@ def _tables(f: FunctionOracle, space: MetricSpace, xs: Sequence[Point], budget: 
             builder: Callable[..., list], params: ParamSpace, mode: str) -> list:
     """Each x's table, kept on params, the missing ones built by one builder(f's
     rankings, their indices, params, mode); None leaves x to the scan (lazy or
-    budgeted spaces, f raising on the space, no parameters, x outside the
+    budgeted spaces, values of f outside _parts, no parameters, x outside the
     space, a declined ranking)."""
     rankings = _rankings(f, space, budget)
-    if rankings is None or rankings.fv is None or not params:
+    if rankings is None or rankings.parts is None or not params:
         return [None] * len(xs)
     at = [(rankings, builder, mode, space.index_of(x)) if x in space else None for x in xs]
     new = list(dict.fromkeys(k for k in at if k is not None and k not in params.tables))
@@ -778,23 +780,6 @@ def shell_truncation(space, t_values: Sequence[Num],
 # once per function (_Rankings), and every region's optimum off the center's
 # sorted distance row.  _tables builds one per (function, truncation, center)
 # and keeps it on the truncation, for the closures, sweeps and formulas alike.
-
-
-def _rank_or_none(score_all: Callable[[], list], mode: str) -> Optional[tuple]:
-    """(codes, Fraction flags, values) of score_all() as _Rankings keeps
-    them, or None to leave the scores to the scan.
-
-    None when rank_scores rejects the scores, or when computing or comparing
-    them raises: the scan then raises that error at the (x, p) that meets it.
-    """
-    try:
-        scores = score_all()
-        ranked = rank_scores(scores, mode)
-    except Exception:  # re-raised by the scan where it belongs
-        return None
-    kinds = np.array([[{int: 0, Fraction: 1}.get(type(v), 2) for v in scores]], dtype=np.int64)
-    return ranked and (ranked[0], kinds[0] == 1 if _shared([ranked[0]], kinds)[0] else None,
-                       ranked[1])
 
 
 def _shared(codes: Sequence, kinds: np.ndarray) -> list:

@@ -176,24 +176,6 @@ class WitnessProblem:
             raise ValueError("arity must be at least 1")
 
 
-def rank_scores(scores: Sequence[Num], mode: str) -> Optional[tuple[list[int], list]]:
-    """Integer codes of scores, larger for better in mode, and the score of each code.
-
-    None when a score is NaN or lies outside the mode's range, or when two
-    equal scores differ in type (2 and 2.0, where an int and a Fraction share
-    a code: Optima.value) or in the sign of a float zero: the scan reports
-    the first optimal member, so such rows are left to it.
-    """
-    images = np.array([_image(v) for v in scores], dtype=float)
-    labels: dict = {}  # int and Fraction one kind
-    kinds = np.array([labels.setdefault({int: Fraction}.get(type(v), type(v)), len(labels))
-                      for v in scores], dtype=np.int64)
-    codes, (values,) = rank_rows(images[None], [np.array(scores, dtype=object)[None]],
-                                 (2 * kinds + np.signbit(images))[None],
-                                 lambda r, js: [scores[j] for j in js], mode)
-    return None if values is None else (codes[0].tolist(), values)
-
-
 def _image(v: Num) -> float:
     try:
         return float(v)
@@ -203,15 +185,16 @@ def _image(v: Num) -> float:
 
 def rank_rows(images: np.ndarray, keys: Sequence[np.ndarray], kinds: np.ndarray,
               exact: Callable[[int, list], list], mode: str) -> tuple[np.ndarray, list]:
-    """rank_scores of each row of a score matrix: the codes, and per row the
-    value of each code, or None for a declined row.
+    """Integer codes of each row of a score matrix, larger for better in mode:
+    the codes, and per row the value of each code, or None for a declined row.
 
     images are float images of the scores, monotone in them as correct
     rounding is (a < b gives image a <= image b), and numpy orders them.
     Scores with equal images are equal exactly when every key agrees on them;
     a run of equal images whose keys differ is ordered by the scores
     themselves, which exact(row, columns) gives, as it gives each code's
-    value, its first score's.  Equal scores of different kinds decline their row.
+    value, its first score's.  Equal scores of different kinds, NaN and a score
+    outside the mode's range decline their row.
     """
     sup = mode != "inf"
     rows, m = images.shape
@@ -277,7 +260,7 @@ class OptimaBlock:
     center, such as a level t), ranked by point index in ranked[c][row] (see
     _Rankings).  keys[c, row, j] is a single point's key, or keys is the n x n
     pair-key matrix.  A key is code * width + (width - 1 - rank): code ranks the
-    score as rank_scores does, rank orders the tuple's point ids, so a range
+    score as rank_rows does, rank orders the tuple's point ids, so a range
     maximum names a region's optimum and its least-id optimal tuple.
     """
 
@@ -376,7 +359,7 @@ class Optima:
         """(i, the cap least-id tuples of region i that _select keeps) for every
         nonempty region i, in truncation order.  A region keeps the codes from
         the least one within eps of its best, found once per (row, best code)
-        by bisection in the row's values, which rank_scores orders without NaN;
+        by bisection in the row's values, which rank_rows orders without NaN;
         the cut compares values, so a code an int and a Fraction share is one."""
         b, values = self.block, [r[2] for r in self.block.ranked[self.c]]
         regions = np.flatnonzero(self.best >= 0)

@@ -59,8 +59,10 @@ def _euclidean(a: Point, b: Point) -> Num:
         raise DescriptorError(f"points {a.id} and {b.id} have different dimensions")
     if len(a.coords) == 1:
         return abs(a.coords[0] - b.coords[0])  # exact when coordinates are rational
-    sq = sum((x - y) ** 2 for x, y in zip(a.coords, b.coords))
-    return math.sqrt(sq)
+    try:
+        return math.sqrt(sum((x - y) ** 2 for x, y in zip(a.coords, b.coords)))
+    except OverflowError:  # a float square, or an exact sum, past the floats
+        raise DescriptorError(f"distance between {a.id} and {b.id} is past the floats") from None
 
 
 class MetricSpace:

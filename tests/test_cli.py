@@ -7,6 +7,7 @@ import importlib
 import io
 import json
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import sepdet
 from sepdet import FunctionOracle, SuiteConfig, cli, lip_local_sup, space_from_descriptor
 from sepdet.errors import ScoreRangeError
+from sepdet.extreal import sub
 from sepdet.cli import _build_parser, run_cli
 
 LINE3 = {
@@ -145,6 +147,15 @@ class TestValidate:
             {"kind": "table", "values": {"p0": "inf", "p1": "inf", "p2": "inf"}}))
         assert run_cli(["validate", "--space", line3_path, "--fn", str(fn)]) == 2
         assert "finite" in capsys.readouterr().err
+
+    def test_a_function_without_a_value_at_a_later_point_is_named(self, tmp_path, capsys):
+        # validate stopped reading f at its first finite value, so c went unread
+        space = {"kind": "finite", "metric": "matrix", "points": ["a", "b", "c"],
+                 "matrix": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}
+        fn = {"kind": "table", "values": {"a": 1, "b": 2}}
+        assert run_cli(["validate"] + write_inputs(tmp_path, space, fn)) == 2
+        err = capsys.readouterr().err
+        assert "function 'table' has no value for point 'c'" in err and "Traceback" not in err
 
 
 class TestReduce:
@@ -517,6 +528,46 @@ def test_a_quotient_past_the_floats_by_a_float_distance_exits_two(verb, tmp_path
     space, f = space_from_descriptor(PLANE3), FunctionOracle.from_descriptor(BY_FLOAT)
     with pytest.raises(ScoreRangeError, match="exact quotient by the float 1.118033988749895"):
         lip_local_sup(f, space, space.point("a"), 3)
+
+
+@pytest.mark.parametrize("coords", [([1e300, 0], [0, 1e300]), ([10 ** 200, 0], [0, 1])])
+def test_a_distance_past_the_floats_exits_two_naming_both_points(coords, tmp_path, capsys):
+    # a square (floats) or a sum of squares (ints) past the floats raised
+    # OverflowError in spaces._euclidean
+    space = {"kind": "finite", "metric": "euclidean",
+             "points": [{"id": pid, "coords": c} for pid, c in zip("ab", coords)]}
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(space))
+    assert run_cli(["validate", "--space", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "distance between a and b is past the floats" in err and "Traceback" not in err
+
+
+LINE_AT_FLOATS = {"kind": "finite", "metric": "euclidean", "points": [
+    {"id": pid, "coords": [c]} for pid, c in zip("abc", (0.5, 1.5, 3.0))]}
+
+
+@pytest.mark.parametrize("verb", [["validate"], ["reduce"], ["check"], ["slope", "--x", "b"],
+                                  ["lip", "--x", "b"]])
+def test_a_value_past_the_floats_at_a_float_coordinate_exits_two(verb, tmp_path, capsys):
+    # 1e400 * 0.5 raised OverflowError in the linear function's combine
+    fn = {"kind": "linear", "coeffs": ["1e400"]}
+    assert run_cli(verb[:1] + write_inputs(tmp_path, LINE_AT_FLOATS, fn) + verb[1:]) == 2
+    err = capsys.readouterr().err
+    assert "function 'linear' at '" in err and "is past the floats" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb", [["reduce", "--name", "torus-slope"],
+                                  ["check", "--name", "torus-slope"], ["slope", "--x", "a"]])
+def test_a_level_past_the_floats_beside_a_float_value_subtracts_exactly(verb, tmp_path, capsys):
+    # t - f(u) at t = 1e400 and f(u) = 1.5 raised OverflowError in extreal.sub;
+    # exact, its quotient by a float distance is the named range error
+    fn = {"kind": "step", "threshold": 1, "low": "1e400", "high": 1.5}
+    assert run_cli(verb[:1] + write_inputs(tmp_path, LINE_AT_FLOATS, fn) + verb[1:]) == 2
+    err = capsys.readouterr().err
+    assert "exact quotient by the float 1.0 is past the floats" in err and "Traceback" not in err
+    assert sub(Fraction(10 ** 400), 1.5) == Fraction(10 ** 400) - Fraction(3, 2)
 
 
 # Every knob a run can take.  A field or flag added later fails here first,

@@ -525,6 +525,36 @@ def test_small_suite_reports_are_pinned():
     assert got == GOLDEN
 
 
+def test_golden_suites_build_no_region_and_rank_every_function(monkeypatch):
+    # at the GOLDEN configs every region is read off an optimum table: no
+    # region is built, no check or selection scans, and every ranking holds
+    # f's values in its int64 pass (a finite float value of f would not)
+    counts = Counter()
+
+    def count(module, attr, kind):
+        run = getattr(module, attr)
+        monkeypatch.setattr(module, attr, lambda *args: counts.update([kind]) or run(*args))
+
+    for attr in ("punctured_ball_points", "ball_pairs", "torus_points"):
+        count(functionals, attr, "regions")
+    for attr in ("_check", "_select"):
+        count(scheme, attr, "scans")
+    init = functionals._Rankings.__init__
+
+    def counted_init(self, f, space):
+        init(self, f, space)
+        counts.update(["rankings"] + ["rankings without parts"] * (self.parts is None))
+
+    monkeypatch.setattr(functionals._Rankings, "__init__", counted_init)
+    for eps, cap in ((0, 1), (Fraction(1, 2), 3)):
+        for name in sorted(SUITES):
+            instances, sizes = GOLDEN_SIZES.get(name, (4, (5, 7, 9, 11)))
+            assert run_suite(name, SuiteConfig(instances=instances, sizes=sizes,
+                                               eps=eps, cap=cap)).ok
+    assert counts["rankings"] > 0
+    assert [counts[kind] for kind in ("regions", "scans", "rankings without parts")] == [0, 0, 0]
+
+
 def test_table_comparisons_at_the_golden_configs_compare_no_value(monkeypatch):
     # both sides of a passing table comparison read one value object, so the
     # verdict rule never reaches close; thm-2.1's oracle cross-checks compare

@@ -1,16 +1,18 @@
 """Exact rankings through float images, against the Python sort they replace.
 
-rank_scores and the descent rankings order scores by their correctly
-rounded float images and compare exactly only inside runs of equal images
-(scheme.rank_rows).  The reference below is the former rank_scores, a Python
-sort with the same declines, where an int and an equal Fraction share one
-code whose value is the first of them; the new routes must give the same
-codes, the same values of the same types, and decline the same rows.  The descent
-rankings are asked for in batches of centers, as a closure round or a sweep
-asks, and checked center by center and level by level against that
-reference over the former per-element quotients, on rows the int64 pass
-holds and on rows it leaves to Python numbers; the pair rankings are checked
-the same way against the former per-pair quotients.
+Every ranking of f (its values, its pair quotients, its descent quotients)
+is one int64 pass that orders scores by their correctly rounded float
+images and compares exactly only inside runs of equal images
+(scheme.rank_rows).  The reference below is a Python sort with the same
+declines, where an int and an equal Fraction share one code whose value is
+the first of them; on the inputs the pass holds (exact parts within 2**17,
++inf among f's values, finite float distances, distinct points at positive
+distance) each ranking must give the same codes and the same values of the
+same types, and decline the same rows; on every other input it declines.
+The descent rankings are asked for in batches of centers, as a closure round
+or a sweep asks, and checked center by center and level by level against
+that reference over the per-element quotients; the pair rankings are checked
+the same way against the per-pair quotients.
 """
 
 import json
@@ -40,14 +42,14 @@ from sepdet import functionals, scheme
 from sepdet.cli import run_cli
 from sepdet.extreal import NEG_INF, POS_INF, pos_part, sub
 from sepdet.functionals import _exact_div, _Rankings, level_grid, shell_truncation
-from sepdet.scheme import rank_rows, rank_scores
+from sepdet.scheme import rank_rows
 
 NAN = float("nan")
 NEAR_THIRD = Fraction(6004799503160661, 18014398509481984)  # float(NEAR_THIRD) == float(1/3)
 
 
 def reference_rank_scores(scores, mode):
-    """rank_scores as a Python sort: the reference the array route must match."""
+    """A ranking as a Python sort: the reference the int64 pass must match."""
     order = sorted(range(len(scores)), key=scores.__getitem__, reverse=mode == "inf")
     codes = [0] * len(scores)
     values: list = []
@@ -97,18 +99,45 @@ SCORES = st.one_of(
 )
 
 
+def held(v, floats=False):
+    """Whether the int64 pass holds v: exact with numerator and denominator
+    within 2**17, or +inf, or with floats a finite float (a distance)."""
+    if type(v) in (int, Fraction):
+        return abs(Fraction(v).numerator) <= 2 ** 17 and Fraction(v).denominator <= 2 ** 17
+    return type(v) is float and (math.isfinite(v) if floats else v == POS_INF)
+
+
+def point_space(n):
+    return FiniteMetricSpace([Point(f"p{k}") for k in range(n)],
+                             [[abs(a - b) for b in range(n)] for a in range(n)])
+
+
 @settings(max_examples=400, deadline=None)
-@given(st.lists(SCORES, max_size=9), st.sampled_from(["sup", "inf"]))
+@given(st.lists(SCORES, min_size=1, max_size=9), st.sampled_from(["sup", "inf"]))
 @example([Fraction(1, 3), NEAR_THIRD, Fraction(1, 3)], "sup")
-@example([Fraction(1, 3), NEAR_THIRD], "inf")
+@example([Fraction(1, 3), Fraction(2, 6), 0], "inf")
 @example([2, Fraction(2)], "sup")
 @example([0.0, -0.0], "inf")
 @example([1, NAN], "sup")
 @example([NEG_INF, 1], "sup")
 @example([POS_INF, 1], "inf")
-@example([], "sup")
-def test_rank_scores_matches_the_python_sort(scores, mode):
-    assert typed(rank_scores(scores, mode)) == typed(reference_rank_scores(scores, mode))
+@example([POS_INF, 1, POS_INF], "sup")
+def test_point_rankings_match_the_python_sort(scores, mode):
+    rankings = _Rankings(FunctionOracle("f", lambda p: scores[int(p.id[1:])]),
+                         point_space(len(scores)))
+    got = rankings.points(mode)
+    if not all(map(held, scores)):
+        assert got is None and rankings.parts is None
+        return
+    want = reference_rank_scores(scores, mode)
+    if want is None:
+        assert got is None
+        return
+    keys, fractions, values = got
+    assert typed(((keys // len(scores)).tolist(), values)) == typed(want)
+    assert (None if fractions is None else fractions.tolist()) == \
+        reference_fractions(scores, want[0])
+    assert rankings.points(mode) is got
 
 
 @settings(max_examples=200, deadline=None)
@@ -191,15 +220,20 @@ SOME = [[2, 0], [1, 2, 1, 0]]  # overlapping requests, one with a repeated cente
 
 def check_requests(values, space, levels, mode, requests):
     """Each request asks for its centers (taken mod n), the k-th at levels[k % len:],
-    then one asks for every center; each (center, level) must equal the
-    reference, and a second read of it must be the same object."""
+    then one asks for every center; each (center, level) the pass holds must
+    equal the reference, every other one must decline, and a second read of
+    it must be the same object."""
     f = FunctionOracle("f", lambda p: values[int(p.id[1:])])
     rankings, n, seen = _Rankings(f, space), len(space), {}
     for k, request in enumerate(requests + [list(range(n))]):
         centers, asked = [i % n for i in request], levels[k % len(levels):]
         for i, row in zip(centers, rankings.descents(centers, [asked] * len(centers), mode)):
+            dists = [space.matrix[i][j] for j in range(n) if j != i]
+            row_held = (all(map(held, values)) and all(float(d) > 0 for d in dists)
+                        and all(held(d, floats=True) for d in dists))
             assert [got_descent(rankings, g) for g in row] == \
-                [reference_descent(values, space, i, t, mode) for t in asked]
+                [reference_descent(values, space, i, t, mode) if row_held and held(t) else None
+                 for t in asked]
             assert all(seen.setdefault((i, type(t), t), g) is g for t, g in zip(asked, row))
 
 
@@ -260,27 +294,19 @@ SLOPE_GOLDEN = {"thm-4.2": (3, (5, 7, 9)), "thm-4.3": (2, (6, 9))}
 
 def test_golden_descents_take_the_int64_pass_once_per_batch(monkeypatch):
     kernel, descents = functionals._quotient_parts, functionals._Rankings.descents
-    by_python = functionals._rank_or_none  # the per-element route, also the points' and pairs'
-    requests, passes, fallbacks = [], [], []
+    requests, passes, declined = [], [], []
 
     def counted_kernel(t, *rest):
         passes.append(t.shape[1])  # the rows of the pass
         return kernel(t, *rest)
 
-    def counted_fallback(score_all, mode):
-        fallbacks.append(mode)
-        return by_python(score_all, mode)
-
     def counted_descents(self, centers, levels, mode):
         missing = {(i, type(t), t) for i, ts in zip(centers, levels) for t in ts
                    if ("descent", i, mode, type(t), t) not in self.memo}
         passes[:] = []
-        monkeypatch.setattr(functionals, "_rank_or_none", counted_fallback)
-        try:  # only the calls descents makes count as fallbacks
-            got = descents(self, centers, levels, mode)
-        finally:
-            monkeypatch.setattr(functionals, "_rank_or_none", by_python)
+        got = descents(self, centers, levels, mode)
         requests.append((missing, list(passes)))
+        declined.extend(None for row in got for one in row if one is None)
         return got
 
     monkeypatch.setattr(functionals, "_quotient_parts", counted_kernel)
@@ -289,7 +315,7 @@ def test_golden_descents_take_the_int64_pass_once_per_batch(monkeypatch):
         for eps, cap in ((0, 1), (Fraction(1, 2), 3)):
             assert run_suite(name, SuiteConfig(instances=instances, sizes=sizes,
                                                eps=eps, cap=cap)).ok
-    assert requests and fallbacks == []
+    assert requests and declined == []
     # every request within the bound: its missing rows in one pass, or none
     assert all(made == ([len(missing)] if missing else []) for missing, made in requests)
     rows = Counter(len({i for i, *_ in missing}) > 1 for missing, _ in requests
@@ -360,8 +386,8 @@ def test_pair_rankings_match_the_per_pair_reference(case):
     space = FiniteMetricSpace([Point(f"p{k}") for k in range(n)], matrix)
     rankings = _Rankings(FunctionOracle("f", lambda p: values[int(p.id[1:])]), space)
     dists = [matrix[a][b] for a in range(n) for b in range(a + 1, n)]
-    held = (functionals._parts(values) is not None and all(float(d) > 0 for d in dists)
-            and functionals._parts(dists, floats=True) is not None)
+    pairs_held = (all(map(held, values)) and all(float(d) > 0 for d in dists)
+                  and all(held(d, floats=True) for d in dists))
     by_python, calls = functionals._exact_div, []
 
     def counted(*args):
@@ -373,10 +399,11 @@ def test_pair_rankings_match_the_per_pair_reference(case):
         got = rankings.pairs(mode)
     finally:
         functionals._exact_div = by_python
-    assert got_pairs(rankings, got) == reference_pairs(values, space, mode)
+    assert got_pairs(rankings, got) == (reference_pairs(values, space, mode) if pairs_held
+                                        else None)
     assert rankings.pairs(mode) is got
-    # the int64 pass where it holds the inputs, one Python number at a time otherwise
-    assert bool(calls) == (not held and bool(dists))
+    # the int64 pass where it holds the inputs, a decline otherwise: no Python quotient
+    assert calls == []
 
 
 PAIR_SUITES = ("thm-2.1", "thm-2.2", "prop-3.2", "thm-3.3")  # GOLDEN: 4 instances, 5-11 points

@@ -333,17 +333,21 @@ class TestChecks:
         assert chk.verdict == "pass"
         assert chk.tolerance == pytest.approx(1e-12)
 
-    def test_exact_optima_beside_a_float_compare_exactly(self, line3):
-        # the region of p0 at radius 4 holds 2.5 and 3; both optima are the int 3
-        f = FunctionOracle.from_table({"p0": 0, "p1": 2.5, "p2": 3})
-        prob = punctured_ball_problem(line3, f, "sup", truncation=[4])
-        Y = [line3.point("p0"), line3.point("p2")]
-        by_table = next(check_sweep(prob, Y))
-        by_scan = check_reduction(prob, Y, (line3.point("p0"), 4))
-        assert prob.optima(Y[:1])[0] is not None  # the sweep read the table
-        for chk in (by_table, by_scan):
-            assert (chk.verdict, chk.lhs, chk.rhs) == ("pass", 3, 3)
-            assert chk.tolerance == 0 and type(chk.tolerance) is int
+    def test_exact_optima_beside_a_float_compare_exactly(self):
+        # B(p0, 4) holds g's values 3 and 2.5, and f's pair quotients 3 / 1, 1 / 2
+        # and 2 / 1.5 at a float distance: both families' optima, full and within
+        # Y, are the int 3; g's float value leaves its table to the scan
+        space = FiniteMetricSpace.from_matrix([Point(f"p{k}") for k in range(3)],
+                                              [[0, 1, 2], [1, 0, 1.5], [2, 1.5, 0]])
+        f = FunctionOracle.from_table({"p0": 0, "p1": 3, "p2": 1})
+        g = FunctionOracle.from_table({"p0": 0, "p1": 3, "p2": 2.5})
+        Y = [space.point("p0"), space.point("p1")]
+        for prob, read in ((ball_pairs_problem(space, f, "sup", truncation=[4]), True),
+                           (punctured_ball_problem(space, g, "sup", truncation=[4]), False)):
+            assert (prob.optima(Y[:1])[0] is not None) == read  # the sweep reads the table
+            for chk in (next(check_sweep(prob, Y)), check_reduction(prob, Y, (Y[0], 4))):
+                assert (chk.verdict, chk.lhs, chk.rhs) == ("pass", 3, 3)
+                assert chk.tolerance == 0 and type(chk.tolerance) is int
 
     @given(st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=4),
                     min_size=2, max_size=6, unique=True),
