@@ -3,37 +3,25 @@
 Every quantity here is a finite formula: discrete liminf/limsup along a
 radius grid, the pairwise Lipschitz supremum over a ball, the torus supremum
 (t - f(u))^+ / d(x, u), and the descent slope as an inf-sup-sup sweep over
-shells.  Each operation takes an optional Y argument; when given, the
-regions are intersected with Y, which is all the restriction identities need.
+shells.  Each takes an optional Y; given, the regions are intersected with Y.
 
-Every formula is a fold over the optima of its family's witness problem,
-built on its grid: the limits over the punctured-ball [inf] and [sup]
-problems, the pair formulas over the ball-pairs problem, the shell formulas
-over the torus-slope problem (the slope's grid of (r, s) shells at each
-center's level f(x)).  One reader (_regions) reads x's regions as the closures
-and sweeps read them: on a finite space without a budget off the problem's
-optimum table of x (problem.optima), every parameter at once, and otherwise
-by scanning problem.region and problem.score; it gives an order per region
-(its optimum's code, or on the scan its first optimum) and a region's value
-built only when asked.  A table is built once per (function, truncation,
-center) on f's rankings (memoised on the function oracle per space), with the
-other missing tables of its request as one block, and kept on the prepared
-truncation.  The limits, the modulus and the slope fold the orders into one
-value (_fold; the slope groups its shells by outer radius).  Every ranking is
-one int64 pass (_Rankings); lazy or budgeted spaces, centers outside the
-space, functions that raise or whose values the pass does not hold (a finite
-float, -inf, a part past 2**17) and declined rankings take the region scan.
+Every formula reads the optima of its family's witness problem on its grid,
+as the closures and sweeps do (_regions): off x's optimum table
+(problem.optima), built on f's rankings (one int64 pass, _Rankings) with the
+other missing tables of its request as one block and kept on the prepared
+truncation, or by the region scan (lazy or budgeted spaces, centers outside
+the space, values of f the pass does not hold, declined rankings).  The
+limits, the modulus and the slope are one-row reads of scheme.fold_codes,
+the fold that the suites' fold sweeps make for every center at once.
 
 The module also ships the three registered witness-problem families
-(punctured-ball, ball-pairs, torus-slope), each with a per-center optimum
-table on finite spaces, and the deterministic parameter truncations derived
-from a space's realized distances.
+(punctured-ball, ball-pairs, torus-slope) and the deterministic parameter
+truncations derived from a space's realized distances.
 """
 
 from __future__ import annotations
 
 import itertools
-import weakref
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -51,7 +39,7 @@ from .errors import (
 from .extreal import (POS_INF, Num, close, fmt, is_exact, is_finite, parse, pos_part,
                       resolve_tolerance, sub)
 from .scheme import (Optima, OptimaBlock, ParamSpace, Radii, Region, ShellGrid, Shells,
-                     WitnessProblem, _image, rank_rows)
+                     WitnessProblem, _image, _scan, fold_codes, rank_rows)
 from .spaces import (
     FiniteMetricSpace,
     MetricSpace,
@@ -446,43 +434,35 @@ def _tables(f: FunctionOracle, space: MetricSpace, xs: Sequence[Point], budget: 
     return [k and params.tables[k] for k in at]
 
 
-def _regions(problem: WitnessProblem, x: Point,
-             allowed: Optional[set]) -> tuple[list, Callable[[int], int], Callable[[int], Num]]:
+def _regions(problem: WitnessProblem, x: Point, allowed: Optional[set]
+             ) -> tuple[np.ndarray, Callable[[int], int], Callable[[int], Num]]:
     """Every region of x within allowed, read as the closures and sweeps read
-    the problem: per region an order (larger for better in its mode, None
-    where empty), and size(k) and value(k), region k's size in tuples (a pair
-    once) and its optimum, built only when asked.  The order is the optimum's
-    code off x's table (problem.optima), else the first optimum in
-    enumeration order of the scanned region, negated in inf mode."""
+    the problem: per region a code (larger for better in its mode, -1 where
+    empty), and size(k) and value(k), region k's size in tuples (a pair once)
+    and its optimum, built only when asked.  The code is the optimum's code
+    off x's table (problem.optima), else the scan's (scheme._scan)."""
     [table] = problem.optima([x])
-    if table is not None:
-        mask = None if allowed is None else np.fromiter(
-            (u in allowed for u in problem.space.points), bool, len(problem.space))
-        best, size = (table.best, table.size) if mask is None else table.read(mask)
-        keys = best.tolist()
-        return ([key // table.width if key >= 0 else None for key in keys],
-                lambda k: size[k] // problem.arity,  # pair regions hold both orders
-                lambda k: table.value(k, keys[k], mask))
-    optimum, sign = (max, 1) if problem.mode == "sup" else (min, -1)
-    values, sizes = [], []
-    for p in problem.params:
-        got = [problem.score((x, p), u) for u in problem.region(x, p)
-               if allowed is None or all(c in allowed for c in u)]
-        values.append(optimum(got, default=None))
-        sizes.append(len(got) // problem.arity)
-    return [None if v is None else sign * v for v in values], sizes.__getitem__, values.__getitem__
+    if table is None:
+        return _scan(problem, x, allowed)
+    mask = None if allowed is None else np.fromiter(
+        (u in allowed for u in problem.space.points), bool, len(problem.space))
+    best, size = (table.best, table.size) if mask is None else table.read(mask)
+    keys = best.tolist()
+    return (best // table.width,  # -1 stays -1
+            lambda k: size[k] // problem.arity,  # pair regions hold both orders
+            lambda k: table.value(k, keys[k], mask))
 
 
-def _fold(orders: list, groups: Iterable, isolated: str) -> int:
-    """The index of the first least order among each group's first greatest,
-    groups in order of first nonempty region; IsolatedPoint(isolated) if none."""
-    best: dict = {}
-    for k, (order, group) in enumerate(zip(orders, groups)):
-        if order is not None and (group not in best or order > orders[best[group]]):
-            best[group] = k
-    if not best:
+def _folded(problem: WitnessProblem, x: Point, allowed: Optional[set], groups: np.ndarray,
+            isolated: str) -> Num:
+    """The optimum that fold_codes names among x's regions within allowed, the
+    one-center read of scheme.fold_sweep; IsolatedPoint(isolated) where every
+    region is empty."""
+    codes, _, value = _regions(problem, x, allowed)
+    [k] = fold_codes(codes[None], groups).tolist()
+    if k < 0:
         raise IsolatedPoint(isolated)
-    return min(best.values(), key=orders.__getitem__)
+    return value(k)
 
 
 # ---------------------------------------------------------------------------
@@ -511,10 +491,9 @@ def _limit(f: FunctionOracle, space: MetricSpace, x: Point, radii: Radii,
            allowed: Optional[set], budget: Optional[int], mode: str) -> Num:
     """The first least along the radii of x's punctured-ball optima in mode: in
     inf mode the greatest inf (liminf), in sup mode the least sup (limsup)."""
-    problem = punctured_ball_problem(space, f, mode, radii, budget)
-    orders, _, value = _regions(problem, x, allowed)
-    return value(_fold(orders, range(len(orders)),
-                       f"every punctured ball at {x.id!r} along the grid is empty"))
+    return _folded(punctured_ball_problem(space, f, mode, radii, budget), x, allowed,
+                   np.arange(len(radii)),
+                   f"every punctured ball at {x.id!r} along the grid is empty")
 
 
 def liminf_at(f: FunctionOracle, space: MetricSpace, x: Point, grid,
@@ -576,9 +555,9 @@ def lip_local_sups(f: FunctionOracle, space: MetricSpace, x: Point, radii: Seque
     """
     allowed = _allowed(x, Y)
     problem = ball_pairs_problem(space, f, "sup", Radii.of(radii, repeats=True), budget)
-    orders, size, value = _regions(problem, x, allowed)
-    return [PairSup(0 if order is None else max(0, value(k)), size(k))
-            for k, order in enumerate(orders)]
+    codes, size, value = _regions(problem, x, allowed)
+    return [PairSup(0 if code < 0 else max(0, value(k)), size(k))
+            for k, code in enumerate(codes.tolist())]
 
 
 def lip_local_sup(f: FunctionOracle, space: MetricSpace, x: Point, r: Num,
@@ -601,9 +580,9 @@ def lip_modulus(f: FunctionOracle, space: MetricSpace, x: Point, grid,
     folded from one read of x's balls.  Raises IsolatedPoint when no ball
     (within Y) holds a pair."""
     radii, allowed = _grid_at(Radii, grid, x, Y)
-    orders, _, value = _regions(ball_pairs_problem(space, f, "sup", radii, budget), x, allowed)
-    return max(0, value(_fold(orders, range(len(orders)),
-                              f"no ball at {x.id!r} along the grid holds a pair")))
+    return max(0, _folded(ball_pairs_problem(space, f, "sup", radii, budget), x, allowed,
+                          np.arange(len(radii)),
+                          f"no ball at {x.id!r} along the grid holds a pair"))
 
 
 # ---------------------------------------------------------------------------
@@ -628,8 +607,8 @@ def torus_sups(f: FunctionOracle, space: MetricSpace, x: Point, params: Sequence
     """
     allowed = _allowed(x, Y)
     problem = torus_slope_problem(space, f, "sup", Shells.of(params, repeats=True), budget=budget)
-    orders, _, value = _regions(problem, x, allowed)
-    return [None if order is None else value(k) for k, order in enumerate(orders)]
+    codes, _, value = _regions(problem, x, allowed)
+    return [None if code < 0 else value(k) for k, code in enumerate(codes.tolist())]
 
 
 def torus_sup(f: FunctionOracle, space: MetricSpace, x: Point, t: Num, r: Num, s: Num,
@@ -668,29 +647,19 @@ def slope_at(f: FunctionOracle, space: MetricSpace, x: Point,
             raise IsolatedPoint(f"no shells realized at {x.id!r}")
     shells, allowed = _grid_at(ShellGrid, grid, x, Y)
     f.value(x)  # an error of f at x comes first
-    problem = torus_slope_problem(space, f, "sup", shells, budget=budget)
-    orders, _, value = _regions(problem, x, allowed)
-    return value(_fold(orders, shells.outer.tolist(), f"every shell at {x.id!r} is empty"))
+    return _folded(torus_slope_problem(space, f, "sup", shells, budget=budget), x, allowed,
+                   shells.outer, f"every shell at {x.id!r} is empty")
 
 
 # ---------------------------------------------------------------------------
 # Products: slices, the Lipschitz bound in the second variable, partial slopes
 
 
-# The live slices by (id(f2), y).  A slice's closure holds f2, so f2's id is not
-# reused while its entry exists, and the entry goes with the slice's last holder
-# (keyed weakly on f2 instead, the slices would keep f2 alive).
-_slices: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
 def slice_oracle(f2: Callable[[Point, Point], Num], y: Point) -> FunctionOracle:
-    """The oracle of u -> f2(u, y), one per (f2, y) while anything holds it, so
-    the slice problems of a product closure and partial_slope share its rankings."""
-    key = (id(f2), y)
-    got = _slices.get(key)
-    if got is None:
-        got = _slices[key] = FunctionOracle(f"slice@{y.id}", lambda u: f2(u, y))
-    return got
+    """The oracle of u -> f2(u, y), a new one per call.  Its rankings live on
+    it, so a caller that reads one slice's problems more than once keeps the
+    oracle (the product suites keep one per y for the closure and the fold)."""
+    return FunctionOracle(f"slice@{y.id}", lambda u: f2(u, y))
 
 
 def lipschitz_second_witness(f2: Callable[[Point, Point], Num],
@@ -737,8 +706,9 @@ def partial_slope(f2: Callable[[Point, Point], Num], space1: MetricSpace,
                   budget: Optional[int] = None) -> Num:
     """Slope of the slice u -> f(u, y) at x over the first factor (within Y1).
 
-    The slope reads the rankings of y's slice_oracle.  It is separably
-    determined when f is Lipschitz in y, which verify_lipschitz_second checks.
+    The slope reads a new slice_oracle of y, ranked for this call.  It is
+    separably determined when f is Lipschitz in y, which
+    verify_lipschitz_second checks.
     """
     return slope_at(slice_oracle(f2, y), space1, x, grid, Y1, budget)
 

@@ -19,12 +19,12 @@ import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from random import Random
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import families
-from .errors import EmptyRegion, IsolatedPoint, UnknownSuite
+from .errors import EmptyRegion, UnknownSuite
 from .extreal import POS_INF, Num, fmt, is_finite, parse
 from .functionals import (
     PROBLEM_FAMILIES,
@@ -34,15 +34,15 @@ from .functionals import (
     continuous,
     level_grid,
     lip_local_sup,  # kept bound here: bench/tracing.py patches the harness's names
-    lip_modulus,
-    liminf_at,
-    limsup_at,
-    partial_slope,
+    lip_modulus,  # kept bound here, as lip_local_sup
+    liminf_at,  # kept bound here, as lip_local_sup
+    limsup_at,  # kept bound here, as lip_local_sup
+    partial_slope,  # kept bound here, as lip_local_sup
     punctured_ball_problem,
     radius_truncation,
     shell_truncation,
     slice_oracle,
-    slope_at,
+    slope_at,  # kept bound here, as lip_local_sup
     torus_slope_problem,
     torus_sup,  # kept bound here, as lip_local_sup
     verify_lipschitz_second,
@@ -55,10 +55,12 @@ from .scheme import (
     check_reduction,
     closure_iterate,
     fmt_param,
+    fold_sweep,
     intersect_problems,
     product_closure,
     sort_points,
     sweep_tally,
+    validate_count,
     validate_selection,
     validate_tolerance,
 )
@@ -219,13 +221,17 @@ class SuiteConfig:
     q_density: Optional[int] = None
 
     def __post_init__(self):
-        if self.instances is not None and self.instances < 1:
-            raise ValueError("instances must be at least 1")
-        if self.sizes is not None and any(n < 1 for n in self.sizes):
-            raise ValueError("sizes must be at least 1")
+        if self.sizes is not None and not isinstance(self.sizes, (tuple, list)):
+            raise ValueError(f"sizes must be a sequence of integers, got {self.sizes!r}")
+        for name, values in (("instances", [self.instances]), ("sizes", self.sizes or ()),
+                             ("max_depth", [self.max_depth])):
+            for v in values:
+                if v is not None:
+                    validate_count(name, v)
         validate_selection(self.eps, self.cap)
         validate_tolerance(self.tolerance)
-        if self.q_density is not None and self.q_density < 2:
+        if self.q_density is not None and not (isinstance(self.q_density, int)
+                                               and self.q_density >= 2):
             raise ValueError("q_density must be an integer >= 2")
 
 
@@ -335,28 +341,44 @@ def witness_dump(space: FiniteMetricSpace, f: FunctionOracle,
 
 
 class Comparison(NamedTuple):
-    """A formula over the whole space against the same formula over Y.
-
-    At each tuple from `points(Y)`, whose entries `keys` names, `at(Y, point)`
-    returns an outcome: (full, restricted), or a note naming why the point is
-    skipped.  A formula that is a family's optimum at every parameter is no
-    Comparison: its stage checks the family's problem (Stage.problems).
-    """
+    """Verdicts over Y against the expected ones (family membership, the
+    Lipschitz bound in y): `outcomes(Y)` gives (at, (expected, got)) at
+    every point, at naming it in dumps.  A formula that is a family's
+    optimum at every parameter is checked as the family's problem
+    (Stage.problems), and one folded from a family's optima as a Fold."""
 
     name: str
-    keys: tuple
-    points: Callable
-    at: Callable
+    outcomes: Callable
     counted: bool = True  # a pass adds to checks_passed
     note: Optional[str] = None  # noted on every pass
 
 
+class Fold(NamedTuple):
+    """A formula folded from its problems' optima (the limits, the modulus,
+    the slope, the partial slope) at every x of Y, over the whole space
+    against over Y, by one fold_sweep per problem, its regions grouped by
+    `groups`.  The compared value is value(x, each problem's optimum), built
+    only where the two sides' codes differ, and None on a side whose regions
+    are all empty; x is skipped as isolated where the whole space's are (as
+    every center of a one-point space is).  `at` names the fold in dumps."""
+
+    name: str
+    f: FunctionOracle
+    problems: tuple
+    groups: np.ndarray
+    value: Callable = lambda x, v: v
+    at: tuple = ()
+    counted, note = True, None  # as a Comparison's
+
+
 class Stage(NamedTuple):
-    """A closure and what must hold over it: the comparisons, then each
-    (function, problem) from `problems()` checked at every (x in Y, parameter)
-    and, with `oracle`, by brute force at one drawn (x, p).  A parameter whose
-    region is empty is skipped under `skip_note`.  A stage without a closure
-    gates the instance: its failure ends it."""
+    """A closure and what must hold over it: the comparisons, the folds (the
+    limits, the modulus, the slope and the partial slopes, each checked at
+    every x in Y by one fold sweep per problem), then each (function,
+    problem) from `problems()` checked at every (x in Y, parameter) and, with
+    `oracle`, by brute force at one drawn (x, p).  A parameter whose region
+    is empty is skipped under `skip_note`.  A stage without a closure gates
+    the instance: its failure ends it."""
 
     label: str
     close: Optional[Callable[[], GeneratedSubspace]]
@@ -364,6 +386,7 @@ class Stage(NamedTuple):
     problems: Callable = tuple
     oracle: bool = False
     skip_note: str = "skipped_empty_region"
+    folds: tuple = ()
 
 
 class Spec(NamedTuple):
@@ -389,7 +412,7 @@ class Instance:
         self.tol = 0 if cfg.tolerance is None else cfg.tolerance
         self.opts = {"eps": cfg.eps, "cap": cfg.cap, "max_depth": cfg.max_depth}
         self.notes: list[str] = []
-        self.space = self.second = None
+        self.space = None
 
     def key(self, tag: str = "") -> str:
         return f"{self.name}:{tag}{self.cfg.seed}:{self.local}"
@@ -462,6 +485,33 @@ def _sweep(report: SuiteReport, inst: Instance, stage: Stage, f: FunctionOracle,
             report.fail(dump("oracle", picked, oracle))
 
 
+def _side(fold: Fold, x: Point, reads: tuple, side: int):
+    if any(folds[side] < 0 for _, folds, _, _ in reads):
+        return None
+    return fold.value(x, *(value(side) for *_, value in reads))
+
+
+def _outcomes(inst: Instance, stage: Stage, Y: Optional[Sequence[Point]]) -> Iterator[tuple]:
+    """(comparison or fold, at, outcome) at every point of the stage's
+    comparisons, then at every x of Y for each fold: at names the point in
+    dumps, and the outcome is a skip note or (same, value): whether the sides
+    read one table code, and value(side), the compared value over the whole
+    space (0) or over Y (1).  A fold's check at an infinite f(x) is noted."""
+    for comp in stage.comparisons:
+        for at, out in comp.outcomes(Y):
+            yield comp, at, (False, out.__getitem__)
+    for fold in stage.folds:
+        for reads in zip(*(fold_sweep(p, Y, fold.groups) for p in fold.problems)):
+            x = reads[0][0]
+            if any(folds[0] < 0 for _, folds, _, _ in reads):
+                yield fold, dict(fold.at, x=x.id), "skipped_isolated"
+                continue
+            if not fold.f.is_finite_at(x):
+                inst.notes.append("convention_branch_checks")
+            yield fold, dict(fold.at, x=x.id), (all(same for *_, same, _ in reads),
+                                                functools.partial(_side, fold, x, reads))
+
+
 def _run_stage(report: SuiteReport, inst: Instance, stage: Stage) -> bool:
     """Close, then check; False when a check of the stage failed."""
     mark = report.checks_failed
@@ -473,19 +523,16 @@ def _run_stage(report: SuiteReport, inst: Instance, stage: Stage) -> bool:
                               None, None, inst.tol))
             return False
         Y = gen.union
-    for comp in stage.comparisons:
-        for at in comp.points(Y):
-            out = comp.at(Y, at)
-            if isinstance(out, str):
-                report.check_skip(out)
-            elif agree(out[0], out[1], inst.tol):
-                if comp.counted:
-                    report.check_pass()
-                if comp.note:
-                    report.note(comp.note)
-            else:
-                report.fail(_dump(inst, comp.name, dict(zip(comp.keys, map(_enc, at))),
-                                  Y, out[0], out[1], inst.tol))
+    for comp, at, out in _outcomes(inst, stage, Y):
+        if isinstance(out, str):
+            report.check_skip(out)
+        elif out[0] or agree(full := out[1](0), restricted := out[1](1), inst.tol):
+            if comp.counted:
+                report.check_pass()
+            if comp.note:
+                report.note(comp.note)
+        else:
+            report.fail(_dump(inst, comp.name, at, Y, full, restricted, inst.tol))
     for f, problem in stage.problems():
         _sweep(report, inst, stage, f, problem, Y)
     return report.checks_failed == mark
@@ -548,13 +595,13 @@ def replay_check(dump: dict):
     if dump["comparison"] == "fixed-point":
         stage = next(s for s in stages if s.label == dump["at"]["stage"])
         return Outcome("pass" if stage.close().fixed_point else "fail", None, None, inst.tol)
-    comp = next(c for s in stages for c in s.comparisons if c.name == dump["comparison"])
-    decode = {"x": inst.space.point, "y": lambda v: inst.second.point(v), "family": str}
-    at = tuple(decode.get(k, _dec)(dump["at"][k]) for k in comp.keys)
-    out = comp.at(Y, at)
+    out = next(out for stage in stages for comp, at, out in _outcomes(inst, stage, Y)
+               if comp.name == dump["comparison"] and at == dump["at"])
     if isinstance(out, str):
         return Outcome(out, None, None, inst.tol)
-    return Outcome("pass" if agree(out[0], out[1], inst.tol) else "fail", *out, inst.tol)
+    full, restricted = out[1](0), out[1](1)
+    return Outcome("pass" if agree(full, restricted, inst.tol) else "fail", full, restricted,
+                   inst.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -562,29 +609,6 @@ def replay_check(dump: dict):
 
 INF_SHARE = 0.3  # chance of +inf per value, in the instances that draw some
 _SMALL = (5, 6, 8, 9, 10, 12, 14, 16, 18, 20)
-
-
-def _per_center(name: str, inst: Instance, f: FunctionOracle, formula: Callable) -> Comparison:
-    """formula(x, None) against formula(x, Y) at every x of Y, None for Y's side
-    where it raises IsolatedPoint; skipped as isolated where the full side does,
-    or the space has one point.  A check at an infinite f(x) is noted."""
-
-    def at(Y, at):
-        x, = at
-        if len(inst.space) == 1:
-            return "skipped_isolated"
-        try:
-            full = formula(x, None)
-        except IsolatedPoint:
-            return "skipped_isolated"
-        if not f.is_finite_at(x):
-            inst.notes.append("convention_branch_checks")
-        try:
-            return full, formula(x, Y)
-        except IsolatedPoint:
-            return full, None
-
-    return Comparison(name, ("x",), lambda Y: ((x,) for x in Y), at)
 
 
 def _closure(mode: str) -> Callable:
@@ -613,8 +637,8 @@ def _intersection(inst: Instance) -> list[Stage]:
     handles = {"pairs": families.family_for([pairs], eps, cap),
                "torus": families.family_for([torus], eps, cap)}
     handles["intersection"] = families.intersect(list(handles.values()))
-    member = Comparison("membership", ("family",), lambda Y: [(k,) for k in handles],
-                        lambda Y, at: (True, families.is_member(handles[at[0]], Y)))
+    member = Comparison("membership", lambda Y: (
+        ({"family": k}, (True, families.is_member(handle, Y))) for k, handle in handles.items()))
     return [Stage("closure", inst.closing(intersect_problems, [pairs, torus]), (member,),
                   lambda: [(f, pairs), (f, torus)])]
 
@@ -623,7 +647,7 @@ def _product(inst: Instance, n2: int, coeffs_of: Callable, t_mode: str):
     """f2(x, y) = g(x) + a(x) d(y, y0) on two lines, closed over three second seeds."""
     rng = inst.rng
     s1 = inst.space = random_finite_metric(inst.n, inst.key("a:"), "euclidean", dim=1)
-    s2 = inst.second = random_finite_metric(n2, inst.key("b:"), "euclidean", dim=1)
+    s2 = random_finite_metric(n2, inst.key("b:"), "euclidean", dim=1)
     g = random_table_function(s1, inst.key("g:"))
     y0 = rng.choice(s2.points)
     k, coeffs = coeffs_of(rng, s1)
@@ -631,13 +655,17 @@ def _product(inst: Instance, n2: int, coeffs_of: Callable, t_mode: str):
     def f2(x: Point, y: Point) -> Num:
         return g.value(x) + coeffs[x.id] * s2.distance(y, y0)
 
-    @functools.cache  # the closure and the comparisons share each slice problem
+    @functools.cache  # the closure and the folds share each slice and its rankings
+    def slice_at(y: Point) -> FunctionOracle:
+        return slice_oracle(f2, y)
+
+    @functools.cache
     def make_problem(y: Point) -> WitnessProblem:
-        return torus_slope_problem(s1, slice_oracle(f2, y), "sup", t_mode=t_mode)
+        return torus_slope_problem(s1, slice_at(y), "sup", t_mode=t_mode)
 
     seed1 = [rng.choice(s1.points)]
     seed2 = sort_points(rng.sample(list(s2.points), min(3, n2)))
-    return s1, s2, f2, k, make_problem, seed2, lambda: product_closure(
+    return s1, s2, f2, k, slice_at, make_problem, seed2, lambda: product_closure(
         make_problem, seed1, seed2, **inst.opts)[0]
 
 
@@ -652,8 +680,8 @@ def _product_closure(inst: Instance) -> list[Stage]:
         c = Fraction(rng.randint(0, 3), 2)
         return c, dict.fromkeys((x.id for x in s1.points), c)
 
-    _, _, f2, _, make_problem, Y2, close = _product(inst, 3 + inst.index % 5, coeffs, "sample")
-    return [Stage("closure", close, problems=lambda: [(slice_oracle(f2, y), make_problem(y))
+    *_, slice_at, make_problem, Y2, close = _product(inst, 3 + inst.index % 5, coeffs, "sample")
+    return [Stage("closure", close, problems=lambda: [(slice_at(y), make_problem(y))
                                                       for y in Y2])]
 
 
@@ -667,17 +695,17 @@ def _limits(inst: Instance) -> list[Stage]:
         space, f = inst.table()
     radii = radius_truncation(space, inst.cfg.q_density)
     probs = [punctured_ball_problem(space, f, mode, truncation=radii) for mode in ("sup", "inf")]
-    limits = _per_center("limits", inst, f, lambda x, Y: (  # continuity from the two limits
-        lo := liminf_at(f, space, x, radii, Y=Y), hi := limsup_at(f, space, x, radii, Y=Y),
-        continuous(f.value(x), lo, hi, inst.tol)))
-    return [Stage("closure", inst.closing(intersect_problems, probs), (limits,))]
+    limits = Fold("limits", f, probs[::-1], np.arange(len(radii)), lambda x, lo, hi: (
+        lo, hi, continuous(f.value(x), lo, hi, inst.tol)))  # liminf, limsup, continuity
+    return [Stage("closure", inst.closing(intersect_problems, probs), folds=(limits,))]
 
 
 def _one_family(t_mode: Optional[str], formula: Optional[str] = None) -> Callable:
     """prop-3.2/thm-3.3 (ball pairs, no t_mode) and prop-4.1/thm-4.2 (descent
     shells at t_mode's levels): closed under the family's problem, then checked
     as its sweep (the pairwise sup at each radius and each shell sup are its
-    optima) or by one formula at every center (the modulus, the slope)."""
+    optima) or as the fold of one formula at every center (the modulus, the
+    slope)."""
 
     def build(inst: Instance) -> list[Stage]:
         space, f = inst.table(INF_SHARE if t_mode and inst.index % 4 == 1 else 0.0)
@@ -693,16 +721,19 @@ def _one_family(t_mode: Optional[str], formula: Optional[str] = None) -> Callabl
             inst.notes.append("inf_function_instances")
         if formula is None:
             return [Stage("closure", close, problems=lambda: [(f, problem)], skip_note=skip)]
-        read = {"modulus": lambda x, Y: lip_modulus(f, space, x, trunc, Y=Y),
-                "slope": lambda x, Y: slope_at(f, space, x, trunc.grid, Y=Y)}[formula]
-        return [Stage("closure", close, (_per_center(formula, inst, f, read),))]
+        if formula == "modulus":
+            fold = Fold(formula, f, (problem,), np.arange(len(trunc)), lambda x, v: max(0, v))
+        else:  # each center's slope at its own level f(x), on the grid of (r, s) shells
+            fold = Fold(formula, f, (torus_slope_problem(space, f, "sup", trunc.grid),),
+                        trunc.grid.outer)
+        return [Stage("closure", close, folds=(fold,))]
 
     return build
 
 
 def _lipschitz(f2: Callable, s1, s2, k: Num, expected: bool, **kw) -> Stage:
-    check = Comparison("lipschitz", (), lambda Y: [()],
-                       lambda Y, at: (expected, verify_lipschitz_second(f2, s1, s2, k)), **kw)
+    check = Comparison("lipschitz", lambda Y: [
+        ({}, (expected, verify_lipschitz_second(f2, s1, s2, k)))], **kw)
     return Stage("lipschitz", None, (check,))
 
 
@@ -710,7 +741,7 @@ def _adversarial(inst: Instance) -> list[Stage]:
     """A planted bump breaks the Lipschitz bound in y; the check must reject it."""
     j = inst.local
     s1 = inst.space = random_finite_metric(4 + j % 4, inst.key("adv-a:"), "euclidean", dim=1)
-    s2 = inst.second = random_finite_metric(3 + j % 4, inst.key("adv-b:"), "euclidean", dim=1)
+    s2 = random_finite_metric(3 + j % 4, inst.key("adv-b:"), "euclidean", dim=1)
     rng = Random(f"adv:{inst.name}:{inst.cfg.seed}:{j}")
     g = random_table_function(s1, inst.key("adv-g:"))
     y0 = s2.points[0]
@@ -736,19 +767,13 @@ def _partial_slope(inst: Instance) -> list[Stage]:
         return k, {x.id: Fraction(rng.randint(-2 * k.numerator, 2 * k.numerator),
                                   2 * k.denominator) for x in s1.points}
 
-    s1, s2, f2, k, make_problem, Y2, close = _product(inst, 3 + inst.index % 6, coeffs, "full")
-
-    def slopes(Y, at):
-        y, x = at
-        g = make_problem(y).params.grid
-        if len(s1) == 1:
-            return "skipped_isolated"
-        return partial_slope(f2, s1, x, y, grid=g), partial_slope(f2, s1, x, y, grid=g, Y1=Y)
-
-    at = Comparison("partial-slope", ("y", "x"), lambda Y: ((y, x) for y in Y2 for x in Y),
-                    slopes)
+    s1, s2, f2, k, slice_at, make_problem, Y2, close = _product(
+        inst, 3 + inst.index % 6, coeffs, "full")
+    grids = [make_problem(y).params.grid for y in Y2]  # each slice's slope at its own f(x)
+    folds = tuple(Fold("partial-slope", slice_at(y), (torus_slope_problem(
+        s1, slice_at(y), "sup", g),), g.outer, at=(("y", y.id),)) for y, g in zip(Y2, grids))
     return [_lipschitz(f2, s1, s2, k, True, counted=False, note="lipschitz_verified"),
-            Stage("closure", close, (at,))]
+            Stage("closure", close, folds=folds)]
 
 
 SUITES: dict[str, tuple[Spec, str]] = {

@@ -7,7 +7,10 @@ inserting the components of optimal witness tuples for every (point,
 parameter) pair, until nothing new appears.  `check_sweep` then compares at
 every (center, parameter) the optimum over the full region with the optimum
 over tuples of the generated set, which never beats it and on a fixed point
-equals it; `sweep_tally` counts the verdicts.
+equals it; `sweep_tally` counts the verdicts.  `fold_sweep` folds each
+center's optima into one (`fold_codes`: per group the first greatest, then
+the first least), over the whole space and over the set, for the formulas
+that are such folds.
 
 Closures and check sweeps read a problem's per-center optimum table
 (`Optima`, a row of the `OptimaBlock` built for a whole request) where the
@@ -27,7 +30,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from numbers import Real
+from numbers import Integral, Real
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -513,15 +516,22 @@ def _select(problem: WitnessProblem, x: Point, p: object, region: Region,
     return tuple(sorted((u for sc, u in scored if kept(sc)), key=_id_key)[:cap])
 
 
+def validate_count(name: str, v, least: int = 1) -> None:
+    """Reject a count that is no integer (a slice or range would raise later) or is below least."""
+    if not isinstance(v, Integral):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    if v < least:
+        raise ValueError(f"{name} must be at least {least}")
+
+
 def validate_selection(eps: Num, cap: int) -> None:
     """Reject a witness slack below 0, NaN or past the float range (best - inf at
-    a +inf best is NaN, which keeps nothing), or a cap below 1."""
+    a +inf best is NaN, which keeps nothing), or a cap that is no integer >= 1."""
     if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     if _image(eps) == POS_INF:
         raise ValueError("eps must be finite")
-    if not cap >= 1:
-        raise ValueError("cap must be at least 1")
+    validate_count("cap", cap)
 
 
 def validate_tolerance(tol: Optional[Num]) -> None:
@@ -641,8 +651,7 @@ def _closure(problems: Sequence[WitnessProblem], seed: Iterable[Point], *,
             max_depth = len(space) + 1
     elif max_depth is None:
         raise ValueError("lazy spaces need an explicit max_depth")
-    if max_depth < 1:
-        raise ValueError("max_depth must be at least 1")
+    validate_count("max_depth", max_depth)
 
     current: dict[Point, None] = dict.fromkeys(seed_pts)
     levels: list[tuple[Point, ...]] = [tuple(current)]
@@ -748,24 +757,29 @@ def _check(problem: WitnessProblem, Yset: set, z: tuple,
     return _compare(problem, x, p, tol, lhs, rhs, len(region), len(restricted))
 
 
-def _block_read(block: OptimaBlock, at: dict, mask: np.ndarray) -> tuple:
-    """The full and restricted (within mask) best keys and the restricted sizes
-    of the block's centers at, a row each, and per row whether a restricted key
-    beats the full one, the skipped count and the parameters whose codes differ."""
-    best, (rbest, rsize) = block.best[list(at)], block.read(mask, list(at))
-    differ: list = [[] for _ in at]
-    for j, i in zip(*(a.tolist() for a in np.nonzero(
-            (best >= 0) & (best // block.width != rbest // block.width)))):
-        differ[j].append(i)
-    return best, rbest, rsize, (rbest > best).any(axis=1), (best < 0).sum(axis=1).tolist(), differ
+def _requested(problem: WitnessProblem, Y: Sequence[Point]) -> tuple:
+    """Y as a set, Y's tables from one request, Y's mask by point index (None
+    without a table), and per block of those tables the row of each of its
+    centers (at), their best keys, and within Y their best keys and sizes."""
+    Yset = set(Y)
+    tables = problem.optima(Y) if problem.optima else [None] * len(Y)
+    mask = np.array([u in Yset for u in problem.space.points]) if any(tables) else None
+    rows: dict = {}
+    for table in filter(None, tables):
+        rows.setdefault(table.block, {}).setdefault(table.c, len(rows[table.block]))
+    return Yset, tables, mask, {block: (at, block.best[list(at)], *block.read(mask, list(at)))
+                                for block, at in rows.items()}
 
 
-def _table_verdicts(problem: WitnessProblem, x: Point, table: Optima, read: tuple, j: int,
+def _table_verdicts(problem: WitnessProblem, x: Point, table: Optima, read: tuple,
                     mask: np.ndarray, tol: Optional[Num]) -> tuple:
-    """x's skipped count, failing checks and check(i) from row j of its block's
-    read: keys sharing a code pass under any tolerance (agree's rule over the
-    block's arrays), and only the others go to check(i)."""
-    trunc, (best, rbest, rsize, above, skips, differ) = problem.params.truncation, read
+    """x's skipped count, failing checks and check(i) from its block's read and
+    its per-row verdicts (whether a restricted key beats the full one, the
+    skipped count, whether the codes differ): keys sharing a code pass under
+    any tolerance (agree's rule over the block's arrays), and only the others
+    go to check(i)."""
+    trunc, (at, best, rbest, rsize, above, skips, differ) = problem.params.truncation, read
+    j = at[table.c]
     if above[j]:
         i = int(np.argmax(rbest[j] > best[j]))
         raise InvariantViolation(f"{problem.name}: restricted key {rbest[j, i]} beats full key "
@@ -779,31 +793,99 @@ def _table_verdicts(problem: WitnessProblem, x: Point, table: Optima, read: tupl
         return _compare(problem, x, trunc[i], tol, table.value(i, best[j, i]), rhs,
                         table.size[i], int(rsize[j, i]))
 
-    return skips[j], [c for c in map(check, differ[j]) if c.verdict == "fail"], check
+    failing = [check(i) for i in np.flatnonzero(differ[j]).tolist()]
+    return skips[j], [c for c in failing if c.verdict == "fail"], check
 
 
 def _sweep_centers(problem: WitnessProblem, Y: Iterable[Point],
                    tol: Optional[Num]) -> Iterator[tuple]:
     """(x, skipped count, failing checks, check) for every x in Y, x-major: Y's
-    membership is built once, each block that Y's tables come from is read
-    within it by one call, and centers without a table are scanned."""
+    tables come from one request, each of their blocks is read within Y by one
+    call, and centers without a table are scanned."""
     validate_tolerance(tol)
     Y = tuple(Y)
-    Yset = set(Y)
-    tables = problem.optima(Y) if problem.optima else [None] * len(Y)
-    mask = np.array([u in Yset for u in problem.space.points]) if any(tables) else None
-    rows: dict = {}  # per block, the row of each of its centers in its read
-    for table in filter(None, tables):
-        rows.setdefault(table.block, {}).setdefault(table.c, len(rows[table.block]))
-    reads = {block: _block_read(block, at, mask) for block, at in rows.items()}
+    Yset, tables, mask, reads = _requested(problem, Y)
+    for block, (at, best, rbest, rsize) in reads.items():
+        reads[block] = (at, best, rbest, rsize, (rbest > best).any(axis=1), (best < 0).sum(
+            axis=1).tolist(), (best >= 0) & (best // block.width != rbest // block.width))
     for x, table in zip(Y, tables):
         if table is not None:
-            yield x, *_table_verdicts(problem, x, table, reads[table.block],
-                                      rows[table.block][table.c], mask, tol)
+            yield x, *_table_verdicts(problem, x, table, reads[table.block], mask, tol)
             continue
         checks = [_check(problem, Yset, (x, p), tol) for p in problem.params.truncation]
         yield (x, sum(c.verdict == "skipped-empty-region" for c in checks),
                [c for c in checks if c.verdict == "fail"], checks.__getitem__)
+
+
+def fold_codes(codes: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """Per row of codes (one per region, larger for better, -1 where empty), the
+    index of the first least among each group's first greatest, the groups
+    taken in order of their first nonempty region; -1 where every region is
+    empty.  groups labels each region (an int64 array; groups need not be
+    contiguous)."""
+    rows, m = codes.shape
+    if not m:
+        return np.full(rows, -1, dtype=np.int64)
+    order = np.argsort(groups, kind="stable")
+    sorted_groups = groups[order]
+    starts = np.flatnonzero(np.concatenate(([True], sorted_groups[1:] != sorted_groups[:-1])))
+    ranked = codes[:, order]
+    # per group the greatest code and its least index (a key below 0 where empty),
+    # and its first nonempty index, which breaks ties between groups
+    best = np.maximum.reduceat(ranked * m + (m - 1 - order), starts, axis=1)
+    first = np.minimum.reduceat(np.where(ranked >= 0, order, m), starts, axis=1)
+    code = best // m
+    pick = np.argmin(np.where(code >= 0, code * (m + 1) + first, 2 ** 62), axis=1)
+    got = best[np.arange(rows), pick]
+    return np.where(got >= 0, m - 1 - got % m, -1)
+
+
+def _scan(problem: WitnessProblem, x: Point,
+          allowed: Optional[set]) -> tuple[np.ndarray, Callable[[int], int], Callable[[int], Num]]:
+    """Every region of x within allowed (None: all), scanned: per region a code
+    (the rank of its first optimum in enumeration order, larger for better in
+    the problem's mode, -1 where empty), and size(k) and value(k), region k's
+    size in tuples (a pair once) and its optimum."""
+    optimum, sign = (max, 1) if problem.mode == "sup" else (min, -1)
+    values, sizes = [], []
+    for p in problem.params:
+        got = [problem.score((x, p), u) for u in problem.region(x, p)
+               if allowed is None or all(c in allowed for c in u)]
+        values.append(optimum(got, default=None))
+        sizes.append(len(got) // problem.arity)
+    rank = {v: k for k, v in enumerate(sorted({sign * v for v in values if v is not None}))}
+    codes = [-1 if v is None else rank[sign * v] for v in values]
+    return np.array(codes, dtype=np.int64), sizes.__getitem__, values.__getitem__
+
+
+def fold_sweep(problem: WitnessProblem, Y: Sequence[Point],
+               groups: np.ndarray) -> Iterator[tuple]:
+    """(x, folds, same, value) for every x in Y: the fold_codes of x's regions
+    whole and within Y (-1 where all are empty), whether the two folds read
+    one table code, and value(side), the optimum a fold names (0 whole, 1
+    within Y), built when called.  Y's tables come from one request, and
+    each of their blocks is read and folded once; a center without a table
+    is scanned, and its sides compare by value."""
+    Y = tuple(Y)
+    Yset, tables, mask, reads = _requested(problem, Y)
+    folded = {}
+    for block, (at, *keys, _) in reads.items():
+        keys = np.stack(keys)  # side, center, region
+        codes = keys // block.width  # an empty region's key, -1, stays -1
+        folds = fold_codes(codes.reshape(-1, codes.shape[2]), groups).reshape(2, -1)
+        picked = np.take_along_axis(codes, np.maximum(folds, 0)[:, :, None], 2)[:, :, 0]
+        folded[block] = at, keys, folds, ((folds >= 0).all(0) & (picked[0] == picked[1])).tolist()
+    for x, table in zip(Y, tables):
+        if table is None:
+            sides = [_scan(problem, x, a) for a in (None, Yset)]
+            k = fold_codes(np.stack([codes for codes, _, _ in sides]), groups).tolist()
+            yield x, k, False, lambda side, sides=sides, k=k: sides[side][2](k[side])
+            continue
+        at, keys, folds, same = folded[table.block]
+        j = at[table.c]
+        k = folds[:, j].tolist()
+        yield x, k, same[j], lambda side, t=table, key=keys[:, j], k=k: t.value(
+            k[side], int(key[side, k[side]]), mask if side else None)
 
 
 def check_sweep(problem: WitnessProblem, Y: Iterable[Point],

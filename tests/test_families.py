@@ -65,7 +65,8 @@ class TestMembership:
 class TestSelectionConfig:
     @pytest.mark.parametrize("bad, message", [({"eps": -1}, "eps must be nonnegative"),
                                               ({"eps": math.nan}, "eps must be nonnegative"),
-                                              ({"cap": 0}, "cap must be at least 1")])
+                                              ({"cap": 0}, "cap must be at least 1"),
+                                              ({"cap": 1.5}, "cap must be an integer")])
     def test_bad_config_rejected_by_the_handle(self, chain5, bad, message):
         # is_member used to accept a non-member under each of these
         prob = neighbor_family(chain5).problems[0]

@@ -54,7 +54,8 @@ from sepdet import (
     verify_lipschitz_second,
     witness_select,
 )
-from sepdet import functionals
+from sepdet import functionals, harness
+from sepdet.scheme import fold_sweep
 from sepdet.scheme import ShellGrid
 from sepdet.extreal import POS_INF, is_pos_inf
 from conftest import coord_space
@@ -418,32 +419,41 @@ class TestProductSlices:
                           **{keyword: None})
 
     def test_partial_slopes_read_the_closure_slices(self, monkeypatch):
+        # the fold sweep of a slice's grid problem reads the rankings of the
+        # slice its closure ranked, as thm-4.3 holds one slice per y for both:
+        # it ranks nothing new and gives partial_slope's two sides at every x
+        # (partial_slope itself ranks a new slice per call)
         s1, s2 = self.make_pair()
         y0 = s2.point("b0")
 
         def f2(x, y):
             return x.coords[0] ** 2 + Fraction(1, 2) * s2.distance(y, y0)
 
-        problems = {y: torus_slope_problem(s1, slice_oracle(f2, y), t_mode="full")
-                    for y in s2.points}
+        slices = {y: slice_oracle(f2, y) for y in s2.points}
+        problems = {y: torus_slope_problem(s1, slices[y], t_mode="full") for y in s2.points}
         gen, Y2 = product_closure(problems.__getitem__, [s1.point("a2")], s2.points)
         Y = sorted(gen.union, key=lambda p: p.id)
+        grids = {y: problems[y].params.grid for y in Y2}
+        want = {(y, x): (partial_slope(f2, s1, x, y, grids[y]),
+                         partial_slope(f2, s1, x, y, grids[y], Y1=Y)) for y in Y2 for x in Y}
         built = []
         monkeypatch.setattr(functionals._Rankings, "__init__",
                             lambda self, *a: built.append(a))
 
         def descents():
-            return sum(len(slice_oracle(f2, y)._rankings[s1].memo) for y in Y2)
+            return sum(len(slices[y]._rankings[s1].memo) for y in Y2)
 
         before = descents()
         for y in Y2:
-            grid = problems[y].params.grid
-            for x in Y:
-                assert partial_slope(f2, s1, x, y, grid) == \
-                    partial_slope(f2, s1, x, y, grid, Y1=Y)
+            problem = torus_slope_problem(s1, slices[y], "sup", grids[y])
+            for x, _, same, value in fold_sweep(problem, Y, grids[y].outer):
+                assert same and (value(0), value(1)) == want[y, x]
         assert built == [] and descents() == before
 
-    def test_slices_are_shared_while_held_and_dropped_after(self):
+    def test_slices_are_shared_while_held_and_dropped_after(self, monkeypatch):
+        # slice_oracle keeps no slice: each call makes a new oracle, which goes
+        # with its last holder; thm-4.3 holds one slice per (instance, y) for
+        # its closure and its folds, and drops them with the instance
         s1, s2 = self.make_pair()
 
         def f2(x, y):
@@ -451,14 +461,23 @@ class TestProductSlices:
 
         y = s2.point("b1")
         held = slice_oracle(f2, y)
-        assert slice_oracle(f2, y) is held
+        assert slice_oracle(f2, y) is not held
         dead = weakref.ref(held)
-        del held, f2
+        del held
         gc.collect()
         assert dead() is None
+        made, real = [], harness.slice_oracle
+
+        def recorded(f2, y):
+            got = real(f2, y)
+            made.append(weakref.ref(got))
+            return got
+
+        monkeypatch.setattr(harness, "slice_oracle", recorded)
         run_suite("thm-4.3", SuiteConfig(instances=2, sizes=(4,)))
         gc.collect()
-        assert len(functionals._slices) == 0
+        assert len(made) == 2 * 3  # three second seeds in each of the two product instances
+        assert all(ref() is None for ref in made)
 
     def test_thm_4_3_ranks_each_slice_once(self, monkeypatch):
         seen, spaces = [], []

@@ -1,6 +1,7 @@
 """Instance generators, the brute-force oracle, dumps/replay, suite runs."""
 
 import ast
+import dataclasses
 import functools
 import hashlib
 import importlib
@@ -223,12 +224,27 @@ class TestSuiteReportBookkeeping:
             SuiteConfig(eps=float("nan"))
         with pytest.raises(ValueError, match="tolerance must be nonnegative"):
             SuiteConfig(tolerance=float("nan"))
+        # each of these used to fail mid-run with a TypeError
+        for bad, message in (({"instances": 2.5}, "instances must be an integer"),
+                             ({"max_depth": 2.5}, "max_depth must be an integer"),
+                             ({"max_depth": 0}, "max_depth must be at least 1"),
+                             ({"cap": 1.5}, "cap must be an integer")):
+            with pytest.raises(ValueError, match=message):
+                SuiteConfig(**bad)
 
     def test_config_rejects_bad_sizes_and_density(self):
         with pytest.raises(ValueError, match="sizes must be at least 1"):
             SuiteConfig(sizes=(5, 0))
         with pytest.raises(ValueError, match="q_density must be an integer >= 2"):
             SuiteConfig(q_density=1)
+        with pytest.raises(ValueError, match="q_density must be an integer >= 2"):
+            SuiteConfig(q_density=2.5)
+        with pytest.raises(ValueError, match="sizes must be a sequence of integers"):
+            SuiteConfig(sizes=5)
+        with pytest.raises(ValueError, match="sizes must be an integer"):
+            SuiteConfig(sizes=("4",))
+        with pytest.raises(ValueError, match="sizes must be an integer"):
+            SuiteConfig(sizes=(4, 2.5))
         assert "inf_share" not in SuiteConfig.__dataclass_fields__
 
 
@@ -399,7 +415,7 @@ def test_pair_and_torus_sweeps_give_the_per_center_formulas(suite, formula, monk
 def test_the_shell_suites_prepare_each_truncation_once(suite, monkeypatch):
     # every parameter is checked at most once per truncation built, a shell
     # layout is built with its truncation and a slope grid once per truncation,
-    # and no formula call prepares anything
+    # and no fold sweep prepares anything
     built, counts, depth = [], Counter(), [0]
 
     def counted(name, fn):
@@ -425,14 +441,15 @@ def test_the_shell_suites_prepare_each_truncation_once(suite, monkeypatch):
 
     for kind in inits:
         monkeypatch.setattr(kind, "__init__", recorded)
-    for name in ("slope_at", "partial_slope"):
-        def formula(*args, real=getattr(harness, name), **kwargs):
-            depth[0] += 1
-            try:
-                return real(*args, **kwargs)
-            finally:
-                depth[0] -= 1
-        monkeypatch.setattr(harness, name, formula)
+
+    def sweep(*args, real=harness.fold_sweep):
+        depth[0] += 1
+        try:
+            return iter(list(real(*args)))
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(harness, "fold_sweep", sweep)
     report = run_suite(suite, SuiteConfig(instances=4, sizes=(6, 9)))
     assert report.ok and report.checks_passed > 0
     assert all(not inside for *_, inside in built)
@@ -441,21 +458,19 @@ def test_the_shell_suites_prepare_each_truncation_once(suite, monkeypatch):
     assert counts["grids"] <= sum(kind is Shells for kind, *_ in built)
 
 
-# the formulas of each suite that read the closure's own tables (prop-3.2 and
-# prop-4.1 check their families' sweeps, which read them with no formula); a
-# slope reads the table of its grid's problem, each center at its own f(x),
-# which no closure builds
-CLOSURE_READS = {"prop-3.2": (), "thm-3.3": ("lip_modulus",),
-                 "thm-3.1": ("liminf_at", "limsup_at", "continuity_check"),
-                 "prop-4.1": (), "thm-4.2": ("slope_at",),
-                 "thm-4.3": ("partial_slope",)}
+# whether each suite's folds build tables: the limits and the modulus fold the
+# closure's own tables (prop-3.2 and prop-4.1 check their families' sweeps,
+# which read them with no fold); a slope folds the table of its grid's
+# problem, each center at its own f(x), which no closure builds
+FOLD_BUILDS = {"prop-3.2": False, "thm-3.3": False, "thm-3.1": False,
+               "prop-4.1": False, "thm-4.2": True, "thm-4.3": True}
 
 
-@pytest.mark.parametrize("suite", sorted(CLOSURE_READS))
+@pytest.mark.parametrize("suite", sorted(FOLD_BUILDS))
 def test_each_optimum_table_is_built_once(suite, monkeypatch):
     # a table is built once per (function, truncation object, mode, center),
-    # and the comparisons that the closure's tables serve build none
-    built, inside = [], [None]
+    # and the folds that the closure's tables serve build none
+    built, inside = [], [False]
     for name in ("_points_table", "_pairs_table", "_torus_table"):
         def builder(rankings, centers, params, *key, name=name, real=getattr(functionals, name)):
             # params is kept in the record, so its id is not reused during the run
@@ -463,24 +478,25 @@ def test_each_optimum_table_is_built_once(suite, monkeypatch):
                          for i in centers)
             return real(rankings, centers, params, *key)
         monkeypatch.setattr(functionals, name, builder)
-    for name in CLOSURE_READS[suite]:
-        def formula(*args, name=name, real=getattr(harness, name), **kwargs):
-            inside[0] = name
-            try:
-                return real(*args, **kwargs)
-            finally:
-                inside[0] = None
-        monkeypatch.setattr(harness, name, formula)
+
+    def sweep(*args, real=harness.fold_sweep):
+        inside[0] = True
+        try:
+            return iter(list(real(*args)))
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(harness, "fold_sweep", sweep)
     report = run_suite(suite, SuiteConfig(instances=4, sizes=(5, 8)))
     assert report.ok and report.checks_passed > 0
     keys = Counter(key for key, *_ in built)
     assert keys and max(keys.values()) == 1
-    by_formulas = [key for key, _, name in built if name is not None]
-    if suite in ("thm-4.2", "thm-4.3"):  # on the slope's grid: (name, rankings, grid, mode, i)
-        assert by_formulas and all(len(key) == 5 for key in by_formulas)
+    by_folds = [key for key, _, folding in built if folding]
+    if FOLD_BUILDS[suite]:  # on the slope's grid: (name, rankings, grid, mode, i)
+        assert by_folds and all(len(key) == 5 for key in by_folds)
     else:
-        assert by_formulas == []
-    assert sum(name is None for *_, name in built) > 0  # the closures build theirs
+        assert by_folds == []
+    assert sum(not folding for *_, folding in built) > 0  # the closures build theirs
 
 
 # sha256 of the sorted-key JSON report of every suite at a small config, under
@@ -555,6 +571,37 @@ def test_golden_suites_build_no_region_and_rank_every_function(monkeypatch):
     assert [counts[kind] for kind in ("regions", "scans", "rankings without parts")] == [0, 0, 0]
 
 
+def test_golden_folds_make_one_request_per_stage_and_problem(monkeypatch):
+    # at the GOLDEN configs each fold sweep asks its problem for Y's tables
+    # once, no center makes a one-center request (the formulas' read), and no
+    # optimum value is built: every passing center's two sides share a code
+    requests, problems, counts = Counter(), [], Counter()
+
+    def sweep(problem, Y, groups, real=harness.fold_sweep):
+        problems.append(problem)  # keeps every id distinct for the whole run
+
+        def optima(xs, key=id(problem)):
+            requests[key] += 1
+            return problem.optima(xs)
+
+        return real(dataclasses.replace(problem, optima=optima), Y, groups)
+
+    monkeypatch.setattr(harness, "fold_sweep", sweep)
+    regions, value = functionals._regions, scheme.Optima.value
+    monkeypatch.setattr(functionals, "_regions",
+                        lambda *args: counts.update(["one-center"]) or regions(*args))
+    monkeypatch.setattr(scheme.Optima, "value",
+                        lambda self, *args: counts.update(["values"]) or value(self, *args))
+    for eps, cap in ((0, 1), (Fraction(1, 2), 3)):
+        for name in ("thm-3.1", "thm-3.3", "thm-4.2", "thm-4.3"):
+            instances, sizes = GOLDEN_SIZES.get(name, (4, (5, 7, 9, 11)))
+            report = run_suite(name, SuiteConfig(instances=instances, sizes=sizes,
+                                                 eps=eps, cap=cap))
+            assert report.ok and report.checks_passed > 0
+    assert len(requests) == len(problems) and set(requests.values()) == {1}
+    assert counts["one-center"] == 0 and counts["values"] == 0
+
+
 def test_table_comparisons_at_the_golden_configs_compare_no_value(monkeypatch):
     # both sides of a passing table comparison read one value object, so the
     # verdict rule never reaches close; thm-2.1's oracle cross-checks compare
@@ -585,11 +632,13 @@ SWEPT = {"skipped_no_pairs": "pair-sup", "skipped_empty_shell": "torus-sup"}
 
 
 def compared_values(name: str, cfg: SuiteConfig) -> list:
-    """Every value each comparison of the suite computes, as (fmt, type name).
+    """Every value each comparison and fold of the suite computes, as (fmt,
+    type name).
 
     A report keeps no value of a passing check, so this pins what the
-    formulas compute, not only their verdicts.  The pair and torus sweeps
-    enter under their old comparisons' names and skip notes.
+    formulas compute, not only their verdicts: each fold's two sides are
+    built at every center, as the formulas' values.  The pair and torus
+    sweeps enter under their old comparisons' names and skip notes.
     """
 
     def enc(v):
@@ -601,12 +650,12 @@ def compared_values(name: str, cfg: SuiteConfig) -> list:
     sizes = _plan_sizes(cfg, spec)
     got = []
     for i in range(len(sizes) + spec.extra(cfg)):
-        for stage in spec.build(Instance(name, cfg, i, sizes)):
+        inst = Instance(name, cfg, i, sizes)
+        for stage in spec.build(inst):
             Y = None if stage.close is None else stage.close().union
-            for comp in stage.comparisons:
-                for at in comp.points(Y):
-                    out = comp.at(Y, at)
-                    got.append([i, comp.name, out if isinstance(out, str) else enc(out)])
+            for comp, _, out in harness._outcomes(inst, stage, Y):
+                got.append([i, comp.name, out if isinstance(out, str)
+                            else enc((out[1](0), out[1](1)))])
             for _, problem in stage.problems() if stage.skip_note in SWEPT else ():
                 for chk in scheme.check_sweep(problem, Y, cfg.tolerance):
                     skipped = chk.verdict == "skipped-empty-region"

@@ -74,7 +74,8 @@ from sepdet import (
 from sepdet.extreal import NEG_INF, POS_INF, close
 import sepdet.functionals as functionals
 from sepdet.functionals import _rankings
-from sepdet.scheme import Optima, Radii, ShellGrid, Shells, agree, sweep_tally
+from sepdet.scheme import (Optima, Radii, ShellGrid, Shells, agree, fold_codes, fold_sweep,
+                           sweep_tally)
 
 # Function values; "mixed" holds equal scores of different types (2, 2.0,
 # Fraction(2)).  A finite float value of f ("mixed", "float") leaves every
@@ -543,6 +544,7 @@ def test_pair_and_limit_reads_agree_with_the_scan_and_the_oracle(kind, palette, 
         picked = rng.sample(radii, min(4, len(radii)))
         grids = [tuple(radii), tuple(picked), (), (rng.choice(bad),) + tuple(picked),
                  tuple(picked[:2]) + (rng.choice(bad),) + tuple(picked[2:])]
+        seen = {}  # the oracle's optima by (problem, over inside), for the fold sweep
         for Y in (None, inside, others):
             for r in radii + bad:
                 got = typed(lambda: lip_local_sup(f, space, x, r, Y))
@@ -553,7 +555,7 @@ def test_pair_and_limit_reads_agree_with_the_scan_and_the_oracle(kind, palette, 
                         typed(lambda: formula(f, space, x, grid, Y, budget=scan))
             if Y is others:
                 continue  # the formulas need the center in Y; the oracle does not
-            sups = [oracle_or_none(pairs, x, r, Y) for r in radii]
+            sups = seen[pairs.name, Y is inside] = [oracle_or_none(pairs, x, r, Y) for r in radii]
             for r, best in zip(radii, sups):
                 got = lip_local_sup(f, space, x, r, Y)
                 assert (got.pairs > 0) == (best is not None)
@@ -565,6 +567,7 @@ def test_pair_and_limit_reads_agree_with_the_scan_and_the_oracle(kind, palette, 
             # in value and type: the oracle scans Y in enumeration order
             for formula, prob, least in ((liminf_at, lows, False), (limsup_at, highs, True)):
                 optima = {r: oracle_or_none(prob, x, r, Y) for r in radii}
+                seen[prob.name, Y is inside] = list(optima.values())
                 for grid in (radii, picked):
                     best = oracle_fold([optima[r] for r in grid], range(len(grid)), least)
                     assert typed(lambda: formula(f, space, x, grid, Y)) == (
@@ -572,6 +575,7 @@ def test_pair_and_limit_reads_agree_with_the_scan_and_the_oracle(kind, palette, 
             t, shells = f.value(x), default_shell_grid(space, x)
             slopes = torus_slope_problem(space, f, truncation=[(t, r, s) for r, s in shells])
             optima = {(r, s): oracle_or_none(slopes, x, (t, r, s), Y) for r, s in shells}
+            seen["slope", Y is inside] = list(optima.values())
             for grid in [None, rng.sample(shells, min(6, len(shells)))] if shells else [None]:
                 at = shells if grid is None else grid
                 best = oracle_fold([optima[p] for p in at], [s for _, s in at], True)
@@ -579,18 +583,72 @@ def test_pair_and_limit_reads_agree_with_the_scan_and_the_oracle(kind, palette, 
                     typed(lambda: best) if best is not None else ("IsolatedPoint", (
                         f"every shell at {x.id!r} is empty" if at else
                         f"no shells realized at {x.id!r}")))
+        # the fold sweep over inside, by table and (at the first center, as it
+        # scans every center of inside) by scan: x's two sides are the oracle's
+        # optima over the space and over inside, folded by the reference
+        grid = ShellGrid(default_shell_grid(space, x))
+        slopes = torus_slope_problem(space, f, "sup", grid)
+        for prob, groups, key in ((lows, np.arange(len(radii)), lows.name),
+                                  (highs, np.arange(len(radii)), highs.name),
+                                  (pairs, np.arange(len(radii)), pairs.name),
+                                  (slopes, grid.outer, "slope")):
+            sign = 1 if prob.mode == "sup" else -1
+            sides = [seen[key, False], seen[key, True]]
+            scanned = dataclasses.replace(prob, optima=None)
+            for route in (prob, scanned) if x == space.points[0] else (prob,):
+                [(_, folds, _, value)] = [row for row in fold_sweep(route, inside, groups)
+                                          if row[0] == x]
+                for side, optima in enumerate(sides):
+                    k = reference_fold([None if v is None else sign * v for v in optima],
+                                       groups.tolist())
+                    assert folds[side] == (-1 if k is None else k)
+                    if k is not None:
+                        assert typed(lambda: value(side)) == typed(lambda: optima[k])
+
+
+def reference_fold(orders, groups):
+    """The formulas' fold as a Python loop over orders (larger for better,
+    None where a region is empty): the index of the first least among each
+    group's first greatest, the groups in order of their first nonempty
+    region; None when every region is empty.  fold_codes must match it."""
+    best: dict = {}
+    for k, (order, group) in enumerate(zip(orders, groups)):
+        if order is not None and (group not in best or order > orders[best[group]]):
+            best[group] = k
+    return min(best.values(), key=orders.__getitem__) if best else None
 
 
 def oracle_fold(optima, groups, least):
-    """The formulas' fold over oracle optima (None for an empty region): each
-    group's first greatest, in the order the groups first hold an optimum,
-    and the first least of those (least) or the first greatest; None when
-    every region is empty."""
-    inner = {}
-    for v, group in zip(optima, groups):
-        if v is not None and (group not in inner or v > inner[group]):
-            inner[group] = v
-    return (min if least else max)(inner.values(), default=None)
+    """The reference fold of oracle optima (None for an empty region): the
+    first least of each group's first greatest (least), or the first greatest
+    of each group's first least; None when every region is empty."""
+    sign = 1 if least else -1
+    k = reference_fold([None if v is None else sign * v for v in optima], list(groups))
+    return None if k is None else optima[k]
+
+
+@st.composite
+def code_rows(draw):
+    """(groups, rows of codes): up to 8 regions in up to 4 groups, codes -1
+    (empty) to 3, so that ties within and across groups are common, and
+    all-empty rows."""
+    m = draw(st.integers(0, 8))
+    groups = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+    row = st.lists(st.integers(-1, 3), min_size=m, max_size=m)
+    return groups, draw(st.lists(st.one_of(row, st.just([-1] * m)), min_size=1, max_size=5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(code_rows())
+@example(([0, 1, 0, 1], [[2, 1, 2, 1], [-1, -1, -1, -1], [1, 3, -1, 1]]))  # ties, an isolated row
+@example(([1, 0, 1, 0], [[2, -1, -1, 2]]))  # a tie across groups goes to the first nonempty
+@example(([], [[], []]))  # no region at all
+def test_the_numpy_fold_matches_the_reference_fold(case):
+    groups, rows = case
+    got = fold_codes(np.array(rows, dtype=np.int64).reshape(len(rows), len(groups)),
+                     np.array(groups, dtype=np.int64))
+    want = [reference_fold([None if c < 0 else c for c in row], groups) for row in rows]
+    assert got.tolist() == [-1 if k is None else k for k in want]
 
 
 def isolated(x):

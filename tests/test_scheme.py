@@ -158,6 +158,8 @@ class TestWitnessSelect:
             witness_select(prob, z, eps=-1)
         with pytest.raises(ValueError):
             witness_select(prob, z, cap=0)
+        with pytest.raises(ValueError, match="cap must be an integer"):
+            witness_select(prob, z, cap=1.5)  # a TypeError from the slice, once
 
     def test_score_outside_mode_range(self, line3):
         bottom = FunctionOracle("bottom", lambda p: NEG_INF)
@@ -247,10 +249,12 @@ class TestClosure:
 
     @pytest.mark.parametrize("bad, message", [({"cap": 0}, "cap must be at least 1"),
                                               ({"eps": -1}, "eps must be nonnegative"),
-                                              ({"eps": math.nan}, "eps must be nonnegative")])
+                                              ({"eps": math.nan}, "eps must be nonnegative"),
+                                              ({"cap": 1.5}, "cap must be an integer")])
     def test_bad_selection_config_rejected_by_every_closure(self, line3, bad, message):
         # cap = 0, and eps = nan (no score reaches a NaN cut), used to return the seed alone,
-        # marked as a fixed point
+        # marked as a fixed point; cap = 1.5 kept one tuple off a table and
+        # raised a TypeError on the scan
         prob = punctured_ball_problem(line3, COORD, "sup")
         seed = [line3.point("p0")]
         with pytest.raises(ValueError, match=message):
@@ -261,6 +265,12 @@ class TestClosure:
             intersect_problems([prob], seed, **bad)
         with pytest.raises(ValueError, match=message):
             product_closure(lambda y: prob, seed, [line3.point("p1")], **bad)
+
+    def test_a_fractional_depth_is_rejected(self, line3):
+        # max_depth = 2.5 used to fail in range() with a TypeError
+        prob = ball_pairs_problem(line3, COORD, "sup")
+        with pytest.raises(ValueError, match="max_depth must be an integer"):
+            closure_iterate(prob, [line3.point("p0")], max_depth=2.5)
 
     def test_intersect_problems_requires_one_space(self, line3, grid5):
         a = punctured_ball_problem(line3, COORD, "sup")
